@@ -66,7 +66,6 @@ from .tensor_core import (
     star_mul_tt,
     star_mul_tv,
     star_mul_vt,
-    star_pow,
     to_block_matrix,
     write_t4f,
 )

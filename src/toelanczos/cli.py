@@ -15,18 +15,14 @@ breakdown, 4 serious breakdown, 5 singular resolvent, 6 I/O error, 7 guarded
 workload without --allow-large.
 
 Workloads with M^3 * N^2 * n above 1e10 (roughly a minute of dense products)
-require ``--allow-large``.  The environment variable TOELANCZOS_THREADS caps
-how many sweep entries run concurrently (default 1; results are written in
-sweep order either way).
+require ``--allow-large``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,13 +51,6 @@ _STATUS_EXIT = {"completed": EXIT_OK,
 
 class GuardError(RuntimeError):
     pass
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TOELANCZOS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_problem(args) -> prob.Problem:
@@ -153,12 +142,7 @@ def cmd_convergence(args) -> int:
     problem = _load_problem(args)
     for m in args.M:
         _check_budget(m, problem.n, args.n, args.allow_large)
-    workers = min(_threads(), len(args.M))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda m: _pipeline_once(problem, m, args.n, args), args.M))
-    else:
-        results = [_pipeline_once(problem, m, args.n, args) for m in args.M]
+    results = [_pipeline_once(problem, m, args.n, args) for m in args.M]
     rows = [",".join(diag.REPORT_CSV_COLUMNS)]
     points = []
     worst_exit = EXIT_OK

@@ -44,7 +44,6 @@ from .tensor_core import (
     star_mul_tt,
     star_mul_tv,
     star_mul_vt,
-    star_pow,
 )
 
 __all__ = [
@@ -52,6 +51,7 @@ __all__ = [
     "err_biorth",
     "err_recurrences",
     "err_moments",
+    "moment_matrices",
     "err_solution",
     "convergence_slope",
     "report_to_json",
@@ -144,42 +144,69 @@ def err_recurrences(result: LanczosResult, a: Tensor4) -> tuple[float, float]:
     return err_v, err_w
 
 
-def err_moments(result: LanczosResult, a: Tensor4, v: np.ndarray, w: np.ndarray,
-                k_max: int | None = None) -> np.ndarray:
-    """Matching-moment mismatch ``err_M(k)`` for k = 0 .. k_max.
+def moment_matrices(result: LanczosResult, a: Tensor4,
+                    k_max: int | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Both sides of the matching moments for k = 0 .. k_max (default 2n-1).
 
-    Both sides are evaluated by brute-force ``*`` powers: the full tensor
-    side uses the run's starting hypervectors (normalization included), the
-    tridiagonal side the first Euclidean lift of length n.
+    Returns the lists ``W_1^D * A^{k*} * V_1`` (the run's starting
+    hypervectors, normalization included) and ``e_1^D * T_n^{k*} * e_1``
+    (first Euclidean lifts of length n), each an m x m matrix per k.  The
+    powers are never formed: each side keeps its Krylov vector and applies
+    one tensor-hypervector product per k, so a run costs ``2 k_max`` such
+    products in place of ``O(k_max^2)`` tensor-tensor products.
     """
     tri = result.tri
     n = tri.n
     if k_max is None:
         k_max = 2 * n - 1
-    w_lift = result.w_basis[0]
-    v_lift = result.v_basis[0]
     t4 = assemble_tridiag(tri)
     e1 = np.zeros(n)
     e1[0] = 1.0
-    e1_r = lift(e1, tri.m)
+    w_lift = result.w_basis[0]
     e1_d = lift_dual(e1, tri.m)
-    out = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        lhs = star_inner(w_lift, star_mul_tv(star_pow(a, k), v_lift))
-        rhs = star_inner(e1_d, star_mul_tv(star_pow(t4, k), e1_r))
+    cur = result.v_basis[0]
+    cur_t = lift(e1, tri.m)
+    lhs = [star_inner(w_lift, cur)]
+    rhs = [star_inner(e1_d, cur_t)]
+    for _ in range(k_max):
+        cur = star_mul_tv(a, cur)
+        cur_t = star_mul_tv(t4, cur_t)
+        lhs.append(star_inner(w_lift, cur))
+        rhs.append(star_inner(e1_d, cur_t))
+    return lhs, rhs
+
+
+def err_moments(result: LanczosResult, a: Tensor4, v: np.ndarray, w: np.ndarray,
+                k_max: int | None = None) -> np.ndarray:
+    """Matching-moment mismatch ``err_M(k)`` for k = 0 .. k_max.
+
+    ``err_M(k) = |L_k - R_k| / max(|L_k|, |R_k|)`` for the moment pair of
+    :func:`moment_matrices`.  The starting hypervectors come from the run, so
+    ``v`` and ``w`` only document the call.
+    """
+    out = []
+    for lhs, rhs in zip(*moment_matrices(result, a, k_max)):
         den = max(np.linalg.norm(lhs.ravel()), np.linalg.norm(rhs.ravel()))
         num = np.linalg.norm((lhs - rhs).ravel())
-        out[k] = 0.0 if den == 0 else float(num / den)
-    return out
+        out.append(0.0 if den == 0 else float(num / den))
+    return np.array(out)
 
 
 def err_solution(s_hat: np.ndarray, s_n: np.ndarray) -> float:
-    """Relative Euclidean error ``|s_hat - s_n|_2 / |s_hat|_2``."""
+    """Relative Euclidean error ``|s_hat - s_n|_2 / |s_hat|_2``.
+
+    Raises ``ValueError`` for an all-zero reference, where the relative
+    error is undefined.
+    """
     s_hat = np.asarray(s_hat, dtype=complex).ravel()
     s_n = np.asarray(s_n, dtype=complex).ravel()
     if s_hat.shape != s_n.shape:
         raise ValueError(f"length mismatch: {s_hat.size} vs {s_n.size}")
-    return float(np.linalg.norm(s_hat - s_n) / np.linalg.norm(s_hat))
+    den = np.linalg.norm(s_hat)
+    if den == 0:
+        raise ValueError("the reference solution is all zero; "
+                         "its relative error is undefined")
+    return float(np.linalg.norm(s_hat - s_n) / den)
 
 
 def convergence_slope(points) -> float:

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .tensor_core import (
+    BlockStructure,
     HyperVec,
     ShapeError,
     Tensor4,
@@ -281,16 +282,20 @@ def assemble_tridiag(tri: TriTensor) -> Tensor4:
     """Materialize the block-tridiagonal tensor of the coefficients.
 
     Slice (k, k) holds alpha_{k+1} (0-based k), slice (k, k+1) gamma_{k+2}
-    and slice (k+1, k) beta_{k+2}; every other slice is zero.
+    and slice (k+1, k) beta_{k+2}; every other slice is zero and flagged
+    ZERO, so products skip it.
     """
     n, m = tri.n, tri.m
     data = np.zeros((n, n, m, m), dtype=complex)
+    flags = np.full((n, n), BlockStructure.ZERO, dtype=np.uint8)
     for k in range(n):
         data[k, k] = tri.alphas[k]
+        flags[k, k] = BlockStructure.DENSE
         if k + 1 < n:
             data[k, k + 1] = tri.gammas[k]
             data[k + 1, k] = tri.betas[k]
-    return Tensor4(data)
+            flags[k, k + 1] = flags[k + 1, k] = BlockStructure.DENSE
+    return Tensor4(data, flags)
 
 
 def split_unit_vectors(i: int, j: int, n: int):

@@ -34,7 +34,6 @@ __all__ = [
     "lift",
     "lift_dual",
     "star_identity",
-    "star_pow",
     "frobenius",
     "to_block_matrix",
     "from_block_matrix",
@@ -282,18 +281,6 @@ def star_identity(n: int, m: int) -> Tensor4:
         data[i, i] = np.eye(m)
         flags[i, i] = BlockStructure.LOWER_TRIANGULAR
     return Tensor4(data, flags)
-
-
-def star_pow(a: Tensor4, k: int) -> Tensor4:
-    """k-fold ``*`` power of a square-outer tensor (k = 0 gives the ``*`` identity)."""
-    if a.n1 != a.n2:
-        raise ShapeError("*-power needs square outer modes")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = star_identity(a.n1, a.m)
-    for _ in range(k):
-        out = star_mul_tt(out, a)
-    return out
 
 
 def frobenius(x) -> float:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from toelanczos import builtin, problem_to_json
+from toelanczos import Problem, Term, builtin, problem_to_json
+from toelanczos import cli
 from toelanczos.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -80,6 +81,24 @@ class TestRun:
         assert code == EXIT_SERIOUS
         report = json.loads((tmp_path / "s_report.json").read_text())
         assert report["meta"]["status"] == "serious_breakdown"
+
+    def test_unknown_trig_kind_is_shape_error(self, tmp_path, capsys):
+        p = Problem("tan1", 1, 0.0, 1.0, {(0, 0): [Term(1.0, 0, "tan", 1.0)]},
+                    np.array([1.0]), np.array([1.0]))
+        path = tmp_path / "tan.json"
+        path.write_text(problem_to_json(p))
+        code = run_cli("run", "--problem-file", str(path), "--M", "4", "--n", "1",
+                       "--reference", "rk45", "--output", str(tmp_path / "t"))
+        assert code == EXIT_SHAPE
+        assert "unknown trig kind 'tan'" in capsys.readouterr().err
+
+    def test_zero_reference_is_shape_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_reference_values",
+                            lambda problem, mesh, *rest: np.zeros(mesh.m))
+        code = run_cli("run", "--problem", "const3", "--M", "6", "--n", "2",
+                       "--reference", "rk45", "--output", str(tmp_path / "z"))
+        assert code == EXIT_SHAPE
+        assert "all zero" in capsys.readouterr().err
 
     def test_large_guard(self, tmp_path):
         code = run_cli("run", "--problem", "const3", "--M", "2000", "--n", "3",

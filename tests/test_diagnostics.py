@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toelanczos import (
     Problem,
@@ -14,10 +16,20 @@ from toelanczos import (
     err_moments,
     err_recurrences,
     err_solution,
+    lift,
+    lift_dual,
+    star_inner,
+    star_mul_tv,
     tensor_lanczos,
     to_block_matrix,
 )
-from toelanczos.diagnostics import ErrorReport, report_csv_row, report_to_json, REPORT_CSV_COLUMNS
+from toelanczos.diagnostics import (
+    ErrorReport,
+    moment_matrices,
+    report_csv_row,
+    report_to_json,
+    REPORT_CSV_COLUMNS,
+)
 from toelanczos.lanczos import (
     assemble_tridiag,
     residual_v_tensor,
@@ -25,6 +37,8 @@ from toelanczos.lanczos import (
     v_basis_tensor,
     w_basis_tensor,
 )
+
+from oracles import star_pow
 
 
 def run(problem, m, n):
@@ -43,6 +57,10 @@ class TestErrSolution:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             err_solution(np.ones(3), np.ones(4))
+
+    def test_zero_reference(self):
+        with pytest.raises(ValueError, match="all zero"):
+            err_solution(np.zeros(3), np.ones(3))
 
 
 class TestConvergenceSlope:
@@ -122,6 +140,54 @@ class TestMeasuresOnRuns:
         a4, res = run(p, 10, 3)
         errs = err_moments(res, a4, p.v, p.w)
         assert np.all(errs[:3] < 1e-13)
+
+
+def assert_moments_match_powers(res, a4):
+    """The iterated-product moments against explicit ``*`` powers, relative 1e-12."""
+    n, m = res.tri.n, res.tri.m
+    t4 = assemble_tridiag(res.tri)
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    lhs, rhs = moment_matrices(res, a4)
+    assert len(lhs) == len(rhs) == 2 * n
+    for k in range(2 * n):
+        want_l = star_inner(res.w_basis[0], star_mul_tv(star_pow(a4, k), res.v_basis[0]))
+        want_r = star_inner(lift_dual(e1, m), star_mul_tv(star_pow(t4, k), lift(e1, m)))
+        for got, want in ((lhs[k], want_l), (rhs[k], want_r)):
+            scale = max(np.linalg.norm(got), np.linalg.norm(want))
+            assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+
+class TestMomentMatrices:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(big_n=st.integers(1, 4), m=st.integers(2, 12), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_constant_problems(self, big_n, m, data, seed):
+        n = data.draw(st.integers(1, big_n))
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((big_n, big_n)) + 1j * rng.standard_normal((big_n, big_n))
+        entries = {(k, l): [Term(complex(mat[k, l]))]
+                   for k in range(big_n) for l in range(big_n)}
+        v, w = rng.standard_normal((2, big_n)) + 1j * rng.standard_normal((2, big_n))
+        a4, res = run(Problem("rand", big_n, 0.0, 1.0, entries, v, w), m, n)
+        assert_moments_match_powers(res, a4)
+
+    @pytest.mark.parametrize("problem_id,m,n", [("const3", 8, 3), ("timedep5", 6, 5),
+                                                ("nmr1", 5, 3), ("nmr2", 5, 4), ("nmr3", 5, 4)])
+    def test_builtins(self, problem_id, m, n):
+        a4, res = run(builtin(problem_id), m, n)
+        assert_moments_match_powers(res, a4)
+
+    def test_err_moments_past_the_matched_range(self):
+        p = builtin("const3")
+        a4, res = run(p, 10, 2)
+        errs = err_moments(res, a4, p.v, p.w, k_max=6)
+        lhs, rhs = moment_matrices(res, a4, k_max=6)
+        assert errs.shape == (7,)
+        den = max(np.linalg.norm(lhs[5]), np.linalg.norm(rhs[5]))
+        assert errs[5] == np.linalg.norm(lhs[5] - rhs[5]) / den
+        # n = 2 iterations match the moments k = 0..3 only
+        assert errs[:4].max() < 1e-13 and errs[4:].min() > 1e-3
 
 
 class TestReportSerialization:

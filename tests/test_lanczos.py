@@ -18,7 +18,6 @@ from toelanczos import (
     star_inner,
     star_mul_tt,
     star_mul_tv,
-    star_pow,
     tensor_lanczos,
 )
 from toelanczos.lanczos import TriTensor, v_basis_tensor, w_basis_tensor

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from toelanczos import (
@@ -17,6 +19,8 @@ from toelanczos import (
     rk45_reference,
 )
 from toelanczos.problems import StiffnessError
+
+from oracles import matrix_per_term, reference_per_term
 
 CONST3 = np.array([[-1.0, 1, 1], [1, 0, 1], [1, 1, -1]])
 
@@ -184,6 +188,20 @@ class TestRk45Reference:
         with pytest.raises(ValueError):
             rk45_reference(p, mesh, rtol=0.0)
 
+    @pytest.mark.parametrize("problem_id", ["const3", "nmr3"])
+    def test_equals_per_term_integration(self, problem_id):
+        p = builtin(problem_id)
+        mesh = build_mesh(p.a, p.b, 20)
+        assert np.array_equal(rk45_reference(p, mesh).values, reference_per_term(p, mesh))
+
+    def test_unknown_trig_kind(self):
+        p = Problem("tan1", 1, 0.0, 1.0, {(0, 0): [Term(1.0, 0, "tan", 1.0)]},
+                    np.array([1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="tan"):
+            rk45_reference(p, build_mesh(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="tan"):
+            p.eval_matrix(0.5)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stiffness_error(self):
         # growth rate 1e308 forces steps far below float spacing around t = 1
@@ -192,6 +210,61 @@ class TestRk45Reference:
         mesh = build_mesh(1.0, 2.0, 4)
         with pytest.raises(StiffnessError, match="stiff"):
             rk45_reference(p, mesh, rtol=1e-10, atol=1e-12)
+
+
+def matrix_per_entry(p, t):
+    return np.array([[p.eval_entry(k, l, t) for l in range(p.n)] for k in range(p.n)])
+
+
+TERMS = st.lists(st.builds(
+    Term,
+    coeff=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    power=st.integers(0, 5),
+    trig=st.sampled_from(["none", "cos", "sin"]),
+    omega=st.floats(-20, 20)), max_size=3)
+
+
+@st.composite
+def random_problems(draw):
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    entries = draw(st.dictionaries(st.tuples(index, index), TERMS))
+    return Problem("random", n, -1.0, 1.0, entries, np.ones(n), np.ones(n))
+
+
+class TestCompiledMatrix:
+    """``compile_matrix`` equals the per-entry term sums bit for bit."""
+
+    TIMES = (-0.7, 0.0, 3e-7, 0.5, 1.0)
+
+    @pytest.mark.parametrize("problem_id", sorted(builtin_ids()))
+    def test_builtins(self, problem_id):
+        p = builtin(problem_id)
+        a_of_t = p.compile_matrix()
+        for t in (*self.TIMES, p.a, p.b, (p.a + p.b) / 3):
+            assert np.array_equal(a_of_t(t), matrix_per_entry(p, t))
+            assert np.array_equal(p.eval_matrix(t), matrix_per_term(p, t))
+
+    @pytest.mark.parametrize("kind", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_nmr_seeds(self, kind, seed):
+        p = nmr_generate(kind, seed=seed)
+        a_of_t = p.compile_matrix()
+        for t in np.linspace(p.a, p.b, 7):
+            assert np.array_equal(a_of_t(t), matrix_per_entry(p, t))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(p=random_problems(), times=st.lists(st.floats(-3, 3), min_size=1, max_size=4))
+    def test_random_problems(self, p, times):
+        a_of_t = p.compile_matrix()
+        for t in times:
+            assert np.array_equal(a_of_t(t), matrix_per_entry(p, t))
+
+    def test_entries_read_when_compiled(self):
+        p = builtin("const3")
+        a_of_t = p.compile_matrix()
+        p.entries[(1, 1)] = [Term(5.0)]
+        assert a_of_t(0.5)[1, 1] == 0 and p.eval_matrix(0.5)[1, 1] == 5.0
 
 
 class TestProblemJson:

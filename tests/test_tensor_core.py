@@ -19,10 +19,10 @@ from toelanczos import (
     star_mul_tt,
     star_mul_tv,
     star_mul_vt,
-    star_pow,
     to_block_matrix,
     write_t4f,
 )
+from oracles import star_pow
 
 
 def rand_t4(rng, n1, n2, m):

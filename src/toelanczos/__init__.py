@@ -52,6 +52,7 @@ from .tensor_core import (
     BlockStructure,
     HyperVec,
     OrientationError,
+    ProfileTensor,
     ShapeError,
     Tensor4,
     frobenius,

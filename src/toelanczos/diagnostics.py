@@ -35,7 +35,7 @@ from .lanczos import (
     w_basis_tensor,
 )
 from .tensor_core import (
-    Tensor4,
+    ProfileTensor,
     frobenius,
     lift,
     lift_dual,
@@ -85,7 +85,7 @@ def err_biorth(result: LanczosResult) -> float:
     return float(np.linalg.norm(dev.ravel()) / max(frobenius(vt), frobenius(wt)))
 
 
-def err_recurrences(result: LanczosResult, a: Tensor4) -> tuple[float, float]:
+def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, float]:
     """Relative residuals of the compact three-term recurrences (err_V, err_W).
 
     Row k of the W residual is recomputed as
@@ -144,7 +144,7 @@ def err_recurrences(result: LanczosResult, a: Tensor4) -> tuple[float, float]:
     return err_v, err_w
 
 
-def moment_matrices(result: LanczosResult, a: Tensor4,
+def moment_matrices(result: LanczosResult, a: ProfileTensor,
                     k_max: int | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Both sides of the matching moments for k = 0 .. k_max (default 2n-1).
 
@@ -176,13 +176,12 @@ def moment_matrices(result: LanczosResult, a: Tensor4,
     return lhs, rhs
 
 
-def err_moments(result: LanczosResult, a: Tensor4, v: np.ndarray, w: np.ndarray,
+def err_moments(result: LanczosResult, a: ProfileTensor,
                 k_max: int | None = None) -> np.ndarray:
     """Matching-moment mismatch ``err_M(k)`` for k = 0 .. k_max.
 
     ``err_M(k) = |L_k - R_k| / max(|L_k|, |R_k|)`` for the moment pair of
-    :func:`moment_matrices`.  The starting hypervectors come from the run, so
-    ``v`` and ``w`` only document the call.
+    :func:`moment_matrices`, whose starting hypervectors are the run's own.
     """
     out = []
     for lhs, rhs in zip(*moment_matrices(result, a, k_max)):

@@ -1,7 +1,7 @@
 """Equispaced mesh, rectangle-rule discretization, and the theta matrix.
 
-A matrix-valued function ``A(t)`` on ``[a, b]`` becomes a 4-mode tensor whose
-(k, l) slice is the lower-triangular matrix ``nu`` with
+A matrix-valued function ``A(t)`` on ``[a, b]`` becomes a 4-mode operator
+whose (k, l) slice is the lower-triangular matrix ``nu`` with
 
     nu[i, j] = A_kl(tau_i) * h   for i >= j,   0 above the diagonal,
 
@@ -9,6 +9,9 @@ on the mesh ``tau_i = a + i*h`` with ``h = (b - a) / M`` (i = 1..M, so the
 last point is ``b`` and the first is ``a + h``).  This right-endpoint cell
 convention is the one that reproduces the reference error tables; the
 solution at ``t = a`` is the known initial value and is not a mesh point.
+Each slice is thus ``diag(h * A_kl(tau)) @ tril(1)``, a sampled diagonal
+times the discrete Heaviside matrix, and the operator is stored as those
+``(N, N, M)`` profiles (:class:`~toelanczos.tensor_core.ProfileTensor`).
 
 The scheme is the rectangle quadrature rule, accurate to O(h) = O(1/M).
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import BlockStructure, Tensor4
+from .tensor_core import BlockStructure, ProfileTensor
 
 __all__ = ["Mesh", "build_mesh", "discretize_problem", "theta_matrix", "DiscretizationError"]
 
@@ -61,19 +64,17 @@ def theta_matrix(mesh: Mesh) -> np.ndarray:
     return mesh.h * np.tril(np.ones((mesh.m, mesh.m)))
 
 
-def discretize_problem(problem, mesh: Mesh) -> Tensor4:
-    """Sample a Problem's entry functions into the 4-mode tensor.
+def discretize_problem(problem, mesh: Mesh) -> ProfileTensor:
+    """Sample a Problem's entry functions into the profile-form operator.
 
-    Slice (k, l) is ``h * A_kl(tau_i)`` on and below the diagonal (row i takes
-    the sample at tau_i), flagged lower-triangular; entries with no terms
-    produce exact-zero slices flagged ZERO.  Zero detection is structural
-    (term lists), never numerical.
+    Profile (k, l) is ``h * A_kl(tau_i)`` (entry i takes the sample at
+    tau_i), flagged lower-triangular; entries with no terms keep zero
+    profiles flagged ZERO.  Zero detection is structural (term lists), never
+    numerical.
     """
     n = problem.n
-    m = mesh.m
-    data = np.zeros((n, n, m, m), dtype=complex)
+    data = np.zeros((n, n, mesh.m), dtype=complex)
     flags = np.full((n, n), BlockStructure.ZERO, dtype=np.uint8)
-    mask = np.tril(np.ones((m, m)))
     for (k, l), terms in problem.entries.items():
         if not terms:
             continue
@@ -85,6 +86,6 @@ def discretize_problem(problem, mesh: Mesh) -> Tensor4:
                 f"entry ({k}, {l}) of problem {problem.id!r} is not finite "
                 f"at tau[{i}] = {mesh.tau[i]}"
             )
-        data[k, l] = (profile * mesh.h)[:, None] * mask
+        data[k, l] = profile * mesh.h
         flags[k, l] = BlockStructure.LOWER_TRIANGULAR
-    return Tensor4(data, flags)
+    return ProfileTensor(data, flags)

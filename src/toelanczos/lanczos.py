@@ -18,6 +18,14 @@ with ``alpha_k`` on the diagonal, ``gamma_{k+1}`` on the superdiagonal slice
 is the one for which the projection identity ``T_n = W_n * A * V_n`` holds,
 and the tests pin it numerically.
 
+The rescaling is ``gamma = I`` throughout, which keeps the W recurrence
+definitional.  The operator is the discretized
+:class:`~toelanczos.tensor_core.ProfileTensor`, whose slices are lower
+triangular; lower-triangular matrices are closed under the sums, products
+and inverses above, so every basis slice, ``alpha_k`` and ``beta_k`` has an
+exactly zero strict upper triangle, and ``beta`` is inverted by one
+triangular solve per iteration.
+
 Breakdowns: a vanishing residual hypervector is a *lucky* breakdown (an
 invariant subspace was found); a singular ``beta_{k+1}`` with nonvanishing
 residuals is a *serious* one and stops the process.  Both are reported in the
@@ -27,14 +35,14 @@ result status together with the completed prefix, never raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import solve_triangular
 
 from .tensor_core import (
     BlockStructure,
     HyperVec,
+    ProfileTensor,
     ShapeError,
     Tensor4,
     frobenius,
@@ -154,51 +162,37 @@ def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
     return BreakdownCheck("none")
 
 
-def _is_identity(mat: np.ndarray | None) -> bool:
-    return mat is None
+def _apply_inverse_right(beta: np.ndarray, hv: HyperVec) -> HyperVec:
+    # X = S @ beta^{-1}  <=>  beta^T X^T = S^T, for all slices S stacked by rows
+    stacked = hv.data.reshape(-1, hv.m)
+    out = solve_triangular(beta, stacked.T, trans="T", lower=True).T
+    return HyperVec(out.reshape(hv.data.shape), hv.orientation)
 
 
-def _apply_inverse_right(lu_piv, hv: HyperVec) -> HyperVec:
-    # X = S @ beta^{-1}  <=>  beta^T X^T = S^T, solved with the transposed factor
-    out = np.empty_like(hv.data)
-    for i in range(hv.n):
-        out[i] = lu_solve(lu_piv, hv.data[i].T).T
-    return HyperVec(out, hv.orientation)
-
-
-def _apply_inverse_left(lu_piv, hv: HyperVec) -> HyperVec:
-    out = np.empty_like(hv.data)
-    for i in range(hv.n):
-        out[i] = lu_solve(lu_piv, hv.data[i])
-    return HyperVec(out, hv.orientation)
-
-
-def tensor_lanczos(a: Tensor4, v: np.ndarray, w: np.ndarray, n: int,
-                   gamma_rule: Callable[[int], np.ndarray] | None = None,
+def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                    eps_lucky: float = DEFAULT_EPS_LUCKY,
                    eps_serious: float = DEFAULT_EPS_SERIOUS) -> LanczosResult:
     """Run n iterations of the tensor non-Hermitian Lanczos process.
 
     Parameters
     ----------
-    a : Tensor4
-        Square-outer input tensor (N x N x M x M).
+    a : ProfileTensor
+        Square-outer discretized operator (N x N profiles of length M).
     v, w : array_like
         Probe vectors of length N with ``w^H v != 0``.  ``v`` is scaled by
         ``1/(w^H v)`` internally and the factor is reported in the result.
     n : int
         Requested iterations (n >= 1).
-    gamma_rule : callable, optional
-        ``gamma_rule(k) -> (M, M) array`` giving the rescaling matrix
-        gamma_{k+1} chosen at iteration k (k = 1-based).  None means
-        gamma = I_M throughout (no rescaling), which keeps the W recurrence
-        definitional and is the only rule shipped.
     eps_lucky, eps_serious : float
         Breakdown thresholds, see :func:`classify_breakdown`.
 
-    Matrix inverses are applied through row-pivoted LU solves, one
-    factorization per iteration, never by forming an inverse.
+    ``beta^{-1}`` is applied by one triangular solve on the stacked basis
+    slices per iteration, never by forming an inverse; that needs the lower
+    triangular slices of a :class:`ProfileTensor`, so any other operator
+    type raises ``TypeError``.
     """
+    if not isinstance(a, ProfileTensor):
+        raise TypeError(f"tensor_lanczos needs a ProfileTensor, got {type(a).__name__}")
     if a.n1 != a.n2:
         raise ShapeError("input tensor must have square outer modes")
     if n < 1:
@@ -222,7 +216,6 @@ def tensor_lanczos(a: Tensor4, v: np.ndarray, w: np.ndarray, n: int,
     v_prev = HyperVec(np.zeros((a.n1, m, m)), "right")
     w_prev = HyperVec(np.zeros((a.n1, m, m)), "dual")
     beta_k: np.ndarray | None = None    # beta_k x W_{k-1} term; None while k = 1
-    gamma_k: np.ndarray | None = None   # gamma_k x V_{k-1} term; None means I
 
     def finish(status, res_v, res_w):
         tri = TriTensor(m, alphas, betas, gammas)
@@ -238,22 +231,12 @@ def tensor_lanczos(a: Tensor4, v: np.ndarray, w: np.ndarray, n: int,
             w_hat = HyperVec(w_hat.data - np.matmul(beta_k, w_prev.data), "dual")
 
         av = star_mul_tv(a, v_basis[-1])
-        v_hat = HyperVec(av.data - np.matmul(v_basis[-1].data, alpha), "right")
-        if gamma_k is None:
-            v_hat = HyperVec(v_hat.data - v_prev.data, "right")
-        else:
-            v_hat = HyperVec(v_hat.data - np.matmul(v_prev.data, gamma_k), "right")
+        v_hat = HyperVec(av.data - np.matmul(v_basis[-1].data, alpha) - v_prev.data, "right")
 
         if k == n:
             return finish(LanczosStatus("completed"), v_hat, w_hat)
 
-        gamma_next = None if gamma_rule is None else np.asarray(gamma_rule(k), dtype=complex)
-        cross = star_inner(w_hat, v_hat)
-        if _is_identity(gamma_next):
-            beta_next = cross
-        else:
-            beta_next = lu_solve(lu_factor(gamma_next), cross)
-
+        beta_next = star_inner(w_hat, v_hat)
         check = classify_breakdown(v_hat, w_hat, frobenius(v_basis[-1]),
                                    frobenius(w_basis[-1]), beta_next,
                                    eps_lucky, eps_serious)
@@ -265,15 +248,12 @@ def tensor_lanczos(a: Tensor4, v: np.ndarray, w: np.ndarray, n: int,
                           v_hat, w_hat)
 
         betas.append(beta_next)
-        gammas.append(np.eye(m, dtype=complex) if gamma_next is None else gamma_next)
+        gammas.append(np.eye(m, dtype=complex))
 
         v_prev, w_prev = v_basis[-1], w_basis[-1]
-        v_basis.append(_apply_inverse_right(lu_factor(beta_next.T), v_hat))
-        if _is_identity(gamma_next):
-            w_basis.append(w_hat)
-        else:
-            w_basis.append(_apply_inverse_left(lu_factor(gamma_next), w_hat))
-        beta_k, gamma_k = beta_next, gamma_next
+        v_basis.append(_apply_inverse_right(beta_next, v_hat))
+        w_basis.append(w_hat)
+        beta_k = beta_next
 
     raise AssertionError("unreachable")
 

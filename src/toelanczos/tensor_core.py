@@ -1,4 +1,4 @@
-"""Dense 4-mode tensors, hypervectors, and their contraction products.
+"""4-mode tensors, hypervectors, and their contraction products.
 
 The objects here generalize matrices and vectors blockwise: a 4-mode tensor
 ``A`` of shape ``(n1, n2, m, m)`` acts like an ``n1 x n2`` matrix whose entries
@@ -7,9 +7,20 @@ of ``m x m`` matrices.  The six products defined below reduce the whole
 calculus to ordinary block-matrix algebra, which :func:`to_block_matrix`
 makes explicit and which the test suite uses as an independent oracle.
 
+Two tensor types carry that algebra.  :class:`Tensor4` stores every entry
+and serves the tridiagonal coefficient tensor, the basis tensors and the
+test oracles.  :class:`ProfileTensor` is the discretized operator: each slice
+is ``diag(d) @ tril(1)``, so it stores only the ``(n1, n2, m)`` profiles
+``d``, and :func:`star_mul_tv` / :func:`star_mul_vt` apply it with a
+cumulative sum and a diagonal scaling, ``O(n1 n2 m^2)`` in place of the
+``O(n1 n2 m^3)`` slice products.  The dense-only operations
+(:func:`star_mul_tt`, :func:`to_block_matrix`, :func:`write_t4f`, TT-SVD)
+raise ``TypeError`` on a :class:`ProfileTensor`; :meth:`ProfileTensor.to_tensor4`
+gives the dense form.
+
 All contractions accumulate over the outer index in ascending order; together
-with the slice-local matrix products this fixes the floating-point result,
-so repeated runs are bit-identical.
+with the slice-local products this fixes the floating-point result, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ import numpy as np
 __all__ = [
     "BlockStructure",
     "Tensor4",
+    "ProfileTensor",
     "HyperVec",
     "ShapeError",
     "OrientationError",
@@ -37,6 +49,7 @@ __all__ = [
     "frobenius",
     "to_block_matrix",
     "from_block_matrix",
+    "require_dense",
     "write_t4f",
     "read_t4f",
 ]
@@ -103,6 +116,49 @@ class Tensor4:
 
 
 @dataclass
+class ProfileTensor:
+    """Discretized operator with slices ``diag(data[i1, i2]) @ tril(ones(m, m))``.
+
+    Parameters
+    ----------
+    data : ndarray
+        Complex profiles of shape ``(n1, n2, m)``; row ``j`` of slice
+        ``(i1, i2)`` holds ``data[i1, i2, j]`` on and left of the diagonal.
+    block_structure : ndarray of BlockStructure codes
+        Shape ``(n1, n2)``: ``ZERO`` for slices that are structurally empty
+        (the products skip them), ``LOWER_TRIANGULAR`` for the others.
+    """
+
+    data: np.ndarray
+    block_structure: np.ndarray
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=complex)
+        if self.data.ndim != 3:
+            raise ShapeError(f"expected (n1, n2, m) profiles, got {self.data.shape}")
+        self.block_structure = np.asarray(self.block_structure, dtype=np.uint8)
+        if self.block_structure.shape != self.data.shape[:2]:
+            raise ShapeError("block_structure must have shape (n1, n2)")
+
+    @property
+    def n1(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def n2(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.data.shape[2]
+
+    def to_tensor4(self) -> Tensor4:
+        """The dense tensor with the same slices and structure flags."""
+        mask = np.tril(np.ones((self.m, self.m)))
+        return Tensor4(self.data[..., :, None] * mask, self.block_structure.copy())
+
+
+@dataclass
 class HyperVec:
     """3-mode complex tensor in ``C^{n x m x m}`` with an orientation.
 
@@ -149,6 +205,14 @@ def _sum_flags(flags) -> int:
     return out
 
 
+def require_dense(*tensors) -> None:
+    """Raise ``TypeError`` unless every argument is a dense :class:`Tensor4`."""
+    for t in tensors:
+        if not isinstance(t, Tensor4):
+            raise TypeError(f"expected a dense Tensor4, got {type(t).__name__}; "
+                            "convert a ProfileTensor with to_tensor4()")
+
+
 def star_mul_tt(a: Tensor4, b: Tensor4) -> Tensor4:
     """Tensor-tensor ``*`` product: blockwise matrix-matrix multiplication.
 
@@ -156,6 +220,7 @@ def star_mul_tt(a: Tensor4, b: Tensor4) -> Tensor4:
     flagged ``ZERO`` in either operand are skipped; ``LOWER_TRIANGULAR``
     propagates when every contributing product is lower triangular.
     """
+    require_dense(a, b)
     if a.n2 != b.n1 or a.m != b.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {b.data.shape}")
     m = a.m
@@ -179,13 +244,23 @@ def star_mul_tt(a: Tensor4, b: Tensor4) -> Tensor4:
     return Tensor4(out, flags)
 
 
-def star_mul_tv(a: Tensor4, v: HyperVec) -> HyperVec:
-    """Tensor-hypervector product ``(A * V)[i1] = sum_k a[i1, k] @ v[k]``."""
+def star_mul_tv(a: Tensor4 | ProfileTensor, v: HyperVec) -> HyperVec:
+    """Tensor-hypervector product ``(A * V)[i1] = sum_k a[i1, k] @ v[k]``.
+
+    For a :class:`ProfileTensor`, ``a[i1, k] @ v[k]`` is ``data[i1, k]``
+    scaling the rows of the row-wise cumulative sum of ``v[k]``, formed once
+    per ``k``.
+    """
     if v.orientation != "right":
         raise OrientationError("tensor-hypervector product needs a right-oriented operand")
     if a.n2 != v.n or a.m != v.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
     out = np.zeros((a.n1, a.m, a.m), dtype=complex)
+    if isinstance(a, ProfileTensor):
+        csum = np.cumsum(v.data, axis=1)
+        for i1, k in zip(*np.nonzero(a.block_structure != BlockStructure.ZERO)):
+            out[i1] += a.data[i1, k][:, None] * csum[k]
+        return HyperVec(out, "right")
     for i1 in range(a.n1):
         acc = None
         for k in range(a.n2):
@@ -198,13 +273,24 @@ def star_mul_tv(a: Tensor4, v: HyperVec) -> HyperVec:
     return HyperVec(out, "right")
 
 
-def star_mul_vt(w: HyperVec, a: Tensor4) -> HyperVec:
-    """Dual-hypervector-tensor product ``(W^D * A)[i2] = sum_k w[k] @ a[k, i2]``."""
+def star_mul_vt(w: HyperVec, a: Tensor4 | ProfileTensor) -> HyperVec:
+    """Dual-hypervector-tensor product ``(W^D * A)[i2] = sum_k w[k] @ a[k, i2]``.
+
+    For a :class:`ProfileTensor`, the profiles ``data[k, i2]`` scale the
+    columns of ``w[k]``; the sum over ``k`` then takes one reverse cumulative
+    sum along the columns.
+    """
     if w.orientation != "dual":
         raise OrientationError("hypervector-tensor product needs a dual-oriented operand")
     if w.n != a.n1 or w.m != a.m:
         raise ShapeError(f"cannot *-multiply {w.data.shape} with {a.data.shape}")
     out = np.zeros((a.n2, a.m, a.m), dtype=complex)
+    if isinstance(a, ProfileTensor):
+        # transposed flags: nonzero() then walks i2 outer, k ascending inner
+        for i2, k in zip(*np.nonzero(a.block_structure.T != BlockStructure.ZERO)):
+            out[i2] += w.data[k] * a.data[k, i2][None, :]
+        np.cumsum(out[..., ::-1], axis=2, out=out[..., ::-1])
+        return HyperVec(out, "dual")
     for i2 in range(a.n2):
         acc = None
         for k in range(a.n1):
@@ -302,6 +388,7 @@ def to_block_matrix(a: Tensor4) -> np.ndarray:
     ``*`` products commute with this map (they become ordinary matrix
     products), which is the oracle identity the tests lean on.
     """
+    require_dense(a)
     return a.data.transpose(0, 2, 1, 3).reshape(a.n1 * a.m, a.n2 * a.m)
 
 
@@ -325,6 +412,7 @@ def write_t4f(path, a: Tensor4) -> None:
     follow as interleaved float64 (re, im) pairs, slices in column-of-blocks
     order (i2 outer, i1 inner), each slice row-major.
     """
+    require_dense(a)
     flags = 1 if a.block_structure is not None else 0
     with open(path, "wb") as fh:
         fh.write(_T4F_MAGIC)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import Tensor4
+from .tensor_core import Tensor4, require_dense
 
 __all__ = [
     "TTTensor",
@@ -93,6 +93,7 @@ def tt_svd(a: Tensor4, tol: float) -> TTTensor:
     ``tol`` is the relative Frobenius reconstruction tolerance (> 0); the
     per-sweep truncation threshold is ``tol * |A|_F / sqrt(3)``.
     """
+    require_dense(a)
     if tol <= 0:
         raise ValueError("tol must be positive")
     modes = a.data.shape
@@ -129,6 +130,7 @@ def parameter_count(t: TTTensor) -> int:
 
 def compression_factor(t: TTTensor, a: Tensor4) -> float:
     """Parameters of the decomposition over exact nonzeros of the source."""
+    require_dense(a)
     nnz = int(np.count_nonzero(a.data))
     if nnz == 0:
         raise ValueError("source tensor has no nonzeros")
@@ -169,6 +171,7 @@ RANK_CSV_COLUMNS = ["M", "tol", "nnz", "r0", "r1", "r2", "r3", "r4", "params", "
 
 def rank_report_row(t: TTTensor, a: Tensor4, mesh_size: int) -> str:
     """One row of the frozen rank-table CSV schema (see RANK_CSV_COLUMNS)."""
+    require_dense(a)
     nnz = int(np.count_nonzero(a.data))
     params = parameter_count(t)
     cf = params / nnz

@@ -104,7 +104,7 @@ class TestCriterion03PropertySuite:
             mesh, a4, result = run_pipeline(p, m, 3)
             ev, ew = tl.err_recurrences(result, a4)
             eo = tl.err_biorth(result)
-            em = tl.err_moments(result, a4, p.v, p.w)
+            em = tl.err_moments(result, a4)
             worst["err_v"] = max(worst["err_v"], ev)
             worst["err_w"] = max(worst["err_w"], ew)
             worst["err_o"] = max(worst["err_o"], eo)
@@ -141,7 +141,7 @@ class TestCriterion04RandomProblems:
             if not result.status.completed:
                 continue
             ev, ew = tl.err_recurrences(result, a4)
-            em = tl.err_moments(result, a4, v, w, k_max=2 * n_dim - 1)
+            em = tl.err_moments(result, a4, k_max=2 * n_dim - 1)
             worst_rec = max(worst_rec, ev, ew)
             worst_mom = max(worst_mom, float(np.max(em)))
             runs += 1
@@ -252,7 +252,7 @@ class TestCriterion08TensorTrain:
         # structural ranks of an experiment-1-style tensor
         p = tl.builtin("nmr1")
         mesh = tl.build_mesh(p.a, p.b, 100)
-        a4 = tl.discretize_problem(p, mesh)
+        a4 = tl.discretize_problem(p, mesh).to_tensor4()
         t = tl.tt_svd(a4, 1e-10)
         rec = tl.tt_reconstruct(t)
         rec_err = float(np.linalg.norm((a4.data - rec.data).ravel())
@@ -269,7 +269,7 @@ class TestCriterion08TensorTrain:
         for pid, m in (("const3", 30), ("timedep5", 25), ("nmr2", 30)):
             prob = tl.builtin(pid)
             mesh = tl.build_mesh(prob.a, prob.b, m)
-            a = tl.discretize_problem(prob, mesh)
+            a = tl.discretize_problem(prob, mesh).to_tensor4()
             for tol in (1e-5, 1e-10):
                 tt = tl.tt_svd(a, tol)
                 re = float(np.linalg.norm((a.data - tl.tt_reconstruct(tt).data).ravel())

@@ -124,12 +124,13 @@ class TestMeasuresOnRuns:
         a4, res = run(p, 8, 3)
         assert res.status.completed
         ev, ew = err_recurrences(res, a4)
-        av = to_block_matrix(a4) @ to_block_matrix(v_basis_tensor(res))
+        dense = a4.to_tensor4()
+        av = to_block_matrix(dense) @ to_block_matrix(v_basis_tensor(res))
         vt_flat = to_block_matrix(v_basis_tensor(res)) @ to_block_matrix(assemble_tridiag(res.tri))
         vt_flat = vt_flat + to_block_matrix(residual_v_tensor(res))
         ev_flat = np.linalg.norm(av - vt_flat) / max(np.linalg.norm(av), np.linalg.norm(vt_flat))
         assert abs(ev - ev_flat) < 1e-13
-        wa = to_block_matrix(w_basis_tensor(res)) @ to_block_matrix(a4)
+        wa = to_block_matrix(w_basis_tensor(res)) @ to_block_matrix(dense)
         tw_flat = to_block_matrix(assemble_tridiag(res.tri)) @ to_block_matrix(w_basis_tensor(res))
         tw_flat = tw_flat + to_block_matrix(residual_w_tensor(res))
         ew_flat = np.linalg.norm(wa - tw_flat) / max(np.linalg.norm(wa), np.linalg.norm(tw_flat))
@@ -138,7 +139,7 @@ class TestMeasuresOnRuns:
     def test_moments_zero_for_first_three(self):
         p = builtin("const3")
         a4, res = run(p, 10, 3)
-        errs = err_moments(res, a4, p.v, p.w)
+        errs = err_moments(res, a4)
         assert np.all(errs[:3] < 1e-13)
 
 
@@ -146,12 +147,13 @@ def assert_moments_match_powers(res, a4):
     """The iterated-product moments against explicit ``*`` powers, relative 1e-12."""
     n, m = res.tri.n, res.tri.m
     t4 = assemble_tridiag(res.tri)
+    dense = a4.to_tensor4()
     e1 = np.zeros(n)
     e1[0] = 1.0
     lhs, rhs = moment_matrices(res, a4)
     assert len(lhs) == len(rhs) == 2 * n
     for k in range(2 * n):
-        want_l = star_inner(res.w_basis[0], star_mul_tv(star_pow(a4, k), res.v_basis[0]))
+        want_l = star_inner(res.w_basis[0], star_mul_tv(star_pow(dense, k), res.v_basis[0]))
         want_r = star_inner(lift_dual(e1, m), star_mul_tv(star_pow(t4, k), lift(e1, m)))
         for got, want in ((lhs[k], want_l), (rhs[k], want_r)):
             scale = max(np.linalg.norm(got), np.linalg.norm(want))
@@ -181,7 +183,7 @@ class TestMomentMatrices:
     def test_err_moments_past_the_matched_range(self):
         p = builtin("const3")
         a4, res = run(p, 10, 2)
-        errs = err_moments(res, a4, p.v, p.w, k_max=6)
+        errs = err_moments(res, a4, k_max=6)
         lhs, rhs = moment_matrices(res, a4, k_max=6)
         assert errs.shape == (7,)
         den = max(np.linalg.norm(lhs[5]), np.linalg.norm(rhs[5]))

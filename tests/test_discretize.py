@@ -63,7 +63,7 @@ class TestDiscretizeProblem:
     def test_constant_entry_gives_scaled_theta(self):
         p = builtin("const3")
         mesh = build_mesh(0.0, 1.0, 6)
-        a4 = discretize_problem(p, mesh)
+        a4 = discretize_problem(p, mesh).to_tensor4()
         theta = theta_matrix(mesh)
         # A[0, 1] = +1 and A[0, 0] = -1 in the constant matrix
         assert np.array_equal(a4.data[0, 1], theta.astype(complex))
@@ -72,7 +72,7 @@ class TestDiscretizeProblem:
     def test_zero_entry_flagged_structurally(self):
         p = builtin("const3")
         mesh = build_mesh(0.0, 1.0, 5)
-        a4 = discretize_problem(p, mesh)
+        a4 = discretize_problem(p, mesh).to_tensor4()
         assert a4.structure_of(1, 1) == BlockStructure.ZERO
         assert np.all(a4.data[1, 1] == 0)
         assert a4.structure_of(0, 1) == BlockStructure.LOWER_TRIANGULAR
@@ -82,7 +82,7 @@ class TestDiscretizeProblem:
         p = Problem("lin", 1, 0.0, 1.0, {(0, 0): [Term(1.0, 1)]},
                     np.array([1.0]), np.array([1.0]))
         mesh = build_mesh(0.0, 1.0, 3)
-        a4 = discretize_problem(p, mesh)
+        a4 = discretize_problem(p, mesh).to_tensor4()
         expected = np.array([
             [1 / 9, 0, 0],
             [2 / 9, 2 / 9, 0],
@@ -93,11 +93,28 @@ class TestDiscretizeProblem:
     def test_rows_constant_below_diagonal_bit_exact(self):
         p = builtin("timedep5")
         mesh = build_mesh(p.a, p.b, 8)
-        a4 = discretize_problem(p, mesh)
+        a4 = discretize_problem(p, mesh).to_tensor4()
         for k, l in p.entries:
             block = a4.data[k, l]
             for i in range(8):
                 assert np.all(block[i, : i + 1] == block[i, 0])
+
+    @pytest.mark.parametrize("problem_id", ["const3", "timedep5", "zero1", "nmr1", "nmr2", "nmr3"])
+    def test_dense_form_bit_exact(self, problem_id):
+        # dense oracle: each sampled profile times the Heaviside mask
+        p = builtin(problem_id)
+        mesh = build_mesh(p.a, p.b, 7)
+        op = discretize_problem(p, mesh)
+        assert op.data.shape == (p.n, p.n, 7)
+        mask = np.tril(np.ones((7, 7)))
+        want = np.zeros((p.n, p.n, 7, 7), dtype=complex)
+        for (k, l), terms in p.entries.items():
+            if terms:
+                want[k, l] = (p.eval_entry(k, l, mesh.tau) * mesh.h)[:, None] * mask
+        got = op.to_tensor4()
+        assert np.array_equal(got.data, want)
+        assert got.data.tobytes() == want.tobytes()
+        assert np.array_equal(got.block_structure, op.block_structure)
 
     def test_nonfinite_sample_reports_location(self):
         p = Problem("blow", 1, 0.0, 10.0, {(0, 0): [Term(1e308, 2)]},

@@ -54,7 +54,7 @@ class TestBasicRuns:
     def test_alpha1_equals_first_block(self):
         p, mesh, a4, res = run_const3(10)
         # with v = w = e1 the first coefficient is exactly the (1,1) block
-        assert np.array_equal(res.tri.alphas[0], a4.data[0, 0])
+        assert np.array_equal(res.tri.alphas[0], a4.to_tensor4().data[0, 0])
 
     def test_completed_shape(self):
         _, _, _, res = run_const3(8)
@@ -65,7 +65,7 @@ class TestBasicRuns:
 
     def test_moment_matching_exercises_theorem(self):
         p, mesh, a4, res = run_const3(10)
-        errs = err_moments(res, a4, p.v, p.w)
+        errs = err_moments(res, a4)
         assert errs.shape == (6,)
         assert np.all(errs < 1e-12)
 
@@ -73,7 +73,7 @@ class TestBasicRuns:
         p, mesh, a4, res = run_const3(12)
         wv = star_inner(res.w_basis[0], res.v_basis[0])
         assert np.linalg.norm(wv - np.eye(12)) < 1e-14
-        errs = err_moments(res, a4, p.v, p.w, k_max=2)
+        errs = err_moments(res, a4, k_max=2)
         assert np.all(errs < 1e-14)
 
     def test_normalization_reported_and_applied(self):
@@ -87,6 +87,13 @@ class TestBasicRuns:
         s2 = approx_solution(scaled.tri, mesh, scaled.normalization).values
         assert np.allclose(s2, 2.0 * s1, rtol=1e-12)
 
+    def test_rejects_dense_operator(self):
+        # the triangular beta solves rely on the profile form's lower-triangular slices
+        p = builtin("const3")
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, 5))
+        with pytest.raises(TypeError, match="ProfileTensor"):
+            tensor_lanczos(a4.to_tensor4(), p.v, p.w, 2)
+
     def test_rejects_orthogonal_probes(self):
         p = builtin("const3")
         mesh = build_mesh(p.a, p.b, 5)
@@ -94,6 +101,21 @@ class TestBasicRuns:
         w = np.array([0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="w\\^H v"):
             tensor_lanczos(a4, p.v, w, 2)
+
+
+class TestLowerTriangularInvariants:
+    @pytest.mark.parametrize("problem_id,m,n", [("const3", 9, 3), ("timedep5", 8, 5),
+                                                ("nmr1", 7, 3), ("nmr2", 7, 4), ("nmr3", 7, 4)])
+    def test_strict_upper_triangles_exactly_zero(self, problem_id, m, n):
+        p = builtin(problem_id)
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
+        res = tensor_lanczos(a4, p.v, p.w, n)
+        assert res.status.completed and res.tri.n == n
+        mats = [*res.tri.alphas, *res.tri.betas, res.residual_v.data, res.residual_w.data]
+        for hv in res.v_basis + res.w_basis:
+            mats.extend(hv.data)
+        for mat in mats:
+            assert np.all(np.triu(mat, 1) == 0)
 
 
 class TestClassifyBreakdown:
@@ -171,22 +193,9 @@ class TestAssembleTridiag:
         # T_n = W_n * A * V_n pins the off-diagonal placement
         p, mesh, a4, res = run_const3(10)
         tri_t = assemble_tridiag(res.tri)
-        proj = star_mul_tt(star_mul_tt(w_basis_tensor(res), a4), v_basis_tensor(res))
+        proj = star_mul_tt(star_mul_tt(w_basis_tensor(res), a4.to_tensor4()), v_basis_tensor(res))
         num = np.linalg.norm((proj.data - tri_t.data).ravel())
         assert num / np.linalg.norm(tri_t.data.ravel()) < 1e-10
-
-
-class TestGammaCovariance:
-    def test_scalar_gamma_leaves_solution_invariant(self):
-        p = builtin("const3")
-        mesh = build_mesh(p.a, p.b, 10)
-        a4 = discretize_problem(p, mesh)
-        base = tensor_lanczos(a4, p.v, p.w, 3)
-        scaled = tensor_lanczos(a4, p.v, p.w, 3,
-                                gamma_rule=lambda k: 2.0 * np.eye(10))
-        s1 = approx_solution(base.tri, mesh, base.normalization).values
-        s2 = approx_solution(scaled.tri, mesh, scaled.normalization).values
-        assert np.linalg.norm(s1 - s2) / np.linalg.norm(s1) < 1e-10
 
 
 class TestSplitUnitVectors:

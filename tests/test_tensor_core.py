@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toelanczos import (
     BlockStructure,
     HyperVec,
     OrientationError,
+    ProfileTensor,
     ShapeError,
     Tensor4,
     frobenius,
@@ -20,8 +23,10 @@ from toelanczos import (
     star_mul_tv,
     star_mul_vt,
     to_block_matrix,
+    tt_svd,
     write_t4f,
 )
+from toelanczos.tt import compression_factor, rank_report_row
 from oracles import star_pow
 
 
@@ -155,6 +160,70 @@ class TestHyperVecProducts:
         v = rand_hv(rng, 3, 4)
         oracle = np.hstack(list(w.data)) @ v.data.reshape(12, 4)
         assert rel_err(star_inner(w, v), oracle) < 1e-13
+
+
+def rand_profile(rng, n, m, empty):
+    """Random complex profiles; slices where ``empty`` is set are zero and flagged ZERO."""
+    data = rng.standard_normal((n, n, m)) + 1j * rng.standard_normal((n, n, m))
+    data[empty] = 0.0
+    flags = np.where(empty, BlockStructure.ZERO, BlockStructure.LOWER_TRIANGULAR)
+    return ProfileTensor(data, flags)
+
+
+class TestProfileTensor:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 4), m=st.integers(2, 12), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_products_match_dense(self, n, m, data, seed):
+        empty = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        rng = np.random.default_rng(seed)
+        a = rand_profile(rng, n, m, empty.reshape(n, n))
+        dense = a.to_tensor4()
+        v, w = rand_hv(rng, n, m), rand_hv(rng, n, m, "dual")
+        for got, want in ((star_mul_tv(a, v), star_mul_tv(dense, v)),
+                          (star_mul_vt(w, a), star_mul_vt(w, dense))):
+            assert got.orientation == want.orientation
+            scale = max(np.linalg.norm(want.data), 1e-300)
+            assert np.linalg.norm(got.data - want.data) <= 1e-13 * scale
+
+    def test_to_tensor4_slices_and_flags(self):
+        rng = np.random.default_rng(4)
+        a = rand_profile(rng, 2, 5, np.array([[False, True], [False, False]]))
+        dense = a.to_tensor4()
+        assert dense.data.shape == (2, 2, 5, 5)
+        assert np.array_equal(dense.block_structure, a.block_structure)
+        assert np.array_equal(dense.data[1, 0], np.diag(a.data[1, 0]) @ np.tril(np.ones((5, 5))))
+        assert np.all(dense.data[0, 1] == 0)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ShapeError):
+            ProfileTensor(np.zeros((2, 2, 3, 3)), np.zeros((2, 2)))
+        with pytest.raises(ShapeError):
+            ProfileTensor(np.zeros((2, 2, 3)), np.zeros((2, 3)))
+
+    def test_product_shape_errors(self):
+        rng = np.random.default_rng(5)
+        a = rand_profile(rng, 2, 4, np.zeros((2, 2), dtype=bool))
+        with pytest.raises(ShapeError):
+            star_mul_tv(a, rand_hv(rng, 3, 4))
+        with pytest.raises(ShapeError):
+            star_mul_vt(rand_hv(rng, 2, 5, "dual"), a)
+
+    @pytest.mark.parametrize("call", [
+        lambda a, tmp: star_mul_tt(a, a),
+        lambda a, tmp: star_mul_tt(a.to_tensor4(), a),
+        lambda a, tmp: to_block_matrix(a),
+        lambda a, tmp: tt_svd(a, 1e-8),
+        lambda a, tmp: write_t4f(tmp / "op.t4f", a),
+        lambda a, tmp: compression_factor(tt_svd(a.to_tensor4(), 1e-8), a),
+        lambda a, tmp: rank_report_row(tt_svd(a.to_tensor4(), 1e-8), a, a.m),
+    ], ids=["mul_tt", "mul_tt_mixed", "to_block_matrix", "tt_svd", "write_t4f",
+            "compression_factor", "rank_report_row"])
+    def test_dense_only_operations_reject_profiles(self, call, tmp_path):
+        a = rand_profile(np.random.default_rng(6), 3, 5, np.eye(3, dtype=bool))
+        with pytest.raises(TypeError, match="to_tensor4"):
+            call(a, tmp_path)
+        assert not (tmp_path / "op.t4f").exists()
 
 
 class TestScaling:

@@ -74,7 +74,7 @@ class TestTTSvd:
     def test_monotone_ranks_in_tolerance(self):
         p = nmr_generate(2, seed=5)
         mesh = build_mesh(p.a, p.b, 40)
-        a4 = discretize_problem(p, mesh)
+        a4 = discretize_problem(p, mesh).to_tensor4()
         loose = tt_svd(a4, 1e-5)
         tight = tt_svd(a4, 1e-10)
         assert all(rt >= rl for rt, rl in zip(tight.ranks, loose.ranks))
@@ -83,7 +83,7 @@ class TestTTSvd:
         # diagonal tensor with three trig terms per level: r1 = 16, r2 <= 3
         p = builtin("nmr1")
         mesh = build_mesh(p.a, p.b, 100)
-        a4 = discretize_problem(p, mesh)
+        a4 = discretize_problem(p, mesh).to_tensor4()
         t = tt_svd(a4, 1e-10)
         assert t.ranks[1] == 16
         assert t.ranks[2] <= 3
@@ -96,7 +96,7 @@ class TestTTSvd:
         for nu in (1e4, 1e1):
             p = nmr_generate(1, nu=nu, gamma_scale=0.0)
             mesh = build_mesh(p.a, p.b, 60)
-            a4 = discretize_problem(p, mesh)
+            a4 = discretize_problem(p, mesh).to_tensor4()
             t_by_nu[nu] = tt_svd(a4, 1e-10)
         assert t_by_nu[1e4].ranks[1] == t_by_nu[1e1].ranks[1] == 16
         assert t_by_nu[1e4].ranks[2] == t_by_nu[1e1].ranks[2] == 2
@@ -126,7 +126,7 @@ class TestCompressionFactor:
     def test_nnz_counts_exact_nonzeros(self):
         p = builtin("nmr1")
         mesh = build_mesh(p.a, p.b, 20)
-        a4 = discretize_problem(p, mesh)
+        a4 = discretize_problem(p, mesh).to_tensor4()
         t = tt_svd(a4, 1e-8)
         nnz = np.count_nonzero(a4.data)
         assert nnz == 16 * (20 * 21) // 2

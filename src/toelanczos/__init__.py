@@ -20,7 +20,6 @@ from .lanczos import (
     LanczosResult,
     LanczosStatus,
     TriTensor,
-    assemble_tridiag,
     classify_breakdown,
     split_unit_vectors,
     tensor_lanczos,
@@ -43,8 +42,6 @@ from .resolvent import (
     ResolventSingularError,
     SolutionVec,
     approx_solution,
-    neumann_resolvent,
-    solution_via_series,
     solution_to_csv,
     star_resolvent_11,
 )
@@ -56,20 +53,14 @@ from .tensor_core import (
     ShapeError,
     Tensor4,
     frobenius,
-    from_block_matrix,
     lift,
     lift_dual,
-    read_t4f,
-    scale_t,
-    scale_v,
-    star_identity,
+    require_dense,
     star_inner,
     star_mul_tt,
     star_mul_tv,
     star_mul_vt,
-    to_block_matrix,
-    write_t4f,
 )
-from .tt import TTTensor, compression_factor, parameter_count, read_ttf, tt_reconstruct, tt_svd, write_ttf
+from .tt import TTTensor, compression_factor, parameter_count, tt_svd
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .discretize import build_mesh, discretize_problem
 from .lanczos import tensor_lanczos
 from .resolvent import ResolventSingularError, approx_solution, solution_to_csv
 from .tensor_core import ShapeError
-from .tt import RANK_CSV_COLUMNS, compression_factor, parameter_count, rank_report_row, tt_svd
+from .tt import RANK_CSV_COLUMNS, rank_report_row, tt_svd
 
 EXIT_OK = 0
 EXIT_SHAPE = 2
@@ -123,6 +123,9 @@ def _pipeline_once(problem, m, n, args):
 
 
 def cmd_run(args) -> int:
+    if len(args.M) != 1:
+        raise ValueError(f"run takes one --M value, got {len(args.M)}; "
+                         "use convergence for a sweep")
     problem = _load_problem(args)
     _check_budget(args.M[0], problem.n, args.n, args.allow_large)
     report, solution = _pipeline_once(problem, args.M[0], args.n, args)
@@ -179,12 +182,19 @@ def cmd_ttranks(args) -> int:
     return EXIT_OK
 
 
+def _comma_list(text: str, kind) -> list:
+    values = [kind(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+    return values
+
+
 def _comma_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    return _comma_list(text, int)
 
 
 def _comma_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+    return _comma_list(text, float)
 
 
 def build_parser() -> argparse.ArgumentParser:

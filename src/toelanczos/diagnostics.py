@@ -4,8 +4,8 @@ Five diagnostics quantify a run:
 
 * ``err_o``   : biorthogonality, ``|W_n * V_n - I_*| / max(|V_n|, |W_n|)``
 * ``err_V``   : V-side three-term recurrence residual (relative)
-* ``err_W``   : W-side analogue; exactly zero under the no-rescaling rule,
-  because the W update is then definitional
+* ``err_W``   : W-side analogue; exactly zero, because with ``gamma = I``
+  the W update is definitional
 * ``err_M(k)``: matching-moment mismatch for k = 0 .. 2n-1
 * ``err_sol`` : relative Euclidean error against a reference solution
 
@@ -17,8 +17,8 @@ The recurrence residuals are evaluated with the same operation grouping the
 iteration itself uses (per basis vector, subtracting the recurrence terms in
 iteration order).  That grouping is algebraically identical to forming
 ``A*V_n - V_n*T_n - V~_n`` from materialized tensors and reproduces it to
-roundoff, but it makes the W-side residual vanish exactly when gamma = I,
-which is the pinned expected behavior.
+roundoff, but it makes the W-side residual vanish exactly, which is the
+pinned expected behavior.
 """
 
 from __future__ import annotations
@@ -28,18 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lanczos import (
-    LanczosResult,
-    assemble_tridiag,
-    v_basis_tensor,
-    w_basis_tensor,
-)
+from .lanczos import LanczosResult
 from .tensor_core import (
     ProfileTensor,
+    Tensor4,
     frobenius,
     lift,
     lift_dual,
-    star_identity,
     star_inner,
     star_mul_tt,
     star_mul_tv,
@@ -76,12 +71,16 @@ class ErrorReport:
 
 
 def err_biorth(result: LanczosResult) -> float:
-    """Relative deviation of ``W_n * V_n`` from the ``*`` identity."""
-    vt = v_basis_tensor(result)
-    wt = w_basis_tensor(result)
-    n = len(result.v_basis)
-    prod = star_mul_tt(wt, vt)
-    dev = prod.data - star_identity(n, result.tri.m).data
+    """Relative deviation of ``W_n * V_n`` from the ``*`` identity.
+
+    ``V_n`` stacks the right basis as the columns of an N x n tensor and
+    ``W_n`` the dual basis as the rows of an n x N one.
+    """
+    vt = Tensor4(np.stack([hv.data for hv in result.v_basis], axis=1))
+    wt = Tensor4(np.stack([hv.data for hv in result.w_basis], axis=0))
+    dev = star_mul_tt(wt, vt).data
+    for k in range(len(result.v_basis)):
+        dev[k, k] -= np.eye(result.tri.m)
     return float(np.linalg.norm(dev.ravel()) / max(frobenius(vt), frobenius(wt)))
 
 
@@ -89,7 +88,7 @@ def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, flo
     """Relative residuals of the compact three-term recurrences (err_V, err_W).
 
     Row k of the W residual is recomputed as
-    ``((W_k * A - alpha_k x W_k) - beta_k x W_{k-1}) - gamma_{k+1} x W_{k+1}``
+    ``((W_k * A - alpha_k x W_k) - beta_k x W_{k-1}) - W_{k+1}``
     (and the last row against the stored residual vector), matching the
     iteration's own arithmetic; the V side analogously with the beta-scaled
     next vector.  Denominators follow the displayed measures:
@@ -108,7 +107,7 @@ def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, flo
         av_rows.append(av)
         res = av - np.matmul(vb[k], tri.alphas[k])
         if k > 0:
-            res = res - np.matmul(vb[k - 1], tri.gammas[k - 1])
+            res = res - vb[k - 1]
         if k + 1 < n:
             res = res - np.matmul(vb[k + 1], tri.betas[k])
         else:
@@ -131,7 +130,7 @@ def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, flo
         if k > 0:
             res = res - np.matmul(tri.betas[k - 1], wb[k - 1])
         if k + 1 < n:
-            res = res - np.matmul(tri.gammas[k], wb[k + 1])
+            res = res - wb[k + 1]
         else:
             res = res - result.residual_w.data
         w_num_rows.append(res)
@@ -152,14 +151,13 @@ def moment_matrices(result: LanczosResult, a: ProfileTensor,
     hypervectors, normalization included) and ``e_1^D * T_n^{k*} * e_1``
     (first Euclidean lifts of length n), each an m x m matrix per k.  The
     powers are never formed: each side keeps its Krylov vector and applies
-    one tensor-hypervector product per k, so a run costs ``2 k_max`` such
-    products in place of ``O(k_max^2)`` tensor-tensor products.
+    one product per k, ``A * cur`` on the left and the three-term
+    :meth:`~toelanczos.lanczos.TriTensor.apply` on the right.
     """
     tri = result.tri
     n = tri.n
     if k_max is None:
         k_max = 2 * n - 1
-    t4 = assemble_tridiag(tri)
     e1 = np.zeros(n)
     e1[0] = 1.0
     w_lift = result.w_basis[0]
@@ -170,7 +168,7 @@ def moment_matrices(result: LanczosResult, a: ProfileTensor,
     rhs = [star_inner(e1_d, cur_t)]
     for _ in range(k_max):
         cur = star_mul_tv(a, cur)
-        cur_t = star_mul_tv(t4, cur_t)
+        cur_t = tri.apply(cur_t)
         lhs.append(star_inner(w_lift, cur))
         rhs.append(star_inner(e1_d, cur_t))
     return lhs, rhs

@@ -3,23 +3,25 @@
 Given a square-outer tensor ``A`` and probe vectors ``v, w`` with
 ``w^H v != 0``, the iteration builds biorthogonal hypervector bases
 ``V_1..V_n`` (right) and ``W_1^D..W_n^D`` (dual) together with m x m
-coefficient matrices ``alpha_k, beta_k, gamma_k`` satisfying the three-term
+coefficient matrices ``alpha_k, beta_k`` satisfying the three-term
 recurrences
 
-    W_{k+1}^D = gamma_{k+1}^{-1} x (W_k^D * A - alpha_k x W_k^D - beta_k x W_{k-1}^D)
-    V_{k+1}   = (A * V_k - V_k x alpha_k - V_{k-1} x gamma_k) x beta_{k+1}^{-1}
+    W_{k+1}^D = W_k^D * A - alpha_k x W_k^D - beta_k x W_{k-1}^D
+    V_{k+1}   = (A * V_k - V_k x alpha_k - V_{k-1}) x beta_{k+1}^{-1}
 
-with ``alpha_k = W_k^D * A * V_k`` and
-``beta_{k+1} = gamma_{k+1}^{-1} (W_hat_{k+1}^D * V_hat_{k+1})``.
+with ``alpha_k = W_k^D * A * V_k`` and ``beta_{k+1} = W_{k+1}^D * V_hat_{k+1}``,
+where ``V_hat_{k+1}`` is the bracketed V residual.  This is the general
+process with the rescaling ``gamma = I`` throughout, which keeps the W
+recurrence definitional.
 
-The coefficients form a block-tridiagonal tensor (:func:`assemble_tridiag`)
-with ``alpha_k`` on the diagonal, ``gamma_{k+1}`` on the superdiagonal slice
-(k, k+1) and ``beta_{k+1}`` on the subdiagonal slice (k+1, k); that placement
-is the one for which the projection identity ``T_n = W_n * A * V_n`` holds,
-and the tests pin it numerically.
+The coefficients form the block-tridiagonal tensor ``T_n`` with ``alpha_k``
+on the diagonal, ``I`` on the superdiagonal slice (k, k+1) and
+``beta_{k+1}`` on the subdiagonal slice (k+1, k); that placement is the one
+for which the projection identity ``T_n = W_n * A * V_n`` holds, and the
+tests pin it numerically.  :class:`TriTensor` stores only the ``alpha`` and
+``beta`` matrices and applies ``T_n`` by its three-term recurrence.
 
-The rescaling is ``gamma = I`` throughout, which keeps the W recurrence
-definitional.  The operator is the discretized
+The operator is the discretized
 :class:`~toelanczos.tensor_core.ProfileTensor`, whose slices are lower
 triangular; lower-triangular matrices are closed under the sums, products
 and inverses above, so every basis slice, ``alpha_k`` and ``beta_k`` has an
@@ -34,17 +36,15 @@ result status together with the completed prefix, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .tensor_core import (
-    BlockStructure,
     HyperVec,
     ProfileTensor,
     ShapeError,
-    Tensor4,
     frobenius,
     lift,
     lift_dual,
@@ -60,12 +60,7 @@ __all__ = [
     "BreakdownCheck",
     "tensor_lanczos",
     "classify_breakdown",
-    "assemble_tridiag",
     "split_unit_vectors",
-    "v_basis_tensor",
-    "w_basis_tensor",
-    "residual_v_tensor",
-    "residual_w_tensor",
 ]
 
 DEFAULT_EPS_LUCKY = 1e-13
@@ -74,24 +69,42 @@ DEFAULT_EPS_SERIOUS = 1e13
 
 @dataclass
 class TriTensor:
-    """Compact storage of the tridiagonal coefficient tensor.
+    """Compact storage of the tridiagonal coefficient tensor ``T_n``.
 
-    ``alphas`` holds alpha_1..alpha_n, ``betas`` beta_2..beta_n and ``gammas``
-    gamma_2..gamma_n (1-based numbering as in the recurrences).
+    ``alphas`` holds alpha_1..alpha_n and ``betas`` beta_2..beta_n (1-based
+    numbering as in the recurrences); the superdiagonal slices are ``I``.
     """
 
     m: int
     alphas: list[np.ndarray]
     betas: list[np.ndarray]
-    gammas: list[np.ndarray]
 
     @property
     def n(self) -> int:
         return len(self.alphas)
 
     def __post_init__(self):
-        if len(self.betas) != len(self.alphas) - 1 or len(self.gammas) != len(self.alphas) - 1:
-            raise ValueError("need n alphas and n-1 betas/gammas")
+        if len(self.betas) != len(self.alphas) - 1:
+            raise ValueError("need n alphas and n-1 betas")
+
+    def apply(self, v: HyperVec) -> HyperVec:
+        """``T_n * V``: row k is ``beta_k x V_{k-1} + alpha_k x V_k + V_{k+1}``.
+
+        The terms are summed in that order, the ascending order of the dense
+        block-tridiagonal product, so the result matches it bit for bit.
+        """
+        if v.n != self.n or v.m != self.m:
+            raise ShapeError(f"cannot apply T_n (n={self.n}, m={self.m}) to {v.data.shape}")
+        x = v.data
+        out = np.empty_like(x)
+        for k in range(self.n):
+            row = self.alphas[k] @ x[k]
+            if k > 0:
+                row = self.betas[k - 1] @ x[k - 1] + row
+            if k + 1 < self.n:
+                row = row + x[k + 1]
+            out[k] = row
+        return HyperVec(out, v.orientation)
 
 
 @dataclass(frozen=True)
@@ -118,9 +131,9 @@ class LanczosResult:
     """Bases, coefficients, residuals and status of one Lanczos run.
 
     ``residual_v`` is ``V_{n+1} x beta_{n+1}`` (the unnormalized V residual)
-    and ``residual_w`` is ``gamma_{n+1} x W_{n+1}^D``; they are exactly the
-    hatted vectors of the last completed iteration and form the nonzero
-    slices of the recurrence residual tensors.
+    and ``residual_w`` is ``W_{n+1}^D``; they are exactly the hatted vectors
+    of the last completed iteration and form the nonzero slices of the
+    recurrence residual tensors.
 
     ``normalization`` records the ``w^H v`` factor divided out of ``v`` on
     entry; downstream solution values must be rescaled by it.
@@ -212,13 +225,12 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     w_basis = [lift_dual(w, m)]
     alphas: list[np.ndarray] = []
     betas: list[np.ndarray] = []
-    gammas: list[np.ndarray] = []
     v_prev = HyperVec(np.zeros((a.n1, m, m)), "right")
     w_prev = HyperVec(np.zeros((a.n1, m, m)), "dual")
     beta_k: np.ndarray | None = None    # beta_k x W_{k-1} term; None while k = 1
 
     def finish(status, res_v, res_w):
-        tri = TriTensor(m, alphas, betas, gammas)
+        tri = TriTensor(m, alphas, betas)
         return LanczosResult(tri, v_basis, w_basis, res_v, res_w, status, normalization)
 
     for k in range(1, n + 1):
@@ -248,7 +260,6 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                           v_hat, w_hat)
 
         betas.append(beta_next)
-        gammas.append(np.eye(m, dtype=complex))
 
         v_prev, w_prev = v_basis[-1], w_basis[-1]
         v_basis.append(_apply_inverse_right(beta_next, v_hat))
@@ -256,26 +267,6 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
         beta_k = beta_next
 
     raise AssertionError("unreachable")
-
-
-def assemble_tridiag(tri: TriTensor) -> Tensor4:
-    """Materialize the block-tridiagonal tensor of the coefficients.
-
-    Slice (k, k) holds alpha_{k+1} (0-based k), slice (k, k+1) gamma_{k+2}
-    and slice (k+1, k) beta_{k+2}; every other slice is zero and flagged
-    ZERO, so products skip it.
-    """
-    n, m = tri.n, tri.m
-    data = np.zeros((n, n, m, m), dtype=complex)
-    flags = np.full((n, n), BlockStructure.ZERO, dtype=np.uint8)
-    for k in range(n):
-        data[k, k] = tri.alphas[k]
-        flags[k, k] = BlockStructure.DENSE
-        if k + 1 < n:
-            data[k, k + 1] = tri.gammas[k]
-            data[k + 1, k] = tri.betas[k]
-            flags[k, k + 1] = flags[k + 1, k] = BlockStructure.DENSE
-    return Tensor4(data, flags)
 
 
 def split_unit_vectors(i: int, j: int, n: int):
@@ -295,29 +286,3 @@ def split_unit_vectors(i: int, j: int, n: int):
     ej = np.zeros(n)
     ej[j] = 1.0
     return (e + ei, ej), (e, ej)
-
-
-def v_basis_tensor(result: LanczosResult) -> Tensor4:
-    """Stack the right basis into the N x n tensor with slice (:, k) = V_{k+1}."""
-    return Tensor4(np.stack([hv.data for hv in result.v_basis], axis=1))
-
-
-def w_basis_tensor(result: LanczosResult) -> Tensor4:
-    """Stack the dual basis into the n x N tensor with slice (k, :) = W_{k+1}^D."""
-    return Tensor4(np.stack([hv.data for hv in result.w_basis], axis=0))
-
-
-def residual_v_tensor(result: LanczosResult) -> Tensor4:
-    """N x n tensor whose last column is the V-side residual, zero elsewhere."""
-    n = len(result.v_basis)
-    data = np.zeros((result.residual_v.n, n, result.tri.m, result.tri.m), dtype=complex)
-    data[:, n - 1] = result.residual_v.data
-    return Tensor4(data)
-
-
-def residual_w_tensor(result: LanczosResult) -> Tensor4:
-    """n x N tensor whose last row is the W-side residual, zero elsewhere."""
-    n = len(result.w_basis)
-    data = np.zeros((n, result.residual_w.n, result.tri.m, result.tri.m), dtype=complex)
-    data[n - 1, :] = result.residual_w.data
-    return Tensor4(data)

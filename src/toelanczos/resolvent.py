@@ -4,13 +4,13 @@ The (1, 1) block of the ``*``-resolvent ``(I_* - T_n)^{-*}`` of the
 tridiagonal coefficient tensor is a continued fraction in the m x m
 coefficient matrices:
 
-    R_11 = (a~_1 - g_2 (a~_2 - g_3 ( ... a~_n^{-1} ... ) b_3)^{-1} b_2)^{-1}
+    R_11 = (a~_1 - (a~_2 - ( ... a~_n^{-1} ... ) b_3)^{-1} b_2)^{-1}
 
-with ``a~_i = I - alpha_i``, evaluated innermost-outward; the gamma factor
-multiplies from the left and the beta factor from the right, which is the
-form consistent with the block placement of the tridiagonal tensor (a Schur
-complement recursion) and is validated against the truncated series
-evaluation of the resolvent in the tests.
+with ``a~_i = I - alpha_i``, evaluated innermost-outward.  The superdiagonal
+slices of ``T_n`` are ``I``, so each level subtracts the inner inverse times
+the beta factor on its right; this Schur complement recursion follows the
+block placement of the tridiagonal tensor.  The tests check it against a
+truncated series evaluation of the resolvent.
 
 Every inversion is a row-pivoted LU solve; a condition estimate is recorded
 per level and a :class:`ResolventSingularError` carries the depth at which an
@@ -32,25 +32,12 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .discretize import Mesh, theta_matrix
 from .lanczos import TriTensor
-from .tensor_core import (
-    HyperVec,
-    Tensor4,
-    frobenius,
-    lift,
-    lift_dual,
-    star_identity,
-    star_inner,
-    star_mul_tt,
-    star_mul_tv,
-)
 
 __all__ = [
     "SolutionVec",
     "ResolventSingularError",
     "star_resolvent_11",
     "approx_solution",
-    "neumann_resolvent",
-    "solution_via_series",
     "solution_to_csv",
 ]
 
@@ -118,7 +105,7 @@ def star_resolvent_11(tri: TriTensor, cond_limit: float | None = None,
             return lu_solve((lu, piv), eye)
         inner_beta = lu_solve((lu, piv), tri.betas[level - 2])
         level -= 1
-        s = (eye - tri.alphas[level - 1]) - tri.gammas[level - 1] @ inner_beta
+        s = (eye - tri.alphas[level - 1]) - inner_beta
 
 
 def approx_solution(tri: TriTensor, mesh: Mesh, normalization: complex = 1.0,
@@ -128,57 +115,6 @@ def approx_solution(tri: TriTensor, mesh: Mesh, normalization: complex = 1.0,
     theta = theta_matrix(mesh)
     values = normalization * (theta @ r11[:, 0]) / mesh.h
     return SolutionVec(mesh, values, tri.n, complex(normalization))
-
-
-def neumann_resolvent(t: Tensor4, max_terms: int | None = None,
-                      rel_tol: float = 1e-16) -> Tensor4:
-    """Truncated series evaluation ``I_* + sum_k T^{k*}`` of the resolvent.
-
-    Reference implementation used to validate the continued fraction: powers
-    are accumulated until ``max_terms`` (default n*m) or until a term's norm
-    falls below ``rel_tol`` times the running sum's norm.
-    """
-    if t.n1 != t.n2:
-        raise ValueError("resolvent needs square outer modes")
-    if max_terms is None:
-        max_terms = t.n1 * t.m
-    acc = star_identity(t.n1, t.m)
-    power = t
-    for _ in range(max_terms):
-        acc = Tensor4(acc.data + power.data)
-        if frobenius(power) < rel_tol * frobenius(acc):
-            break
-        power = star_mul_tt(power, t)
-    return acc
-
-
-def solution_via_series(a: Tensor4, v: np.ndarray, w: np.ndarray, mesh: Mesh,
-                        max_terms: int | None = None,
-                        rel_tol: float = 1e-16) -> SolutionVec:
-    """Lanczos-free evaluation of the bilinear form from the full tensor.
-
-    Computes ``B = sum_k W^D * A^{k*} * V`` by iterated tensor-hypervector
-    products (the series form of ``W^D * R_*(A) * V``) and returns
-    ``(1/h) * (theta @ B) @ e_1``.  Exact-arithmetic equal to the Lanczos
-    pipeline at full dimension; used as an oracle and as the direct route
-    when the iteration breaks down.
-    """
-    v = np.asarray(v, dtype=complex).ravel()
-    w = np.asarray(w, dtype=complex).ravel()
-    if max_terms is None:
-        max_terms = a.n1 * a.m
-    wd = lift_dual(w, a.m)
-    cur = lift(v, a.m)
-    acc = star_inner(wd, cur)
-    for _ in range(max_terms):
-        cur = star_mul_tv(a, cur)
-        term = star_inner(wd, cur)
-        acc = acc + term
-        if frobenius(cur) < rel_tol * frobenius(acc):
-            break
-    theta = theta_matrix(mesh)
-    values = (theta @ acc[:, 0]) / mesh.h
-    return SolutionVec(mesh, values, a.n1, 1.0 + 0.0j)
 
 
 def solution_to_csv(sol: SolutionVec) -> str:

@@ -29,11 +29,8 @@ from .tensor_core import Tensor4, require_dense
 __all__ = [
     "TTTensor",
     "tt_svd",
-    "tt_reconstruct",
     "compression_factor",
     "parameter_count",
-    "write_ttf",
-    "read_ttf",
     "rank_report_row",
     "RANK_CSV_COLUMNS",
 ]
@@ -116,13 +113,6 @@ def tt_svd(a: Tensor4, tol: float) -> TTTensor:
     return TTTensor(cores, tuple(ranks), tuple(modes), float(tol))
 
 
-def tt_reconstruct(t: TTTensor) -> Tensor4:
-    """Contract the core chain back into a dense 4-mode tensor."""
-    g1, g2, g3, g4 = t.cores
-    data = np.einsum("aib,bjc,ckd,dle->ijkl", g1, g2, g3, g4, optimize=True)
-    return Tensor4(np.ascontiguousarray(data))
-
-
 def parameter_count(t: TTTensor) -> int:
     """Total stored parameters ``sum_k r_{k-1} * n_k * r_k``."""
     return int(sum(t.ranks[k] * t.mode_sizes[k] * t.ranks[k + 1] for k in range(4)))
@@ -137,44 +127,12 @@ def compression_factor(t: TTTensor, a: Tensor4) -> float:
     return parameter_count(t) / nnz
 
 
-_TTF_MAGIC = b"TTF1"
-
-
-def write_ttf(path, t: TTTensor) -> None:
-    """TTF1 binary: magic, mode sizes, ranks, tol, then cores back to back."""
-    with open(path, "wb") as fh:
-        fh.write(_TTF_MAGIC)
-        fh.write(np.array(t.mode_sizes, dtype="<u8").tobytes())
-        fh.write(np.array(t.ranks, dtype="<u8").tobytes())
-        fh.write(np.array([t.tol_used], dtype="<f8").tobytes())
-        for core in t.cores:
-            fh.write(np.ascontiguousarray(core, dtype="<c16").tobytes())
-
-
-def read_ttf(path) -> TTTensor:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _TTF_MAGIC:
-            raise IOError("not a TTF1 file")
-        modes = tuple(int(x) for x in np.frombuffer(fh.read(32), dtype="<u8"))
-        ranks = tuple(int(x) for x in np.frombuffer(fh.read(40), dtype="<u8"))
-        tol = float(np.frombuffer(fh.read(8), dtype="<f8")[0])
-        cores = []
-        for k in range(4):
-            shape = (ranks[k], modes[k], ranks[k + 1])
-            count = int(np.prod(shape))
-            cores.append(np.frombuffer(fh.read(16 * count), dtype="<c16").reshape(shape).copy())
-    return TTTensor(cores, ranks, modes, tol)
-
-
 RANK_CSV_COLUMNS = ["M", "tol", "nnz", "r0", "r1", "r2", "r3", "r4", "params", "cf"]
 
 
 def rank_report_row(t: TTTensor, a: Tensor4, mesh_size: int) -> str:
     """One row of the frozen rank-table CSV schema (see RANK_CSV_COLUMNS)."""
-    require_dense(a)
-    nnz = int(np.count_nonzero(a.data))
-    params = parameter_count(t)
-    cf = params / nnz
-    fields = [str(mesh_size), repr(t.tol_used), str(nnz),
-              *[str(r) for r in t.ranks], str(params), repr(cf)]
+    cf = compression_factor(t, a)
+    fields = [str(mesh_size), repr(t.tol_used), str(int(np.count_nonzero(a.data))),
+              *[str(r) for r in t.ranks], str(parameter_count(t)), repr(cf)]
     return ",".join(fields)

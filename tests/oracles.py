@@ -1,9 +1,62 @@
-"""Slow reference implementations the tests compare the package against."""
+"""Slow reference implementations the tests compare the package against.
+
+Everything here is dense: the ``*`` products as block-matrix algebra on
+:class:`~toelanczos.tensor_core.Tensor4`, the materialized tridiagonal
+coefficient tensor and basis tensors, and series evaluations of the
+resolvent.  The package itself runs on the profile-form operator and the
+compact :class:`~toelanczos.lanczos.TriTensor`.
+"""
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from toelanczos import ShapeError, Tensor4, star_identity, star_mul_tt
+from toelanczos import (
+    BlockStructure,
+    HyperVec,
+    OrientationError,
+    ShapeError,
+    SolutionVec,
+    Tensor4,
+    frobenius,
+    lift,
+    lift_dual,
+    require_dense,
+    star_inner,
+    star_mul_tt,
+    star_mul_tv,
+    theta_matrix,
+)
+from toelanczos.tt import TTTensor
+
+
+# ------------------------------------------------------------ dense algebra
+
+def to_block_matrix(a: Tensor4) -> np.ndarray:
+    """Flatten to the ``(n1*m) x (n2*m)`` block matrix with block (i1, i2) = a[i1, i2].
+
+    ``*`` products commute with this map (they become ordinary matrix
+    products), which is the oracle identity the tests lean on.
+    """
+    require_dense(a)
+    return a.data.transpose(0, 2, 1, 3).reshape(a.n1 * a.m, a.n2 * a.m)
+
+
+def from_block_matrix(mat: np.ndarray, n1: int, n2: int, m: int) -> Tensor4:
+    """Exact inverse of :func:`to_block_matrix`."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (n1 * m, n2 * m):
+        raise ShapeError(f"block matrix {mat.shape} does not match ({n1}x{m}, {n2}x{m})")
+    return Tensor4(mat.reshape(n1, m, n2, m).transpose(0, 2, 1, 3).copy())
+
+
+def star_identity(n: int, m: int) -> Tensor4:
+    """Identity for the ``*`` products: ``I_m`` on the outer diagonal, zero off it."""
+    data = np.zeros((n, n, m, m), dtype=complex)
+    flags = np.full((n, n), BlockStructure.ZERO, dtype=np.uint8)
+    for i in range(n):
+        data[i, i] = np.eye(m)
+        flags[i, i] = BlockStructure.LOWER_TRIANGULAR
+    return Tensor4(data, flags)
 
 
 def star_pow(a: Tensor4, k: int) -> Tensor4:
@@ -17,6 +70,189 @@ def star_pow(a: Tensor4, k: int) -> Tensor4:
         out = star_mul_tt(out, a)
     return out
 
+
+def _live(a: Tensor4) -> np.ndarray:
+    if a.block_structure is None:
+        return np.ones((a.n1, a.n2), dtype=bool)
+    return a.block_structure != BlockStructure.ZERO
+
+
+def dense_mul_tv(a: Tensor4, v: HyperVec) -> HyperVec:
+    """``(A * V)[i1] = sum_k a[i1, k] @ v[k]``, k ascending, ZERO slices skipped."""
+    require_dense(a)
+    if v.orientation != "right":
+        raise OrientationError("tensor-hypervector product needs a right-oriented operand")
+    if a.n2 != v.n or a.m != v.m:
+        raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
+    live = _live(a)
+    out = np.zeros((a.n1, a.m, a.m), dtype=complex)
+    for i1 in range(a.n1):
+        acc = None
+        for k in np.nonzero(live[i1])[0]:
+            term = a.data[i1, k] @ v.data[k]
+            acc = term if acc is None else acc + term
+        if acc is not None:
+            out[i1] = acc
+    return HyperVec(out, "right")
+
+
+def dense_mul_vt(w: HyperVec, a: Tensor4) -> HyperVec:
+    """``(W^D * A)[i2] = sum_k w[k] @ a[k, i2]``, k ascending, ZERO slices skipped."""
+    require_dense(a)
+    if w.orientation != "dual":
+        raise OrientationError("hypervector-tensor product needs a dual-oriented operand")
+    if w.n != a.n1 or w.m != a.m:
+        raise ShapeError(f"cannot *-multiply {w.data.shape} with {a.data.shape}")
+    live = _live(a)
+    out = np.zeros((a.n2, a.m, a.m), dtype=complex)
+    for i2 in range(a.n2):
+        acc = None
+        for k in np.nonzero(live[:, i2])[0]:
+            term = w.data[k] @ a.data[k, i2]
+            acc = term if acc is None else acc + term
+        if acc is not None:
+            out[i2] = acc
+    return HyperVec(out, "dual")
+
+
+def scale_t(a: Tensor4, mat: np.ndarray, side: str) -> Tensor4:
+    """Multiply every slice of ``a`` by the m x m matrix ``mat`` on one side."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (a.m, a.m):
+        raise ShapeError(f"matrix {mat.shape} does not match inner size {a.m}")
+    if side == "left":
+        out = np.matmul(mat, a.data)
+    elif side == "right":
+        out = np.matmul(a.data, mat)
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    return Tensor4(out)
+
+
+def scale_v(v: HyperVec, mat: np.ndarray, side: str) -> HyperVec:
+    """Multiply every slice of ``v`` by the m x m matrix ``mat`` on one side."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (v.m, v.m):
+        raise ShapeError(f"matrix {mat.shape} does not match inner size {v.m}")
+    if side == "left":
+        out = np.matmul(mat, v.data)
+    elif side == "right":
+        out = np.matmul(v.data, mat)
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    return HyperVec(out, v.orientation)
+
+
+# ------------------------------------------------- materialized Lanczos data
+
+def assemble_tridiag(tri) -> Tensor4:
+    """Materialize the block-tridiagonal tensor ``T_n`` of the coefficients.
+
+    Slice (k, k) holds alpha_{k+1} (0-based k), slice (k, k+1) the identity
+    and slice (k+1, k) beta_{k+2}; every other slice is zero and flagged
+    ZERO, so products skip it.
+    """
+    n, m = tri.n, tri.m
+    data = np.zeros((n, n, m, m), dtype=complex)
+    flags = np.full((n, n), BlockStructure.ZERO, dtype=np.uint8)
+    for k in range(n):
+        data[k, k] = tri.alphas[k]
+        flags[k, k] = BlockStructure.DENSE
+        if k + 1 < n:
+            data[k, k + 1] = np.eye(m)
+            data[k + 1, k] = tri.betas[k]
+            flags[k, k + 1] = flags[k + 1, k] = BlockStructure.DENSE
+    return Tensor4(data, flags)
+
+
+def v_basis_tensor(result) -> Tensor4:
+    """Stack the right basis into the N x n tensor with slice (:, k) = V_{k+1}."""
+    return Tensor4(np.stack([hv.data for hv in result.v_basis], axis=1))
+
+
+def w_basis_tensor(result) -> Tensor4:
+    """Stack the dual basis into the n x N tensor with slice (k, :) = W_{k+1}^D."""
+    return Tensor4(np.stack([hv.data for hv in result.w_basis], axis=0))
+
+
+def residual_v_tensor(result) -> Tensor4:
+    """N x n tensor whose last column is the V-side residual, zero elsewhere."""
+    n = len(result.v_basis)
+    data = np.zeros((result.residual_v.n, n, result.tri.m, result.tri.m), dtype=complex)
+    data[:, n - 1] = result.residual_v.data
+    return Tensor4(data)
+
+
+def residual_w_tensor(result) -> Tensor4:
+    """n x N tensor whose last row is the W-side residual, zero elsewhere."""
+    n = len(result.w_basis)
+    data = np.zeros((n, result.residual_w.n, result.tri.m, result.tri.m), dtype=complex)
+    data[n - 1, :] = result.residual_w.data
+    return Tensor4(data)
+
+
+# --------------------------------------------------------- series resolvent
+
+def neumann_resolvent(t: Tensor4, max_terms: int | None = None,
+                      rel_tol: float = 1e-16) -> Tensor4:
+    """Truncated series evaluation ``I_* + sum_k T^{k*}`` of the resolvent.
+
+    Powers are accumulated until ``max_terms`` (default n*m) or until a
+    term's norm falls below ``rel_tol`` times the running sum's norm.
+    """
+    if t.n1 != t.n2:
+        raise ValueError("resolvent needs square outer modes")
+    if max_terms is None:
+        max_terms = t.n1 * t.m
+    acc = star_identity(t.n1, t.m)
+    power = t
+    for _ in range(max_terms):
+        acc = Tensor4(acc.data + power.data)
+        if frobenius(power) < rel_tol * frobenius(acc):
+            break
+        power = star_mul_tt(power, t)
+    return acc
+
+
+def solution_via_series(a, v: np.ndarray, w: np.ndarray, mesh,
+                        max_terms: int | None = None,
+                        rel_tol: float = 1e-16) -> SolutionVec:
+    """Lanczos-free evaluation of the bilinear form from the full operator.
+
+    Computes ``B = sum_k W^D * A^{k*} * V`` by iterated tensor-hypervector
+    products (the series form of ``W^D * R_*(A) * V``) and returns
+    ``(1/h) * (theta @ B) @ e_1``.  Exact-arithmetic equal to the Lanczos
+    pipeline at full dimension, and the direct answer when the iteration
+    breaks down.
+    """
+    v = np.asarray(v, dtype=complex).ravel()
+    w = np.asarray(w, dtype=complex).ravel()
+    if max_terms is None:
+        max_terms = a.n1 * a.m
+    wd = lift_dual(w, a.m)
+    cur = lift(v, a.m)
+    acc = star_inner(wd, cur)
+    for _ in range(max_terms):
+        cur = star_mul_tv(a, cur)
+        term = star_inner(wd, cur)
+        acc = acc + term
+        if frobenius(cur) < rel_tol * frobenius(acc):
+            break
+    theta = theta_matrix(mesh)
+    values = (theta @ acc[:, 0]) / mesh.h
+    return SolutionVec(mesh, values, a.n1, 1.0 + 0.0j)
+
+
+# ------------------------------------------------------------ tensor trains
+
+def tt_reconstruct(t: TTTensor) -> Tensor4:
+    """Contract the core chain back into a dense 4-mode tensor."""
+    g1, g2, g3, g4 = t.cores
+    data = np.einsum("aib,bjc,ckd,dle->ijkl", g1, g2, g3, g4, optimize=True)
+    return Tensor4(np.ascontiguousarray(data))
+
+
+# ------------------------------------------------------------------ A(t)
 
 def matrix_per_term(problem, t: float) -> np.ndarray:
     """Dense ``A(t)`` as a Python loop adding each term in list order."""

@@ -17,6 +17,7 @@ import pytest
 import toelanczos as tl
 from toelanczos.cli import EXIT_GUARD, EXIT_OK, EXIT_SERIOUS, main as cli_main
 from toelanczos.tensor_core import frobenius
+from oracles import dense_mul_tv, solution_via_series, to_block_matrix, tt_reconstruct
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -161,6 +162,11 @@ class TestCriterion05AlgebraChecks:
             return tl.Tensor4(rng.standard_normal((n1, n2, m, m))
                               + 1j * rng.standard_normal((n1, n2, m, m)))
 
+        def rand_profile(n1, n2, m):
+            return tl.ProfileTensor(rng.standard_normal((n1, n2, m))
+                                    + 1j * rng.standard_normal((n1, n2, m)),
+                                    np.full((n1, n2), tl.BlockStructure.LOWER_TRIANGULAR))
+
         def rand_hv(n, m, orient="right"):
             return tl.HyperVec(rng.standard_normal((n, m, m))
                                + 1j * rng.standard_normal((n, m, m)), orient)
@@ -168,15 +174,17 @@ class TestCriterion05AlgebraChecks:
         def rel(x, y):
             return float(np.linalg.norm((x - y).ravel()) / np.linalg.norm(y.ravel()))
 
+        # identities 1 and 2 check the profile kernels against the dense product
         for _ in range(40):
             n, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
-            a, v = rand_t4(n, n, m), rand_hv(n, m)
-            worst = max(worst, rel(tl.star_mul_tv(tl.star_mul_tt(a, a), v).data,
+            a, v = rand_profile(n, n, m), rand_hv(n, m)
+            dense = a.to_tensor4()
+            worst = max(worst, rel(dense_mul_tv(tl.star_mul_tt(dense, dense), v).data,
                                    tl.star_mul_tv(a, tl.star_mul_tv(a, v)).data))
             checks += 1
         for _ in range(40):
             n1, n2, m = (int(rng.integers(1, 5)) for _ in range(3))
-            a, b, v = rand_t4(n1, n2, m), rand_hv(n1, m, "dual"), rand_hv(n2, m)
+            a, b, v = rand_profile(n1, n2, m), rand_hv(n1, m, "dual"), rand_hv(n2, m)
             worst = max(worst, rel(tl.star_inner(tl.star_mul_vt(b, a), v),
                                    tl.star_inner(b, tl.star_mul_tv(a, v))))
             checks += 1
@@ -195,8 +203,8 @@ class TestCriterion05AlgebraChecks:
         for _ in range(40):
             n1, n2, n3, m = (int(rng.integers(1, 5)) for _ in range(4))
             a, b = rand_t4(n1, n2, m), rand_t4(n2, n3, m)
-            worst = max(worst, rel(tl.to_block_matrix(tl.star_mul_tt(a, b)),
-                                   tl.to_block_matrix(a) @ tl.to_block_matrix(b)))
+            worst = max(worst, rel(to_block_matrix(tl.star_mul_tt(a, b)),
+                                   to_block_matrix(a) @ to_block_matrix(b)))
             checks += 1
         elapsed = time.time() - start
         ok = checks == 200 and worst < 1e-12 and elapsed < 10
@@ -212,7 +220,7 @@ class TestCriterion06ResolventOracle:
             for m in (20, 50):
                 mesh, a4, result = run_pipeline(p, m, n)
                 s_frac = tl.approx_solution(result.tri, mesh, result.normalization).values
-                s_series = tl.solution_via_series(a4, p.v, p.w, mesh).values
+                s_series = solution_via_series(a4, p.v, p.w, mesh).values
                 worst = max(worst, float(np.linalg.norm(s_frac - s_series)
                                          / np.linalg.norm(s_series)))
         ok = worst < 1e-8
@@ -254,7 +262,7 @@ class TestCriterion08TensorTrain:
         mesh = tl.build_mesh(p.a, p.b, 100)
         a4 = tl.discretize_problem(p, mesh).to_tensor4()
         t = tl.tt_svd(a4, 1e-10)
-        rec = tl.tt_reconstruct(t)
+        rec = tt_reconstruct(t)
         rec_err = float(np.linalg.norm((a4.data - rec.data).ravel())
                         / np.linalg.norm(a4.data.ravel()))
         ok &= t.ranks[1] == 16 and t.ranks[2] <= 3 and rec_err <= 1e-10
@@ -272,7 +280,7 @@ class TestCriterion08TensorTrain:
             a = tl.discretize_problem(prob, mesh).to_tensor4()
             for tol in (1e-5, 1e-10):
                 tt = tl.tt_svd(a, tol)
-                re = float(np.linalg.norm((a.data - tl.tt_reconstruct(tt).data).ravel())
+                re = float(np.linalg.norm((a.data - tt_reconstruct(tt).data).ravel())
                            / np.linalg.norm(a.data.ravel()))
                 ok &= re <= tol
                 szs = tt.mode_sizes
@@ -315,7 +323,7 @@ class TestCriterion09Breakdown:
             completed &= r.status.kind in ("completed", "lucky_breakdown")
             parts.append(tl.approx_solution(r.tri, mesh, r.normalization).values)
         recovered = parts[0] - parts[1]
-        direct = tl.solution_via_series(a4, p.v, p.w, mesh).values
+        direct = solution_via_series(a4, p.v, p.w, mesh).values
         gap = float(np.linalg.norm(recovered - direct) / np.linalg.norm(direct))
         ok = detected and completed and gap < 1e-8
         report("criterion 9 (serious breakdown + splitting recovery)", ok,

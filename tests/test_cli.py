@@ -106,6 +106,22 @@ class TestRun:
         assert code == EXIT_GUARD
 
 
+    def test_empty_m_list_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--problem", "const3", "--M", ",", "--n", "3",
+                    "--output", str(tmp_path / "e"))
+        assert exc.value.code == EXIT_SHAPE
+        assert "--M" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_several_m_values_exit_2(self, tmp_path, capsys):
+        code = run_cli("run", "--problem", "const3", "--M", "10,20", "--n", "3",
+                       "--output", str(tmp_path / "two"))
+        assert code == EXIT_SHAPE
+        assert "one --M value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConvergence:
     def test_const3_sweep_slope(self, tmp_path):
         out = tmp_path / "conv"
@@ -118,6 +134,14 @@ class TestConvergence:
         assert rows[0].startswith("problem,M,n,")
         assert len(rows) == 4
 
+    def test_empty_m_list_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("convergence", "--problem", "const3", "--M", ",", "--n", "3",
+                    "--reference", "analytic", "--output", str(tmp_path / "e"))
+        assert exc.value.code == EXIT_SHAPE
+        assert "--M" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTTRanks:
     def test_nmr1_small(self, tmp_path):
@@ -128,6 +152,21 @@ class TestTTRanks:
         rows = (tmp_path / "tt_ttranks.csv").read_text().strip().split("\n")
         assert rows[0] == "M,tol,nnz,r0,r1,r2,r3,r4,params,cf"
         assert len(rows) == 5
+
+    def test_empty_tol_list_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ttranks", "--problem", "nmr1", "--M", "10", "--tol-tt", ",",
+                    "--output", str(tmp_path / "e"))
+        assert exc.value.code == EXIT_SHAPE
+        assert "--tol-tt" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_operator_exits_2(self, tmp_path, capsys):
+        code = run_cli("ttranks", "--problem", "zero1", "--M", "5",
+                       "--output", str(tmp_path / "z"))
+        assert code == EXIT_SHAPE
+        assert "no nonzeros" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -16,12 +16,11 @@ from toelanczos import (
     err_moments,
     err_recurrences,
     err_solution,
+    HyperVec,
     lift,
     lift_dual,
     star_inner,
-    star_mul_tv,
     tensor_lanczos,
-    to_block_matrix,
 )
 from toelanczos.diagnostics import (
     ErrorReport,
@@ -30,15 +29,18 @@ from toelanczos.diagnostics import (
     report_to_json,
     REPORT_CSV_COLUMNS,
 )
-from toelanczos.lanczos import (
+from toelanczos.lanczos import TriTensor
+
+from oracles import (
     assemble_tridiag,
+    dense_mul_tv,
     residual_v_tensor,
     residual_w_tensor,
+    star_pow,
+    to_block_matrix,
     v_basis_tensor,
     w_basis_tensor,
 )
-
-from oracles import star_pow
 
 
 def run(problem, m, n):
@@ -107,7 +109,7 @@ class TestMeasuresOnRuns:
         eo = err_biorth(res)
         assert np.isfinite(eo)
         # brute-force recomputation via flattening
-        from toelanczos.tensor_core import frobenius, star_identity
+        from toelanczos.tensor_core import frobenius
 
         vt, wt = v_basis_tensor(res), w_basis_tensor(res)
         prod = to_block_matrix(wt) @ to_block_matrix(vt)
@@ -153,8 +155,8 @@ def assert_moments_match_powers(res, a4):
     lhs, rhs = moment_matrices(res, a4)
     assert len(lhs) == len(rhs) == 2 * n
     for k in range(2 * n):
-        want_l = star_inner(res.w_basis[0], star_mul_tv(star_pow(dense, k), res.v_basis[0]))
-        want_r = star_inner(lift_dual(e1, m), star_mul_tv(star_pow(t4, k), lift(e1, m)))
+        want_l = star_inner(res.w_basis[0], dense_mul_tv(star_pow(dense, k), res.v_basis[0]))
+        want_r = star_inner(lift_dual(e1, m), dense_mul_tv(star_pow(t4, k), lift(e1, m)))
         for got, want in ((lhs[k], want_l), (rhs[k], want_r)):
             scale = max(np.linalg.norm(got), np.linalg.norm(want))
             assert np.linalg.norm(got - want) <= 1e-12 * scale
@@ -179,6 +181,35 @@ class TestMomentMatrices:
     def test_builtins(self, problem_id, m, n):
         a4, res = run(builtin(problem_id), m, n)
         assert_moments_match_powers(res, a4)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 5), m=st.integers(1, 8), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_three_term_apply_equals_dense_tridiag(self, n, m, data, seed):
+        # the summation order of T_n * V keeps err_m as the dense product gave it
+        rng = np.random.default_rng(seed)
+
+        def rand(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        tri = TriTensor(m, [rand(m, m) for _ in range(n)], [rand(m, m) for _ in range(n - 1)])
+        v = HyperVec(rand(n, m, m), "right")
+        assert np.array_equal(tri.apply(v).data, dense_mul_tv(assemble_tridiag(tri), v).data)
+        # and inside moment_matrices, on a drawn constant problem
+        big_n = data.draw(st.integers(1, 4))
+        mat = rand(big_n, big_n)
+        entries = {(k, l): [Term(complex(mat[k, l]))]
+                   for k in range(big_n) for l in range(big_n)}
+        p = Problem("rand", big_n, 0.0, 1.0, entries, rand(big_n), rand(big_n))
+        a4, res = run(p, max(m, 2), data.draw(st.integers(1, big_n)))
+        t4 = assemble_tridiag(res.tri)
+        e1 = np.zeros(res.tri.n)
+        e1[0] = 1.0
+        cur = lift(e1, res.tri.m)
+        _, rhs = moment_matrices(res, a4)
+        for got in rhs[1:]:
+            cur = dense_mul_tv(t4, cur)
+            assert np.array_equal(got, star_inner(lift_dual(e1, res.tri.m), cur))
 
     def test_err_moments_past_the_matched_range(self):
         p = builtin("const3")

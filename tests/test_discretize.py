@@ -73,9 +73,9 @@ class TestDiscretizeProblem:
         p = builtin("const3")
         mesh = build_mesh(0.0, 1.0, 5)
         a4 = discretize_problem(p, mesh).to_tensor4()
-        assert a4.structure_of(1, 1) == BlockStructure.ZERO
+        assert a4.block_structure[1, 1] == BlockStructure.ZERO
         assert np.all(a4.data[1, 1] == 0)
-        assert a4.structure_of(0, 1) == BlockStructure.LOWER_TRIANGULAR
+        assert a4.block_structure[0, 1] == BlockStructure.LOWER_TRIANGULAR
 
     def test_linear_entry_hand_values(self):
         # A(t) = t on [0, 1] with M = 3: tau = (1/3, 2/3, 1), h = 1/3

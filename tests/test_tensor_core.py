@@ -11,23 +11,25 @@ from toelanczos import (
     ShapeError,
     Tensor4,
     frobenius,
-    from_block_matrix,
     lift,
     lift_dual,
-    read_t4f,
-    scale_t,
-    scale_v,
-    star_identity,
     star_inner,
     star_mul_tt,
     star_mul_tv,
     star_mul_vt,
-    to_block_matrix,
     tt_svd,
-    write_t4f,
 )
 from toelanczos.tt import compression_factor, rank_report_row
-from oracles import star_pow
+from oracles import (
+    dense_mul_tv,
+    dense_mul_vt,
+    from_block_matrix,
+    scale_t,
+    scale_v,
+    star_identity,
+    star_pow,
+    to_block_matrix,
+)
 
 
 def rand_t4(rng, n1, n2, m):
@@ -36,6 +38,17 @@ def rand_t4(rng, n1, n2, m):
 
 def rand_hv(rng, n, m, orientation="right"):
     return HyperVec(rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)), orientation)
+
+
+def rand_profile(rng, n1, m, empty=None, n2=None):
+    """Random complex profiles; slices where ``empty`` is set are zero and flagged ZERO."""
+    n2 = n1 if n2 is None else n2
+    if empty is None:
+        empty = np.zeros((n1, n2), dtype=bool)
+    data = rng.standard_normal((n1, n2, m)) + 1j * rng.standard_normal((n1, n2, m))
+    data[empty] = 0.0
+    flags = np.where(empty, BlockStructure.ZERO, BlockStructure.LOWER_TRIANGULAR)
+    return ProfileTensor(data, flags)
 
 
 def rel_err(x, y):
@@ -74,7 +87,7 @@ class TestStarMulTT:
         tri = np.tril(rng.standard_normal((2, 2, m, m)))
         flags = np.full((2, 2), BlockStructure.LOWER_TRIANGULAR, dtype=np.uint8)
         out = star_mul_tt(Tensor4(tri, flags), Tensor4(tri.copy(), flags.copy()))
-        assert np.all(out.block_structure == BlockStructure.LOWER_TRIANGULAR)
+        assert out.block_structure is None
         upper = np.triu(out.data, k=1)
         assert np.all(upper == 0.0)
 
@@ -96,46 +109,57 @@ class TestHyperVecProducts:
     def test_identity_action(self):
         rng = np.random.default_rng(5)
         v = rand_hv(rng, 3, 4)
-        out = star_mul_tv(star_identity(3, 4), v)
+        out = dense_mul_tv(star_identity(3, 4), v)
         assert np.allclose(out.data, v.data, rtol=0, atol=0)
 
     def test_selector_column(self):
         rng = np.random.default_rng(6)
-        a = rand_t4(rng, 3, 3, 4)
+        a = rand_profile(rng, 3, 4)
         e1 = np.zeros(3)
         e1[0] = 1.0
         out = star_mul_tv(a, lift(e1, 4))
-        assert np.allclose(out.data, a.data[:, 0], atol=1e-15)
+        assert np.allclose(out.data, a.to_tensor4().data[:, 0], atol=1e-15)
 
     def test_selector_row(self):
         rng = np.random.default_rng(7)
-        a = rand_t4(rng, 3, 3, 4)
+        a = rand_profile(rng, 3, 4)
         e1 = np.zeros(3)
         e1[0] = 1.0
         out = star_mul_vt(lift_dual(e1, 4), a)
-        assert np.allclose(out.data, a.data[0, :], atol=1e-15)
+        assert np.allclose(out.data, a.to_tensor4().data[0, :], atol=1e-15)
 
     def test_tv_block_oracle(self):
         rng = np.random.default_rng(8)
-        a = rand_t4(rng, 3, 3, 4)
+        a = rand_profile(rng, 3, 4)
         v = rand_hv(rng, 3, 4)
         direct = star_mul_tv(a, v).data.reshape(12, 4)
-        oracle = to_block_matrix(a) @ v.data.reshape(12, 4)
+        oracle = to_block_matrix(a.to_tensor4()) @ v.data.reshape(12, 4)
         assert rel_err(direct, oracle) < 1e-13
 
     def test_vt_block_oracle(self):
         rng = np.random.default_rng(9)
-        a = rand_t4(rng, 3, 2, 4)
+        a = rand_profile(rng, 3, 4, n2=2)
         w = rand_hv(rng, 3, 4, "dual")
         direct = star_mul_vt(w, a).data
         # dual vectors flatten to a row of blocks
         wrow = np.hstack(list(w.data))
-        oracle = wrow @ to_block_matrix(a)
+        oracle = wrow @ to_block_matrix(a.to_tensor4())
         assert rel_err(np.hstack(list(direct)), oracle) < 1e-13
+
+    @pytest.mark.parametrize("side", ["tv", "vt"])
+    def test_dense_operator_rejected(self, side):
+        # the kernels apply only the profile form; dense tensors go through the oracles
+        rng = np.random.default_rng(36)
+        a = rand_t4(rng, 3, 3, 4)
+        with pytest.raises(TypeError, match="ProfileTensor"):
+            if side == "tv":
+                star_mul_tv(a, rand_hv(rng, 3, 4))
+            else:
+                star_mul_vt(rand_hv(rng, 3, 4, "dual"), a)
 
     def test_orientation_enforced(self):
         rng = np.random.default_rng(10)
-        a = rand_t4(rng, 3, 3, 4)
+        a = rand_profile(rng, 3, 4)
         with pytest.raises(OrientationError):
             star_mul_tv(a, rand_hv(rng, 3, 4, "dual"))
         with pytest.raises(OrientationError):
@@ -162,14 +186,6 @@ class TestHyperVecProducts:
         assert rel_err(star_inner(w, v), oracle) < 1e-13
 
 
-def rand_profile(rng, n, m, empty):
-    """Random complex profiles; slices where ``empty`` is set are zero and flagged ZERO."""
-    data = rng.standard_normal((n, n, m)) + 1j * rng.standard_normal((n, n, m))
-    data[empty] = 0.0
-    flags = np.where(empty, BlockStructure.ZERO, BlockStructure.LOWER_TRIANGULAR)
-    return ProfileTensor(data, flags)
-
-
 class TestProfileTensor:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 4), m=st.integers(2, 12), data=st.data(),
@@ -180,8 +196,8 @@ class TestProfileTensor:
         a = rand_profile(rng, n, m, empty.reshape(n, n))
         dense = a.to_tensor4()
         v, w = rand_hv(rng, n, m), rand_hv(rng, n, m, "dual")
-        for got, want in ((star_mul_tv(a, v), star_mul_tv(dense, v)),
-                          (star_mul_vt(w, a), star_mul_vt(w, dense))):
+        for got, want in ((star_mul_tv(a, v), dense_mul_tv(dense, v)),
+                          (star_mul_vt(w, a), dense_mul_vt(w, dense))):
             assert got.orientation == want.orientation
             scale = max(np.linalg.norm(want.data), 1e-300)
             assert np.linalg.norm(got.data - want.data) <= 1e-13 * scale
@@ -203,7 +219,7 @@ class TestProfileTensor:
 
     def test_product_shape_errors(self):
         rng = np.random.default_rng(5)
-        a = rand_profile(rng, 2, 4, np.zeros((2, 2), dtype=bool))
+        a = rand_profile(rng, 2, 4)
         with pytest.raises(ShapeError):
             star_mul_tv(a, rand_hv(rng, 3, 4))
         with pytest.raises(ShapeError):
@@ -214,16 +230,14 @@ class TestProfileTensor:
         lambda a, tmp: star_mul_tt(a.to_tensor4(), a),
         lambda a, tmp: to_block_matrix(a),
         lambda a, tmp: tt_svd(a, 1e-8),
-        lambda a, tmp: write_t4f(tmp / "op.t4f", a),
         lambda a, tmp: compression_factor(tt_svd(a.to_tensor4(), 1e-8), a),
         lambda a, tmp: rank_report_row(tt_svd(a.to_tensor4(), 1e-8), a, a.m),
-    ], ids=["mul_tt", "mul_tt_mixed", "to_block_matrix", "tt_svd", "write_t4f",
+    ], ids=["mul_tt", "mul_tt_mixed", "to_block_matrix", "tt_svd",
             "compression_factor", "rank_report_row"])
     def test_dense_only_operations_reject_profiles(self, call, tmp_path):
         a = rand_profile(np.random.default_rng(6), 3, 5, np.eye(3, dtype=bool))
         with pytest.raises(TypeError, match="to_tensor4"):
             call(a, tmp_path)
-        assert not (tmp_path / "op.t4f").exists()
 
 
 class TestScaling:
@@ -333,35 +347,6 @@ class TestBlockMatrixRoundTrip:
         assert np.array_equal(back.data, a.data)
 
 
-class TestT4F:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(23)
-        a = rand_t4(rng, 3, 2, 4)
-        path = tmp_path / "a.t4f"
-        write_t4f(path, a)
-        back = read_t4f(path)
-        assert np.array_equal(back.data, a.data)
-        assert back.block_structure is None
-
-    def test_round_trip_with_structure(self, tmp_path):
-        rng = np.random.default_rng(24)
-        data = np.tril(rng.standard_normal((2, 3, 4, 4))) + 0j
-        flags = np.full((2, 3), BlockStructure.LOWER_TRIANGULAR, dtype=np.uint8)
-        flags[0, 1] = BlockStructure.ZERO
-        data[0, 1] = 0.0
-        path = tmp_path / "b.t4f"
-        write_t4f(path, Tensor4(data, flags))
-        back = read_t4f(path)
-        assert np.array_equal(back.data, data)
-        assert np.array_equal(back.block_structure, flags)
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.t4f"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(IOError):
-            read_t4f(path)
-
-
 class TestAlgebraicProperties:
     """Randomized checks of associativity, distributivity, and flattening."""
 
@@ -369,9 +354,10 @@ class TestAlgebraicProperties:
         rng = np.random.default_rng(30)
         for _ in range(20):
             n, m = rng.integers(1, 5), rng.integers(1, 7)
-            a = rand_t4(rng, n, n, m)
+            a = rand_profile(rng, n, m)
             v = rand_hv(rng, n, m)
-            left = star_mul_tv(star_mul_tt(a, a), v)
+            dense = a.to_tensor4()
+            left = dense_mul_tv(star_mul_tt(dense, dense), v)
             right = star_mul_tv(a, star_mul_tv(a, v))
             assert rel_err(left.data, right.data) < 1e-12
 
@@ -379,7 +365,7 @@ class TestAlgebraicProperties:
         rng = np.random.default_rng(31)
         for _ in range(20):
             n1, n2, m = rng.integers(1, 5), rng.integers(1, 5), rng.integers(1, 7)
-            a = rand_t4(rng, n1, n2, m)
+            a = rand_profile(rng, n1, m, n2=n2)
             b = rand_hv(rng, n1, m, "dual")
             v = rand_hv(rng, n2, m)
             left = star_inner(star_mul_vt(b, a), v)
@@ -424,6 +410,6 @@ class TestAlgebraicProperties:
             vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             alpha = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             ak = star_pow(a, k)
-            left = star_mul_tv(scale_t(ak, alpha, "right"), lift(vec, m))
-            right = scale_v(star_mul_tv(ak, lift(vec, m)), alpha, "right")
+            left = dense_mul_tv(scale_t(ak, alpha, "right"), lift(vec, m))
+            right = scale_v(dense_mul_tv(ak, lift(vec, m)), alpha, "right")
             assert rel_err(left.data, right.data) < 1e-12

@@ -30,6 +30,7 @@ from .problems import (
     Term,
     analytic_const3,
     analytic_nmr1,
+    analytic_reference,
     builtin,
     builtin_ids,
     nmr_coefficients,

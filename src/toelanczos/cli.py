@@ -27,8 +27,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import diagnostics as diag
 from . import problems as prob
 from .discretize import build_mesh, discretize_problem
@@ -79,13 +77,7 @@ def _reference_values(problem, mesh, kind, rtol, atol):
     if kind == "none":
         return None
     if kind == "analytic":
-        if problem.id == "const3":
-            return prob.analytic_const3(mesh).values
-        if problem.id.startswith("nmr") and problem.meta.get("kind") == 1:
-            return prob.analytic_nmr1(mesh, problem.meta["coefficients"]).values
-        if problem.id == "zero1":
-            return np.full(mesh.m, np.vdot(problem.w, problem.v))
-        raise ValueError(f"no analytic reference for problem {problem.id!r}")
+        return prob.analytic_reference(problem, mesh).values
     return prob.rk45_reference(problem, mesh, rtol=rtol, atol=atol).values
 
 
@@ -217,13 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eps-lucky", type=float, default=1e-13, dest="eps_lucky")
             p.add_argument("--eps-serious", type=float, default=1e13, dest="eps_serious")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed for generated problems (nmr1/2/3)")
+                       help="seed for the generated problems nmr1/2/3; "
+                            "the other problems ignore it")
         p.add_argument("--output", required=True, help="output path prefix")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--allow-large", action="store_true", dest="allow_large")
 
     p_run = sub.add_parser("run", help="single pipeline pass")
     common(p_run)
+    p_run.add_argument("--format", choices=["csv", "json"], default="csv",
+                       help="format of the solution file")
     p_run.set_defaults(func=cmd_run)
 
     p_conv = sub.add_parser("convergence", help="error sweep over M")

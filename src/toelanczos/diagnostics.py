@@ -13,11 +13,12 @@ Norms are the rooted Frobenius norm of :func:`toelanczos.tensor_core.frobenius`;
 all measures are relative, so the rooting convention only rescales absolute
 thresholds.
 
-The recurrence residuals are evaluated with the same operation grouping the
-iteration itself uses (per basis vector, subtracting the recurrence terms in
-iteration order).  That grouping is algebraically identical to forming
+The recurrence residuals call the iteration's own update helpers
+(``lanczos._v_update`` and ``lanczos._w_update``) per basis vector and
+subtract the next vector, so the grouping is the iteration's by
+construction.  It is algebraically identical to forming
 ``A*V_n - V_n*T_n - V~_n`` from materialized tensors and reproduces it to
-roundoff, but it makes the W-side residual vanish exactly, which is the
+roundoff, and it makes the W-side residual vanish exactly, which is the
 pinned expected behavior.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lanczos import LanczosResult
+from .lanczos import LanczosResult, _v_update, _w_update
 from .tensor_core import (
     ProfileTensor,
     Tensor4,
@@ -84,62 +85,42 @@ def err_biorth(result: LanczosResult) -> float:
     return float(np.linalg.norm(dev.ravel()) / max(frobenius(vt), frobenius(wt)))
 
 
+def _relative_residual(products: np.ndarray, residual: np.ndarray) -> float:
+    """``|R| / max(|P|, |P - R|)`` for the stacked products ``P`` and residual rows ``R``."""
+    res = float(np.linalg.norm(residual.ravel()))
+    if res == 0.0:
+        return 0.0
+    return res / max(float(np.linalg.norm(products.ravel())),
+                     float(np.linalg.norm((products - residual).ravel())))
+
+
 def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, float]:
     """Relative residuals of the compact three-term recurrences (err_V, err_W).
 
-    Row k of the W residual is recomputed as
-    ``((W_k * A - alpha_k x W_k) - beta_k x W_{k-1}) - W_{k+1}``
-    (and the last row against the stored residual vector), matching the
-    iteration's own arithmetic; the V side analogously with the beta-scaled
-    next vector.  Denominators follow the displayed measures:
+    Row k recomputes ``A*V_k`` and ``W_k*A``, applies the iteration's own
+    update (:func:`~toelanczos.lanczos._v_update`,
+    :func:`~toelanczos.lanczos._w_update`) and subtracts the next vector,
+    ``V_{k+1} x beta_{k+1}`` and ``W_{k+1}``, or the stored residual on the
+    last row.  Denominators follow the displayed measures:
     ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and the W analogue.
     """
     tri = result.tri
-    n = tri.n
-    m = tri.m
     vb = [hv.data for hv in result.v_basis]
     wb = [hv.data for hv in result.w_basis]
-
-    av_rows = []
-    v_num_rows = []
-    for k in range(n):
-        av = star_mul_tv(a, result.v_basis[k]).data
-        av_rows.append(av)
-        res = av - np.matmul(vb[k], tri.alphas[k])
-        if k > 0:
-            res = res - vb[k - 1]
-        if k + 1 < n:
-            res = res - np.matmul(vb[k + 1], tri.betas[k])
-        else:
-            res = res - result.residual_v.data
-        v_num_rows.append(res)
-    av_tensor = np.stack(av_rows, axis=1)
-    v_num = np.stack(v_num_rows, axis=1)
-    # V_n*T_n + V~_n = A*V_n - residual
-    v_den = max(float(np.linalg.norm(av_tensor.ravel())),
-                float(np.linalg.norm((av_tensor - v_num).ravel())))
-    v_res = float(np.linalg.norm(v_num.ravel()))
-    err_v = 0.0 if v_res == 0.0 else v_res / v_den
-
-    wa_rows = []
-    w_num_rows = []
-    for k in range(n):
-        wa = star_mul_vt(result.w_basis[k], a).data
-        wa_rows.append(wa)
-        res = wa - np.matmul(tri.alphas[k], wb[k])
-        if k > 0:
-            res = res - np.matmul(tri.betas[k - 1], wb[k - 1])
-        if k + 1 < n:
-            res = res - wb[k + 1]
-        else:
-            res = res - result.residual_w.data
-        w_num_rows.append(res)
-    wa_tensor = np.stack(wa_rows, axis=0)
-    w_num = np.stack(w_num_rows, axis=0)
-    w_den = max(float(np.linalg.norm(wa_tensor.ravel())),
-                float(np.linalg.norm((wa_tensor - w_num).ravel())))
-    w_res = float(np.linalg.norm(w_num.ravel()))
-    err_w = 0.0 if w_res == 0.0 else w_res / w_den
+    v_next = [np.matmul(v, beta) for v, beta in zip(vb[1:], tri.betas)] + [result.residual_v.data]
+    w_next = wb[1:] + [result.residual_w.data]
+    av, wa, v_num, w_num = [], [], [], []
+    for k in range(tri.n):
+        av.append(star_mul_tv(a, result.v_basis[k]).data)
+        wa.append(star_mul_vt(result.w_basis[k], a).data)
+        prev = () if k == 0 else (vb[k - 1],)
+        v_num.append(_v_update(av[k], vb[k], tri.alphas[k], *prev) - v_next[k])
+        prev = () if k == 0 else (tri.betas[k - 1], wb[k - 1])
+        w_num.append(_w_update(wa[k], tri.alphas[k], wb[k], *prev) - w_next[k])
+    # stacked as V_n (columns, axis 1) and W_n (rows, axis 0): the layout fixes
+    # the summation order of the norms
+    err_v = _relative_residual(np.stack(av, axis=1), np.stack(v_num, axis=1))
+    err_w = _relative_residual(np.stack(wa, axis=0), np.stack(w_num, axis=0))
     return err_v, err_w
 
 

@@ -12,6 +12,9 @@ solution at ``t = a`` is the known initial value and is not a mesh point.
 Each slice is thus ``diag(h * A_kl(tau)) @ tril(1)``, a sampled diagonal
 times the discrete Heaviside matrix, and the operator is stored as those
 ``(N, N, M)`` profiles (:class:`~toelanczos.tensor_core.ProfileTensor`).
+The samples come from the problem's compiled ``A(t)``
+(:meth:`~toelanczos.problems.Problem.compile_matrix`), the same evaluator
+the RK45 reference integrates, so the term language has one implementation.
 
 The scheme is the rectangle quadrature rule, accurate to O(h) = O(1/M).
 """
@@ -65,27 +68,27 @@ def theta_matrix(mesh: Mesh) -> np.ndarray:
 
 
 def discretize_problem(problem, mesh: Mesh) -> ProfileTensor:
-    """Sample a Problem's entry functions into the profile-form operator.
+    """Sample a Problem's ``A(t)`` into the profile-form operator.
 
     Profile (k, l) is ``h * A_kl(tau_i)`` (entry i takes the sample at
-    tau_i), flagged lower-triangular; entries with no terms keep zero
-    profiles flagged ZERO.  Zero detection is structural (term lists), never
+    tau_i), with ``A(tau_i)`` from the problem's compiled evaluator
+    (:meth:`~toelanczos.problems.Problem.compile_matrix`), flagged
+    lower-triangular; entries with no terms sample to exact zeros and are
+    flagged ZERO.  Zero detection is structural (term lists), never
     numerical.
     """
-    n = problem.n
-    data = np.zeros((n, n, mesh.m), dtype=complex)
-    flags = np.full((n, n), BlockStructure.ZERO, dtype=np.uint8)
+    a_of_t = problem.compile_matrix()
+    samples = np.stack([a_of_t(t) for t in mesh.tau], axis=-1)
+    flags = np.full((problem.n, problem.n), BlockStructure.ZERO, dtype=np.uint8)
     for (k, l), terms in problem.entries.items():
         if not terms:
             continue
-        profile = problem.eval_entry(k, l, mesh.tau)
-        bad = ~np.isfinite(profile)
+        bad = ~np.isfinite(samples[k, l])
         if np.any(bad):
             i = int(np.argmax(bad))
             raise DiscretizationError(
                 f"entry ({k}, {l}) of problem {problem.id!r} is not finite "
                 f"at tau[{i}] = {mesh.tau[i]}"
             )
-        data[k, l] = profile * mesh.h
         flags[k, l] = BlockStructure.LOWER_TRIANGULAR
-    return ProfileTensor(data, flags)
+    return ProfileTensor(samples * mesh.h, flags)

@@ -36,7 +36,7 @@ result status together with the completed prefix, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -57,7 +57,6 @@ __all__ = [
     "TriTensor",
     "LanczosStatus",
     "LanczosResult",
-    "BreakdownCheck",
     "tensor_lanczos",
     "classify_breakdown",
     "split_unit_vectors",
@@ -148,31 +147,49 @@ class LanczosResult:
     normalization: complex
 
 
-@dataclass(frozen=True)
-class BreakdownCheck:
-    kind: str  # none | lucky | serious
-    side: str | None = None
-    cond: float | None = None
-
-
 def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
                        w_prev_norm: float, beta: np.ndarray, eps_lucky: float,
-                       eps_serious: float) -> BreakdownCheck:
+                       eps_serious: float) -> LanczosStatus | None:
     """Classify the state after forming a new residual pair and beta.
 
-    Lucky if a relative residual norm drops below ``eps_lucky`` (the V side is
-    checked first); serious if ``sigma_max(beta)/sigma_min(beta)`` exceeds
-    ``eps_serious``.  Lucky takes precedence over serious.
+    Returns a ``lucky_breakdown`` status if a relative residual norm drops
+    below ``eps_lucky`` (the V side is checked first, and ``side`` names the
+    vanished one), else a ``serious_breakdown`` status with ``cond`` if
+    ``sigma_max(beta)/sigma_min(beta)`` exceeds ``eps_serious``, else
+    ``None``.  The caller fills in the iteration ``k``.
     """
     if frobenius(v_hat) / v_prev_norm < eps_lucky:
-        return BreakdownCheck("lucky", side="v")
+        return LanczosStatus("lucky_breakdown", side="v")
     if frobenius(w_hat) / w_prev_norm < eps_lucky:
-        return BreakdownCheck("lucky", side="w")
+        return LanczosStatus("lucky_breakdown", side="w")
     sigma = np.linalg.svd(beta, compute_uv=False)
     cond = float("inf") if sigma[-1] == 0.0 else float(sigma[0] / sigma[-1])
     if cond > eps_serious:
-        return BreakdownCheck("serious", cond=cond)
-    return BreakdownCheck("none")
+        return LanczosStatus("serious_breakdown", cond=cond)
+    return None
+
+
+def _w_update(wa: np.ndarray, alpha: np.ndarray, w_k: np.ndarray,
+              beta_k: np.ndarray | None = None, w_prev: np.ndarray | None = None) -> np.ndarray:
+    """``(W_k*A - alpha_k x W_k) - beta_k x W_{k-1}``; the last term is absent for k = 1.
+
+    The one place that writes this grouping: the iteration and
+    :func:`~toelanczos.diagnostics.err_recurrences` both call it, which is
+    what makes ``err_W`` exactly zero.
+    """
+    out = wa - np.matmul(alpha, w_k)
+    if beta_k is not None:
+        out = out - np.matmul(beta_k, w_prev)
+    return out
+
+
+def _v_update(av: np.ndarray, v_k: np.ndarray, alpha: np.ndarray,
+              v_prev: np.ndarray | None = None) -> np.ndarray:
+    """``(A*V_k - V_k x alpha_k) - V_{k-1}``; the last term is absent for k = 1."""
+    out = av - np.matmul(v_k, alpha)
+    if v_prev is not None:
+        out = out - v_prev
+    return out
 
 
 def _apply_inverse_right(beta: np.ndarray, hv: HyperVec) -> HyperVec:
@@ -225,9 +242,6 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     w_basis = [lift_dual(w, m)]
     alphas: list[np.ndarray] = []
     betas: list[np.ndarray] = []
-    v_prev = HyperVec(np.zeros((a.n1, m, m)), "right")
-    w_prev = HyperVec(np.zeros((a.n1, m, m)), "dual")
-    beta_k: np.ndarray | None = None    # beta_k x W_{k-1} term; None while k = 1
 
     def finish(status, res_v, res_w):
         tri = TriTensor(m, alphas, betas)
@@ -237,34 +251,25 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
         wa = star_mul_vt(w_basis[-1], a)
         alpha = star_inner(wa, v_basis[-1])
         alphas.append(alpha)
-
-        w_hat = HyperVec(wa.data - np.matmul(alpha, w_basis[-1].data), "dual")
-        if beta_k is not None:
-            w_hat = HyperVec(w_hat.data - np.matmul(beta_k, w_prev.data), "dual")
-
         av = star_mul_tv(a, v_basis[-1])
-        v_hat = HyperVec(av.data - np.matmul(v_basis[-1].data, alpha) - v_prev.data, "right")
+        w_prev = () if k == 1 else (betas[-1], w_basis[-2].data)
+        v_prev = () if k == 1 else (v_basis[-2].data,)
+        w_hat = HyperVec(_w_update(wa.data, alpha, w_basis[-1].data, *w_prev), "dual")
+        v_hat = HyperVec(_v_update(av.data, v_basis[-1].data, alpha, *v_prev), "right")
 
         if k == n:
             return finish(LanczosStatus("completed"), v_hat, w_hat)
 
         beta_next = star_inner(w_hat, v_hat)
-        check = classify_breakdown(v_hat, w_hat, frobenius(v_basis[-1]),
-                                   frobenius(w_basis[-1]), beta_next,
-                                   eps_lucky, eps_serious)
-        if check.kind == "lucky":
-            return finish(LanczosStatus("lucky_breakdown", k=k, side=check.side),
-                          v_hat, w_hat)
-        if check.kind == "serious":
-            return finish(LanczosStatus("serious_breakdown", k=k, cond=check.cond),
-                          v_hat, w_hat)
+        breakdown = classify_breakdown(v_hat, w_hat, frobenius(v_basis[-1]),
+                                       frobenius(w_basis[-1]), beta_next,
+                                       eps_lucky, eps_serious)
+        if breakdown is not None:
+            return finish(replace(breakdown, k=k), v_hat, w_hat)
 
         betas.append(beta_next)
-
-        v_prev, w_prev = v_basis[-1], w_basis[-1]
         v_basis.append(_apply_inverse_right(beta_next, v_hat))
         w_basis.append(w_hat)
-        beta_k = beta_next
 
     raise AssertionError("unreachable")
 

@@ -2,13 +2,15 @@
 
 A :class:`Problem` describes ``A(t)`` symbolically: each matrix entry is a
 sum of terms ``coeff * t**power * trig(omega * t)`` with trig one of
-{1, cos, sin}.  That covers the constant and polynomial/cosine test matrices
-as well as the spin-simulation Hamiltonians, keeps sampling exact, and makes
-zero entries structural.
+{1, cos, sin}, checked when the :class:`Term` is built.  That covers the
+constant and polynomial/cosine test matrices as well as the
+spin-simulation Hamiltonians, keeps sampling exact, and makes zero entries
+structural.  :meth:`Problem.compile_matrix` is the one evaluator of the
+terms: the discretization samples it and the RK45 reference integrates it.
 
 References (the sampled true bilinear form ``w^H U(t) v``) come either from
-closed forms, where the problem admits one, or from an adaptive
-Dormand-Prince integration with dense output.
+closed forms, which :func:`analytic_reference` chooses by the problem's
+content, or from an adaptive Dormand-Prince integration with dense output.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "builtin_ids",
     "analytic_const3",
     "analytic_nmr1",
+    "analytic_reference",
     "nmr_coefficients",
     "nmr_generate",
     "rk45_reference",
@@ -55,16 +58,9 @@ class Term:
     trig: str = "none"  # none | cos | sin
     omega: float = 0.0
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        val = self.coeff * t**self.power
-        if self.trig == "cos":
-            val = val * np.cos(self.omega * t)
-        elif self.trig == "sin":
-            val = val * np.sin(self.omega * t)
-        elif self.trig != "none":
+    def __post_init__(self):
+        if self.trig not in ("none", "cos", "sin"):
             raise ValueError(f"unknown trig kind {self.trig!r}")
-        return val
 
 
 @dataclass
@@ -89,29 +85,18 @@ class Problem:
             if not (0 <= k < self.n and 0 <= l < self.n):
                 raise ValueError(f"entry index ({k}, {l}) out of bounds for n={self.n}")
 
-    def eval_entry(self, k: int, l: int, t):
-        """Evaluate entry (k, l) at scalar or array ``t``."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for term in self.entries.get((k, l), ()):
-            out += term(t)
-        return out
-
-    def eval_matrix(self, t: float) -> np.ndarray:
-        """Dense ``A(t)`` at one time point."""
-        return self.compile_matrix()(t)
-
     def compile_matrix(self) -> Callable[[float], np.ndarray]:
         """Return ``t -> A(t)``, the dense matrix at one time point.
 
-        The terms are flattened once into arrays (flat entry index,
-        coefficient, power id, (trig, omega) id).  A call then evaluates each
-        distinct power and each distinct trig factor once, with the scalar
-        expression :class:`Term` uses, forms ``(coeff * power) * trig`` as
-        :class:`Term` does, and adds each entry's terms in list order with
-        ``np.bincount``.  The result equals the per-term sum bit for bit.
-        The callable reflects ``entries`` as they are now; compile again
-        after changing them.
+        This is the one evaluator of the term language: the discretization
+        samples it at the mesh points and the RK45 reference calls it as its
+        right-hand side.  The terms are flattened once into arrays (flat
+        entry index, coefficient, power id, (trig, omega) id).  A call then
+        evaluates each distinct ``t**power`` and ``trig(omega*t)`` once,
+        forms ``(coeff * t**power) * trig(omega*t)`` per term and adds each
+        entry's terms in list order with ``np.bincount``, so the result
+        equals the per-term sum bit for bit.  The callable reflects
+        ``entries`` as they are now; compile again after changing them.
         """
         n = self.n
         flat, coeffs, power_ids, factor_ids = [], [], [], []
@@ -119,8 +104,6 @@ class Problem:
         factors: dict = {}
         for (k, l), terms in self.entries.items():
             for term in terms:
-                if term.trig not in ("none", "cos", "sin"):
-                    raise ValueError(f"unknown trig kind {term.trig!r}")
                 key = ("none", 0.0) if term.trig == "none" else (term.trig, term.omega)
                 flat.append(k * n + l)
                 coeffs.append(term.coeff)
@@ -214,10 +197,10 @@ class NmrCoefficients:
     C: np.ndarray | None = None        # kinds 2-3: second coupling matrix
 
 
-def _symmetric_sparse(rng, n, pairs_per_row, scale, complex_values=False):
+def _symmetric_sparse(rng, n, scale, complex_values=False):
     mat = np.zeros((n, n), dtype=complex if complex_values else float)
     for i in range(n):
-        cols = rng.choice(n - 1, size=pairs_per_row, replace=False)
+        cols = rng.choice(n - 1, size=2, replace=False)  # two partners per row
         for c in cols:
             j = c if c < i else c + 1
             val = rng.uniform(-scale, scale)
@@ -235,7 +218,9 @@ def _symmetric_sparse(rng, n, pairs_per_row, scale, complex_values=False):
 _NMR_SCALES = {1: (4e3, 2e3), 2: (2e4, 5e3), 3: (3e2, 1.5e2)}
 
 
-def nmr_coefficients(kind: int, seed: int = DEFAULT_NMR_SEED, **overrides) -> NmrCoefficients:
+def nmr_coefficients(kind: int, seed: int = DEFAULT_NMR_SEED, *, nu: float = 1e4,
+                     mod_scale: float | None = None,
+                     gamma_scale: float | None = None) -> NmrCoefficients:
     """Draw the synthetic coefficient set for one experiment kind.
 
     The true coefficient data of the cited spin systems is not public, so the
@@ -243,29 +228,26 @@ def nmr_coefficients(kind: int, seed: int = DEFAULT_NMR_SEED, **overrides) -> Nm
     coupling sparsity style, and the experiment intervals, with values from a
     seeded uniform draw.  Diagonal frequencies are alpha ~ U(-s, s) with the
     per-kind scale s from ``_NMR_SCALES``; modulation weights and couplings
-    use the second per-kind scale; the spinning rate defaults to nu = 1e4 and
-    couplings get two symmetric partners per row.  All are overridable
-    (``alpha_scale``, ``mod_scale``, ``gamma_scale``, ``coupling_scale``,
-    ``pairs_per_row``, ``nu``, ``a``, ``b``).
+    use the second per-kind scale, and couplings get two symmetric partners
+    per row.  ``nu`` is the spinning rate; ``mod_scale`` overrides the scale
+    of the kind-1 modulation weights and ``gamma_scale`` that of the
+    ``cos(4 pi nu t)`` weights alone (default: ``mod_scale``).
     """
     if kind not in (1, 2, 3):
         raise ValueError(f"unknown experiment kind {kind}")
     rng = np.random.default_rng(seed + 1000 * kind)
     n = 16
-    nu = float(overrides.get("nu", 1e4))
-    alpha_default, other_default = _NMR_SCALES[kind]
-    alpha_scale = float(overrides.get("alpha_scale", alpha_default))
-    mod_scale = float(overrides.get("mod_scale", other_default))
-    coupling_scale = float(overrides.get("coupling_scale", other_default))
-    pairs = int(overrides.get("pairs_per_row", 2))
-    gamma_scale = float(overrides.get("gamma_scale", mod_scale))
+    nu = float(nu)
+    alpha_scale, coupling_scale = _NMR_SCALES[kind]
+    mod_scale = float(coupling_scale if mod_scale is None else mod_scale)
+    gamma_scale = float(mod_scale if gamma_scale is None else gamma_scale)
     alpha = rng.uniform(-alpha_scale, alpha_scale, size=n)
     if kind == 1:
         beta = rng.uniform(-mod_scale, mod_scale, size=n)
         gamma = rng.uniform(-gamma_scale, gamma_scale, size=n)
         return NmrCoefficients(kind, seed, nu, alpha, beta=beta, gamma=gamma)
-    B = _symmetric_sparse(rng, n, pairs, coupling_scale)
-    C = _symmetric_sparse(rng, n, pairs, coupling_scale, complex_values=(kind == 3))
+    B = _symmetric_sparse(rng, n, coupling_scale)
+    C = _symmetric_sparse(rng, n, coupling_scale, complex_values=(kind == 3))
     return NmrCoefficients(kind, seed, nu, alpha, B=B, C=C)
 
 
@@ -278,7 +260,9 @@ def _nmr_vectors(kind: int) -> np.ndarray:
 _NMR_INTERVALS = {1: (0.0, 5e-5), 2: (0.0, 5e-6), 3: (0.0, 1e-3)}
 
 
-def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED, **overrides) -> Problem:
+def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED, *, nu: float = 1e4,
+                 mod_scale: float | None = None,
+                 gamma_scale: float | None = None) -> Problem:
     """Build the spin-simulation problem ``A(t) = -2*pi*i * H(t)`` for one kind.
 
     kind 1: diagonal ``H``, level k carrying
@@ -290,9 +274,11 @@ def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED, **overrides) -> Proble
 
     Probe vectors default to the repeating (0, 1, 1) pattern for kinds 1-2 and
     all-ones for kind 3; intervals default to [0, 5e-5], [0, 5e-6], [0, 1e-3].
-    Identical seeds give bit-identical problems.
+    Identical seeds give bit-identical problems.  ``nu``, ``mod_scale`` and
+    ``gamma_scale`` are passed to :func:`nmr_coefficients`.
     """
-    coeffs = nmr_coefficients(kind, seed, **overrides)
+    coeffs = nmr_coefficients(kind, seed, nu=nu, mod_scale=mod_scale,
+                              gamma_scale=gamma_scale)
     s = -2j * np.pi  # A(t) = -i 2 pi H(t)
     w2 = 2 * np.pi * coeffs.nu
     entries: dict[tuple[int, int], list[Term]] = {}
@@ -331,8 +317,6 @@ def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED, **overrides) -> Proble
                 Term(2.0 * c, 0, "sin", 12.0),
             ])
     a, b = _NMR_INTERVALS[kind]
-    a = float(overrides.get("a", a))
-    b = float(overrides.get("b", b))
     vec = _nmr_vectors(kind)
     prob = Problem(f"nmr{kind}", 16, a, b, entries, vec, vec,
                    meta={"kind": kind, "seed": seed, "coefficients": coeffs})
@@ -394,6 +378,31 @@ def analytic_nmr1(mesh: Mesh, coeffs: NmrCoefficients) -> Reference:
     vec = _nmr_vectors(1).astype(complex)
     vals = (np.conj(vec)[:, None] * diag * vec[:, None]).sum(axis=0)
     return Reference("analytic", vals)
+
+
+def _same_content(p: Problem, q: Problem) -> bool:
+    def terms(problem):
+        return {key: ts for key, ts in problem.entries.items() if ts}
+    return (p.n == q.n and (p.a, p.b) == (q.a, q.b) and terms(p) == terms(q)
+            and np.array_equal(p.v, q.v) and np.array_equal(p.w, q.w))
+
+
+def analytic_reference(problem: Problem, mesh: Mesh) -> Reference:
+    """The closed-form reference for a problem that admits one, chosen by content.
+
+    A problem with no terms (``A = 0``) gets the constant ``w^H v``; one whose
+    entries, interval and probe vectors equal the builtin const3's gets
+    :func:`analytic_const3`; a generated kind-1 spin problem (its ``meta``
+    carries the coefficients) gets :func:`analytic_nmr1`.  The ``id`` plays
+    no part.  Any other problem raises ``ValueError``.
+    """
+    if not any(problem.entries.values()):
+        return Reference("analytic", np.full(mesh.m, np.vdot(problem.w, problem.v)))
+    if _same_content(problem, _const3()):
+        return analytic_const3(mesh)
+    if problem.meta.get("kind") == 1:
+        return analytic_nmr1(mesh, problem.meta["coefficients"])
+    raise ValueError(f"no analytic reference for problem {problem.id!r}")
 
 
 def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,

@@ -254,12 +254,32 @@ def tt_reconstruct(t: TTTensor) -> Tensor4:
 
 # ------------------------------------------------------------------ A(t)
 
+def term_value(term, t):
+    """One term ``coeff * t**power * trig(omega*t)`` at scalar or array ``t``."""
+    t = np.asarray(t, dtype=float)
+    val = term.coeff * t**term.power
+    if term.trig == "cos":
+        val = val * np.cos(term.omega * t)
+    elif term.trig == "sin":
+        val = val * np.sin(term.omega * t)
+    return val
+
+
+def entry_per_term(problem, k: int, l: int, t) -> np.ndarray:
+    """Entry (k, l) at scalar or array ``t``, adding its terms in list order."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=complex)
+    for term in problem.entries.get((k, l), ()):
+        out += term_value(term, t)
+    return out
+
+
 def matrix_per_term(problem, t: float) -> np.ndarray:
     """Dense ``A(t)`` as a Python loop adding each term in list order."""
     out = np.zeros((problem.n, problem.n), dtype=complex)
     for (k, l), terms in problem.entries.items():
         for term in terms:
-            out[k, l] += term(float(t))
+            out[k, l] += term_value(term, float(t))
     return out
 
 

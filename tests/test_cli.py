@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from toelanczos import Problem, Term, builtin, problem_to_json
+from toelanczos import Problem, builtin, problem_to_json
 from toelanczos import cli
 from toelanczos.cli import (
     EXIT_GUARD,
@@ -83,14 +83,16 @@ class TestRun:
         assert report["meta"]["status"] == "serious_breakdown"
 
     def test_unknown_trig_kind_is_shape_error(self, tmp_path, capsys):
-        p = Problem("tan1", 1, 0.0, 1.0, {(0, 0): [Term(1.0, 0, "tan", 1.0)]},
-                    np.array([1.0]), np.array([1.0]))
+        doc = json.loads(problem_to_json(builtin("zero1")))
+        doc["entries"] = [{"k": 1, "l": 1, "terms": [
+            {"re": 1.0, "im": 0.0, "power": 0, "trig": "tan", "omega": 1.0}]}]
         path = tmp_path / "tan.json"
-        path.write_text(problem_to_json(p))
+        path.write_text(json.dumps(doc))
         code = run_cli("run", "--problem-file", str(path), "--M", "4", "--n", "1",
                        "--reference", "rk45", "--output", str(tmp_path / "t"))
         assert code == EXIT_SHAPE
         assert "unknown trig kind 'tan'" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["tan.json"]
 
     def test_zero_reference_is_shape_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_reference_values",
@@ -120,6 +122,91 @@ class TestRun:
         assert code == EXIT_SHAPE
         assert "one --M value" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def write_problem(tmp_path, problem, ident, **changes):
+    """Write ``problem`` as a problem file under the id ``ident``."""
+    doc = json.loads(problem_to_json(problem))
+    doc.update(id=ident, **changes)
+    path = tmp_path / f"{ident}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestAnalyticReference:
+    """``--reference analytic`` picks the closed form by content, never by id."""
+
+    def run_file(self, path, out, m="8", n="3"):
+        return run_cli("run", "--problem-file", str(path), "--M", m, "--n", n,
+                       "--reference", "analytic", "--output", str(out))
+
+    def test_no_terms_gets_constant(self, tmp_path):
+        p = Problem("const3", 2, 0.0, 1.0, {(0, 1): []}, np.array([1.0, 2.0]),
+                    np.array([3.0, 1.0]))
+        code = self.run_file(write_problem(tmp_path, p, "quiet"), tmp_path / "q", n="1")
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "q_report.json").read_text())
+        assert report["err_sol"] < 1e-14
+
+    def test_const3_content_under_another_id(self, tmp_path):
+        code = self.run_file(write_problem(tmp_path, builtin("const3"), "mine"),
+                             tmp_path / "f")
+        assert code == EXIT_OK
+        run_cli("run", "--problem", "const3", "--M", "8", "--n", "3",
+                "--reference", "analytic", "--output", str(tmp_path / "b"))
+        got = json.loads((tmp_path / "f_report.json").read_text())
+        want = json.loads((tmp_path / "b_report.json").read_text())
+        assert got["err_sol"] == want["err_sol"]
+
+    @pytest.mark.parametrize("source,changes", [
+        ("timedep5", {}),
+        ("const3", {"interval": [0.0, 2.0]}),
+        ("const3", {"w": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0},
+                          {"re": 0.0, "im": 0.0}]}),
+    ])
+    def test_other_content_under_const3_id_exits_2(self, tmp_path, capsys, source, changes):
+        path = write_problem(tmp_path, builtin(source), "const3", **changes)
+        code = self.run_file(path, tmp_path / "x")
+        assert code == EXIT_SHAPE
+        assert "no analytic reference" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["const3.json"]
+
+    def test_generated_nmr1(self, tmp_path):
+        code = run_cli("run", "--problem", "nmr1", "--M", "20", "--n", "2", "--seed", "5",
+                       "--reference", "analytic", "--output", str(tmp_path / "n"))
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "n_report.json").read_text())
+        assert 0.0 < report["err_sol"] < 0.1
+
+    def test_nmr1_file_has_no_closed_form(self, tmp_path, capsys):
+        # a problem file carries no generator coefficients
+        code = self.run_file(write_problem(tmp_path, builtin("nmr1"), "nmr1"), tmp_path / "x")
+        assert code == EXIT_SHAPE
+        assert "no analytic reference" in capsys.readouterr().err
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", ["convergence", "ttranks"])
+    def test_format_only_on_run(self, tmp_path, capsys, command):
+        argv = [command, "--problem", "const3", "--M", "10,20", "--format", "json",
+                "--output", str(tmp_path / "f")]
+        if command == "convergence":
+            argv += ["--n", "3", "--reference", "analytic"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == EXIT_SHAPE
+        assert "--format" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_leaves_timedep5_unchanged(self, tmp_path):
+        files = {}
+        for tag, seed in (("plain", []), ("seeded", ["--seed", "7"])):
+            code = run_cli("convergence", "--problem", "timedep5", "--M", "10,20", "--n", "3",
+                           "--reference", "rk45", *seed, "--output", str(tmp_path / tag))
+            assert code == EXIT_OK
+            files[tag] = [(tmp_path / f"{tag}{suffix}").read_bytes()
+                          for suffix in ("_convergence.csv", "_slope.json")]
+        assert files["plain"] == files["seeded"]
 
 
 class TestConvergence:

@@ -16,6 +16,8 @@ from toelanczos import (
 )
 from toelanczos.discretize import DiscretizationError
 
+from oracles import entry_per_term
+
 
 class TestBuildMesh:
     def test_right_endpoint_convention(self):
@@ -110,11 +112,25 @@ class TestDiscretizeProblem:
         want = np.zeros((p.n, p.n, 7, 7), dtype=complex)
         for (k, l), terms in p.entries.items():
             if terms:
-                want[k, l] = (p.eval_entry(k, l, mesh.tau) * mesh.h)[:, None] * mask
+                want[k, l] = (entry_per_term(p, k, l, mesh.tau) * mesh.h)[:, None] * mask
         got = op.to_tensor4()
         assert np.array_equal(got.data, want)
         assert got.data.tobytes() == want.tobytes()
         assert np.array_equal(got.block_structure, op.block_structure)
+
+    @pytest.mark.parametrize("problem_id", ["const3", "timedep5", "zero1", "nmr1", "nmr2", "nmr3"])
+    def test_profiles_equal_per_term_sum_at_m250(self, problem_id):
+        # the compiled evaluator, sampled point by point, against each entry's
+        # term sum over the whole mesh at once
+        p = builtin(problem_id)
+        mesh = build_mesh(p.a, p.b, 250)
+        op = discretize_problem(p, mesh)
+        for k in range(p.n):
+            for l in range(p.n):
+                want = entry_per_term(p, k, l, mesh.tau) * mesh.h
+                assert op.data[k, l].tobytes() == want.tobytes()
+                live = bool(p.entries.get((k, l)))
+                assert (op.block_structure[k, l] == BlockStructure.ZERO) != live
 
     def test_nonfinite_sample_reports_location(self):
         p = Problem("blow", 1, 0.0, 10.0, {(0, 0): [Term(1e308, 2)]},

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toelanczos import (
     HyperVec,
@@ -123,28 +125,60 @@ class TestClassifyBreakdown:
         z = HyperVec(np.zeros((2, m, m)), "right")
         w = HyperVec(np.ones((2, m, m)), "dual")
         check = classify_breakdown(z, w, 1.0, 1.0, np.eye(m), 1e-13, 1e13)
-        assert check.kind == "lucky" and check.side == "v"
+        assert check.kind == "lucky_breakdown" and check.side == "v"
 
     def test_identity_beta_is_fine(self):
         m = 3
         v = HyperVec(np.ones((2, m, m)), "right")
         w = HyperVec(np.ones((2, m, m)), "dual")
         check = classify_breakdown(v, w, 1.0, 1.0, np.eye(m), 1e-13, 1e13)
-        assert check.kind == "none"
+        assert check is None
 
     def test_huge_condition_is_serious(self):
         v = HyperVec(np.ones((2, 2, 2)), "right")
         w = HyperVec(np.ones((2, 2, 2)), "dual")
         beta = np.diag([1.0, 1e-20])
         check = classify_breakdown(v, w, 1.0, 1.0, beta, 1e-13, 1e13)
-        assert check.kind == "serious"
+        assert check.kind == "serious_breakdown"
         assert check.cond > 1e19
 
     def test_lucky_takes_precedence(self):
         z = HyperVec(np.zeros((2, 2, 2)), "right")
         w = HyperVec(np.ones((2, 2, 2)), "dual")
         check = classify_breakdown(z, w, 1.0, 1.0, np.zeros((2, 2)), 1e-13, 1e13)
-        assert check.kind == "lucky"
+        assert check.kind == "lucky_breakdown"
+
+    # residual scales far from eps_lucky = 1e-13 and condition numbers 10**j
+    # far from eps_serious = 10**(e + 0.5), so no case sits on a threshold
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           v_scale=st.sampled_from([0.0, 1e-30, 1.0]),
+           w_scale=st.sampled_from([0.0, 1e-30, 1.0]),
+           exps=st.lists(st.integers(-20, 3), min_size=1, max_size=4),
+           zero_sigma=st.booleans(), e_serious=st.integers(0, 15))
+    def test_rules(self, n, m, seed, v_scale, w_scale, exps, zero_sigma, e_serious):
+        rng = np.random.default_rng(seed)
+        draw = lambda: rng.uniform(0.5, 1.0, (n, m, m)) * rng.choice([-1, 1], (n, m, m))
+        v = HyperVec(v_scale * draw(), "right")
+        w = HyperVec(w_scale * draw(), "dual")
+        sigma = 10.0 ** np.resize(np.array(exps, dtype=float), m)
+        if zero_sigma:
+            sigma[-1] = 0.0
+        beta = np.diag(sigma)[::-1]  # a permuted diagonal: same singular values
+        eps_serious = 10.0 ** (e_serious + 0.5)
+        check = classify_breakdown(v, w, 1.0, 1.0, beta, 1e-13, eps_serious)
+        cond = np.inf if sigma.min() == 0 else sigma.max() / sigma.min()
+        if v_scale < 1.0 or w_scale < 1.0:
+            # lucky beats serious, and the V side is checked first
+            assert check.kind == "lucky_breakdown"
+            assert check.side == ("v" if v_scale < 1.0 else "w")
+            assert check.cond is None
+        elif cond > eps_serious:
+            assert check.kind == "serious_breakdown" and check.side is None
+            assert check.cond == pytest.approx(cond, rel=1e-12)
+        else:
+            assert check is None
+        assert check is None or check.k is None
 
 
 class TestBreakdownRuns:

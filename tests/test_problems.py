@@ -20,7 +20,7 @@ from toelanczos import (
 )
 from toelanczos.problems import StiffnessError
 
-from oracles import matrix_per_term, reference_per_term
+from oracles import entry_per_term, matrix_per_term, reference_per_term
 
 CONST3 = np.array([[-1.0, 1, 1], [1, 0, 1], [1, 1, -1]])
 
@@ -40,16 +40,16 @@ class TestBuiltins:
         t = np.linspace(0, 1, 7)
         for k in range(3):
             for l in range(3):
-                assert np.allclose(p.eval_entry(k, l, t), CONST3[k, l])
+                assert np.allclose(entry_per_term(p, k, l, t), CONST3[k, l])
 
     def test_timedep5_entries(self):
         p = builtin("timedep5")
         assert (p.a, p.b) == (1e-4, 1.0)
         # entry (5, 3) in math numbering is -6t - 1
-        vals = p.eval_entry(4, 2, np.array([0.0, 0.5, 1.0]))
+        vals = entry_per_term(p, 4, 2, np.array([0.0, 0.5, 1.0]))
         assert np.allclose(vals, [-1.0, -4.0, -7.0])
         # entry (2, 2) is cos(t) - t
-        vals = p.eval_entry(1, 1, np.array([0.0, 1.0]))
+        vals = entry_per_term(p, 1, 1, np.array([0.0, 1.0]))
         assert np.allclose(vals, [1.0, np.cos(1.0) - 1.0])
 
     def test_timedep5_matrix_matches_display(self):
@@ -63,7 +63,7 @@ class TestBuiltins:
             [0, 1, 2 * t + 1, t + c, t],
             [t, -t - 1, -6 * t - 1, 1 - 2 * t, c - 2 * t],
         ])
-        assert np.allclose(p.eval_matrix(t), expected, rtol=1e-14)
+        assert np.allclose(p.compile_matrix()(t), expected, rtol=1e-14)
 
     def test_zero1(self):
         p = builtin("zero1")
@@ -109,7 +109,8 @@ class TestNmrGenerators:
     def test_kind2_noncommuting(self):
         p = builtin("nmr2")
         t1, t2 = 1e-6, 3e-6
-        a1, a2 = p.eval_matrix(t1), p.eval_matrix(t2)
+        a_of_t = p.compile_matrix()
+        a1, a2 = a_of_t(t1), a_of_t(t2)
         assert np.linalg.norm(a1 @ a2 - a2 @ a1) > 1e-6
 
     def test_vectors_and_intervals(self):
@@ -127,6 +128,23 @@ class TestNmrGenerators:
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             nmr_generate(4)
+
+    @pytest.mark.parametrize("name", ["mod_scal", "alpha_scale", "coupling_scale",
+                                      "pairs_per_row", "a", "b"])
+    def test_unknown_override_raises(self, name):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            nmr_generate(1, **{name: 0.0})
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            nmr_coefficients(2, **{name: 0.0})
+
+    def test_overrides_change_the_draw(self):
+        base = nmr_coefficients(1, seed=3)
+        off = nmr_coefficients(1, seed=3, mod_scale=0.0)
+        assert np.array_equal(off.alpha, base.alpha)
+        assert not np.any(off.beta) and not np.any(off.gamma)
+        no_gamma = nmr_coefficients(1, seed=3, nu=2e4, gamma_scale=0.0)
+        assert no_gamma.nu == 2e4 and np.array_equal(no_gamma.beta, base.beta)
+        assert not np.any(no_gamma.gamma)
 
 
 class TestAnalyticNmr1:
@@ -195,12 +213,12 @@ class TestRk45Reference:
         assert np.array_equal(rk45_reference(p, mesh).values, reference_per_term(p, mesh))
 
     def test_unknown_trig_kind(self):
-        p = Problem("tan1", 1, 0.0, 1.0, {(0, 0): [Term(1.0, 0, "tan", 1.0)]},
-                    np.array([1.0]), np.array([1.0]))
-        with pytest.raises(ValueError, match="tan"):
-            rk45_reference(p, build_mesh(0.0, 1.0, 4))
-        with pytest.raises(ValueError, match="tan"):
-            p.eval_matrix(0.5)
+        # the kind is checked once, when the term is built, so no evaluator sees it
+        with pytest.raises(ValueError, match="unknown trig kind 'tan'"):
+            Term(1.0, 0, "tan", 1.0)
+        text = problem_to_json(builtin("const3")).replace('"trig": "none"', '"trig": "tan"', 1)
+        with pytest.raises(ValueError, match="unknown trig kind 'tan'"):
+            problem_from_json(text)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stiffness_error(self):
@@ -213,7 +231,7 @@ class TestRk45Reference:
 
 
 def matrix_per_entry(p, t):
-    return np.array([[p.eval_entry(k, l, t) for l in range(p.n)] for k in range(p.n)])
+    return np.array([[entry_per_term(p, k, l, t) for l in range(p.n)] for k in range(p.n)])
 
 
 TERMS = st.lists(st.builds(
@@ -243,7 +261,7 @@ class TestCompiledMatrix:
         a_of_t = p.compile_matrix()
         for t in (*self.TIMES, p.a, p.b, (p.a + p.b) / 3):
             assert np.array_equal(a_of_t(t), matrix_per_entry(p, t))
-            assert np.array_equal(p.eval_matrix(t), matrix_per_term(p, t))
+            assert np.array_equal(a_of_t(t), matrix_per_term(p, t))
 
     @pytest.mark.parametrize("kind", [1, 2, 3])
     @pytest.mark.parametrize("seed", [3, 41])
@@ -264,7 +282,7 @@ class TestCompiledMatrix:
         p = builtin("const3")
         a_of_t = p.compile_matrix()
         p.entries[(1, 1)] = [Term(5.0)]
-        assert a_of_t(0.5)[1, 1] == 0 and p.eval_matrix(0.5)[1, 1] == 5.0
+        assert a_of_t(0.5)[1, 1] == 0 and p.compile_matrix()(0.5)[1, 1] == 5.0
 
 
 class TestProblemJson:
@@ -276,11 +294,13 @@ class TestProblemJson:
         assert q.entries.keys() == p.entries.keys()
         t = np.linspace(p.a, p.b, 5)
         for key in p.entries:
-            assert np.allclose(q.eval_entry(*key, t), p.eval_entry(*key, t), rtol=0, atol=0)
+            assert np.allclose(entry_per_term(q, *key, t), entry_per_term(p, *key, t),
+                               rtol=0, atol=0)
 
     def test_complex_round_trip(self):
         p = nmr_generate(3, seed=11)
         q = problem_from_json(problem_to_json(p))
         t = np.linspace(p.a, p.b, 3)
         for key in p.entries:
-            assert np.allclose(q.eval_entry(*key, t), p.eval_entry(*key, t), rtol=0, atol=0)
+            assert np.allclose(entry_per_term(q, *key, t), entry_per_term(p, *key, t),
+                               rtol=0, atol=0)

@@ -10,7 +10,10 @@ Three subcommands:
                  pairs; writes the rank/compression table.
 
 Outputs are deterministic: identical configuration and seed give
-byte-identical files.  Exit codes: 0 success, 2 shape/config error, 3 lucky
+byte-identical files.  JSON outputs hold no NaN or Infinity: the report's
+``breakdown_cond`` is ``null`` when beta is exactly singular (an infinite
+condition number), and the slope is ``null`` when fewer than two points have
+a positive ``err_sol``.  Exit codes: 0 success, 2 shape/config error, 3 lucky
 breakdown, 4 serious breakdown, 5 singular resolvent, 6 I/O error, 7 guarded
 workload without --allow-large.
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import diagnostics as diag
@@ -109,7 +113,8 @@ def _pipeline_once(problem, m, n, args):
                                     "status": status.kind,
                                     "breakdown_k": status.k,
                                     "breakdown_side": status.side,
-                                    "breakdown_cond": status.cond,
+                                    "breakdown_cond": (status.cond if status.cond is None
+                                                       or math.isfinite(status.cond) else None),
                                     "reference": args.reference})
     return report, solution
 
@@ -122,8 +127,9 @@ def cmd_run(args) -> int:
     _check_budget(args.M[0], problem.n, args.n, args.allow_large)
     report, solution = _pipeline_once(problem, args.M[0], args.n, args)
     base = args.output
+    text = diag.report_to_json(report)
     with open(base + "_report.json", "w") as fh:
-        fh.write(diag.report_to_json(report) + "\n")
+        fh.write(text + "\n")
     if solution is not None and args.format == "csv":
         with open(base + "_solution.csv", "w") as fh:
             fh.write(solution_to_csv(solution))
@@ -131,8 +137,9 @@ def cmd_run(args) -> int:
         doc = {"tau": list(solution.mesh.tau),
                "re_s": list(solution.values.real),
                "im_s": list(solution.values.imag)}
+        text = json.dumps(doc, indent=2, allow_nan=False)
         with open(base + "_solution.json", "w") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(text + "\n")
     return _STATUS_EXIT[report.meta["status"]]
 
 
@@ -149,11 +156,14 @@ def cmd_convergence(args) -> int:
         worst_exit = max(worst_exit, _STATUS_EXIT[report.meta["status"]])
         if report.err_sol is not None:
             points.append((m, report.err_sol))
-    slope = diag.convergence_slope(points) if len(points) >= 2 else None
+    # log-log fit: an exact point (err_sol == 0) has no logarithm
+    fit = [(m, err) for m, err in points if err > 0]
+    slope = diag.convergence_slope(fit) if len(fit) >= 2 else None
+    text = json.dumps({"slope": slope, "points": points}, indent=2, allow_nan=False)
     with open(args.output + "_convergence.csv", "w") as fh:
         fh.write("\n".join(rows) + "\n")
     with open(args.output + "_slope.json", "w") as fh:
-        fh.write(json.dumps({"slope": slope, "points": points}, indent=2) + "\n")
+        fh.write(text + "\n")
     if slope is not None:
         print(f"convergence slope: {slope:.4f}")
     return worst_exit

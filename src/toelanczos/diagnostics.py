@@ -224,6 +224,7 @@ def report_csv_row(report: ErrorReport) -> str:
 
 
 def report_to_json(report: ErrorReport) -> str:
+    """JSON text of a report; a NaN or infinite value raises ``ValueError``."""
     doc = {
         "err_o": report.err_o,
         "err_v": report.err_v,
@@ -232,4 +233,4 @@ def report_to_json(report: ErrorReport) -> str:
         "err_sol": report.err_sol,
         "meta": {k: v for k, v in report.meta.items()},
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)

@@ -15,6 +15,8 @@ times the discrete Heaviside matrix, and the operator is stored as those
 The samples come from the problem's compiled ``A(t)``
 (:meth:`~toelanczos.problems.Problem.compile_matrix`), the same evaluator
 the RK45 reference integrates, so the term language has one implementation.
+The operator carries no per-slice flags: which profiles are zero is derived
+from the samples.
 
 The scheme is the rectangle quadrature rule, accurate to O(h) = O(1/M).
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import BlockStructure, ProfileTensor
+from .tensor_core import ProfileTensor
 
 __all__ = ["Mesh", "build_mesh", "discretize_problem", "theta_matrix", "DiscretizationError"]
 
@@ -72,23 +74,18 @@ def discretize_problem(problem, mesh: Mesh) -> ProfileTensor:
 
     Profile (k, l) is ``h * A_kl(tau_i)`` (entry i takes the sample at
     tau_i), with ``A(tau_i)`` from the problem's compiled evaluator
-    (:meth:`~toelanczos.problems.Problem.compile_matrix`), flagged
-    lower-triangular; entries with no terms sample to exact zeros and are
-    flagged ZERO.  Zero detection is structural (term lists), never
-    numerical.
+    (:meth:`~toelanczos.problems.Problem.compile_matrix`); entries with no
+    terms sample to exact zeros.  A non-finite sample raises
+    :class:`DiscretizationError` naming the first such entry (in row-major
+    order) and its ``tau``.
     """
     a_of_t = problem.compile_matrix()
     samples = np.stack([a_of_t(t) for t in mesh.tau], axis=-1)
-    flags = np.full((problem.n, problem.n), BlockStructure.ZERO, dtype=np.uint8)
-    for (k, l), terms in problem.entries.items():
-        if not terms:
-            continue
-        bad = ~np.isfinite(samples[k, l])
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise DiscretizationError(
-                f"entry ({k}, {l}) of problem {problem.id!r} is not finite "
-                f"at tau[{i}] = {mesh.tau[i]}"
-            )
-        flags[k, l] = BlockStructure.LOWER_TRIANGULAR
-    return ProfileTensor(samples * mesh.h, flags)
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
+        k, l, i = bad[0]
+        raise DiscretizationError(
+            f"entry ({k}, {l}) of problem {problem.id!r} is not finite "
+            f"at tau[{i}] = {mesh.tau[i]}"
+        )
+    return ProfileTensor(samples * mesh.h)

@@ -358,25 +358,29 @@ def analytic_const3(mesh: Mesh) -> Reference:
     return Reference("analytic", vals)
 
 
-def analytic_nmr1(mesh: Mesh, coeffs: NmrCoefficients) -> Reference:
-    """Exact ``w^H U(t) v`` for the diagonal (kind 1) experiment.
+def analytic_nmr1(problem: Problem, mesh: Mesh) -> Reference:
+    """Exact ``w^H U(t) v`` for a generated diagonal (kind 1) experiment.
 
     ``A(t)`` is diagonal and commutes with itself, so each level evolves by
     the exponential of the antiderivative:
 
         u_k(t) = exp(-2 pi i [alpha_k t + beta_k sin(2 pi nu t)/(2 pi nu)
                               + gamma_k sin(4 pi nu t)/(4 pi nu)])
+
+    The coefficients come from the problem's ``meta`` and the probes are
+    the problem's own ``v`` and ``w``.  Any other problem raises
+    ``ValueError``.
     """
-    if coeffs.kind != 1:
-        raise ValueError("analytic solution is available for kind 1 only")
+    if problem.meta.get("kind") != 1:
+        raise ValueError("analytic solution is available for a generated kind-1 problem only")
+    coeffs = problem.meta["coefficients"]
     t = mesh.tau[None, :]
     w2 = 2 * np.pi * coeffs.nu
     phase = (coeffs.alpha[:, None] * t
              + coeffs.beta[:, None] * np.sin(w2 * t) / w2
              + coeffs.gamma[:, None] * np.sin(2 * w2 * t) / (2 * w2))
     diag = np.exp(-2j * np.pi * phase)
-    vec = _nmr_vectors(1).astype(complex)
-    vals = (np.conj(vec)[:, None] * diag * vec[:, None]).sum(axis=0)
+    vals = (np.conj(problem.w)[:, None] * diag * problem.v[:, None]).sum(axis=0)
     return Reference("analytic", vals)
 
 
@@ -401,7 +405,7 @@ def analytic_reference(problem: Problem, mesh: Mesh) -> Reference:
     if _same_content(problem, _const3()):
         return analytic_const3(mesh)
     if problem.meta.get("kind") == 1:
-        return analytic_nmr1(mesh, problem.meta["coefficients"])
+        return analytic_nmr1(problem, mesh)
     raise ValueError(f"no analytic reference for problem {problem.id!r}")
 
 
@@ -456,7 +460,7 @@ def problem_to_json(problem: Problem) -> str:
             for (k, l), terms in sorted(problem.entries.items())
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def problem_from_json(text: str) -> Problem:

@@ -14,7 +14,8 @@ truncated series evaluation of the resolvent.
 
 Every inversion is a row-pivoted LU solve; a condition estimate is recorded
 per level and a :class:`ResolventSingularError` carries the depth at which an
-unusable level appeared.
+unusable level appeared: one whose estimate is infinite or exceeds
+``1/eps``.
 
 The solution approximation on a mesh with step ``h`` is
 
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 
+_COND_LIMIT = 1.0 / np.finfo(float).eps
+
+
 class ResolventSingularError(RuntimeError):
     """A continued-fraction level was singular or numerically unusable."""
 
@@ -66,15 +70,14 @@ class SolutionVec:
         self.values = np.asarray(self.values, dtype=complex).ravel()
 
 
-def _cond_estimate_1norm(mat: np.ndarray, lu, piv) -> float:
+def _cond_estimate_1norm(mat: np.ndarray, lu) -> float:
     gecon = get_lapack_funcs("gecon", (mat,))
     anorm = np.linalg.norm(mat, 1)
     rcond, _ = gecon(lu, anorm, norm="1")
     return np.inf if rcond == 0 else 1.0 / float(rcond)
 
 
-def star_resolvent_11(tri: TriTensor, cond_limit: float | None = None,
-                      cond_log: list | None = None) -> np.ndarray:
+def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarray:
     """(1, 1) block of the ``*``-resolvent of ``T_n`` via the continued fraction.
 
     Parameters
@@ -82,24 +85,22 @@ def star_resolvent_11(tri: TriTensor, cond_limit: float | None = None,
     tri : TriTensor
         Complete coefficient set (callers holding a breakdown prefix may
         evaluate the shorter fraction it defines).
-    cond_limit : float, optional
-        Raise :class:`ResolventSingularError` when a level's 1-norm condition
-        estimate exceeds this (default: 1/machine epsilon).
     cond_log : list, optional
         Appends one condition estimate per level, outermost last.
+
+    Raises :class:`ResolventSingularError` when a level's 1-norm condition
+    estimate is infinite or exceeds ``1/eps``.
     """
-    if cond_limit is None:
-        cond_limit = 1.0 / np.finfo(float).eps
     m = tri.m
     eye = np.eye(m, dtype=complex)
     level = tri.n
     s = eye - tri.alphas[level - 1]
     while True:
         lu, piv = lu_factor(s)
-        cond = _cond_estimate_1norm(s, lu, piv)
+        cond = _cond_estimate_1norm(s, lu)
         if cond_log is not None:
             cond_log.append(cond)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise ResolventSingularError(level, cond)
         if level == 1:
             return lu_solve((lu, piv), eye)
@@ -108,10 +109,9 @@ def star_resolvent_11(tri: TriTensor, cond_limit: float | None = None,
         s = (eye - tri.alphas[level - 1]) - inner_beta
 
 
-def approx_solution(tri: TriTensor, mesh: Mesh, normalization: complex = 1.0,
-                    cond_limit: float | None = None) -> SolutionVec:
+def approx_solution(tri: TriTensor, mesh: Mesh, normalization: complex = 1.0) -> SolutionVec:
     """Assemble ``s_n`` from the resolvent block on the given mesh."""
-    r11 = star_resolvent_11(tri, cond_limit=cond_limit)
+    r11 = star_resolvent_11(tri)
     theta = theta_matrix(mesh)
     values = normalization * (theta @ r11[:, 0]) / mesh.h
     return SolutionVec(mesh, values, tri.n, complex(normalization))

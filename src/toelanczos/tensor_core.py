@@ -9,15 +9,21 @@ The discretized operator is a :class:`ProfileTensor`: each slice is
 ``diag(d) @ tril(1)``, so it stores only the ``(n1, n2, m)`` profiles ``d``,
 and :func:`star_mul_tv` / :func:`star_mul_vt` apply it with a cumulative sum
 and a diagonal scaling, ``O(n1 n2 m^2)`` in place of the ``O(n1 n2 m^3)``
-slice products.  They accept no other operator type.  :class:`Tensor4` stores
-every entry; it holds the stacked Lanczos bases for :func:`star_mul_tt` (the
-biorthogonality measure) and the dense operator that the tensor-train
-decomposition reads (:meth:`ProfileTensor.to_tensor4`).  The dense-only
-operations raise ``TypeError`` on a :class:`ProfileTensor`.
+slice products: mesh row ``j`` of ``A * V`` is the ``n1 x n2`` matrix of
+profile values at ``j`` applied to row ``j`` of the running sum of ``V``,
+and all ``m`` rows go through one batched product.  They accept no other
+operator type.  :class:`Tensor4` stores every entry; it holds the stacked
+Lanczos bases for :func:`star_mul_tt` (the biorthogonality measure) and the
+dense operator that the tensor-train decomposition reads
+(:meth:`ProfileTensor.to_tensor4`).  The dense-only operations raise
+``TypeError`` on a :class:`ProfileTensor`.
 
-All contractions accumulate over the outer index in ascending order; together
-with the slice-local products this fixes the floating-point result, so
-repeated runs are bit-identical.
+:func:`star_mul_tv` and :func:`star_mul_vt` are one ``np.matmul`` call each,
+and :func:`star_mul_tt` and :func:`star_inner` accumulate one slice product
+per outer index in ascending order, on operands of fixed shape and layout;
+this fixes the floating-point result, so repeated runs are bit-identical.
+No product skips a slice: the structure flags are derived from the data and
+read only by the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -54,9 +60,8 @@ class OrientationError(ValueError):
 
 
 class BlockStructure(IntEnum):
-    """Per-slice structure metadata for a :class:`Tensor4`."""
+    """Per-slice structure codes of a :class:`ProfileTensor`, derived from its samples."""
 
-    DENSE = 0
     LOWER_TRIANGULAR = 1
     ZERO = 2
 
@@ -69,22 +74,19 @@ class Tensor4:
     ----------
     data : ndarray
         Complex entries indexed ``(i1, i2, j1, j2)``.
-    block_structure : ndarray of BlockStructure codes, optional
-        Shape ``(n1, n2)``.  ``ZERO`` promises that the whole slice is zero,
-        and :func:`star_mul_tt` skips it; the other codes are informational.
     """
 
     data: np.ndarray
-    block_structure: np.ndarray | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
         if self.data.ndim != 4 or self.data.shape[2] != self.data.shape[3]:
             raise ShapeError(f"expected (n1, n2, m, m) data, got {self.data.shape}")
-        if self.block_structure is not None:
-            self.block_structure = np.asarray(self.block_structure, dtype=np.uint8)
-            if self.block_structure.shape != self.data.shape[:2]:
-                raise ShapeError("block_structure must have shape (n1, n2)")
+
+    @property
+    def block_structure(self) -> None:
+        """Always ``None`` (every slice counts as live); kept for the tracer."""
+        return None
 
     @property
     def n1(self) -> int:
@@ -108,21 +110,28 @@ class ProfileTensor:
     data : ndarray
         Complex profiles of shape ``(n1, n2, m)``; row ``j`` of slice
         ``(i1, i2)`` holds ``data[i1, i2, j]`` on and left of the diagonal.
-    block_structure : ndarray of BlockStructure codes
-        Shape ``(n1, n2)``: ``ZERO`` for slices that are structurally empty
-        (the products skip them), ``LOWER_TRIANGULAR`` for the others.
+
+    The products multiply every slice; which ones are zero is derived from
+    the samples when asked, never stored.
     """
 
     data: np.ndarray
-    block_structure: np.ndarray
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
         if self.data.ndim != 3:
             raise ShapeError(f"expected (n1, n2, m) profiles, got {self.data.shape}")
-        self.block_structure = np.asarray(self.block_structure, dtype=np.uint8)
-        if self.block_structure.shape != self.data.shape[:2]:
-            raise ShapeError("block_structure must have shape (n1, n2)")
+
+    @property
+    def block_structure(self) -> np.ndarray:
+        """Per-slice codes of shape ``(n1, n2)``, derived from the samples.
+
+        ``ZERO`` where a profile is all zero, ``LOWER_TRIANGULAR`` elsewhere.
+        No product reads them; the benchmark's tracer counts live slices.
+        """
+        empty = ~self.data.any(axis=2)
+        return np.where(empty, BlockStructure.ZERO,
+                        BlockStructure.LOWER_TRIANGULAR).astype(np.uint8)
 
     @property
     def n1(self) -> int:
@@ -137,9 +146,9 @@ class ProfileTensor:
         return self.data.shape[2]
 
     def to_tensor4(self) -> Tensor4:
-        """The dense tensor with the same slices and structure flags."""
+        """The dense tensor with the same slices."""
         mask = np.tril(np.ones((self.m, self.m)))
-        return Tensor4(self.data[..., :, None] * mask, self.block_structure.copy())
+        return Tensor4(self.data[..., :, None] * mask)
 
 
 @dataclass
@@ -169,13 +178,6 @@ class HyperVec:
         return self.data.shape[1]
 
 
-def _live(a: Tensor4 | ProfileTensor) -> np.ndarray:
-    """Mask of the slices a product multiplies: those not flagged ZERO."""
-    if a.block_structure is None:
-        return np.ones((a.n1, a.n2), dtype=bool)
-    return a.block_structure != BlockStructure.ZERO
-
-
 def _require_profile(a) -> None:
     if not isinstance(a, ProfileTensor):
         raise TypeError(f"expected a ProfileTensor operator, got {type(a).__name__}")
@@ -192,23 +194,17 @@ def require_dense(*tensors) -> None:
 def star_mul_tt(a: Tensor4, b: Tensor4) -> Tensor4:
     """Tensor-tensor ``*`` product: blockwise matrix-matrix multiplication.
 
-    ``out[i1, i2] = sum_k a[i1, k] @ b[k, i2]`` with k ascending, skipping
-    the pairs where either slice is flagged ``ZERO``.  The result carries no
-    structure flags.
+    ``out[i1, i2] = sum_k a[i1, k] @ b[k, i2]`` with k ascending, every
+    slice pair multiplied.
     """
     require_dense(a, b)
     if a.n2 != b.n1 or a.m != b.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {b.data.shape}")
-    live_a, live_b = _live(a), _live(b)
     out = np.zeros((a.n1, b.n2, a.m, a.m), dtype=complex)
     for i1 in range(a.n1):
         for i2 in range(b.n2):
-            acc = None
-            for k in np.nonzero(live_a[i1] & live_b[:, i2])[0]:
-                term = a.data[i1, k] @ b.data[k, i2]
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                out[i1, i2] = acc
+            for k in range(a.n2):
+                out[i1, i2] += a.data[i1, k] @ b.data[k, i2]
     return Tensor4(out)
 
 
@@ -216,38 +212,38 @@ def star_mul_tv(a: ProfileTensor, v: HyperVec) -> HyperVec:
     """Tensor-hypervector product ``(A * V)[i1] = sum_k a[i1, k] @ v[k]``.
 
     ``a[i1, k] @ v[k]`` is ``data[i1, k]`` scaling the rows of the row-wise
-    cumulative sum of ``v[k]``, formed once per ``k``; ZERO slices are
-    skipped.  Any operator other than a :class:`ProfileTensor` raises
-    ``TypeError``.
+    cumulative sum of ``v[k]``, so mesh row ``j`` of the result is
+    ``data[:, :, j] @ cumsum(v)[:, j]``: one batched product over the rows,
+    written straight into the output.  Any operator other than a
+    :class:`ProfileTensor` raises ``TypeError``.
     """
     _require_profile(a)
     if v.orientation != "right":
         raise OrientationError("tensor-hypervector product needs a right-oriented operand")
     if a.n2 != v.n or a.m != v.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
-    out = np.zeros((a.n1, a.m, a.m), dtype=complex)
+    out = np.empty((a.n1, a.m, a.m), dtype=complex)
     csum = np.cumsum(v.data, axis=1)
-    for i1, k in zip(*np.nonzero(_live(a))):
-        out[i1] += a.data[i1, k][:, None] * csum[k]
+    np.matmul(a.data.transpose(2, 0, 1), csum.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
     return HyperVec(out, "right")
 
 
 def star_mul_vt(w: HyperVec, a: ProfileTensor) -> HyperVec:
     """Dual-hypervector-tensor product ``(W^D * A)[i2] = sum_k w[k] @ a[k, i2]``.
 
-    The profiles ``data[k, i2]`` scale the columns of ``w[k]``; the sum over
-    ``k`` then takes one reverse cumulative sum along the columns.  Any
-    operator other than a :class:`ProfileTensor` raises ``TypeError``.
+    The profiles ``data[k, i2]`` scale the columns of ``w[k]``, so mesh
+    column ``j`` of the sum over ``k`` is ``data[:, :, j].T @ w[:, :, j]``:
+    one batched product over the columns, written into the output, which
+    then takes one reverse cumulative sum along the columns.  Any operator
+    other than a :class:`ProfileTensor` raises ``TypeError``.
     """
     _require_profile(a)
     if w.orientation != "dual":
         raise OrientationError("hypervector-tensor product needs a dual-oriented operand")
     if w.n != a.n1 or w.m != a.m:
         raise ShapeError(f"cannot *-multiply {w.data.shape} with {a.data.shape}")
-    out = np.zeros((a.n2, a.m, a.m), dtype=complex)
-    # transposed mask: nonzero() then walks i2 outer, k ascending inner
-    for i2, k in zip(*np.nonzero(_live(a).T)):
-        out[i2] += w.data[k] * a.data[k, i2][None, :]
+    out = np.empty((a.n2, a.m, a.m), dtype=complex)
+    np.matmul(a.data.transpose(2, 1, 0), w.data.transpose(2, 0, 1), out=out.transpose(2, 0, 1))
     np.cumsum(out[..., ::-1], axis=2, out=out[..., ::-1])
     return HyperVec(out, "dual")
 

@@ -9,10 +9,10 @@ rank whose discarded tail satisfies ``sum sigma_j^2 <= delta^2`` with
 ``delta = tol * |A|_F / sqrt(3)``, which bounds the total relative
 reconstruction error by ``tol``.
 
-For unfoldings whose short side is at most 64 the singular pairs come from
-the Gram matrix (an eigendecomposition of ``X X^H``); this touches the large
-side only through matrix products, which matters because the last two modes
-can be mesh-sized.  Larger unfoldings use a direct SVD.
+Every unfolding goes through a direct (thin) SVD.  A Gram-matrix
+eigendecomposition would be faster on short, wide unfoldings, but squaring
+the singular values loses those below about ``1e-7 * sigma_1``, and with
+them the tolerance promise.
 
 The compression factor of a decomposition against its source tensor is
 ``(sum_k r_{k-1} n_k r_k) / nnz(A)`` with nnz counting exact nonzeros.
@@ -35,9 +35,6 @@ __all__ = [
     "RANK_CSV_COLUMNS",
 ]
 
-_GRAM_MAX_SHORT = 64
-
-
 @dataclass
 class TTTensor:
     """Tensor-train cores and ranks for a 4-mode tensor."""
@@ -58,20 +55,6 @@ class TTTensor:
 
 def _truncated_svd(mat: np.ndarray, delta_sq: float):
     """Return (U_r, SVh_r) keeping the smallest rank with tail <= delta_sq."""
-    p, q = mat.shape
-    if min(p, q) <= _GRAM_MAX_SHORT and p <= q:
-        gram = mat @ mat.conj().T
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        evals = np.clip(evals[order], 0.0, None)
-        # squaring floors resolvable values at ~eps * lambda_max; below that
-        # an eigenvalue is rounding noise, not a singular direction
-        if evals.size and evals[0] > 0:
-            evals[evals < _GRAM_MAX_SHORT * np.finfo(float).eps * evals[0]] = 0.0
-        rank = _rank_from_tail(evals, delta_sq)
-        u = evecs[:, order[:rank]]
-        rest = u.conj().T @ mat
-        return u, rest
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = _rank_from_tail(s**2, delta_sq)
     return u[:, :rank], s[:rank, None] * vh[:rank]

@@ -11,7 +11,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from toelanczos import (
-    BlockStructure,
     HyperVec,
     OrientationError,
     ShapeError,
@@ -52,11 +51,9 @@ def from_block_matrix(mat: np.ndarray, n1: int, n2: int, m: int) -> Tensor4:
 def star_identity(n: int, m: int) -> Tensor4:
     """Identity for the ``*`` products: ``I_m`` on the outer diagonal, zero off it."""
     data = np.zeros((n, n, m, m), dtype=complex)
-    flags = np.full((n, n), BlockStructure.ZERO, dtype=np.uint8)
     for i in range(n):
         data[i, i] = np.eye(m)
-        flags[i, i] = BlockStructure.LOWER_TRIANGULAR
-    return Tensor4(data, flags)
+    return Tensor4(data)
 
 
 def star_pow(a: Tensor4, k: int) -> Tensor4:
@@ -71,47 +68,31 @@ def star_pow(a: Tensor4, k: int) -> Tensor4:
     return out
 
 
-def _live(a: Tensor4) -> np.ndarray:
-    if a.block_structure is None:
-        return np.ones((a.n1, a.n2), dtype=bool)
-    return a.block_structure != BlockStructure.ZERO
-
-
 def dense_mul_tv(a: Tensor4, v: HyperVec) -> HyperVec:
-    """``(A * V)[i1] = sum_k a[i1, k] @ v[k]``, k ascending, ZERO slices skipped."""
+    """``(A * V)[i1] = sum_k a[i1, k] @ v[k]``, k ascending, one slice product each."""
     require_dense(a)
     if v.orientation != "right":
         raise OrientationError("tensor-hypervector product needs a right-oriented operand")
     if a.n2 != v.n or a.m != v.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
-    live = _live(a)
     out = np.zeros((a.n1, a.m, a.m), dtype=complex)
     for i1 in range(a.n1):
-        acc = None
-        for k in np.nonzero(live[i1])[0]:
-            term = a.data[i1, k] @ v.data[k]
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out[i1] = acc
+        for k in range(a.n2):
+            out[i1] += a.data[i1, k] @ v.data[k]
     return HyperVec(out, "right")
 
 
 def dense_mul_vt(w: HyperVec, a: Tensor4) -> HyperVec:
-    """``(W^D * A)[i2] = sum_k w[k] @ a[k, i2]``, k ascending, ZERO slices skipped."""
+    """``(W^D * A)[i2] = sum_k w[k] @ a[k, i2]``, k ascending, one slice product each."""
     require_dense(a)
     if w.orientation != "dual":
         raise OrientationError("hypervector-tensor product needs a dual-oriented operand")
     if w.n != a.n1 or w.m != a.m:
         raise ShapeError(f"cannot *-multiply {w.data.shape} with {a.data.shape}")
-    live = _live(a)
     out = np.zeros((a.n2, a.m, a.m), dtype=complex)
     for i2 in range(a.n2):
-        acc = None
-        for k in np.nonzero(live[:, i2])[0]:
-            term = w.data[k] @ a.data[k, i2]
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out[i2] = acc
+        for k in range(a.n1):
+            out[i2] += w.data[k] @ a.data[k, i2]
     return HyperVec(out, "dual")
 
 
@@ -149,20 +130,16 @@ def assemble_tridiag(tri) -> Tensor4:
     """Materialize the block-tridiagonal tensor ``T_n`` of the coefficients.
 
     Slice (k, k) holds alpha_{k+1} (0-based k), slice (k, k+1) the identity
-    and slice (k+1, k) beta_{k+2}; every other slice is zero and flagged
-    ZERO, so products skip it.
+    and slice (k+1, k) beta_{k+2}; every other slice is zero.
     """
     n, m = tri.n, tri.m
     data = np.zeros((n, n, m, m), dtype=complex)
-    flags = np.full((n, n), BlockStructure.ZERO, dtype=np.uint8)
     for k in range(n):
         data[k, k] = tri.alphas[k]
-        flags[k, k] = BlockStructure.DENSE
         if k + 1 < n:
             data[k, k + 1] = np.eye(m)
             data[k + 1, k] = tri.betas[k]
-            flags[k, k + 1] = flags[k + 1, k] = BlockStructure.DENSE
-    return Tensor4(data, flags)
+    return Tensor4(data)
 
 
 def v_basis_tensor(result) -> Tensor4:

@@ -38,7 +38,7 @@ def pipeline_err_sol(problem, m, n, reference="analytic"):
     if reference == "analytic":
         ref = tl.analytic_const3(mesh).values
     elif reference == "analytic_nmr1":
-        ref = tl.analytic_nmr1(mesh, problem.meta["coefficients"]).values
+        ref = tl.analytic_nmr1(problem, mesh).values
     else:
         ref = tl.rk45_reference(problem, mesh, rtol=1e-10, atol=1e-13).values
     return tl.err_solution(ref, sol.values)
@@ -164,8 +164,7 @@ class TestCriterion05AlgebraChecks:
 
         def rand_profile(n1, n2, m):
             return tl.ProfileTensor(rng.standard_normal((n1, n2, m))
-                                    + 1j * rng.standard_normal((n1, n2, m)),
-                                    np.full((n1, n2), tl.BlockStructure.LOWER_TRIANGULAR))
+                                    + 1j * rng.standard_normal((n1, n2, m)))
 
         def rand_hv(n, m, orient="right"):
             return tl.HyperVec(rng.standard_normal((n, m, m))
@@ -232,7 +231,7 @@ class TestCriterion07NmrExperiments:
     def test_analytic_oracle_agrees_with_rk45(self):
         p = tl.builtin("nmr1")
         mesh = tl.build_mesh(p.a, p.b, 50)
-        ana = tl.analytic_nmr1(mesh, p.meta["coefficients"]).values
+        ana = tl.analytic_nmr1(p, mesh).values
         ode = tl.rk45_reference(p, mesh, rtol=1e-10, atol=1e-13).values
         gap = float(np.linalg.norm(ana - ode) / np.linalg.norm(ana))
         report("criterion 7 (experiment-1 oracle vs RK45)", gap < 1e-7,

@@ -18,6 +18,27 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def strict_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity extensions."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+# a 3x3 problem whose second Lanczos beta is exactly singular
+SERIOUS3 = {
+    "id": "serious3", "n": 3, "interval": [0.0, 1.0],
+    "v": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+    "w": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+    "entries": [
+        {"k": 1, "l": 2, "terms": [{"re": 1.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]},
+        {"k": 1, "l": 3, "terms": [{"re": 1.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]},
+        {"k": 2, "l": 1, "terms": [{"re": 1.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]},
+        {"k": 3, "l": 1, "terms": [{"re": -1.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]},
+    ],
+}
+
+
 class TestRun:
     def test_const3_against_analytic(self, tmp_path):
         out = tmp_path / "c3"
@@ -62,25 +83,25 @@ class TestRun:
         assert code == EXIT_SHAPE
 
     def test_serious_breakdown_exit_code(self, tmp_path):
-        doc = {
-            "id": "serious3", "n": 3, "interval": [0.0, 1.0],
-            "v": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
-            "w": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
-            "entries": [
-                {"k": 1, "l": 2, "terms": [{"re": 1.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]},
-                {"k": 1, "l": 3, "terms": [{"re": 1.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]},
-                {"k": 2, "l": 1, "terms": [{"re": 1.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]},
-                {"k": 3, "l": 1, "terms": [{"re": -1.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]},
-            ],
-        }
         path = tmp_path / "serious.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(SERIOUS3))
         out = tmp_path / "s"
         code = run_cli("run", "--problem-file", str(path), "--M", "8", "--n", "3",
                        "--output", str(out))
         assert code == EXIT_SERIOUS
         report = json.loads((tmp_path / "s_report.json").read_text())
         assert report["meta"]["status"] == "serious_breakdown"
+
+    def test_singular_beta_cond_is_null(self, tmp_path):
+        # an exactly singular beta has an infinite condition number: null, not Infinity
+        path = tmp_path / "serious.json"
+        path.write_text(json.dumps(SERIOUS3))
+        code = run_cli("run", "--problem-file", str(path), "--M", "8", "--n", "3",
+                       "--output", str(tmp_path / "s"))
+        assert code == EXIT_SERIOUS
+        report = strict_json(tmp_path / "s_report.json")
+        assert report["meta"]["status"] == "serious_breakdown"
+        assert report["meta"]["breakdown_cond"] is None
 
     def test_unknown_trig_kind_is_shape_error(self, tmp_path, capsys):
         doc = json.loads(problem_to_json(builtin("zero1")))
@@ -220,6 +241,15 @@ class TestConvergence:
         rows = (tmp_path / "conv_convergence.csv").read_text().strip().split("\n")
         assert rows[0].startswith("problem,M,n,")
         assert len(rows) == 4
+
+    def test_exact_points_give_null_slope(self, tmp_path):
+        # A = 0 is solved exactly (err_sol == 0), so no point has a logarithm
+        code = run_cli("convergence", "--problem", "zero1", "--M", "10,20", "--n", "1",
+                       "--reference", "analytic", "--output", str(tmp_path / "z"))
+        assert code == EXIT_OK
+        doc = strict_json(tmp_path / "z_slope.json")
+        assert doc["slope"] is None
+        assert [err for _, err in doc["points"]] == [0.0, 0.0]
 
     def test_empty_m_list_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

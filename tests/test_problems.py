@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,23 +152,32 @@ class TestNmrGenerators:
 class TestAnalyticNmr1:
     def test_matches_rk45_with_modulation_off(self):
         p = nmr_generate(1, seed=3, mod_scale=0.0)
-        coeffs = p.meta["coefficients"]
         mesh = build_mesh(p.a, p.b, 40)
-        ref = analytic_nmr1(mesh, coeffs)
+        ref = analytic_nmr1(p, mesh)
         ode = rk45_reference(p, mesh, rtol=1e-10, atol=1e-13)
         assert np.linalg.norm(ref.values - ode.values) / np.linalg.norm(ref.values) < 1e-8
 
     def test_matches_rk45_default(self):
         p = builtin("nmr1")
         mesh = build_mesh(p.a, p.b, 50)
-        ref = analytic_nmr1(mesh, p.meta["coefficients"])
+        ref = analytic_nmr1(p, mesh)
+        ode = rk45_reference(p, mesh, rtol=1e-10, atol=1e-13)
+        assert np.linalg.norm(ref.values - ode.values) / np.linalg.norm(ref.values) < 1e-7
+
+    def test_uses_the_problems_probes(self):
+        # replaced probes: the closed form must follow them, as RK45 does
+        p = dataclasses.replace(nmr_generate(1, seed=5), v=np.ones(16), w=np.ones(16))
+        mesh = build_mesh(p.a, p.b, 40)
+        ref = analytic_nmr1(p, mesh)
         ode = rk45_reference(p, mesh, rtol=1e-10, atol=1e-13)
         assert np.linalg.norm(ref.values - ode.values) / np.linalg.norm(ref.values) < 1e-7
 
     def test_kind_guard(self):
         mesh = build_mesh(0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            analytic_nmr1(mesh, nmr_coefficients(2))
+            analytic_nmr1(nmr_generate(2), mesh)
+        with pytest.raises(ValueError):
+            analytic_nmr1(problem_from_json(problem_to_json(builtin("nmr1"))), mesh)
 
 
 class TestRk45Reference:

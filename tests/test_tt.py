@@ -63,6 +63,17 @@ class TestTTSvd:
         assert all(r1 <= r2 for r1, r2 in zip(t.ranks, ranks))
         assert rel_recon_err(a, t) < 1e-11
 
+    def test_small_singular_values_kept(self):
+        # first unfolding (4 x 75) with singular values 1, 0.5, 0.1, 1e-7:
+        # the 1e-7 direction is far above tol = 1e-10 and must be kept
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        vh, _ = np.linalg.qr(rng.standard_normal((75, 4)))
+        a = Tensor4((u * [1.0, 0.5, 0.1, 1e-7] @ vh.T).reshape(4, 3, 5, 5) + 0j)
+        t = tt_svd(a, 1e-10)
+        assert t.ranks[1] == 4
+        assert rel_recon_err(a, t) <= 1e-10
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             tt_svd(Tensor4(np.zeros((1, 1, 2, 2))), 0.0)

@@ -15,7 +15,7 @@ from .diagnostics import (
     err_recurrences,
     err_solution,
 )
-from .discretize import Mesh, build_mesh, discretize_problem, theta_matrix
+from .discretize import Mesh, build_mesh, discretize_problem
 from .lanczos import (
     LanczosResult,
     LanczosStatus,

@@ -184,6 +184,13 @@ def cmd_ttranks(args) -> int:
     return EXIT_OK
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _comma_list(text: str, kind) -> list:
     values = [kind(x) for x in text.split(",") if x]
     if not values:
@@ -195,8 +202,8 @@ def _comma_ints(text: str) -> list[int]:
     return _comma_list(text, int)
 
 
-def _comma_floats(text: str) -> list[float]:
-    return _comma_list(text, float)
+def _comma_positive_floats(text: str) -> list[float]:
+    return _comma_list(text, _positive_float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,10 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True, help="Lanczos iterations")
             p.add_argument("--reference", choices=["analytic", "rk45", "none"],
                            default="none")
-            p.add_argument("--rtol", type=float, default=1e-10)
-            p.add_argument("--atol", type=float, default=1e-12)
-            p.add_argument("--eps-lucky", type=float, default=1e-13, dest="eps_lucky")
-            p.add_argument("--eps-serious", type=float, default=1e13, dest="eps_serious")
+            p.add_argument("--rtol", type=_positive_float, default=1e-10)
+            p.add_argument("--atol", type=_positive_float, default=1e-12)
+            p.add_argument("--eps-lucky", type=_positive_float, default=1e-13,
+                           dest="eps_lucky")
+            p.add_argument("--eps-serious", type=_positive_float, default=1e13,
+                           dest="eps_serious")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for the generated problems nmr1/2/3; "
                             "the other problems ignore it")
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tt = sub.add_parser("ttranks", help="TT rank/compression table")
     common(p_tt, need_n=False)
-    p_tt.add_argument("--tol-tt", type=_comma_floats, default=[1e-5, 1e-10],
+    p_tt.add_argument("--tol-tt", type=_comma_positive_floats, default=[1e-5, 1e-10],
                       dest="tol_tt", help="comma list of TT tolerances")
     p_tt.set_defaults(func=cmd_ttranks)
     return parser

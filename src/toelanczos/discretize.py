@@ -1,4 +1,4 @@
-"""Equispaced mesh, rectangle-rule discretization, and the theta matrix.
+"""Equispaced mesh and rectangle-rule discretization.
 
 A matrix-valued function ``A(t)`` on ``[a, b]`` becomes a 4-mode operator
 whose (k, l) slice is the lower-triangular matrix ``nu`` with
@@ -16,7 +16,8 @@ The samples come from the problem's compiled ``A(t)``
 (:meth:`~toelanczos.problems.Problem.compile_matrix`), the same evaluator
 the RK45 reference integrates, so the term language has one implementation.
 The operator carries no per-slice flags: which profiles are zero is derived
-from the samples.
+from the samples.  The Heaviside matrix itself is never formed: applied to
+a vector, ``h * tril(1)`` is ``h`` times a cumulative sum.
 
 The scheme is the rectangle quadrature rule, accurate to O(h) = O(1/M).
 """
@@ -29,7 +30,7 @@ import numpy as np
 
 from .tensor_core import ProfileTensor
 
-__all__ = ["Mesh", "build_mesh", "discretize_problem", "theta_matrix", "DiscretizationError"]
+__all__ = ["Mesh", "build_mesh", "discretize_problem", "DiscretizationError"]
 
 
 class DiscretizationError(ValueError):
@@ -62,11 +63,6 @@ def build_mesh(a: float, b: float, m: int) -> Mesh:
     h = (b - a) / m
     tau = a + h * np.arange(1, m + 1)
     return Mesh(a=float(a), b=float(b), m=int(m), h=float(h), tau=tau)
-
-
-def theta_matrix(mesh: Mesh) -> np.ndarray:
-    """h times the lower-triangular all-ones M x M matrix (discrete Heaviside)."""
-    return mesh.h * np.tril(np.ones((mesh.m, mesh.m)))
 
 
 def discretize_problem(problem, mesh: Mesh) -> ProfileTensor:

@@ -26,7 +26,10 @@ The operator is the discretized
 triangular; lower-triangular matrices are closed under the sums, products
 and inverses above, so every basis slice, ``alpha_k`` and ``beta_k`` has an
 exactly zero strict upper triangle, and ``beta`` is inverted by one
-triangular solve per iteration.
+triangular solve per iteration.  The resolvent levels built from these
+coefficients are lower triangular too, and
+:func:`~toelanczos.resolvent.star_resolvent_11` inverts them with the same
+solve.
 
 Breakdowns: a vanishing residual hypervector is a *lucky* breakdown (an
 invariant subspace was found); a singular ``beta_{k+1}`` with nonvanishing
@@ -214,7 +217,8 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     n : int
         Requested iterations (n >= 1).
     eps_lucky, eps_serious : float
-        Breakdown thresholds, see :func:`classify_breakdown`.
+        Breakdown thresholds, see :func:`classify_breakdown`; NaN, which
+        would switch a check off, raises ``ValueError``.
 
     ``beta^{-1}`` is applied by one triangular solve on the stacked basis
     slices per iteration, never by forming an inverse; that needs the lower
@@ -227,6 +231,8 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
         raise ShapeError("input tensor must have square outer modes")
     if n < 1:
         raise ValueError("need at least one iteration")
+    if np.isnan(eps_lucky) or np.isnan(eps_serious):
+        raise ValueError("breakdown thresholds must not be NaN")
     v = np.asarray(v, dtype=complex).ravel()
     w = np.asarray(w, dtype=complex).ravel()
     if v.size != a.n1 or w.size != a.n1:

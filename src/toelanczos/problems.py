@@ -133,10 +133,7 @@ class Problem:
 class Reference:
     """Sampled true solution ``s_hat`` on a mesh."""
 
-    kind: str  # analytic | rk45
     values: np.ndarray
-    rtol: float | None = None
-    atol: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex).ravel()
@@ -355,7 +352,7 @@ def analytic_const3(mesh: Mesh) -> Reference:
     """
     t = mesh.tau
     vals = -0.5 * np.sinh(2 * t) + 0.5 * np.cosh(2 * t) + 0.5 * np.cosh(np.sqrt(2) * t)
-    return Reference("analytic", vals)
+    return Reference(vals)
 
 
 def analytic_nmr1(problem: Problem, mesh: Mesh) -> Reference:
@@ -381,7 +378,7 @@ def analytic_nmr1(problem: Problem, mesh: Mesh) -> Reference:
              + coeffs.gamma[:, None] * np.sin(2 * w2 * t) / (2 * w2))
     diag = np.exp(-2j * np.pi * phase)
     vals = (np.conj(problem.w)[:, None] * diag * problem.v[:, None]).sum(axis=0)
-    return Reference("analytic", vals)
+    return Reference(vals)
 
 
 def _same_content(p: Problem, q: Problem) -> bool:
@@ -401,7 +398,7 @@ def analytic_reference(problem: Problem, mesh: Mesh) -> Reference:
     no part.  Any other problem raises ``ValueError``.
     """
     if not any(problem.entries.values()):
-        return Reference("analytic", np.full(mesh.m, np.vdot(problem.w, problem.v)))
+        return Reference(np.full(mesh.m, np.vdot(problem.w, problem.v)))
     if _same_content(problem, _const3()):
         return analytic_const3(mesh)
     if problem.meta.get("kind") == 1:
@@ -419,8 +416,8 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
     The dense output is evaluated at every mesh point (no nearest-sample
     matching), and ``s_hat_i = w^H u(tau_i)``.
     """
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
+    if not (0 < rtol < np.inf and 0 < atol < np.inf):
+        raise ValueError(f"rtol and atol must be finite and positive, got {rtol}, {atol}")
     y0 = problem.v.astype(complex)
     a_of_t = problem.compile_matrix()
     sol = solve_ivp(lambda t, y: a_of_t(t) @ y,
@@ -432,7 +429,7 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
             f"integrator failed for {problem.id!r} near t = {t_fail}: {sol.message}")
     u = sol.sol(mesh.tau)  # (n, M)
     vals = np.conj(problem.w) @ u
-    return Reference("rk45", vals, rtol=rtol, atol=atol)
+    return Reference(vals)
 
 
 def _complex_to_json(z: complex) -> dict:
@@ -463,18 +460,65 @@ def problem_to_json(problem: Problem) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
+_JSON_KINDS = {"object": dict, "list": list, "string": str, "number": (int, float),
+               "integer": int}
+
+
+def _typed(value, where: str, kind: str):
+    """``value`` checked to be of JSON ``kind``, else ``ValueError`` naming ``where``.
+
+    An integer accepts an integral float such as ``2.0``; a boolean is never
+    a number.
+    """
+    if kind == "integer" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(f"problem file: {where} must be a JSON {kind}, got {value!r:.60}")
+    return float(value) if kind == "number" else value
+
+
+def _field(doc, key: str, kind: str, parent: str = "", default=None):
+    """``doc[key]`` checked by :func:`_typed`; required unless a default is given.
+
+    ``parent`` names ``doc`` in the document for the error messages.
+    """
+    where = f"{parent}.{key}" if parent else key
+    if not isinstance(doc, dict):
+        raise ValueError(f"problem file: {parent} must be a JSON object, got {doc!r:.60}")
+    if key not in doc and default is None:
+        raise ValueError(f"problem file: {where} is missing")
+    return _typed(doc.get(key, default), where, kind)
+
+
+def _complex_field(z, where: str) -> complex:
+    return complex(_field(z, "re", "number", where), _field(z, "im", "number", where))
+
+
 def problem_from_json(text: str) -> Problem:
-    """Parse the JSON problem format (inverse of :func:`problem_to_json`)."""
-    doc = json.loads(text)
+    """Parse the JSON problem format (inverse of :func:`problem_to_json`).
+
+    A malformed document raises ``ValueError`` naming the bad field: a
+    missing field, or a value of the wrong JSON type, such as a string or
+    list where a number belongs.  ``power`` must be an integer; an integral
+    float such as ``2.0`` is read as ``2``, and ``1.7`` is rejected.
+    """
+    doc = _typed(json.loads(text), "the document", "object")
     entries = {}
-    for ent in doc["entries"]:
-        terms = [
-            Term(complex(t["re"], t["im"]), int(t.get("power", 0)),
-                 str(t.get("trig", "none")), float(t.get("omega", 0.0)))
-            for t in ent["terms"]
-        ]
-        entries[(int(ent["k"]) - 1, int(ent["l"]) - 1)] = terms
-    v = np.array([complex(z["re"], z["im"]) for z in doc["v"]])
-    w = np.array([complex(z["re"], z["im"]) for z in doc["w"]])
-    a, b = doc["interval"]
-    return Problem(str(doc["id"]), int(doc["n"]), float(a), float(b), entries, v, w)
+    for i, ent in enumerate(_field(doc, "entries", "list")):
+        where = f"entries[{i}]"
+        terms = []
+        for j, t in enumerate(_field(ent, "terms", "list", where)):
+            tw = f"{where}.terms[{j}]"
+            terms.append(Term(_complex_field(t, tw), _field(t, "power", "integer", tw, 0),
+                              _field(t, "trig", "string", tw, "none"),
+                              _field(t, "omega", "number", tw, 0.0)))
+        entries[(_field(ent, "k", "integer", where) - 1,
+                 _field(ent, "l", "integer", where) - 1)] = terms
+    v, w = (np.array([_complex_field(z, f"{key}[{i}]")
+                      for i, z in enumerate(_field(doc, key, "list"))]) for key in ("v", "w"))
+    interval = _field(doc, "interval", "list")
+    if len(interval) != 2:
+        raise ValueError(f"problem file: interval must hold two numbers, got {interval!r:.60}")
+    a, b = (_typed(x, f"interval[{i}]", "number") for i, x in enumerate(interval))
+    return Problem(_field(doc, "id", "string"), _field(doc, "n", "integer"),
+                   a, b, entries, v, w)

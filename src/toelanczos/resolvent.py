@@ -12,16 +12,18 @@ the beta factor on its right; this Schur complement recursion follows the
 block placement of the tridiagonal tensor.  The tests check it against a
 truncated series evaluation of the resolvent.
 
-Every inversion is a row-pivoted LU solve; a condition estimate is recorded
-per level and a :class:`ResolventSingularError` carries the depth at which an
-unusable level appeared: one whose estimate is infinite or exceeds
-``1/eps``.
+The Lanczos coefficients are lower triangular, hence so is every level, and
+each is inverted by the triangular solve that inverts ``beta`` in the
+iteration.  It reads only the lower triangle, so other coefficients are
+rejected.  A 1-norm condition estimate is recorded per level and a
+:class:`ResolventSingularError` carries the depth at which an unusable
+level appeared: one whose estimate is infinite or exceeds ``1/eps``.
 
 The solution approximation on a mesh with step ``h`` is
 
-    s_n = normalization * (1/h) * (theta @ R_11) @ e_1 ,
+    s_n = normalization * (1/h) * (h * tril(1) @ R_11) @ e_1 ,
 
-whose first entry approximates ``w^H v`` to O(h).
+a cumulative sum whose first entry approximates ``w^H v`` to O(h).
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
-from .discretize import Mesh, theta_matrix
+from .discretize import Mesh
 from .lanczos import TriTensor
 
 __all__ = [
@@ -64,17 +66,9 @@ class SolutionVec:
     mesh: Mesh
     values: np.ndarray
     n_used: int
-    normalization: complex
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex).ravel()
-
-
-def _cond_estimate_1norm(mat: np.ndarray, lu) -> float:
-    gecon = get_lapack_funcs("gecon", (mat,))
-    anorm = np.linalg.norm(mat, 1)
-    rcond, _ = gecon(lu, anorm, norm="1")
-    return np.inf if rcond == 0 else 1.0 / float(rcond)
 
 
 def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarray:
@@ -84,27 +78,30 @@ def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarra
     ----------
     tri : TriTensor
         Complete coefficient set (callers holding a breakdown prefix may
-        evaluate the shorter fraction it defines).
+        evaluate the shorter fraction it defines).  A non-lower-triangular
+        alpha or beta raises ``ValueError``.
     cond_log : list, optional
         Appends one condition estimate per level, outermost last.
 
     Raises :class:`ResolventSingularError` when a level's 1-norm condition
     estimate is infinite or exceeds ``1/eps``.
     """
-    m = tri.m
-    eye = np.eye(m, dtype=complex)
+    if any(np.triu(c, 1).any() for c in (*tri.alphas, *tri.betas)):
+        raise ValueError("the resolvent needs lower-triangular alpha and beta coefficients")
+    eye = np.eye(tri.m, dtype=complex)
+    trcon = get_lapack_funcs("trcon", (eye,))
     level = tri.n
     s = eye - tri.alphas[level - 1]
     while True:
-        lu, piv = lu_factor(s)
-        cond = _cond_estimate_1norm(s, lu)
+        rcond, _ = trcon(s, norm="1", uplo="L")
+        cond = np.inf if rcond == 0 else 1.0 / float(rcond)
         if cond_log is not None:
             cond_log.append(cond)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise ResolventSingularError(level, cond)
         if level == 1:
-            return lu_solve((lu, piv), eye)
-        inner_beta = lu_solve((lu, piv), tri.betas[level - 2])
+            return solve_triangular(s, eye, lower=True)
+        inner_beta = solve_triangular(s, tri.betas[level - 2], lower=True)
         level -= 1
         s = (eye - tri.alphas[level - 1]) - inner_beta
 
@@ -112,9 +109,7 @@ def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarra
 def approx_solution(tri: TriTensor, mesh: Mesh, normalization: complex = 1.0) -> SolutionVec:
     """Assemble ``s_n`` from the resolvent block on the given mesh."""
     r11 = star_resolvent_11(tri)
-    theta = theta_matrix(mesh)
-    values = normalization * (theta @ r11[:, 0]) / mesh.h
-    return SolutionVec(mesh, values, tri.n, complex(normalization))
+    return SolutionVec(mesh, normalization * np.cumsum(r11[:, 0]), tri.n)
 
 
 def solution_to_csv(sol: SolutionVec) -> str:

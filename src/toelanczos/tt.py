@@ -70,12 +70,12 @@ def _rank_from_tail(sq_values: np.ndarray, delta_sq: float) -> int:
 def tt_svd(a: Tensor4, tol: float) -> TTTensor:
     """Decompose a 4-mode tensor into tensor-train form.
 
-    ``tol`` is the relative Frobenius reconstruction tolerance (> 0); the
-    per-sweep truncation threshold is ``tol * |A|_F / sqrt(3)``.
+    ``tol`` is the relative Frobenius reconstruction tolerance (finite and
+    > 0); the per-sweep truncation threshold is ``tol * |A|_F / sqrt(3)``.
     """
     require_dense(a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     modes = a.data.shape
     delta = tol * np.linalg.norm(a.data.ravel()) / np.sqrt(3.0)
     delta_sq = delta * delta

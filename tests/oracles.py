@@ -9,6 +9,7 @@ compact :class:`~toelanczos.lanczos.TriTensor`.
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import lu_factor, lu_solve
 
 from toelanczos import (
     HyperVec,
@@ -23,7 +24,6 @@ from toelanczos import (
     star_inner,
     star_mul_tt,
     star_mul_tv,
-    theta_matrix,
 )
 from toelanczos.tt import TTTensor
 
@@ -170,6 +170,28 @@ def residual_w_tensor(result) -> Tensor4:
 
 # --------------------------------------------------------- series resolvent
 
+def theta_matrix(mesh) -> np.ndarray:
+    """h times the lower-triangular all-ones M x M matrix (discrete Heaviside)."""
+    return mesh.h * np.tril(np.ones((mesh.m, mesh.m)))
+
+
+def lu_resolvent_11(tri) -> np.ndarray:
+    """The resolvent continued fraction with each level factored by row-pivoted LU.
+
+    The general dense evaluation that
+    :func:`~toelanczos.resolvent.star_resolvent_11` specializes to
+    lower-triangular levels; it needs no triangular structure.
+    """
+    eye = np.eye(tri.m, dtype=complex)
+    level = tri.n
+    s = eye - tri.alphas[level - 1]
+    while level > 1:
+        inner_beta = lu_solve(lu_factor(s), tri.betas[level - 2])
+        level -= 1
+        s = (eye - tri.alphas[level - 1]) - inner_beta
+    return lu_solve(lu_factor(s), eye)
+
+
 def neumann_resolvent(t: Tensor4, max_terms: int | None = None,
                       rel_tol: float = 1e-16) -> Tensor4:
     """Truncated series evaluation ``I_* + sum_k T^{k*}`` of the resolvent.
@@ -217,7 +239,7 @@ def solution_via_series(a, v: np.ndarray, w: np.ndarray, mesh,
             break
     theta = theta_matrix(mesh)
     values = (theta @ acc[:, 0]) / mesh.h
-    return SolutionVec(mesh, values, a.n1, 1.0 + 0.0j)
+    return SolutionVec(mesh, values, a.n1)
 
 
 # ------------------------------------------------------------ tensor trains

@@ -154,6 +154,30 @@ def write_problem(tmp_path, problem, ident, **changes):
     return path
 
 
+def _with_term(field, value):
+    def change(doc):
+        doc["entries"][0]["terms"][0][field] = value
+        return doc
+    return change
+
+
+class TestMalformedProblemFile:
+    @pytest.mark.parametrize("change,field", [
+        (lambda doc: {**doc, "v": [1]}, "v[0]"),
+        (_with_term("re", "1"), "entries[0].terms[0].re"),
+        (lambda doc: [doc], "the document"),
+        (_with_term("power", 1.7), "entries[0].terms[0].power"),
+    ], ids=["v-item-not-object", "re-string", "top-level-array", "fractional-power"])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(change(json.loads(problem_to_json(builtin("const3"))))))
+        code = run_cli("run", "--problem-file", str(path), "--M", "8", "--n", "3",
+                       "--output", str(tmp_path / "x"))
+        assert code == EXIT_SHAPE
+        assert field in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["bad.json"]
+
+
 class TestAnalyticReference:
     """``--reference analytic`` picks the closed form by content, never by id."""
 
@@ -217,6 +241,27 @@ class TestOptions:
             run_cli(*argv)
         assert exc.value.code == EXIT_SHAPE
         assert "--format" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--reference", "rk45", "--rtol", "nan"),
+        ("run", "--reference", "rk45", "--atol", "inf"),
+        ("run", "--reference", "rk45", "--rtol", "0"),
+        ("run", "--eps-lucky", "nan"),
+        ("run", "--eps-serious", "nan"),
+        ("convergence", "--eps-serious", "-1"),
+        ("ttranks", "--tol-tt", "nan"),
+        ("ttranks", "--tol-tt", "1e-5,inf"),
+    ], ids=["rtol-nan", "atol-inf", "rtol-zero", "eps-lucky-nan", "eps-serious-nan",
+            "eps-serious-negative", "tol-tt-nan", "tol-tt-inf-item"])
+    def test_non_finite_or_non_positive_value_exits_2(self, tmp_path, capsys, argv):
+        command, *flag = argv
+        extra = [] if command == "ttranks" else ["--n", "3"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--problem", "const3", "--M", "20", *extra, *flag,
+                    "--output", str(tmp_path / "x"))
+        assert exc.value.code == EXIT_SHAPE
+        assert flag[-2] in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_seed_leaves_timedep5_unchanged(self, tmp_path):

@@ -12,11 +12,10 @@ from toelanczos import (
     discretize_problem,
     err_solution,
     tensor_lanczos,
-    theta_matrix,
 )
 from toelanczos.discretize import DiscretizationError
 
-from oracles import entry_per_term
+from oracles import entry_per_term, theta_matrix
 
 
 class TestBuildMesh:
@@ -137,7 +136,9 @@ class TestDiscretizeProblem:
         p = Problem("blow", 1, 0.0, 10.0, {(0, 0): [Term(1e308, 2)]},
                     np.array([1.0]), np.array([1.0]))
         mesh = build_mesh(0.0, 10.0, 4)
-        with pytest.raises(DiscretizationError, match=r"\(0, 0\)"):
+        # 1e308 * t**2 overflows on purpose; its RuntimeWarnings are expected
+        with pytest.raises(DiscretizationError, match=r"\(0, 0\)"), \
+                pytest.warns(RuntimeWarning):
             discretize_problem(p, mesh)
 
 

@@ -95,6 +95,15 @@ class TestBasicRuns:
         with pytest.raises(TypeError, match="ProfileTensor"):
             tensor_lanczos(a4.to_tensor4(), p.v, p.w, 2)
 
+    @pytest.mark.parametrize("eps", [{"eps_lucky": np.nan}, {"eps_serious": np.nan}],
+                             ids=["eps_lucky", "eps_serious"])
+    def test_rejects_nan_thresholds(self, eps):
+        # a comparison with NaN is always false, so a NaN threshold switches its check off
+        p = builtin("const3")
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, 5))
+        with pytest.raises(ValueError, match="NaN"):
+            tensor_lanczos(a4, p.v, p.w, 2, **eps)
+
     def test_rejects_orthogonal_probes(self):
         p = builtin("const3")
         mesh = build_mesh(p.a, p.b, 5)

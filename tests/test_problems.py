@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -217,6 +218,15 @@ class TestRk45Reference:
         with pytest.raises(ValueError):
             rk45_reference(p, mesh, rtol=0.0)
 
+    @pytest.mark.parametrize("tols", [{"rtol": np.nan}, {"atol": np.nan},
+                                      {"rtol": np.inf}, {"atol": np.inf}],
+                             ids=["rtol-nan", "atol-nan", "rtol-inf", "atol-inf"])
+    def test_rejects_non_finite_tolerances(self, tols):
+        # a NaN rtol passes a "<= 0" check and leaves solve_ivp stepping forever
+        p = builtin("const3")
+        with pytest.raises(ValueError, match="finite"):
+            rk45_reference(p, build_mesh(p.a, p.b, 20), **tols)
+
     @pytest.mark.parametrize("problem_id", ["const3", "nmr3"])
     def test_equals_per_term_integration(self, problem_id):
         p = builtin(problem_id)
@@ -307,6 +317,32 @@ class TestProblemJson:
         for key in p.entries:
             assert np.allclose(entry_per_term(q, *key, t), entry_per_term(p, *key, t),
                                rtol=0, atol=0)
+
+    def test_integral_float_power_is_read_as_integer(self):
+        doc = json.loads(problem_to_json(builtin("const3")))
+        doc["entries"][0]["terms"][0]["power"] = 2.0
+        term = problem_from_json(json.dumps(doc)).entries[(0, 0)][0]
+        assert term.power == 2 and isinstance(term.power, int)
+
+    @pytest.mark.parametrize("field,value", [("power", 1.7), ("power", "2"), ("re", "1"),
+                                             ("im", [0.0]), ("omega", True)])
+    def test_mistyped_term_field_names_it(self, field, value):
+        doc = json.loads(problem_to_json(builtin("const3")))
+        doc["entries"][2]["terms"][0][field] = value
+        with pytest.raises(ValueError, match=rf"entries\[2\]\.terms\[0\]\.{field}"):
+            problem_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("change,field", [
+        (lambda doc: doc.pop("n"), "n is missing"),
+        (lambda doc: doc.update(interval=[0.0]), "interval"),
+        (lambda doc: doc.update(w=[{"re": 1.0}]), r"w\[0\]\.im is missing"),
+        (lambda doc: doc["entries"].append(3), r"entries\[8\] must be a JSON object"),
+    ], ids=["n-missing", "short-interval", "im-missing", "entry-not-object"])
+    def test_malformed_document_names_the_field(self, change, field):
+        doc = json.loads(problem_to_json(builtin("const3")))
+        change(doc)
+        with pytest.raises(ValueError, match=field):
+            problem_from_json(json.dumps(doc))
 
     def test_complex_round_trip(self):
         p = nmr_generate(3, seed=11)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toelanczos import (
     ResolventSingularError,
@@ -12,7 +14,7 @@ from toelanczos import (
     tensor_lanczos,
 )
 from toelanczos.lanczos import TriTensor
-from oracles import assemble_tridiag, neumann_resolvent, solution_via_series
+from oracles import assemble_tridiag, lu_resolvent_11, neumann_resolvent, solution_via_series
 
 
 class TestStarResolvent11:
@@ -51,6 +53,45 @@ class TestStarResolvent11:
         with pytest.raises(ResolventSingularError) as err:
             star_resolvent_11(tri)
         assert err.value.depth == 1
+
+    @pytest.mark.parametrize("problem_id,m,n", [("const3", 10, 3), ("timedep5", 20, 5),
+                                                ("zero1", 5, 1), ("nmr1", 100, 4),
+                                                ("nmr2", 40, 4), ("nmr3", 40, 4)])
+    def test_strict_upper_triangle_exactly_zero(self, problem_id, m, n):
+        # a pivoted LU leaves roundoff above the diagonal (5.3e-22 on nmr1 at M=100)
+        p = builtin(problem_id)
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
+        res = tensor_lanczos(a4, p.v, p.w, n)
+        assert res.status.completed
+        assert np.all(np.triu(star_resolvent_11(res.tri), 1) == 0)
+
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_rejects_non_triangular_coefficients(self, which):
+        m = 4
+        coeffs = {"alpha": [np.zeros((m, m), dtype=complex) for _ in range(2)],
+                  "beta": [np.zeros((m, m), dtype=complex)]}
+        coeffs[which][0][0, m - 1] = 1e-30
+        tri = TriTensor(m, coeffs["alpha"], coeffs["beta"])
+        with pytest.raises(ValueError, match="lower-triangular"):
+            star_resolvent_11(tri)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 8), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_pivoted_lu_fraction(self, m, n, seed):
+        # coefficients of 2-norm 1/8 keep every level within 0.31 of I (the
+        # fixed point of e = (1 + 1/(1 - e))/8), so each level's condition
+        # number stays below 2
+        rng = np.random.default_rng(seed)
+
+        def coefficient():
+            x = np.tril(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            return x / (8 * np.linalg.norm(x, 2))
+
+        tri = TriTensor(m, [coefficient() for _ in range(n)],
+                        [coefficient() for _ in range(n - 1)])
+        got = star_resolvent_11(tri)
+        want = lu_resolvent_11(tri)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_condition_log(self):
         p = builtin("const3")

@@ -78,6 +78,12 @@ class TestTTSvd:
         with pytest.raises(ValueError):
             tt_svd(Tensor4(np.zeros((1, 1, 2, 2))), 0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        # NaN passes a "<= 0" check and keeps every rank
+        with pytest.raises(ValueError, match="finite"):
+            tt_svd(Tensor4(np.ones((1, 1, 2, 2))), tol)
+
     def test_monotone_ranks_in_tolerance(self):
         p = nmr_generate(2, seed=5)
         mesh = build_mesh(p.a, p.b, 40)

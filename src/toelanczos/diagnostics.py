@@ -80,8 +80,8 @@ def err_biorth(result: LanczosResult) -> float:
     vt = Tensor4(np.stack([hv.data for hv in result.v_basis], axis=1))
     wt = Tensor4(np.stack([hv.data for hv in result.w_basis], axis=0))
     dev = star_mul_tt(wt, vt).data
-    for k in range(len(result.v_basis)):
-        dev[k, k] -= np.eye(result.tri.m)
+    for k in range(vt.n2):
+        dev[k, k] -= np.eye(vt.m)
     return float(np.linalg.norm(dev.ravel()) / max(frobenius(vt), frobenius(wt)))
 
 
@@ -103,16 +103,23 @@ def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, flo
     ``V_{k+1} x beta_{k+1}`` and ``W_{k+1}``, or the stored residual on the
     last row.  Denominators follow the displayed measures:
     ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and the W analogue.
+
+    The rows are formed on the run as it was computed, with ``A / scale``
+    (:meth:`~toelanczos.lanczos.LanczosResult.run_operator`) and in its
+    dtype, so the W row repeats the iteration's arithmetic exactly.  The
+    ``i``-map scales each row by a unit factor, so the measures are those
+    of the run on ``A``.
     """
-    tri = result.tri
-    vb = [hv.data for hv in result.v_basis]
-    wb = [hv.data for hv in result.w_basis]
-    v_next = [np.matmul(v, beta) for v, beta in zip(vb[1:], tri.betas)] + [result.residual_v.data]
-    w_next = wb[1:] + [result.residual_w.data]
+    b = result.run_operator(a)
+    tri = result.run_tri
+    vb = [hv.data for hv in result.run_v_basis]
+    wb = [hv.data for hv in result.run_w_basis]
+    v_next = [np.matmul(v, beta) for v, beta in zip(vb[1:], tri.betas)] + [result.run_residual_v.data]
+    w_next = wb[1:] + [result.run_residual_w.data]
     av, wa, v_num, w_num = [], [], [], []
     for k in range(tri.n):
-        av.append(star_mul_tv(a, result.v_basis[k]).data)
-        wa.append(star_mul_vt(result.w_basis[k], a).data)
+        av.append(star_mul_tv(b, result.run_v_basis[k]).data)
+        wa.append(star_mul_vt(result.run_w_basis[k], b).data)
         prev = () if k == 0 else (vb[k - 1],)
         v_num.append(_v_update(av[k], vb[k], tri.alphas[k], *prev) - v_next[k])
         prev = () if k == 0 else (tri.betas[k - 1], wb[k - 1])

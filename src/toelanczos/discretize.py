@@ -15,9 +15,12 @@ times the discrete Heaviside matrix, and the operator is stored as those
 The samples come from the problem's compiled ``A(t)``
 (:meth:`~toelanczos.problems.Problem.compile_matrix`), the same evaluator
 the RK45 reference integrates, so the term language has one implementation.
-The operator carries no per-slice flags: which profiles are zero is derived
-from the samples.  The Heaviside matrix itself is never formed: applied to
-a vector, ``h * tril(1)`` is ``h`` times a cumulative sum.
+The profiles keep the samples' dtype, complex128; whether the Lanczos
+iteration can run in float64 on them (real, or purely imaginary, profiles)
+is decided there, from the profiles themselves.  The operator carries no
+per-slice flags: which profiles are zero is derived from the samples.  The
+Heaviside matrix itself is never formed: applied to a vector,
+``h * tril(1)`` is ``h`` times a cumulative sum.
 
 The scheme is the rectangle quadrature rule, accurate to O(h) = O(1/M).
 """

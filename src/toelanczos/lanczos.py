@@ -31,6 +31,24 @@ coefficients are lower triangular too, and
 :func:`~toelanczos.resolvent.star_resolvent_11` inverts them with the same
 solve.
 
+Arithmetic: the recurrence runs in float64 when the data allow it and in
+complex128 otherwise, decided from the profiles and probes alone.  With real
+probes, real profiles give a real run on ``A`` itself, and purely imaginary
+ones, ``A = i B`` with ``B`` real (the NMR problems ``-2 pi i H(t)``), give
+a real run on ``B``.  Induction on the recurrences shows that the run on
+``A`` is the run on ``B`` mapped by
+
+    alpha_k -> i alpha_k,   beta_k -> -beta_k,
+    V_k -> i^-(k-1) V_k,    W_k -> i^(k-1) W_k,
+    residual_v -> i^-(n-2) residual_v,   residual_w -> i^n residual_w.
+
+Each factor is a power of ``i``, so the map is exact in floating point, and
+``|i| = 1`` leaves every residual norm and ``cond(beta)``, hence the
+breakdown tests, as they are in the run on ``B``.  :class:`LanczosResult`
+keeps the run on ``B`` and maps it only when it is read.  Any other data,
+complex probes or profiles with both parts nonzero, run in complex128 on
+``A``.
+
 Breakdowns: a vanishing residual hypervector is a *lucky* breakdown (an
 invariant subspace was found); a singular ``beta_{k+1}`` with nonvanishing
 residuals is a *serious* one and stops the process.  Both are reported in the
@@ -40,6 +58,7 @@ result status together with the completed prefix, never raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -97,7 +116,7 @@ class TriTensor:
         """
         if v.n != self.n or v.m != self.m:
             raise ShapeError(f"cannot apply T_n (n={self.n}, m={self.m}) to {v.data.shape}")
-        x = v.data
+        x = v.data.astype(np.result_type(v.data, *self.alphas, *self.betas), copy=False)
         out = np.empty_like(x)
         for k in range(self.n):
             row = self.alphas[k] @ x[k]
@@ -128,9 +147,17 @@ class LanczosStatus:
         return self.kind == "completed"
 
 
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def _times_i_power(x: np.ndarray, p: int) -> np.ndarray:
+    """``i**p * x`` as complex128; exact, since ``i**p`` is 1, i, -1 or -i."""
+    return _I_POWERS[p % 4] * x
+
+
 @dataclass
 class LanczosResult:
-    """Bases, coefficients, residuals and status of one Lanczos run.
+    """Bases, coefficients, residuals and status of one Lanczos run on ``A``.
 
     ``residual_v`` is ``V_{n+1} x beta_{n+1}`` (the unnormalized V residual)
     and ``residual_w`` is ``W_{n+1}^D``; they are exactly the hatted vectors
@@ -139,15 +166,57 @@ class LanczosResult:
 
     ``normalization`` records the ``w^H v`` factor divided out of ``v`` on
     entry; downstream solution values must be rescaled by it.
+
+    The ``run_*`` fields hold the recurrence as it ran, on ``A / scale``
+    and in that operator's dtype.  For ``scale = 1`` the properties ``tri``,
+    ``v_basis``, ``w_basis``, ``residual_v`` and ``residual_w`` return them
+    unchanged; for ``scale = i`` they apply the module's ``i``-map on each
+    read (``tri`` once), so a run whose bases nobody reads never holds
+    complex copies of them.
     """
 
-    tri: TriTensor
-    v_basis: list[HyperVec]
-    w_basis: list[HyperVec]
-    residual_v: HyperVec
-    residual_w: HyperVec
+    run_tri: TriTensor
+    run_v_basis: list[HyperVec]
+    run_w_basis: list[HyperVec]
+    run_residual_v: HyperVec
+    run_residual_w: HyperVec
     status: LanczosStatus
     normalization: complex
+    scale: complex
+
+    def run_operator(self, a: ProfileTensor) -> ProfileTensor:
+        """The operator the recurrence ran on, ``a / scale``, for the ``a`` it was given."""
+        return _run_operator(a, self.scale, not np.iscomplexobj(self.run_tri.alphas[0]))
+
+    def _map(self, hv: HyperVec, p: int) -> HyperVec:
+        """``i**p * hv``, or ``hv`` itself for a run on ``A``."""
+        if self.scale == 1:
+            return hv
+        return HyperVec(_times_i_power(hv.data, p), hv.orientation)
+
+    @cached_property
+    def tri(self) -> TriTensor:
+        run = self.run_tri
+        if self.scale == 1:
+            return run
+        return TriTensor(run.m, [_times_i_power(a, 1) for a in run.alphas],
+                         [_times_i_power(b, 2) for b in run.betas])
+
+    @property
+    def v_basis(self) -> list[HyperVec]:
+        return [self._map(hv, -k) for k, hv in enumerate(self.run_v_basis)]
+
+    @property
+    def w_basis(self) -> list[HyperVec]:
+        return [self._map(hv, k) for k, hv in enumerate(self.run_w_basis)]
+
+    @property
+    def residual_v(self) -> HyperVec:
+        return self._map(self.run_residual_v, 2 - self.run_tri.n)
+
+    @property
+    def residual_w(self) -> HyperVec:
+        return self._map(self.run_residual_w, self.run_tri.n)
 
 
 def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
@@ -202,6 +271,26 @@ def _apply_inverse_right(beta: np.ndarray, hv: HyperVec) -> HyperVec:
     return HyperVec(out.reshape(hv.data.shape), hv.orientation)
 
 
+def _run_arithmetic(a: ProfileTensor, v: np.ndarray, w: np.ndarray) -> tuple[complex, bool]:
+    """``(scale, real)`` of the recurrence on ``a`` with the complex probes ``v, w``.
+
+    Real probes with real or purely imaginary profiles run in float64 with
+    scale 1 or i; anything else runs in complex128 with scale 1.
+    """
+    if not (v.imag.any() or w.imag.any()):
+        if not a.data.imag.any():
+            return 1, True
+        if not a.data.real.any():
+            return 1j, True
+    return 1, False
+
+
+def _run_operator(a: ProfileTensor, scale: complex, real: bool) -> ProfileTensor:
+    """``a / scale`` in the run's dtype; real runs get a view of ``a``'s profiles."""
+    data = a.data.imag if scale == 1j else a.data
+    return ProfileTensor(data.real if real else data.astype(complex, copy=False))
+
+
 def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                    eps_lucky: float = DEFAULT_EPS_LUCKY,
                    eps_serious: float = DEFAULT_EPS_SERIOUS) -> LanczosResult:
@@ -223,7 +312,9 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     ``beta^{-1}`` is applied by one triangular solve on the stacked basis
     slices per iteration, never by forming an inverse; that needs the lower
     triangular slices of a :class:`ProfileTensor`, so any other operator
-    type raises ``TypeError``.
+    type raises ``TypeError``.  The arithmetic (float64 on ``A`` or on
+    ``-i A``, or complex128) follows from the data as the module docstring
+    states; there is no option for it.
     """
     if not isinstance(a, ProfileTensor):
         raise TypeError(f"tensor_lanczos needs a ProfileTensor, got {type(a).__name__}")
@@ -237,12 +328,17 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     w = np.asarray(w, dtype=complex).ravel()
     if v.size != a.n1 or w.size != a.n1:
         raise ShapeError("probe vectors must have length N")
-    m = a.m
-    normalization = complex(np.vdot(w, v))
-    if normalization == 0:
+    scale, real = _run_arithmetic(a, v, w)
+    b = _run_operator(a, scale, real)
+    if real:
+        v, w = v.real, w.real
+    m = b.m
+    wv = np.vdot(w, v)
+    if wv == 0:
         raise ValueError("w^H v = 0: the probe vectors admit no biorthogonal start "
                          "(consider split_unit_vectors)")
-    v = v / normalization
+    normalization = complex(wv)
+    v = v / wv
 
     v_basis = [lift(v, m)]
     w_basis = [lift_dual(w, m)]
@@ -251,13 +347,13 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
 
     def finish(status, res_v, res_w):
         tri = TriTensor(m, alphas, betas)
-        return LanczosResult(tri, v_basis, w_basis, res_v, res_w, status, normalization)
+        return LanczosResult(tri, v_basis, w_basis, res_v, res_w, status, normalization, scale)
 
     for k in range(1, n + 1):
-        wa = star_mul_vt(w_basis[-1], a)
+        wa = star_mul_vt(w_basis[-1], b)
         alpha = star_inner(wa, v_basis[-1])
         alphas.append(alpha)
-        av = star_mul_tv(a, v_basis[-1])
+        av = star_mul_tv(b, v_basis[-1])
         w_prev = () if k == 1 else (betas[-1], w_basis[-2].data)
         v_prev = () if k == 1 else (v_basis[-2].data,)
         w_hat = HyperVec(_w_update(wa.data, alpha, w_basis[-1].data, *w_prev), "dual")

@@ -16,6 +16,7 @@ content, or from an adaptive Dormand-Prince integration with dense output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -468,13 +469,22 @@ def _typed(value, where: str, kind: str):
     """``value`` checked to be of JSON ``kind``, else ``ValueError`` naming ``where``.
 
     An integer accepts an integral float such as ``2.0``; a boolean is never
-    a number.
+    a number, and a number must be finite: ``json`` reads the ``NaN`` and
+    ``Infinity`` literals, and an integer literal can exceed the float range.
     """
     if kind == "integer" and isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
         raise ValueError(f"problem file: {where} must be a JSON {kind}, got {value!r:.60}")
-    return float(value) if kind == "number" else value
+    if kind != "number":
+        return value
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"problem file: {where} must be a finite number, got {value!r:.60}")
+    return number
 
 
 def _field(doc, key: str, kind: str, parent: str = "", default=None):

@@ -15,9 +15,11 @@ truncated series evaluation of the resolvent.
 The Lanczos coefficients are lower triangular, hence so is every level, and
 each is inverted by the triangular solve that inverts ``beta`` in the
 iteration.  It reads only the lower triangle, so other coefficients are
-rejected.  A 1-norm condition estimate is recorded per level and a
-:class:`ResolventSingularError` carries the depth at which an unusable
-level appeared: one whose estimate is infinite or exceeds ``1/eps``.
+rejected.  The levels are formed and solved in the coefficients' dtype,
+float64 for a real Lanczos run.  A 1-norm condition estimate is recorded
+per level and a :class:`ResolventSingularError` carries the depth at which
+an unusable level appeared: one whose estimate is infinite or exceeds
+``1/eps``.
 
 The solution approximation on a mesh with step ``h`` is
 
@@ -88,7 +90,7 @@ def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarra
     """
     if any(np.triu(c, 1).any() for c in (*tri.alphas, *tri.betas)):
         raise ValueError("the resolvent needs lower-triangular alpha and beta coefficients")
-    eye = np.eye(tri.m, dtype=complex)
+    eye = np.eye(tri.m, dtype=np.result_type(*tri.alphas, *tri.betas))
     trcon = get_lapack_funcs("trcon", (eye,))
     level = tri.n
     s = eye - tri.alphas[level - 1]

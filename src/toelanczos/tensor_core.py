@@ -18,6 +18,12 @@ dense operator that the tensor-train decomposition reads
 (:meth:`ProfileTensor.to_tensor4`).  The dense-only operations raise
 ``TypeError`` on a :class:`ProfileTensor`.
 
+:class:`ProfileTensor` and :class:`HyperVec` keep the dtype of their data:
+complex data stays complex128, and anything else becomes float64 without a
+copy.  A product runs in the common dtype of its operands, casting a real
+operand to complex first, so no ``matmul`` mixes the two; a run whose data
+are all real is real throughout.
+
 :func:`star_mul_tv` and :func:`star_mul_vt` are one ``np.matmul`` call each,
 and :func:`star_mul_tt` and :func:`star_inner` accumulate one slice product
 per outer index in ascending order, on operands of fixed shape and layout;
@@ -57,6 +63,18 @@ class ShapeError(ValueError):
 
 class OrientationError(ValueError):
     """A hypervector was used on the wrong side of a product."""
+
+
+def _float_or_complex(data) -> np.ndarray:
+    """``data`` as complex128 if it is complex, else as float64; no copy when it already is."""
+    data = np.asarray(data)
+    return data.astype(complex if np.iscomplexobj(data) else float, copy=False)
+
+
+def _common(*arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays cast to their common dtype (no copy for those already in it)."""
+    dtype = np.result_type(*arrays)
+    return [x.astype(dtype, copy=False) for x in arrays]
 
 
 class BlockStructure(IntEnum):
@@ -108,8 +126,9 @@ class ProfileTensor:
     Parameters
     ----------
     data : ndarray
-        Complex profiles of shape ``(n1, n2, m)``; row ``j`` of slice
-        ``(i1, i2)`` holds ``data[i1, i2, j]`` on and left of the diagonal.
+        Profiles of shape ``(n1, n2, m)``, complex128 or float64 (other real
+        input is converted); row ``j`` of slice ``(i1, i2)`` holds
+        ``data[i1, i2, j]`` on and left of the diagonal.
 
     The products multiply every slice; which ones are zero is derived from
     the samples when asked, never stored.
@@ -118,7 +137,7 @@ class ProfileTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
+        self.data = _float_or_complex(self.data)
         if self.data.ndim != 3:
             raise ShapeError(f"expected (n1, n2, m) profiles, got {self.data.shape}")
 
@@ -153,8 +172,9 @@ class ProfileTensor:
 
 @dataclass
 class HyperVec:
-    """3-mode complex tensor in ``C^{n x m x m}`` with an orientation.
+    """3-mode tensor in ``C^{n x m x m}`` or ``R^{n x m x m}`` with an orientation.
 
+    The data are complex128 or float64, as for :class:`ProfileTensor`.
     Right-oriented hypervectors act only as right operands of ``*`` products;
     dual ones (the paper's apex-D objects) only from the left.
     """
@@ -163,7 +183,7 @@ class HyperVec:
     orientation: str = "right"
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
+        self.data = _float_or_complex(self.data)
         if self.data.ndim != 3 or self.data.shape[1] != self.data.shape[2]:
             raise ShapeError(f"expected (n, m, m) data, got {self.data.shape}")
         if self.orientation not in ("right", "dual"):
@@ -222,9 +242,9 @@ def star_mul_tv(a: ProfileTensor, v: HyperVec) -> HyperVec:
         raise OrientationError("tensor-hypervector product needs a right-oriented operand")
     if a.n2 != v.n or a.m != v.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
-    out = np.empty((a.n1, a.m, a.m), dtype=complex)
-    csum = np.cumsum(v.data, axis=1)
-    np.matmul(a.data.transpose(2, 0, 1), csum.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    profiles, csum = _common(a.data, np.cumsum(v.data, axis=1))
+    out = np.empty((a.n1, a.m, a.m), dtype=csum.dtype)
+    np.matmul(profiles.transpose(2, 0, 1), csum.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
     return HyperVec(out, "right")
 
 
@@ -242,8 +262,9 @@ def star_mul_vt(w: HyperVec, a: ProfileTensor) -> HyperVec:
         raise OrientationError("hypervector-tensor product needs a dual-oriented operand")
     if w.n != a.n1 or w.m != a.m:
         raise ShapeError(f"cannot *-multiply {w.data.shape} with {a.data.shape}")
-    out = np.empty((a.n2, a.m, a.m), dtype=complex)
-    np.matmul(a.data.transpose(2, 1, 0), w.data.transpose(2, 0, 1), out=out.transpose(2, 0, 1))
+    profiles, wd = _common(a.data, w.data)
+    out = np.empty((a.n2, a.m, a.m), dtype=wd.dtype)
+    np.matmul(profiles.transpose(2, 1, 0), wd.transpose(2, 0, 1), out=out.transpose(2, 0, 1))
     np.cumsum(out[..., ::-1], axis=2, out=out[..., ::-1])
     return HyperVec(out, "dual")
 
@@ -254,15 +275,16 @@ def star_inner(w: HyperVec, v: HyperVec) -> np.ndarray:
         raise OrientationError("inner product takes (dual, right) operands")
     if w.n != v.n or w.m != v.m:
         raise ShapeError(f"cannot contract {w.data.shape} with {v.data.shape}")
-    out = np.zeros((w.m, w.m), dtype=complex)
+    wd, vd = _common(w.data, v.data)
+    out = np.zeros((w.m, w.m), dtype=wd.dtype)
     for k in range(w.n):
-        out += w.data[k] @ v.data[k]
+        out += wd[k] @ vd[k]
     return out
 
 
 def lift(a: np.ndarray, m: int) -> HyperVec:
     """Kronecker lift of a length-N vector: slice ``i`` equals ``a[i] * I_m``."""
-    a = np.asarray(a, dtype=complex).ravel()
+    a = _float_or_complex(a).ravel()
     if a.size < 1 or m < 1:
         raise ShapeError("lift needs a nonempty vector and m >= 1")
     return HyperVec(a[:, None, None] * np.eye(m), "right")
@@ -270,7 +292,7 @@ def lift(a: np.ndarray, m: int) -> HyperVec:
 
 def lift_dual(a: np.ndarray, m: int) -> HyperVec:
     """Dual Kronecker lift: slice ``i`` equals ``conj(a[i]) * I_m``."""
-    a = np.asarray(a, dtype=complex).ravel()
+    a = _float_or_complex(a).ravel()
     if a.size < 1 or m < 1:
         raise ShapeError("lift needs a nonempty vector and m >= 1")
     return HyperVec(np.conj(a)[:, None, None] * np.eye(m), "dual")

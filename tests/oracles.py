@@ -168,6 +168,41 @@ def residual_w_tensor(result) -> Tensor4:
     return Tensor4(data)
 
 
+def complex_lanczos(a: Tensor4, v, w, n: int) -> dict:
+    """The Lanczos recurrences in complex128 on the dense operator.
+
+    The reference for the package's dtype dispatch: every product is the
+    dense slice loop on complex data, and ``beta^{-1}`` is a general
+    inverse.  Runs n iterations without breakdown checks and returns
+    ``alphas``, ``betas``, ``v_basis``, ``w_basis`` (lists of arrays) and
+    the residuals ``residual_v``, ``residual_w``.
+    """
+    v = np.asarray(v, dtype=complex).ravel()
+    w = np.asarray(w, dtype=complex).ravel()
+    v = v / np.vdot(w, v)
+    eye = np.eye(a.m, dtype=complex)
+    vs = [v[:, None, None] * eye]
+    ws = [np.conj(w)[:, None, None] * eye]
+    alphas, betas = [], []
+    for k in range(n):
+        wa = dense_mul_vt(HyperVec(ws[-1], "dual"), a).data
+        alpha = sum(wa[i] @ vs[-1][i] for i in range(a.n1))
+        alphas.append(alpha)
+        av = dense_mul_tv(a, HyperVec(vs[-1], "right")).data
+        w_hat = wa - np.matmul(alpha, ws[-1])
+        v_hat = av - np.matmul(vs[-1], alpha)
+        if k > 0:
+            w_hat = w_hat - np.matmul(betas[-1], ws[-2])
+            v_hat = v_hat - vs[-2]
+        if k == n - 1:
+            return {"alphas": alphas, "betas": betas, "v_basis": vs, "w_basis": ws,
+                    "residual_v": v_hat, "residual_w": w_hat}
+        beta = sum(w_hat[i] @ v_hat[i] for i in range(a.n1))
+        betas.append(beta)
+        vs.append(np.matmul(v_hat, np.linalg.inv(beta)))
+        ws.append(w_hat)
+
+
 # --------------------------------------------------------- series resolvent
 
 def theta_matrix(mesh) -> np.ndarray:

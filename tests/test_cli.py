@@ -167,7 +167,11 @@ class TestMalformedProblemFile:
         (_with_term("re", "1"), "entries[0].terms[0].re"),
         (lambda doc: [doc], "the document"),
         (_with_term("power", 1.7), "entries[0].terms[0].power"),
-    ], ids=["v-item-not-object", "re-string", "top-level-array", "fractional-power"])
+        (lambda doc: {**doc, "v": [doc["v"][0], {"re": float("nan"), "im": 0.0},
+                                   doc["v"][2]]}, "v[1].re"),
+        (_with_term("omega", float("inf")), "entries[0].terms[0].omega"),
+    ], ids=["v-item-not-object", "re-string", "top-level-array", "fractional-power",
+            "v-re-nan", "omega-infinity"])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(change(json.loads(problem_to_json(builtin("const3"))))))

@@ -94,6 +94,16 @@ class TestMeasuresOnRuns:
         _, ew = err_recurrences(res, a4)
         assert ew == 0.0
 
+    @pytest.mark.parametrize("problem_id", ["const3", "timedep5", "zero1", "nmr1", "nmr2",
+                                            "nmr3"])
+    def test_err_w_exactly_zero_on_every_builtin(self, problem_id):
+        # nmr1 and nmr2 run on the imaginary profiles and are mapped by powers
+        # of i; the W row is still formed in the run's own arithmetic
+        p = builtin(problem_id)
+        a4, res = run(p, 12, min(p.n, 4))
+        assert res.status.completed
+        assert err_recurrences(res, a4)[1] == 0.0
+
     def test_biorth_single_iteration_exact(self):
         a4, res = run(builtin("const3"), 9, 1)
         assert err_biorth(res) < 1e-14

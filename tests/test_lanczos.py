@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toelanczos import (
     HyperVec,
     Problem,
+    ProfileTensor,
     Term,
     approx_solution,
     build_mesh,
@@ -21,7 +22,14 @@ from toelanczos import (
     tensor_lanczos,
 )
 from toelanczos.lanczos import TriTensor
-from oracles import assemble_tridiag, v_basis_tensor, w_basis_tensor
+from oracles import (
+    assemble_tridiag,
+    complex_lanczos,
+    dense_mul_tv,
+    dense_mul_vt,
+    v_basis_tensor,
+    w_basis_tensor,
+)
 
 
 def const_problem(mat, interval=(0.0, 1.0), ident="anon"):
@@ -126,6 +134,80 @@ class TestLowerTriangularInvariants:
             mats.extend(hv.data)
         for mat in mats:
             assert np.all(np.triu(mat, 1) == 0)
+
+
+class TestRunArithmetic:
+    """The recurrence runs in float64 where the data allow it, and maps back exactly."""
+
+    @pytest.mark.parametrize("problem_id,dtype,scale", [
+        ("const3", np.float64, 1), ("timedep5", np.float64, 1), ("zero1", np.float64, 1),
+        ("nmr1", np.float64, 1j), ("nmr2", np.float64, 1j), ("nmr3", np.complex128, 1)])
+    def test_run_dtype_per_builtin(self, problem_id, dtype, scale):
+        p = builtin(problem_id)
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, 8))
+        res = tensor_lanczos(a4, p.v, p.w, min(p.n, 3))
+        assert res.status.completed and res.scale == scale
+        run = [*res.run_tri.alphas, *res.run_tri.betas, res.run_residual_v.data,
+               res.run_residual_w.data, *(hv.data for hv in res.run_v_basis + res.run_w_basis)]
+        assert all(x.dtype == dtype for x in run)
+        # the i*B coefficients are mapped to complex ones; a real run's stay real
+        want = np.complex128 if scale == 1j else dtype
+        assert all(c.dtype == want for c in (*res.tri.alphas, *res.tri.betas))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(big_n=st.integers(2, 4), m=st.integers(1, 8), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_real_and_imaginary_profiles_match_complex_iteration(self, big_n, m, data, seed):
+        # n < N keeps the Krylov space from running out, where the residual is
+        # pure roundoff; kappa <= 10 keeps the non-Hermitian process from
+        # amplifying the roundoff of the differently ordered reference kernels
+        n = data.draw(st.integers(1, big_n - 1))
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((big_n, big_n, m))
+        v, w = rng.standard_normal(big_n), rng.standard_normal(big_n)
+        for scale in (1, 1j):
+            a4 = ProfileTensor(scale * b)
+            dense = a4.to_tensor4()
+            ref = complex_lanczos(dense, v, w, n)
+            kappa = max(np.linalg.norm(x) * np.linalg.norm(y) / m
+                        for x, y in zip(ref["v_basis"], ref["w_basis"]))
+            assume(kappa <= 10)
+            res = tensor_lanczos(a4, v, w, n)
+            assert res.status.completed and res.scale == scale
+            assert not np.iscomplexobj(res.run_tri.alphas[0])
+            pairs = [*zip(res.tri.alphas, ref["alphas"]), *zip(res.tri.betas, ref["betas"]),
+                     *((hv.data, x) for hv, x in zip(res.v_basis, ref["v_basis"])),
+                     *((hv.data, x) for hv, x in zip(res.w_basis, ref["w_basis"]))]
+            for got, want in pairs:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            # a residual is a difference of the products it came from: measure
+            # it against them
+            av = dense_mul_tv(dense, HyperVec(ref["v_basis"][-1], "right")).data
+            wa = dense_mul_vt(HyperVec(ref["w_basis"][-1], "dual"), dense).data
+            for got, want, scale_of in ((res.residual_v, ref["residual_v"], av),
+                                        (res.residual_w, ref["residual_w"], wa)):
+                assert np.linalg.norm(got.data - want) <= 1e-12 * np.linalg.norm(scale_of)
+
+    def test_float_data_not_copied(self):
+        rng = np.random.default_rng(0)
+        profiles, slices = rng.standard_normal((2, 2, 5)), rng.standard_normal((2, 5, 5))
+        assert ProfileTensor(profiles).data is profiles
+        assert HyperVec(slices).data is slices
+        p = builtin("nmr2")
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, 6))
+        res = tensor_lanczos(a4, p.v, p.w, 2)
+        # the run's operator is a view of the imaginary profiles
+        assert np.shares_memory(res.run_operator(a4).data, a4.data)
+
+    def test_tri_apply_real_vector_complex_coefficients(self):
+        rng = np.random.default_rng(3)
+        m, n = 4, 3
+        tri = TriTensor(m, [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                            for _ in range(n)], [rng.standard_normal((m, m)) for _ in range(n - 1)])
+        x = rng.standard_normal((n, m, m))
+        got = tri.apply(HyperVec(x, "right")).data
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, tri.apply(HyperVec(x.astype(complex), "right")).data)
 
 
 class TestClassifyBreakdown:

@@ -325,7 +325,8 @@ class TestProblemJson:
         assert term.power == 2 and isinstance(term.power, int)
 
     @pytest.mark.parametrize("field,value", [("power", 1.7), ("power", "2"), ("re", "1"),
-                                             ("im", [0.0]), ("omega", True)])
+                                             ("im", [0.0]), ("omega", True),
+                                             ("omega", float("inf")), ("re", float("nan"))])
     def test_mistyped_term_field_names_it(self, field, value):
         doc = json.loads(problem_to_json(builtin("const3")))
         doc["entries"][2]["terms"][0][field] = value
@@ -337,7 +338,12 @@ class TestProblemJson:
         (lambda doc: doc.update(interval=[0.0]), "interval"),
         (lambda doc: doc.update(w=[{"re": 1.0}]), r"w\[0\]\.im is missing"),
         (lambda doc: doc["entries"].append(3), r"entries\[8\] must be a JSON object"),
-    ], ids=["n-missing", "short-interval", "im-missing", "entry-not-object"])
+        # json reads NaN and Infinity; float() overflows on a long integer literal
+        (lambda doc: doc["v"][1].update(re=float("nan")), r"v\[1\]\.re must be a finite"),
+        (lambda doc: doc.update(interval=[float("-inf"), 1.0]), r"interval\[0\] must be a finite"),
+        (lambda doc: doc["w"][0].update(im=10**400), r"w\[0\]\.im must be a finite"),
+    ], ids=["n-missing", "short-interval", "im-missing", "entry-not-object", "v-re-nan",
+            "interval-minus-infinity", "integer-beyond-float"])
     def test_malformed_document_names_the_field(self, change, field):
         doc = json.loads(problem_to_json(builtin("const3")))
         change(doc)

@@ -93,6 +93,25 @@ class TestStarResolvent11:
         want = lu_resolvent_11(tri)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("problem_id,dtype", [("const3", np.float64), ("timedep5", np.float64),
+                                                  ("nmr2", np.complex128)])
+    def test_levels_in_the_coefficients_dtype(self, problem_id, dtype):
+        # a real Lanczos run gives a real resolvent; the i-mapped nmr2
+        # coefficients stay complex
+        p = builtin(problem_id)
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, 12))
+        res = tensor_lanczos(a4, p.v, p.w, 3)
+        log, log_c = [], []
+        got = star_resolvent_11(res.tri, cond_log=log)
+        as_complex = TriTensor(res.tri.m, [x.astype(complex) for x in res.tri.alphas],
+                               [x.astype(complex) for x in res.tri.betas])
+        want = star_resolvent_11(as_complex, cond_log=log_c)
+        assert got.dtype == dtype
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.allclose(log, log_c, rtol=1e-12)
+        values = approx_solution(res.tri, build_mesh(p.a, p.b, 12), res.normalization).values
+        assert values.dtype == np.complex128
+
     def test_condition_log(self):
         p = builtin("const3")
         mesh = build_mesh(p.a, p.b, 8)

@@ -25,11 +25,14 @@ The operator is the discretized
 :class:`~toelanczos.tensor_core.ProfileTensor`, whose slices are lower
 triangular; lower-triangular matrices are closed under the sums, products
 and inverses above, so every basis slice, ``alpha_k`` and ``beta_k`` has an
-exactly zero strict upper triangle, and ``beta`` is inverted by one
-triangular solve per iteration.  The resolvent levels built from these
-coefficients are lower triangular too, and
-:func:`~toelanczos.resolvent.star_resolvent_11` inverts them with the same
-solve.
+exactly zero strict upper triangle.  ``beta^{-1}`` is applied by one
+triangular solve per iteration, on the transposed system, which is upper
+triangular.  The resolvent levels built from these coefficients are lower
+triangular too, and :func:`~toelanczos.resolvent.star_resolvent_11` solves
+them, index-reversed to upper triangular, with the same helper.  Both run on
+numpy's LAPACK, the library under every product here: scipy's wheel bundles
+a second OpenBLAS whose thread pool, alternating with numpy's, contends for
+the same cores.
 
 Arithmetic: the recurrence runs in float64 when the data allow it and in
 complex128 otherwise, decided from the profiles and probes alone.  With real
@@ -61,7 +64,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .tensor_core import (
     HyperVec,
@@ -264,10 +266,25 @@ def _v_update(av: np.ndarray, v_k: np.ndarray, alpha: np.ndarray,
     return out
 
 
+def _solve_upper(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``u^{-1} b`` for an upper-triangular ``u``, on numpy's LAPACK.
+
+    Partial pivoting never swaps a row of an upper-triangular matrix (every
+    entry below the pivot is zero) and eliminates with exact zero
+    multipliers, so ``np.linalg.solve`` is exact back substitution, and zeros
+    that substitution forces stay exact.  LAPACK would carry a NaN or an
+    infinity through silently, so a non-finite operand raises ``ValueError``;
+    an exactly singular ``u`` raises ``LinAlgError``.
+    """
+    if not (np.isfinite(u).all() and np.isfinite(b).all()):
+        raise ValueError("triangular solve operands must not contain infs or NaNs")
+    return np.linalg.solve(u, b)
+
+
 def _apply_inverse_right(beta: np.ndarray, hv: HyperVec) -> HyperVec:
     # X = S @ beta^{-1}  <=>  beta^T X^T = S^T, for all slices S stacked by rows
     stacked = hv.data.reshape(-1, hv.m)
-    out = solve_triangular(beta, stacked.T, trans="T", lower=True).T
+    out = _solve_upper(beta.T, stacked.T).T
     return HyperVec(out.reshape(hv.data.shape), hv.orientation)
 
 

@@ -12,14 +12,15 @@ the beta factor on its right; this Schur complement recursion follows the
 block placement of the tridiagonal tensor.  The tests check it against a
 truncated series evaluation of the resolvent.
 
-The Lanczos coefficients are lower triangular, hence so is every level, and
-each is inverted by the triangular solve that inverts ``beta`` in the
-iteration.  It reads only the lower triangle, so other coefficients are
-rejected.  The levels are formed and solved in the coefficients' dtype,
-float64 for a real Lanczos run.  A 1-norm condition estimate is recorded
-per level and a :class:`ResolventSingularError` carries the depth at which
-an unusable level appeared: one whose estimate is infinite or exceeds
-``1/eps``.
+The Lanczos coefficients are lower triangular, hence so is every level.
+Reversing the indices makes a level upper triangular, and each is solved by
+the back substitution on numpy's LAPACK that applies ``beta^{-1}`` in the
+iteration.  That solve is exact back substitution only on a triangular
+matrix, so other coefficients are rejected.  The levels are formed and
+solved in the coefficients' dtype, float64 for a real Lanczos run.  A 1-norm
+condition estimate is recorded per level and a
+:class:`ResolventSingularError` carries the depth at which an unusable level
+appeared: one whose estimate is infinite or exceeds ``1/eps``.
 
 The solution approximation on a mesh with step ``h`` is
 
@@ -33,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .discretize import Mesh
-from .lanczos import TriTensor
+from .lanczos import TriTensor, _solve_upper
 
 __all__ = [
     "SolutionVec",
@@ -73,6 +74,14 @@ class SolutionVec:
         self.values = np.asarray(self.values, dtype=complex).ravel()
 
 
+def _solve_lower(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``s^{-1} b`` for a lower-triangular ``s``, as ``(J s J)(J X) = J b``.
+
+    ``J`` reverses the indices, which makes ``J s J`` upper triangular.
+    """
+    return _solve_upper(s[::-1, ::-1], b[::-1])[::-1]
+
+
 def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarray:
     """(1, 1) block of the ``*``-resolvent of ``T_n`` via the continued fraction.
 
@@ -102,8 +111,8 @@ def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarra
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise ResolventSingularError(level, cond)
         if level == 1:
-            return solve_triangular(s, eye, lower=True)
-        inner_beta = solve_triangular(s, tri.betas[level - 2], lower=True)
+            return _solve_lower(s, eye)
+        inner_beta = _solve_lower(s, tri.betas[level - 2])
         level -= 1
         s = (eye - tri.alphas[level - 1]) - inner_beta
 

@@ -9,7 +9,7 @@ compact :class:`~toelanczos.lanczos.TriTensor`.
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from toelanczos import (
     HyperVec,
@@ -122,6 +122,23 @@ def scale_v(v: HyperVec, mat: np.ndarray, side: str) -> HyperVec:
     else:
         raise ValueError("side must be 'left' or 'right'")
     return HyperVec(out, v.orientation)
+
+
+# -------------------------------------------------------- triangular solves
+
+def solve_lower(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``s^{-1} b`` for a lower-triangular ``s``, by scipy's triangular solver."""
+    return solve_triangular(s, b, lower=True)
+
+
+def times_inverse_right(slices: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Every ``m x m`` slice ``S`` times ``beta^{-1}``, for a lower-triangular ``beta``.
+
+    Solves ``beta^T X^T = S^T`` for all slices stacked by rows, by scipy's
+    triangular solver.
+    """
+    stacked = slices.reshape(-1, beta.shape[0])
+    return solve_triangular(beta, stacked.T, trans="T", lower=True).T.reshape(slices.shape)
 
 
 # ------------------------------------------------- materialized Lanczos data

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +22,16 @@ from toelanczos import (
     star_mul_tt,
     tensor_lanczos,
 )
-from toelanczos.lanczos import TriTensor
+from toelanczos import lanczos, resolvent
+from toelanczos.lanczos import TriTensor, _apply_inverse_right, _solve_upper
+from toelanczos.resolvent import _solve_lower
 from oracles import (
     assemble_tridiag,
     complex_lanczos,
     dense_mul_tv,
     dense_mul_vt,
+    solve_lower,
+    times_inverse_right,
     v_basis_tensor,
     w_basis_tensor,
 )
@@ -208,6 +213,70 @@ class TestRunArithmetic:
         got = tri.apply(HyperVec(x, "right")).data
         assert got.dtype == np.complex128
         assert np.array_equal(got, tri.apply(HyperVec(x.astype(complex), "right")).data)
+
+
+def random_lower(rng, m, complex_):
+    """Lower triangular with diagonals of size 0.25..1 under entries up to 4.
+
+    Partial pivoting on this orientation would swap rows.
+    """
+    x = np.tril(rng.uniform(-4, 4, (m, m)), -1)
+    if complex_:
+        x = x + 1j * np.tril(rng.uniform(-4, 4, (m, m)), -1)
+    return x + np.diag(rng.uniform(0.25, 1, m) * rng.choice([-1, 1], m))
+
+
+class TestTriangularSolves:
+    """The ``beta`` and resolvent solves: exact triangular solves on numpy's LAPACK."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 8), big_n=st.integers(1, 4), complex_=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_both_call_sites_match_scipy(self, m, big_n, complex_, seed):
+        rng = np.random.default_rng(seed)
+        beta = random_lower(rng, m, complex_)
+        slices = np.stack([random_lower(rng, m, complex_) for _ in range(big_n)])
+        cases = [(_apply_inverse_right(beta, HyperVec(slices, "right")).data,
+                  times_inverse_right(slices, beta))]
+        cases += [(_solve_lower(beta, b), solve_lower(beta, b)) for b in (np.eye(m), slices[0])]
+        tol = 16 * m * np.linalg.cond(beta, 1) * np.finfo(float).eps
+        for got, want in cases:
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+            assert np.all(np.triu(got, 1) == 0)
+
+    @pytest.mark.parametrize("operand", ["u", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operand_raises(self, operand, bad):
+        u, b = np.triu(np.ones((3, 3))), np.eye(3)
+        {"u": u, "b": b}[operand][0, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_upper(u, b)
+
+    def test_nan_residual_stopped_at_the_solve(self, monkeypatch):
+        # the SVD in the breakdown check refuses a non-finite beta first; with
+        # it bypassed, the solve keeps the NaN out of the basis
+        p = builtin("timedep5")
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, 8))
+        profiles = a4.data.copy()
+        profiles[0, 1, 3] = np.nan
+        monkeypatch.setattr(lanczos, "classify_breakdown", lambda *args: None)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            tensor_lanczos(ProfileTensor(profiles), p.v, p.w, 3)
+
+    @pytest.mark.parametrize("problem_id,m,n", [("timedep5", 25, 5), ("nmr3", 20, 4)])
+    def test_pipeline_never_calls_scipy_solve_triangular(self, monkeypatch, problem_id, m, n):
+        # scipy's wheel bundles its own OpenBLAS; alternating its thread pool
+        # with numpy's oversubscribes the cores
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_triangular runs on scipy's OpenBLAS")
+
+        for namespace in (scipy.linalg, lanczos, resolvent):
+            monkeypatch.setattr(namespace, "solve_triangular", refuse, raising=False)
+        p = builtin(problem_id)
+        mesh = build_mesh(p.a, p.b, m)
+        res = tensor_lanczos(discretize_problem(p, mesh), p.v, p.w, n)
+        assert res.status.completed and res.tri.n == n
+        assert np.all(np.isfinite(approx_solution(res.tri, mesh, res.normalization).values))
 
 
 class TestClassifyBreakdown:

@@ -112,6 +112,14 @@ class TestStarResolvent11:
         values = approx_solution(res.tri, build_mesh(p.a, p.b, 12), res.normalization).values
         assert values.dtype == np.complex128
 
+    def test_non_finite_beta_raises_value_error(self):
+        m = 3
+        beta = np.tril(np.ones((m, m)))
+        beta[2, 0] = np.nan
+        tri = TriTensor(m, [np.zeros((m, m)), np.zeros((m, m))], [beta])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            star_resolvent_11(tri)
+
     def test_condition_log(self):
         p = builtin("const3")
         mesh = build_mesh(p.a, p.b, 8)

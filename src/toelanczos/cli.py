@@ -85,8 +85,34 @@ def _reference_values(problem, mesh, kind, rtol, atol):
     return prob.rk45_reference(problem, mesh, rtol=rtol, atol=atol).values
 
 
-def _pipeline_once(problem, m, n, args):
-    """One discretize -> Lanczos -> resolvent -> diagnostics pass."""
+def _sweep_reference(problem, args):
+    """``mesh -> reference values`` for the meshes of one command.
+
+    An RK45 reference is integrated once, on the first mesh that needs it,
+    and its dense output is sampled on every later one: the values are those
+    of a new integration per mesh, because the integration never sees the
+    mesh.  Nothing outlives the command.
+    """
+    kind = args.reference
+    first = None
+
+    def values(mesh):
+        nonlocal first
+        if kind != "rk45":
+            return _reference_values(problem, mesh, kind, args.rtol, args.atol)
+        if first is None:
+            first = prob.rk45_reference(problem, mesh, rtol=args.rtol, atol=args.atol)
+            return first.values
+        return first.resample(mesh)
+
+    return values
+
+
+def _pipeline_once(problem, m, n, args, reference):
+    """One discretize -> Lanczos -> resolvent -> diagnostics pass.
+
+    ``reference`` maps the mesh to the reference values, or to ``None``.
+    """
     mesh = build_mesh(problem.a, problem.b, m)
     a4 = discretize_problem(problem, mesh)
     result = tensor_lanczos(a4, problem.v, problem.w, n,
@@ -102,7 +128,7 @@ def _pipeline_once(problem, m, n, args):
         if status.completed:
             raise
     if solution is not None:
-        ref = _reference_values(problem, mesh, args.reference, args.rtol, args.atol)
+        ref = reference(mesh)
         if ref is not None:
             report_err_sol = diag.err_solution(ref, solution.values)
     err_m = diag.err_moments(result, a4)
@@ -125,7 +151,9 @@ def cmd_run(args) -> int:
                          "use convergence for a sweep")
     problem = _load_problem(args)
     _check_budget(args.M[0], problem.n, args.n, args.allow_large)
-    report, solution = _pipeline_once(problem, args.M[0], args.n, args)
+    report, solution = _pipeline_once(
+        problem, args.M[0], args.n, args,
+        lambda mesh: _reference_values(problem, mesh, args.reference, args.rtol, args.atol))
     base = args.output
     text = diag.report_to_json(report)
     with open(base + "_report.json", "w") as fh:
@@ -147,7 +175,8 @@ def cmd_convergence(args) -> int:
     problem = _load_problem(args)
     for m in args.M:
         _check_budget(m, problem.n, args.n, args.allow_large)
-    results = [_pipeline_once(problem, m, args.n, args) for m in args.M]
+    reference = _sweep_reference(problem, args)
+    results = [_pipeline_once(problem, m, args.n, args, reference) for m in args.M]
     rows = [",".join(diag.REPORT_CSV_COLUMNS)]
     points = []
     worst_exit = EXIT_OK

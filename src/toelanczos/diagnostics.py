@@ -11,7 +11,18 @@ Five diagnostics quantify a run:
 
 Norms are the rooted Frobenius norm of :func:`toelanczos.tensor_core.frobenius`;
 all measures are relative, so the rooting convention only rescales absolute
-thresholds.
+thresholds.  A norm over a stacked tensor (``V_n``, ``W_n``, the residual
+rows) is the root of the summed squared norms of its pieces, so no stack is
+formed.
+
+Every measure reads the run as it was computed: the ``run_*`` fields of
+:class:`~toelanczos.lanczos.LanczosResult` and its operator ``A / scale``
+(:meth:`~toelanczos.lanczos.LanczosResult.run_operator`), in the run's
+dtype, so a float64 run is measured in float64.  For ``scale = i`` the
+``i``-map multiplies each biorthogonality entry and each recurrence row by a
+unit factor and moment ``k`` by ``i^k`` (see :mod:`toelanczos.lanczos`), so
+the measures are those of the run on ``A``; :func:`moment_matrices` applies
+the ``i^k`` to return the moments of ``A``.
 
 The recurrence residuals call the iteration's own update helpers
 (``lanczos._v_update`` and ``lanczos._w_update``) per basis vector and
@@ -25,22 +36,22 @@ pinned expected behavior.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lanczos import LanczosResult, _v_update, _w_update
+from .lanczos import LanczosResult, _times_i_power, _v_update, _w_update
 from .tensor_core import (
     ProfileTensor,
-    Tensor4,
     frobenius,
     lift,
     lift_dual,
     star_inner,
-    star_mul_tt,
     star_mul_tv,
     star_mul_vt,
 )
+from .tensor_core import star_mul_tt  # unused here: the benchmark's tracer wraps it by name
 
 __all__ = [
     "ErrorReport",
@@ -71,27 +82,36 @@ class ErrorReport:
         self.err_m = np.asarray(self.err_m, dtype=float).ravel()
 
 
+def _stacked_norm(pieces) -> float:
+    """Frobenius norm of the pieces' stack: the root of their summed squared norms."""
+    return math.hypot(*(frobenius(x) for x in pieces))
+
+
 def err_biorth(result: LanczosResult) -> float:
     """Relative deviation of ``W_n * V_n`` from the ``*`` identity.
 
     ``V_n`` stacks the right basis as the columns of an N x n tensor and
-    ``W_n`` the dual basis as the rows of an n x N one.
+    ``W_n`` the dual basis as the rows of an n x N one, so entry (i, j) of
+    ``W_n * V_n`` is ``W_i^D * V_j``: the n x n table of
+    :func:`~toelanczos.tensor_core.star_inner` on the run's bases, with
+    ``I`` subtracted on the diagonal.
     """
-    vt = Tensor4(np.stack([hv.data for hv in result.v_basis], axis=1))
-    wt = Tensor4(np.stack([hv.data for hv in result.w_basis], axis=0))
-    dev = star_mul_tt(wt, vt).data
-    for k in range(vt.n2):
-        dev[k, k] -= np.eye(vt.m)
-    return float(np.linalg.norm(dev.ravel()) / max(frobenius(vt), frobenius(wt)))
+    vb, wb = result.run_v_basis, result.run_w_basis
+    eye = np.eye(vb[0].m)
+    dev = [star_inner(w, v) - eye if i == j else star_inner(w, v)
+           for i, w in enumerate(wb) for j, v in enumerate(vb)]
+    return _stacked_norm(dev) / max(_stacked_norm(vb), _stacked_norm(wb))
 
 
-def _relative_residual(products: np.ndarray, residual: np.ndarray) -> float:
-    """``|R| / max(|P|, |P - R|)`` for the stacked products ``P`` and residual rows ``R``."""
-    res = float(np.linalg.norm(residual.ravel()))
-    if res == 0.0:
+def _relative_residual(rows) -> float:
+    """``|R| / max(|P|, |P - R|)`` from the rows' norms ``(|P_k|, |R_k|, |P_k - R_k|)``.
+
+    ``P`` stacks the products and ``R`` the residual rows.
+    """
+    products, residual, rest = (math.hypot(*col) for col in zip(*rows))
+    if residual == 0.0:
         return 0.0
-    return res / max(float(np.linalg.norm(products.ravel())),
-                     float(np.linalg.norm((products - residual).ravel())))
+    return residual / max(products, rest)
 
 
 def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, float]:
@@ -102,33 +122,30 @@ def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, flo
     :func:`~toelanczos.lanczos._w_update`) and subtracts the next vector,
     ``V_{k+1} x beta_{k+1}`` and ``W_{k+1}``, or the stored residual on the
     last row.  Denominators follow the displayed measures:
-    ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and the W analogue.
+    ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and the W analogue.  Each row
+    contributes its three squared norms and is then dropped.
 
-    The rows are formed on the run as it was computed, with ``A / scale``
-    (:meth:`~toelanczos.lanczos.LanczosResult.run_operator`) and in its
-    dtype, so the W row repeats the iteration's arithmetic exactly.  The
-    ``i``-map scales each row by a unit factor, so the measures are those
-    of the run on ``A``.
+    The rows are formed on the run, with ``A / scale`` and in its dtype, so
+    the W row repeats the iteration's arithmetic exactly and ``err_W`` is 0.
     """
     b = result.run_operator(a)
     tri = result.run_tri
     vb = [hv.data for hv in result.run_v_basis]
     wb = [hv.data for hv in result.run_w_basis]
-    v_next = [np.matmul(v, beta) for v, beta in zip(vb[1:], tri.betas)] + [result.run_residual_v.data]
-    w_next = wb[1:] + [result.run_residual_w.data]
-    av, wa, v_num, w_num = [], [], [], []
+    v_rows, w_rows = [], []
     for k in range(tri.n):
-        av.append(star_mul_tv(b, result.run_v_basis[k]).data)
-        wa.append(star_mul_vt(result.run_w_basis[k], b).data)
+        last = k + 1 == tri.n
+        v_next = result.run_residual_v.data if last else np.matmul(vb[k + 1], tri.betas[k])
+        w_next = result.run_residual_w.data if last else wb[k + 1]
+        av = star_mul_tv(b, result.run_v_basis[k]).data
+        wa = star_mul_vt(result.run_w_basis[k], b).data
         prev = () if k == 0 else (vb[k - 1],)
-        v_num.append(_v_update(av[k], vb[k], tri.alphas[k], *prev) - v_next[k])
+        v_num = _v_update(av, vb[k], tri.alphas[k], *prev) - v_next
         prev = () if k == 0 else (tri.betas[k - 1], wb[k - 1])
-        w_num.append(_w_update(wa[k], tri.alphas[k], wb[k], *prev) - w_next[k])
-    # stacked as V_n (columns, axis 1) and W_n (rows, axis 0): the layout fixes
-    # the summation order of the norms
-    err_v = _relative_residual(np.stack(av, axis=1), np.stack(v_num, axis=1))
-    err_w = _relative_residual(np.stack(wa, axis=0), np.stack(w_num, axis=0))
-    return err_v, err_w
+        w_num = _w_update(wa, tri.alphas[k], wb[k], *prev) - w_next
+        v_rows.append((frobenius(av), frobenius(v_num), frobenius(av - v_num)))
+        w_rows.append((frobenius(wa), frobenius(w_num), frobenius(wa - w_num)))
+    return _relative_residual(v_rows), _relative_residual(w_rows)
 
 
 def moment_matrices(result: LanczosResult, a: ProfileTensor,
@@ -141,24 +158,32 @@ def moment_matrices(result: LanczosResult, a: ProfileTensor,
     powers are never formed: each side keeps its Krylov vector and applies
     one product per k, ``A * cur`` on the left and the three-term
     :meth:`~toelanczos.lanczos.TriTensor.apply` on the right.
+
+    Both sides iterate on the run, ``A / scale`` and its coefficients, in
+    its dtype; for ``scale = i`` moment k of each side is mapped back by the
+    exact factor ``i^k``.
     """
-    tri = result.tri
+    tri = result.run_tri
+    b = result.run_operator(a)
     n = tri.n
     if k_max is None:
         k_max = 2 * n - 1
     e1 = np.zeros(n)
     e1[0] = 1.0
-    w_lift = result.w_basis[0]
+    w_lift = result.run_w_basis[0]
     e1_d = lift_dual(e1, tri.m)
-    cur = result.v_basis[0]
+    cur = result.run_v_basis[0]
     cur_t = lift(e1, tri.m)
     lhs = [star_inner(w_lift, cur)]
     rhs = [star_inner(e1_d, cur_t)]
     for _ in range(k_max):
-        cur = star_mul_tv(a, cur)
+        cur = star_mul_tv(b, cur)
         cur_t = tri.apply(cur_t)
         lhs.append(star_inner(w_lift, cur))
         rhs.append(star_inner(e1_d, cur_t))
+    if result.scale != 1:
+        lhs = [_times_i_power(x, k) for k, x in enumerate(lhs)]
+        rhs = [_times_i_power(x, k) for k, x in enumerate(rhs)]
     return lhs, rhs
 
 

@@ -48,7 +48,8 @@ a real run on ``B``.  Induction on the recurrences shows that the run on
 Each factor is a power of ``i``, so the map is exact in floating point, and
 ``|i| = 1`` leaves every residual norm and ``cond(beta)``, hence the
 breakdown tests, as they are in the run on ``B``.  :class:`LanczosResult`
-keeps the run on ``B`` and maps it only when it is read.  Any other data,
+keeps the run on ``B`` and maps only its coefficients, which the resolvent
+reads; the diagnostics measure the run itself.  Any other data,
 complex probes or profiles with both parts nonzero, run in complex128 on
 ``A``.
 
@@ -159,22 +160,24 @@ def _times_i_power(x: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass
 class LanczosResult:
-    """Bases, coefficients, residuals and status of one Lanczos run on ``A``.
+    """Coefficients, bases, residuals and status of one Lanczos run on ``A``.
 
-    ``residual_v`` is ``V_{n+1} x beta_{n+1}`` (the unnormalized V residual)
-    and ``residual_w`` is ``W_{n+1}^D``; they are exactly the hatted vectors
-    of the last completed iteration and form the nonzero slices of the
-    recurrence residual tensors.
+    The ``run_*`` fields hold the recurrence as it ran, on ``A / scale``
+    and in that operator's dtype: the coefficients ``run_tri``, the bases
+    ``run_v_basis`` and ``run_w_basis``, and the residuals ``run_residual_v``,
+    which is ``V_{n+1} x beta_{n+1}`` (the unnormalized V residual), and
+    ``run_residual_w``, which is ``W_{n+1}^D``; the residuals are exactly the
+    hatted vectors of the last completed iteration and form the nonzero
+    slices of the recurrence residual tensors.  The diagnostics read these
+    fields and :meth:`run_operator` directly.
+
+    ``tri`` holds the coefficients of the run on ``A``: ``run_tri`` itself
+    for ``scale = 1``, and for ``scale = i`` the module's ``i``-map applied
+    once on first read.  It is the only mapped view; a run's bases are never
+    copied into complex.
 
     ``normalization`` records the ``w^H v`` factor divided out of ``v`` on
     entry; downstream solution values must be rescaled by it.
-
-    The ``run_*`` fields hold the recurrence as it ran, on ``A / scale``
-    and in that operator's dtype.  For ``scale = 1`` the properties ``tri``,
-    ``v_basis``, ``w_basis``, ``residual_v`` and ``residual_w`` return them
-    unchanged; for ``scale = i`` they apply the module's ``i``-map on each
-    read (``tri`` once), so a run whose bases nobody reads never holds
-    complex copies of them.
     """
 
     run_tri: TriTensor
@@ -190,12 +193,6 @@ class LanczosResult:
         """The operator the recurrence ran on, ``a / scale``, for the ``a`` it was given."""
         return _run_operator(a, self.scale, not np.iscomplexobj(self.run_tri.alphas[0]))
 
-    def _map(self, hv: HyperVec, p: int) -> HyperVec:
-        """``i**p * hv``, or ``hv`` itself for a run on ``A``."""
-        if self.scale == 1:
-            return hv
-        return HyperVec(_times_i_power(hv.data, p), hv.orientation)
-
     @cached_property
     def tri(self) -> TriTensor:
         run = self.run_tri
@@ -203,22 +200,6 @@ class LanczosResult:
             return run
         return TriTensor(run.m, [_times_i_power(a, 1) for a in run.alphas],
                          [_times_i_power(b, 2) for b in run.betas])
-
-    @property
-    def v_basis(self) -> list[HyperVec]:
-        return [self._map(hv, -k) for k, hv in enumerate(self.run_v_basis)]
-
-    @property
-    def w_basis(self) -> list[HyperVec]:
-        return [self._map(hv, k) for k, hv in enumerate(self.run_w_basis)]
-
-    @property
-    def residual_v(self) -> HyperVec:
-        return self._map(self.run_residual_v, 2 - self.run_tri.n)
-
-    @property
-    def residual_w(self) -> HyperVec:
-        return self._map(self.run_residual_w, self.run_tri.n)
 
 
 def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,

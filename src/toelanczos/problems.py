@@ -132,9 +132,16 @@ class Problem:
 
 @dataclass
 class Reference:
-    """Sampled true solution ``s_hat`` on a mesh."""
+    """Sampled true solution ``s_hat`` on a mesh.
+
+    ``resample``, where set, evaluates the same solution on another mesh
+    without solving again (the RK45 reference's dense output); it returns
+    exactly the values a new reference on that mesh would hold.
+    """
 
     values: np.ndarray
+    resample: Callable[[Mesh], np.ndarray] | None = field(default=None, repr=False,
+                                                          compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex).ravel()
@@ -415,7 +422,8 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
     a right-hand-side evaluation costs a few array operations rather than a
     Python loop over the terms; the values equal those of the per-term sum.
     The dense output is evaluated at every mesh point (no nearest-sample
-    matching), and ``s_hat_i = w^H u(tau_i)``.
+    matching), and ``s_hat_i = w^H u(tau_i)``; the returned reference's
+    ``resample`` evaluates it on any other mesh of the interval.
     """
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise ValueError(f"rtol and atol must be finite and positive, got {rtol}, {atol}")
@@ -428,9 +436,12 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
         t_fail = sol.t[-1] if sol.t.size else problem.a
         raise StiffnessError(
             f"integrator failed for {problem.id!r} near t = {t_fail}: {sol.message}")
-    u = sol.sol(mesh.tau)  # (n, M)
-    vals = np.conj(problem.w) @ u
-    return Reference(vals)
+
+    def sample(at: Mesh) -> np.ndarray:
+        u = sol.sol(at.tau)  # (n, M)
+        return np.conj(problem.w) @ u
+
+    return Reference(sample(mesh), sample)
 
 
 def _complex_to_json(z: complex) -> dict:

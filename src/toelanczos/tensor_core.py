@@ -12,11 +12,13 @@ and a diagonal scaling, ``O(n1 n2 m^2)`` in place of the ``O(n1 n2 m^3)``
 slice products: mesh row ``j`` of ``A * V`` is the ``n1 x n2`` matrix of
 profile values at ``j`` applied to row ``j`` of the running sum of ``V``,
 and all ``m`` rows go through one batched product.  They accept no other
-operator type.  :class:`Tensor4` stores every entry; it holds the stacked
-Lanczos bases for :func:`star_mul_tt` (the biorthogonality measure) and the
-dense operator that the tensor-train decomposition reads
-(:meth:`ProfileTensor.to_tensor4`).  The dense-only operations raise
-``TypeError`` on a :class:`ProfileTensor`.
+operator type.  :class:`Tensor4` stores every entry; in the pipeline it
+holds only the dense operator that the tensor-train decomposition reads
+(:meth:`ProfileTensor.to_tensor4`).  :func:`star_mul_tt`, its product, is
+not called by any command: the biorthogonality measure contracts the bases
+with :func:`star_inner`, and the tests and the benchmark's tracer keep the
+name.  The dense-only operations raise ``TypeError`` on a
+:class:`ProfileTensor`.
 
 :class:`ProfileTensor` and :class:`HyperVec` keep the dtype of their data:
 complex data stays complex128, and anything else becomes float64 without a
@@ -308,4 +310,5 @@ def frobenius(x) -> float:
     """
     if isinstance(x, (Tensor4, HyperVec)):
         x = x.data
-    return float(np.linalg.norm(np.asarray(x).ravel()))
+    # order "K" reads the entries in memory order: no copy of a transposed basis
+    return float(np.linalg.norm(np.asarray(x).ravel(order="K")))

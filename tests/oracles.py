@@ -3,7 +3,9 @@
 Everything here is dense: the ``*`` products as block-matrix algebra on
 :class:`~toelanczos.tensor_core.Tensor4`, the materialized tridiagonal
 coefficient tensor and basis tensors, and series evaluations of the
-resolvent.  The package itself runs on the profile-form operator and the
+resolvent.  The bases and residuals of the run on ``A`` are mapped here
+from the run the package keeps (``v_basis``, ``w_basis``, ``residual_v``,
+``residual_w``).  The package itself runs on the profile-form operator and the
 compact :class:`~toelanczos.lanczos.TriTensor`.
 """
 
@@ -25,6 +27,7 @@ from toelanczos import (
     star_mul_tt,
     star_mul_tv,
 )
+from toelanczos.lanczos import _times_i_power
 from toelanczos.tt import TTTensor
 
 
@@ -159,29 +162,56 @@ def assemble_tridiag(tri) -> Tensor4:
     return Tensor4(data)
 
 
+def _mapped(result, hv: HyperVec, p: int) -> HyperVec:
+    """``i**p * hv`` for a run on ``-i A`` (``scale = i``), else ``hv`` itself."""
+    if result.scale == 1:
+        return hv
+    return HyperVec(_times_i_power(hv.data, p), hv.orientation)
+
+
+def v_basis(result) -> list[HyperVec]:
+    """The right basis of the run on ``A``: ``V_k -> i^-(k-1) V_k`` for ``scale = i``."""
+    return [_mapped(result, hv, -k) for k, hv in enumerate(result.run_v_basis)]
+
+
+def w_basis(result) -> list[HyperVec]:
+    """The dual basis of the run on ``A``: ``W_k -> i^(k-1) W_k`` for ``scale = i``."""
+    return [_mapped(result, hv, k) for k, hv in enumerate(result.run_w_basis)]
+
+
+def residual_v(result) -> HyperVec:
+    """The V residual of the run on ``A``: ``i^-(n-2)`` times the run's for ``scale = i``."""
+    return _mapped(result, result.run_residual_v, 2 - result.run_tri.n)
+
+
+def residual_w(result) -> HyperVec:
+    """The W residual of the run on ``A``: ``i^n`` times the run's for ``scale = i``."""
+    return _mapped(result, result.run_residual_w, result.run_tri.n)
+
+
 def v_basis_tensor(result) -> Tensor4:
     """Stack the right basis into the N x n tensor with slice (:, k) = V_{k+1}."""
-    return Tensor4(np.stack([hv.data for hv in result.v_basis], axis=1))
+    return Tensor4(np.stack([hv.data for hv in v_basis(result)], axis=1))
 
 
 def w_basis_tensor(result) -> Tensor4:
     """Stack the dual basis into the n x N tensor with slice (k, :) = W_{k+1}^D."""
-    return Tensor4(np.stack([hv.data for hv in result.w_basis], axis=0))
+    return Tensor4(np.stack([hv.data for hv in w_basis(result)], axis=0))
 
 
 def residual_v_tensor(result) -> Tensor4:
     """N x n tensor whose last column is the V-side residual, zero elsewhere."""
-    n = len(result.v_basis)
-    data = np.zeros((result.residual_v.n, n, result.tri.m, result.tri.m), dtype=complex)
-    data[:, n - 1] = result.residual_v.data
+    res, n = residual_v(result), result.run_tri.n
+    data = np.zeros((res.n, n, result.tri.m, result.tri.m), dtype=complex)
+    data[:, n - 1] = res.data
     return Tensor4(data)
 
 
 def residual_w_tensor(result) -> Tensor4:
     """n x N tensor whose last row is the W-side residual, zero elsewhere."""
-    n = len(result.w_basis)
-    data = np.zeros((n, result.residual_w.n, result.tri.m, result.tri.m), dtype=complex)
-    data[n - 1, :] = result.residual_w.data
+    res, n = residual_w(result), result.run_tri.n
+    data = np.zeros((n, res.n, result.tri.m, result.tri.m), dtype=complex)
+    data[n - 1, :] = res.data
     return Tensor4(data)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toelanczos import Problem, builtin, problem_to_json
-from toelanczos import cli
+from toelanczos import cli, diagnostics, problems, tensor_core
 from toelanczos.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -122,6 +122,17 @@ class TestRun:
                        "--reference", "rk45", "--output", str(tmp_path / "z"))
         assert code == EXIT_SHAPE
         assert "all zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem_id,n", [("timedep5", 5), ("nmr2", 4)])
+    def test_forms_no_dense_tensor(self, tmp_path, monkeypatch, problem_id, n):
+        # the diagnostics read the run's own bases: no stacked dense tensor
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense Tensor4 product was formed")
+        monkeypatch.setattr(diagnostics, "star_mul_tt", refuse)
+        monkeypatch.setattr(tensor_core.Tensor4, "__post_init__", refuse)
+        code = run_cli("run", "--problem", problem_id, "--M", "12", "--n", str(n),
+                       "--reference", "rk45", "--output", str(tmp_path / "d"))
+        assert code == EXIT_OK
 
     def test_large_guard(self, tmp_path):
         code = run_cli("run", "--problem", "const3", "--M", "2000", "--n", "3",
@@ -290,6 +301,27 @@ class TestConvergence:
         rows = (tmp_path / "conv_convergence.csv").read_text().strip().split("\n")
         assert rows[0].startswith("problem,M,n,")
         assert len(rows) == 4
+
+    def test_rk45_reference_integrated_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve_ivp = problems.solve_ivp
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+        monkeypatch.setattr(problems, "solve_ivp", counting_solve_ivp)
+        argv = ["convergence", "--problem", "timedep5", "--M", "10,20,30", "--n", "5",
+                "--reference", "rk45"]
+        assert run_cli(*argv, "--output", str(tmp_path / "once")) == EXIT_OK
+        assert len(calls) == 1
+        # a fresh integration per mesh writes the same bytes
+        monkeypatch.setattr(cli, "_sweep_reference", lambda problem, args: lambda mesh: (
+            cli._reference_values(problem, mesh, args.reference, args.rtol, args.atol)))
+        assert run_cli(*argv, "--output", str(tmp_path / "each")) == EXIT_OK
+        assert len(calls) == 4
+        for suffix in ("_convergence.csv", "_slope.json"):
+            once = (tmp_path / f"once{suffix}").read_bytes()
+            assert once == (tmp_path / f"each{suffix}").read_bytes()
 
     def test_exact_points_give_null_slope(self, tmp_path):
         # A = 0 is solved exactly (err_sol == 0), so no point has a logarithm

@@ -56,7 +56,6 @@ from .tensor_core import (
     frobenius,
     lift,
     lift_dual,
-    require_dense,
     star_inner,
     star_mul_tt,
     star_mul_tv,

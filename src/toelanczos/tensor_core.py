@@ -12,13 +12,11 @@ and a diagonal scaling, ``O(n1 n2 m^2)`` in place of the ``O(n1 n2 m^3)``
 slice products: mesh row ``j`` of ``A * V`` is the ``n1 x n2`` matrix of
 profile values at ``j`` applied to row ``j`` of the running sum of ``V``,
 and all ``m`` rows go through one batched product.  They accept no other
-operator type.  :class:`Tensor4` stores every entry; in the pipeline it
-holds only the dense operator that the tensor-train decomposition reads
-(:meth:`ProfileTensor.to_tensor4`).  :func:`star_mul_tt`, its product, is
-not called by any command: the biorthogonality measure contracts the bases
-with :func:`star_inner`, and the tests and the benchmark's tracer keep the
-name.  The dense-only operations raise ``TypeError`` on a
-:class:`ProfileTensor`.
+operator type.  :class:`Tensor4`, which stores every entry, and its
+product :func:`star_mul_tt` are called by no command: the benchmark's
+tracer wraps ``diagnostics.star_mul_tt`` by name, and the tests build their
+dense operators in their own oracles.  :func:`star_mul_tt` raises
+``TypeError`` on a :class:`ProfileTensor`.
 
 :class:`ProfileTensor` and :class:`HyperVec` keep the dtype of their data:
 complex data stays complex128, and anything else becomes float64 without a
@@ -55,7 +53,6 @@ __all__ = [
     "lift",
     "lift_dual",
     "frobenius",
-    "require_dense",
 ]
 
 
@@ -166,11 +163,6 @@ class ProfileTensor:
     def m(self) -> int:
         return self.data.shape[2]
 
-    def to_tensor4(self) -> Tensor4:
-        """The dense tensor with the same slices."""
-        mask = np.tril(np.ones((self.m, self.m)))
-        return Tensor4(self.data[..., :, None] * mask)
-
 
 @dataclass
 class HyperVec:
@@ -205,21 +197,15 @@ def _require_profile(a) -> None:
         raise TypeError(f"expected a ProfileTensor operator, got {type(a).__name__}")
 
 
-def require_dense(*tensors) -> None:
-    """Raise ``TypeError`` unless every argument is a dense :class:`Tensor4`."""
-    for t in tensors:
-        if not isinstance(t, Tensor4):
-            raise TypeError(f"expected a dense Tensor4, got {type(t).__name__}; "
-                            "convert a ProfileTensor with to_tensor4()")
-
-
 def star_mul_tt(a: Tensor4, b: Tensor4) -> Tensor4:
     """Tensor-tensor ``*`` product: blockwise matrix-matrix multiplication.
 
     ``out[i1, i2] = sum_k a[i1, k] @ b[k, i2]`` with k ascending, every
     slice pair multiplied.
     """
-    require_dense(a, b)
+    for t in (a, b):
+        if not isinstance(t, Tensor4):
+            raise TypeError(f"expected a dense Tensor4, got {type(t).__name__}")
     if a.n2 != b.n1 or a.m != b.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {b.data.shape}")
     out = np.zeros((a.n1, b.n2, a.m, a.m), dtype=complex)

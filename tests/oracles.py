@@ -1,7 +1,9 @@
 """Slow reference implementations the tests compare the package against.
 
-Everything here is dense: the ``*`` products as block-matrix algebra on
-:class:`~toelanczos.tensor_core.Tensor4`, the materialized tridiagonal
+Everything here is dense: the operator with every slice materialized
+(:func:`to_tensor4`), the ``*`` products as block-matrix algebra on
+:class:`~toelanczos.tensor_core.Tensor4`, the unfolding tensor-train sweep
+and its dense nonzero count, the materialized tridiagonal
 coefficient tensor and basis tensors, and series evaluations of the
 resolvent.  The bases and residuals of the run on ``A`` are mapped here
 from the run the package keeps (``v_basis``, ``w_basis``, ``residual_v``,
@@ -16,22 +18,36 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from toelanczos import (
     HyperVec,
     OrientationError,
+    ProfileTensor,
     ShapeError,
     SolutionVec,
     Tensor4,
     frobenius,
     lift,
     lift_dual,
-    require_dense,
     star_inner,
     star_mul_tt,
     star_mul_tv,
 )
 from toelanczos.lanczos import _times_i_power
-from toelanczos.tt import TTTensor
+from toelanczos.tt import TTTensor, _rank_from_tail, parameter_count
 
 
 # ------------------------------------------------------------ dense algebra
+
+def to_tensor4(a: ProfileTensor) -> Tensor4:
+    """The dense tensor with the slices ``diag(a.data[i1, i2]) @ tril(1)``."""
+    mask = np.tril(np.ones((a.m, a.m)))
+    return Tensor4(a.data[..., :, None] * mask)
+
+
+def require_dense(*tensors) -> None:
+    """Raise ``TypeError`` unless every argument is a dense :class:`Tensor4`."""
+    for t in tensors:
+        if not isinstance(t, Tensor4):
+            raise TypeError(f"expected a dense Tensor4, got {type(t).__name__}; "
+                            "convert a ProfileTensor with to_tensor4()")
+
 
 def to_block_matrix(a: Tensor4) -> np.ndarray:
     """Flatten to the ``(n1*m) x (n2*m)`` block matrix with block (i1, i2) = a[i1, i2].
@@ -325,6 +341,45 @@ def solution_via_series(a, v: np.ndarray, w: np.ndarray, mesh,
 
 
 # ------------------------------------------------------------ tensor trains
+
+def dense_tt_svd(a: Tensor4, tol: float) -> TTTensor:
+    """The TT-SVD sweep on the unfoldings of a dense 4-mode tensor.
+
+    Each unfolding goes through a thin SVD, truncated at
+    ``tol * |A|_F / sqrt(3)`` by the package's own tail rule; the reference
+    for :func:`~toelanczos.tt.tt_svd` on the profiles.
+    """
+    require_dense(a)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    modes = a.data.shape
+    delta = tol * np.linalg.norm(a.data.ravel()) / np.sqrt(3.0)
+    delta_sq = delta * delta
+    cores, ranks = [], [1]
+    current = a.data.reshape(modes[0], -1)
+    for k in range(3):
+        u, s, vh = np.linalg.svd(current, full_matrices=False)
+        r = _rank_from_tail(s**2, delta_sq)
+        cores.append(u[:, :r].reshape(ranks[-1], modes[k], r))
+        ranks.append(r)
+        current = s[:r, None] * vh[:r]
+        if k < 2:
+            current = current.reshape(r * modes[k + 1], -1)
+    cores.append(current.reshape(ranks[-1], modes[3], 1))
+    ranks.append(1)
+    return TTTensor(cores, tuple(ranks), tuple(modes), float(tol))
+
+
+def dense_rank_report_row(t: TTTensor, a: Tensor4, mesh_size: int) -> str:
+    """The rank-table CSV row with ``nnz`` counted on the dense tensor."""
+    require_dense(a)
+    nnz = int(np.count_nonzero(a.data))
+    if nnz == 0:
+        raise ValueError("source tensor has no nonzeros")
+    params = parameter_count(t)
+    return ",".join([str(mesh_size), repr(t.tol_used), str(nnz),
+                     *[str(r) for r in t.ranks], str(params), repr(params / nnz)])
+
 
 def tt_reconstruct(t: TTTensor) -> Tensor4:
     """Contract the core chain back into a dense 4-mode tensor."""

@@ -17,7 +17,13 @@ import pytest
 import toelanczos as tl
 from toelanczos.cli import EXIT_GUARD, EXIT_OK, EXIT_SERIOUS, main as cli_main
 from toelanczos.tensor_core import frobenius
-from oracles import dense_mul_tv, solution_via_series, to_block_matrix, tt_reconstruct
+from oracles import (
+    dense_mul_tv,
+    solution_via_series,
+    to_block_matrix,
+    to_tensor4,
+    tt_reconstruct,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -177,7 +183,7 @@ class TestCriterion05AlgebraChecks:
         for _ in range(40):
             n, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
             a, v = rand_profile(n, n, m), rand_hv(n, m)
-            dense = a.to_tensor4()
+            dense = to_tensor4(a)
             worst = max(worst, rel(dense_mul_tv(tl.star_mul_tt(dense, dense), v).data,
                                    tl.star_mul_tv(a, tl.star_mul_tv(a, v)).data))
             checks += 1
@@ -259,8 +265,9 @@ class TestCriterion08TensorTrain:
         # structural ranks of an experiment-1-style tensor
         p = tl.builtin("nmr1")
         mesh = tl.build_mesh(p.a, p.b, 100)
-        a4 = tl.discretize_problem(p, mesh).to_tensor4()
-        t = tl.tt_svd(a4, 1e-10)
+        op = tl.discretize_problem(p, mesh)
+        a4 = to_tensor4(op)
+        t = tl.tt_svd(op, 1e-10)
         rec = tt_reconstruct(t)
         rec_err = float(np.linalg.norm((a4.data - rec.data).ravel())
                         / np.linalg.norm(a4.data.ravel()))
@@ -276,9 +283,10 @@ class TestCriterion08TensorTrain:
         for pid, m in (("const3", 30), ("timedep5", 25), ("nmr2", 30)):
             prob = tl.builtin(pid)
             mesh = tl.build_mesh(prob.a, prob.b, m)
-            a = tl.discretize_problem(prob, mesh).to_tensor4()
+            op = tl.discretize_problem(prob, mesh)
+            a = to_tensor4(op)
             for tol in (1e-5, 1e-10):
-                tt = tl.tt_svd(a, tol)
+                tt = tl.tt_svd(op, tol)
                 re = float(np.linalg.norm((a.data - tt_reconstruct(tt).data).ravel())
                            / np.linalg.norm(a.data.ravel()))
                 ok &= re <= tol

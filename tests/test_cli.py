@@ -123,15 +123,22 @@ class TestRun:
         assert code == EXIT_SHAPE
         assert "all zero" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("problem_id,n", [("timedep5", 5), ("nmr2", 4)])
-    def test_forms_no_dense_tensor(self, tmp_path, monkeypatch, problem_id, n):
-        # the diagnostics read the run's own bases: no stacked dense tensor
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "--problem", "timedep5", "--M", "12", "--n", "5",
+                      "--reference", "rk45"], id="timedep5-5"),
+        pytest.param(["run", "--problem", "nmr2", "--M", "12", "--n", "4",
+                      "--reference", "rk45"], id="nmr2-4"),
+        pytest.param(["ttranks", "--problem", "nmr2", "--M", "12",
+                      "--tol-tt", "1e-5,1e-10"], id="ttranks-nmr2"),
+    ])
+    def test_forms_no_dense_tensor(self, tmp_path, monkeypatch, argv):
+        # the diagnostics read the run's own bases and the TT sweep reads the
+        # profiles: no dense tensor is formed
         def refuse(*args, **kwargs):
             raise AssertionError("a dense Tensor4 product was formed")
         monkeypatch.setattr(diagnostics, "star_mul_tt", refuse)
         monkeypatch.setattr(tensor_core.Tensor4, "__post_init__", refuse)
-        code = run_cli("run", "--problem", problem_id, "--M", "12", "--n", str(n),
-                       "--reference", "rk45", "--output", str(tmp_path / "d"))
+        code = run_cli(*argv, "--output", str(tmp_path / "d"))
         assert code == EXIT_OK
 
     def test_large_guard(self, tmp_path):
@@ -350,6 +357,17 @@ class TestTTRanks:
         rows = (tmp_path / "tt_ttranks.csv").read_text().strip().split("\n")
         assert rows[0] == "M,tol,nnz,r0,r1,r2,r3,r4,params,cf"
         assert len(rows) == 5
+
+    def test_nmr2_csv_bytes(self, tmp_path):
+        # integers, repr(tol) and repr(params / nnz): the table as the dense
+        # unfolding sweep wrote it
+        code = run_cli("ttranks", "--problem", "nmr2", "--M", "30",
+                       "--tol-tt", "1e-5,1e-10", "--output", str(tmp_path / "n2"))
+        assert code == EXIT_OK
+        assert (tmp_path / "n2_ttranks.csv").read_bytes() == (
+            b"M,tol,nnz,r0,r1,r2,r3,r4,params,cf\n"
+            b"30,1e-05,60450,1,16,3,30,1,4624,0.07649296939619521\n"
+            b"30,1e-10,60450,1,16,3,30,1,4624,0.07649296939619521\n")
 
     def test_empty_tol_list_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from toelanczos import (
     err_moments,
     err_recurrences,
     err_solution,
+    frobenius,
     HyperVec,
     lift,
     lift_dual,
@@ -38,6 +40,7 @@ from oracles import (
     residual_w_tensor,
     star_pow,
     to_block_matrix,
+    to_tensor4,
     v_basis,
     v_basis_tensor,
     w_basis,
@@ -62,6 +65,20 @@ def run(problem, m, n):
     mesh = build_mesh(problem.a, problem.b, m)
     a4 = discretize_problem(problem, mesh)
     return a4, tensor_lanczos(a4, problem.v, problem.w, n)
+
+
+def flattened_recurrences(res, a4):
+    """(err_V, err_W) from the dense block matrices of the mapped bases and residuals."""
+    dense = to_block_matrix(to_tensor4(a4))
+    tri = to_block_matrix(assemble_tridiag(res.tri))
+    vt, wt = to_block_matrix(v_basis_tensor(res)), to_block_matrix(w_basis_tensor(res))
+    av = dense @ vt
+    vt_flat = vt @ tri + to_block_matrix(residual_v_tensor(res))
+    ev_flat = np.linalg.norm(av - vt_flat) / max(np.linalg.norm(av), np.linalg.norm(vt_flat))
+    wa = wt @ dense
+    tw_flat = tri @ wt + to_block_matrix(residual_w_tensor(res))
+    ew_flat = np.linalg.norm(wa - tw_flat) / max(np.linalg.norm(wa), np.linalg.norm(tw_flat))
+    return ev_flat, ew_flat
 
 
 class TestErrSolution:
@@ -135,8 +152,6 @@ class TestMeasuresOnRuns:
         eo = err_biorth(res)
         assert np.isfinite(eo)
         # brute-force recomputation via flattening, on the bases of the run on A
-        from toelanczos.tensor_core import frobenius
-
         vt, wt = v_basis_tensor(res), w_basis_tensor(res)
         prod = to_block_matrix(wt) @ to_block_matrix(vt)
         dev = prod - np.eye(prod.shape[0])
@@ -151,17 +166,29 @@ class TestMeasuresOnRuns:
         assert res.status.completed
         ev, ew = err_recurrences(res, a4)
         assert ew == 0.0
-        dense = a4.to_tensor4()
-        av = to_block_matrix(dense) @ to_block_matrix(v_basis_tensor(res))
-        vt_flat = to_block_matrix(v_basis_tensor(res)) @ to_block_matrix(assemble_tridiag(res.tri))
-        vt_flat = vt_flat + to_block_matrix(residual_v_tensor(res))
-        ev_flat = np.linalg.norm(av - vt_flat) / max(np.linalg.norm(av), np.linalg.norm(vt_flat))
+        ev_flat, ew_flat = flattened_recurrences(res, a4)
         assert abs(ev - ev_flat) < 1e-13
-        wa = to_block_matrix(w_basis_tensor(res)) @ to_block_matrix(dense)
-        tw_flat = to_block_matrix(assemble_tridiag(res.tri)) @ to_block_matrix(w_basis_tensor(res))
-        tw_flat = tw_flat + to_block_matrix(residual_w_tensor(res))
-        ew_flat = np.linalg.norm(wa - tw_flat) / max(np.linalg.norm(wa), np.linalg.norm(tw_flat))
         assert abs(ew - ew_flat) < 1e-13
+
+    @pytest.mark.parametrize("problem_id,m,n", [("rand3", 8, 3)] + [
+        r for r in BUILTIN_RUNS if r[0] != "zero1"])
+    def test_recurrences_far_above_roundoff(self, problem_id, m, n):
+        # perturbed residuals lift both measures far above roundoff, so a
+        # relative comparison sees every row's share of each norm
+        a4, res = run(rand3() if problem_id == "rand3" else builtin(problem_id), m, n)
+        rng = np.random.default_rng(17)
+        perturbed = {}
+        for side, basis in (("v", res.run_v_basis), ("w", res.run_w_basis)):
+            old = getattr(res, f"run_residual_{side}")
+            noise = rng.standard_normal(old.data.shape)
+            noise *= 1e-3 * frobenius(basis[-1]) / np.linalg.norm(noise)
+            perturbed[f"run_residual_{side}"] = HyperVec(old.data + noise, old.orientation)
+        res = dataclasses.replace(res, **perturbed)
+        ev, ew = err_recurrences(res, a4)
+        ev_flat, ew_flat = flattened_recurrences(res, a4)
+        assert min(ev, ew) > 1e-6
+        assert ev == pytest.approx(ev_flat, rel=1e-9)
+        assert ew == pytest.approx(ew_flat, rel=1e-9)
 
     def test_moments_zero_for_first_three(self):
         p = builtin("const3")
@@ -174,7 +201,7 @@ def assert_moments_match_powers(res, a4):
     """The iterated-product moments against explicit ``*`` powers, relative 1e-12."""
     n, m = res.tri.n, res.tri.m
     t4 = assemble_tridiag(res.tri)
-    dense = a4.to_tensor4()
+    dense = to_tensor4(a4)
     e1 = np.zeros(n)
     e1[0] = 1.0
     lhs, rhs = moment_matrices(res, a4)

@@ -15,7 +15,7 @@ from toelanczos import (
 )
 from toelanczos.discretize import DiscretizationError
 
-from oracles import entry_per_term, theta_matrix
+from oracles import entry_per_term, theta_matrix, to_tensor4
 
 
 class TestBuildMesh:
@@ -64,7 +64,7 @@ class TestDiscretizeProblem:
     def test_constant_entry_gives_scaled_theta(self):
         p = builtin("const3")
         mesh = build_mesh(0.0, 1.0, 6)
-        a4 = discretize_problem(p, mesh).to_tensor4()
+        a4 = to_tensor4(discretize_problem(p, mesh))
         theta = theta_matrix(mesh)
         # A[0, 1] = +1 and A[0, 0] = -1 in the constant matrix
         assert np.array_equal(a4.data[0, 1], theta.astype(complex))
@@ -75,7 +75,7 @@ class TestDiscretizeProblem:
         mesh = build_mesh(0.0, 1.0, 5)
         op = discretize_problem(p, mesh)
         assert op.block_structure[1, 1] == BlockStructure.ZERO
-        assert np.all(op.to_tensor4().data[1, 1] == 0)
+        assert np.all(to_tensor4(op).data[1, 1] == 0)
         assert op.block_structure[0, 1] == BlockStructure.LOWER_TRIANGULAR
 
     def test_linear_entry_hand_values(self):
@@ -83,7 +83,7 @@ class TestDiscretizeProblem:
         p = Problem("lin", 1, 0.0, 1.0, {(0, 0): [Term(1.0, 1)]},
                     np.array([1.0]), np.array([1.0]))
         mesh = build_mesh(0.0, 1.0, 3)
-        a4 = discretize_problem(p, mesh).to_tensor4()
+        a4 = to_tensor4(discretize_problem(p, mesh))
         expected = np.array([
             [1 / 9, 0, 0],
             [2 / 9, 2 / 9, 0],
@@ -94,7 +94,7 @@ class TestDiscretizeProblem:
     def test_rows_constant_below_diagonal_bit_exact(self):
         p = builtin("timedep5")
         mesh = build_mesh(p.a, p.b, 8)
-        a4 = discretize_problem(p, mesh).to_tensor4()
+        a4 = to_tensor4(discretize_problem(p, mesh))
         for k, l in p.entries:
             block = a4.data[k, l]
             for i in range(8):
@@ -112,7 +112,7 @@ class TestDiscretizeProblem:
         for (k, l), terms in p.entries.items():
             if terms:
                 want[k, l] = (entry_per_term(p, k, l, mesh.tau) * mesh.h)[:, None] * mask
-        got = op.to_tensor4()
+        got = to_tensor4(op)
         assert np.array_equal(got.data, want)
         assert got.data.tobytes() == want.tobytes()
         live = np.array([[bool(p.entries.get((k, l))) for l in range(p.n)] for k in range(p.n)])

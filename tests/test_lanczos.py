@@ -34,6 +34,7 @@ from oracles import (
     residual_w,
     solve_lower,
     times_inverse_right,
+    to_tensor4,
     v_basis,
     v_basis_tensor,
     w_basis,
@@ -72,7 +73,7 @@ class TestBasicRuns:
     def test_alpha1_equals_first_block(self):
         p, mesh, a4, res = run_const3(10)
         # with v = w = e1 the first coefficient is exactly the (1,1) block
-        assert np.array_equal(res.tri.alphas[0], a4.to_tensor4().data[0, 0])
+        assert np.array_equal(res.tri.alphas[0], to_tensor4(a4).data[0, 0])
 
     def test_completed_shape(self):
         _, _, _, res = run_const3(8)
@@ -110,7 +111,7 @@ class TestBasicRuns:
         p = builtin("const3")
         a4 = discretize_problem(p, build_mesh(p.a, p.b, 5))
         with pytest.raises(TypeError, match="ProfileTensor"):
-            tensor_lanczos(a4.to_tensor4(), p.v, p.w, 2)
+            tensor_lanczos(to_tensor4(a4), p.v, p.w, 2)
 
     @pytest.mark.parametrize("eps", [{"eps_lucky": np.nan}, {"eps_serious": np.nan}],
                              ids=["eps_lucky", "eps_serious"])
@@ -176,7 +177,7 @@ class TestRunArithmetic:
         v, w = rng.standard_normal(big_n), rng.standard_normal(big_n)
         for scale in (1, 1j):
             a4 = ProfileTensor(scale * b)
-            dense = a4.to_tensor4()
+            dense = to_tensor4(a4)
             ref = complex_lanczos(dense, v, w, n)
             kappa = max(np.linalg.norm(x) * np.linalg.norm(y) / m
                         for x, y in zip(ref["v_basis"], ref["w_basis"]))
@@ -390,7 +391,7 @@ class TestAssembleTridiag:
         # T_n = W_n * A * V_n pins the off-diagonal placement
         p, mesh, a4, res = run_const3(10)
         tri_t = assemble_tridiag(res.tri)
-        proj = star_mul_tt(star_mul_tt(w_basis_tensor(res), a4.to_tensor4()), v_basis_tensor(res))
+        proj = star_mul_tt(star_mul_tt(w_basis_tensor(res), to_tensor4(a4)), v_basis_tensor(res))
         num = np.linalg.norm((proj.data - tri_t.data).ravel())
         assert num / np.linalg.norm(tri_t.data.ravel()) < 1e-10
 

@@ -13,9 +13,9 @@ Outputs are deterministic: identical configuration and seed give
 byte-identical files.  JSON outputs hold no NaN or Infinity: the report's
 ``breakdown_cond`` is ``null`` when beta is exactly singular (an infinite
 condition number), and the slope is ``null`` when fewer than two points have
-a positive ``err_sol``.  Exit codes: 0 success, 2 shape/config error, 3 lucky
-breakdown, 4 serious breakdown, 5 singular resolvent, 6 I/O error, 7 guarded
-workload without --allow-large.
+a positive ``err_sol``.  Exit codes: 0 success, 2 shape/config error or a
+failed RK45 reference integration, 3 lucky breakdown, 4 serious breakdown,
+5 singular resolvent, 6 I/O error, 7 guarded workload without --allow-large.
 
 Workloads with M^3 * N^2 * n above 1e10 require ``--allow-large``.  That
 count was the cost of the dense operator products; the profile-form
@@ -79,16 +79,8 @@ def _check_budget(m: int, n_outer: int, iters: int, allow_large: bool) -> None:
             "pass --allow-large to run it anyway")
 
 
-def _reference_values(problem, mesh, kind, rtol, atol):
-    if kind == "none":
-        return None
-    if kind == "analytic":
-        return prob.analytic_reference(problem, mesh).values
-    return prob.rk45_reference(problem, mesh, rtol=rtol, atol=atol).values
-
-
 def _sweep_reference(problem, args):
-    """``mesh -> reference values`` for the meshes of one command.
+    """``mesh -> reference values`` (``None`` without a reference) for one command.
 
     An RK45 reference is integrated once, on the first mesh that needs it,
     and its dense output is sampled on every later one: the values are those
@@ -100,8 +92,10 @@ def _sweep_reference(problem, args):
 
     def values(mesh):
         nonlocal first
-        if kind != "rk45":
-            return _reference_values(problem, mesh, kind, args.rtol, args.atol)
+        if kind == "none":
+            return None
+        if kind == "analytic":
+            return prob.analytic_reference(problem, mesh).values
         if first is None:
             first = prob.rk45_reference(problem, mesh, rtol=args.rtol, atol=args.atol)
             return first.values
@@ -133,8 +127,8 @@ def _pipeline_once(problem, m, n, args, reference):
         ref = reference(mesh)
         if ref is not None:
             report_err_sol = diag.err_solution(ref, solution.values)
-    err_m = diag.err_moments(result, a4)
-    err_v, err_w = diag.err_recurrences(result, a4)
+    err_m = diag.err_moments(result)
+    err_v, err_w = diag.err_recurrences(result)
     err_o = diag.err_biorth(result)
     report = diag.ErrorReport(err_o, err_v, err_w, err_m, report_err_sol,
                               meta={"problem": problem.id, "M": m, "n": n,
@@ -153,9 +147,8 @@ def cmd_run(args) -> int:
                          "use convergence for a sweep")
     problem = _load_problem(args)
     _check_budget(args.M[0], problem.n, args.n, args.allow_large)
-    report, solution = _pipeline_once(
-        problem, args.M[0], args.n, args,
-        lambda mesh: _reference_values(problem, mesh, args.reference, args.rtol, args.atol))
+    report, solution = _pipeline_once(problem, args.M[0], args.n, args,
+                                      _sweep_reference(problem, args))
     base = args.output
     text = diag.report_to_json(report)
     with open(base + "_report.json", "w") as fh:
@@ -288,7 +281,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ShapeError, ValueError, KeyError) as exc:
+    except (ShapeError, ValueError, KeyError, prob.StiffnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
     except ResolventSingularError as exc:

@@ -15,14 +15,14 @@ thresholds.  A norm over a stacked tensor (``V_n``, ``W_n``, the residual
 rows) is the root of the summed squared norms of its pieces, so no stack is
 formed.
 
-Every measure reads the run as it was computed: the ``run_*`` fields of
-:class:`~toelanczos.lanczos.LanczosResult` and its operator ``A / scale``
-(:meth:`~toelanczos.lanczos.LanczosResult.run_operator`), in the run's
-dtype, so a float64 run is measured in float64.  For ``scale = i`` the
-``i``-map multiplies each biorthogonality entry and each recurrence row by a
-unit factor and moment ``k`` by ``i^k`` (see :mod:`toelanczos.lanczos`), so
-the measures are those of the run on ``A``; :func:`moment_matrices` applies
-the ``i^k`` to return the moments of ``A``.
+Every measure takes the :class:`~toelanczos.lanczos.LanczosResult` alone
+and reads the run as it was computed: its ``operator`` ``A / scale`` and
+its ``run_*`` fields, in the run's dtype, so a float64 run is measured in
+float64.  For ``scale = i`` the ``i``-map multiplies each biorthogonality
+entry and each recurrence row by a unit factor and moment ``k`` by ``i^k``
+(see :mod:`toelanczos.lanczos`), so the measures are those of the run on
+``A``; :func:`moment_matrices` applies the ``i^k`` to return the moments of
+``A``.
 
 The recurrence residuals call the iteration's own update helpers
 (``lanczos._v_update`` and ``lanczos._w_update``) per basis vector and
@@ -43,10 +43,8 @@ import numpy as np
 
 from .lanczos import LanczosResult, _times_i_power, _v_update, _w_update
 from .tensor_core import (
-    ProfileTensor,
     frobenius,
     lift,
-    lift_dual,
     star_inner,
     star_mul_tv,
     star_mul_vt,
@@ -114,7 +112,7 @@ def _relative_residual(rows) -> float:
     return residual / max(products, rest)
 
 
-def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, float]:
+def err_recurrences(result: LanczosResult) -> tuple[float, float]:
     """Relative residuals of the compact three-term recurrences (err_V, err_W).
 
     Row k recomputes ``A*V_k`` and ``W_k*A``, applies the iteration's own
@@ -128,7 +126,7 @@ def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, flo
     The rows are formed on the run, with ``A / scale`` and in its dtype, so
     the W row repeats the iteration's arithmetic exactly and ``err_W`` is 0.
     """
-    b = result.run_operator(a)
+    b = result.operator
     tri = result.run_tri
     vb = [hv.data for hv in result.run_v_basis]
     wb = [hv.data for hv in result.run_w_basis]
@@ -148,7 +146,7 @@ def err_recurrences(result: LanczosResult, a: ProfileTensor) -> tuple[float, flo
     return _relative_residual(v_rows), _relative_residual(w_rows)
 
 
-def moment_matrices(result: LanczosResult, a: ProfileTensor,
+def moment_matrices(result: LanczosResult,
                     k_max: int | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Both sides of the matching moments for k = 0 .. k_max (default 2n-1).
 
@@ -157,47 +155,46 @@ def moment_matrices(result: LanczosResult, a: ProfileTensor,
     (first Euclidean lifts of length n), each an m x m matrix per k.  The
     powers are never formed: each side keeps its Krylov vector and applies
     one product per k, ``A * cur`` on the left and the three-term
-    :meth:`~toelanczos.lanczos.TriTensor.apply` on the right.
+    :meth:`~toelanczos.lanczos.TriTensor.apply` on the right.  The right
+    side is slice 0 of ``T_n^{k*} * e_1``, since ``e_1^D`` selects it.
 
     Both sides iterate on the run, ``A / scale`` and its coefficients, in
     its dtype; for ``scale = i`` moment k of each side is mapped back by the
     exact factor ``i^k``.
     """
     tri = result.run_tri
-    b = result.run_operator(a)
+    b = result.operator
     n = tri.n
     if k_max is None:
         k_max = 2 * n - 1
     e1 = np.zeros(n)
     e1[0] = 1.0
     w_lift = result.run_w_basis[0]
-    e1_d = lift_dual(e1, tri.m)
     cur = result.run_v_basis[0]
     cur_t = lift(e1, tri.m)
     lhs = [star_inner(w_lift, cur)]
-    rhs = [star_inner(e1_d, cur_t)]
+    rhs = [cur_t.data[0].copy()]
     for _ in range(k_max):
         cur = star_mul_tv(b, cur)
         cur_t = tri.apply(cur_t)
         lhs.append(star_inner(w_lift, cur))
-        rhs.append(star_inner(e1_d, cur_t))
+        rhs.append(cur_t.data[0].copy())
     if result.scale != 1:
         lhs = [_times_i_power(x, k) for k, x in enumerate(lhs)]
         rhs = [_times_i_power(x, k) for k, x in enumerate(rhs)]
     return lhs, rhs
 
 
-def err_moments(result: LanczosResult, a: ProfileTensor,
-                k_max: int | None = None) -> np.ndarray:
+def err_moments(result: LanczosResult, k_max: int | None = None) -> np.ndarray:
     """Matching-moment mismatch ``err_M(k)`` for k = 0 .. k_max.
 
     ``err_M(k) = |L_k - R_k| / max(|L_k|, |R_k|)`` for the moment pair of
     :func:`moment_matrices`, whose starting hypervectors are the run's own.
     """
     out = []
-    for lhs, rhs in zip(*moment_matrices(result, a, k_max)):
-        den = max(np.linalg.norm(lhs.ravel()), np.linalg.norm(rhs.ravel()))
-        num = np.linalg.norm((lhs - rhs).ravel())
+    for lhs, rhs in zip(*moment_matrices(result, k_max)):
+        den = max(frobenius(lhs), frobenius(rhs))
+        num = frobenius(lhs - rhs)
         out.append(0.0 if den == 0 else float(num / den))
     return np.array(out)
 

@@ -48,10 +48,10 @@ a real run on ``B``.  Induction on the recurrences shows that the run on
 Each factor is a power of ``i``, so the map is exact in floating point, and
 ``|i| = 1`` leaves every residual norm and ``cond(beta)``, hence the
 breakdown tests, as they are in the run on ``B``.  :class:`LanczosResult`
-keeps the run on ``B`` and maps only its coefficients, which the resolvent
-reads; the diagnostics measure the run itself.  Any other data,
-complex probes or profiles with both parts nonzero, run in complex128 on
-``A``.
+keeps the run on ``B``, operator included, and maps only its coefficients,
+which the resolvent reads; the diagnostics measure the run itself.  Any
+other data, complex probes or profiles with both parts nonzero, run in
+complex128 on ``A``.
 
 Breakdowns: a vanishing residual hypervector is a *lucky* breakdown (an
 invariant subspace was found); a singular ``beta_{k+1}`` with nonvanishing
@@ -162,14 +162,15 @@ def _times_i_power(x: np.ndarray, p: int) -> np.ndarray:
 class LanczosResult:
     """Coefficients, bases, residuals and status of one Lanczos run on ``A``.
 
-    The ``run_*`` fields hold the recurrence as it ran, on ``A / scale``
-    and in that operator's dtype: the coefficients ``run_tri``, the bases
-    ``run_v_basis`` and ``run_w_basis``, and the residuals ``run_residual_v``,
-    which is ``V_{n+1} x beta_{n+1}`` (the unnormalized V residual), and
-    ``run_residual_w``, which is ``W_{n+1}^D``; the residuals are exactly the
-    hatted vectors of the last completed iteration and form the nonzero
-    slices of the recurrence residual tensors.  The diagnostics read these
-    fields and :meth:`run_operator` directly.
+    ``operator`` is the operator the recurrence ran on, ``A / scale`` in the
+    run's dtype; for a float64 run it is a view of ``A``'s profiles.  The
+    ``run_*`` fields hold the recurrence as it ran on it: the coefficients
+    ``run_tri``, the bases ``run_v_basis`` and ``run_w_basis``, and the
+    residuals ``run_residual_v``, which is ``V_{n+1} x beta_{n+1}`` (the
+    unnormalized V residual), and ``run_residual_w``, which is ``W_{n+1}^D``;
+    the residuals are exactly the hatted vectors of the last completed
+    iteration and form the nonzero slices of the recurrence residual
+    tensors.  The diagnostics read ``operator`` and these fields alone.
 
     ``tri`` holds the coefficients of the run on ``A``: ``run_tri`` itself
     for ``scale = 1``, and for ``scale = i`` the module's ``i``-map applied
@@ -188,10 +189,7 @@ class LanczosResult:
     status: LanczosStatus
     normalization: complex
     scale: complex
-
-    def run_operator(self, a: ProfileTensor) -> ProfileTensor:
-        """The operator the recurrence ran on, ``a / scale``, for the ``a`` it was given."""
-        return _run_operator(a, self.scale, not np.iscomplexobj(self.run_tri.alphas[0]))
+    operator: ProfileTensor
 
     @cached_property
     def tri(self) -> TriTensor:
@@ -269,24 +267,20 @@ def _apply_inverse_right(beta: np.ndarray, hv: HyperVec) -> HyperVec:
     return HyperVec(out.reshape(hv.data.shape), hv.orientation)
 
 
-def _run_arithmetic(a: ProfileTensor, v: np.ndarray, w: np.ndarray) -> tuple[complex, bool]:
-    """``(scale, real)`` of the recurrence on ``a`` with the complex probes ``v, w``.
+def _scaled_operator(a: ProfileTensor, v: np.ndarray,
+                     w: np.ndarray) -> tuple[ProfileTensor, complex]:
+    """``(a / scale, scale)`` of the recurrence on ``a`` with the complex probes ``v, w``.
 
-    Real probes with real or purely imaginary profiles run in float64 with
-    scale 1 or i; anything else runs in complex128 with scale 1.
+    Real probes with real or purely imaginary profiles run in float64, on a
+    view of ``a``'s profiles, with scale 1 or i; anything else runs in
+    complex128 with scale 1.
     """
     if not (v.imag.any() or w.imag.any()):
         if not a.data.imag.any():
-            return 1, True
+            return ProfileTensor(a.data.real), 1
         if not a.data.real.any():
-            return 1j, True
-    return 1, False
-
-
-def _run_operator(a: ProfileTensor, scale: complex, real: bool) -> ProfileTensor:
-    """``a / scale`` in the run's dtype; real runs get a view of ``a``'s profiles."""
-    data = a.data.imag if scale == 1j else a.data
-    return ProfileTensor(data.real if real else data.astype(complex, copy=False))
+            return ProfileTensor(a.data.imag), 1j
+    return ProfileTensor(a.data.astype(complex, copy=False)), 1
 
 
 def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
@@ -326,9 +320,8 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     w = np.asarray(w, dtype=complex).ravel()
     if v.size != a.n1 or w.size != a.n1:
         raise ShapeError("probe vectors must have length N")
-    scale, real = _run_arithmetic(a, v, w)
-    b = _run_operator(a, scale, real)
-    if real:
+    b, scale = _scaled_operator(a, v, w)
+    if not np.iscomplexobj(b.data):
         v, w = v.real, w.real
     m = b.m
     wv = np.vdot(w, v)
@@ -345,7 +338,8 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
 
     def finish(status, res_v, res_w):
         tri = TriTensor(m, alphas, betas)
-        return LanczosResult(tri, v_basis, w_basis, res_v, res_w, status, normalization, scale)
+        return LanczosResult(tri, v_basis, w_basis, res_v, res_w, status, normalization,
+                             scale, b)
 
     for k in range(1, n + 1):
         wa = star_mul_vt(w_basis[-1], b)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .discretize import Mesh
 
@@ -424,7 +423,12 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
     The dense output is evaluated at every mesh point (no nearest-sample
     matching), and ``s_hat_i = w^H u(tau_i)``; the returned reference's
     ``resample`` evaluates it on any other mesh of the interval.
+
+    ``scipy.integrate`` is imported on the first call, not with the
+    package, so runs without an RK45 reference never load it.
     """
+    from scipy.integrate import solve_ivp
+
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise ValueError(f"rtol and atol must be finite and positive, got {rtol}, {atol}")
     y0 = problem.v.astype(complex)

@@ -109,9 +109,9 @@ class TestCriterion03PropertySuite:
         worst = {"err_v": 0.0, "err_w": 0.0, "err_o": 0.0, "err_m": 0.0}
         for m in (10, 50, 100):
             mesh, a4, result = run_pipeline(p, m, 3)
-            ev, ew = tl.err_recurrences(result, a4)
+            ev, ew = tl.err_recurrences(result)
             eo = tl.err_biorth(result)
-            em = tl.err_moments(result, a4)
+            em = tl.err_moments(result)
             worst["err_v"] = max(worst["err_v"], ev)
             worst["err_w"] = max(worst["err_w"], ew)
             worst["err_o"] = max(worst["err_o"], eo)
@@ -147,8 +147,8 @@ class TestCriterion04RandomProblems:
             result = tl.tensor_lanczos(a4, v, w, n_dim)
             if not result.status.completed:
                 continue
-            ev, ew = tl.err_recurrences(result, a4)
-            em = tl.err_moments(result, a4, k_max=2 * n_dim - 1)
+            ev, ew = tl.err_recurrences(result)
+            em = tl.err_moments(result, k_max=2 * n_dim - 1)
             worst_rec = max(worst_rec, ev, ew)
             worst_mom = max(worst_mom, float(np.max(em)))
             runs += 1

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from toelanczos import Problem, builtin, problem_to_json
+from toelanczos import Problem, Reference, builtin, problem_to_json
 from toelanczos import cli, diagnostics, problems, tensor_core
 from toelanczos.cli import (
     EXIT_GUARD,
@@ -16,6 +21,16 @@ from toelanczos.cli import (
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_fresh(*argv, cwd):
+    """Run ``python`` with ``argv`` in a new interpreter on this checkout's sources.
+
+    Its warnings go to its stderr, untouched by the test session's filters.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def strict_json(path):
@@ -116,12 +131,33 @@ class TestRun:
         assert [f.name for f in tmp_path.iterdir()] == ["tan.json"]
 
     def test_zero_reference_is_shape_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_reference_values",
-                            lambda problem, mesh, *rest: np.zeros(mesh.m))
+        monkeypatch.setattr(problems, "rk45_reference",
+                            lambda problem, mesh, **tols: Reference(np.zeros(mesh.m)))
         code = run_cli("run", "--problem", "const3", "--M", "6", "--n", "2",
                        "--reference", "rk45", "--output", str(tmp_path / "z"))
         assert code == EXIT_SHAPE
         assert "all zero" in capsys.readouterr().err
+
+    def test_integrator_failure_is_shape_error(self, tmp_path):
+        # u' = 1e300 u: RK45 needs steps below the float spacing near t = 0
+        doc = json.loads(problem_to_json(builtin("zero1")))
+        doc["entries"] = [{"k": 1, "l": 1, "terms": [
+            {"re": 1e300, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]}]
+        (tmp_path / "stiff.json").write_text(json.dumps(doc))
+        proc = run_fresh("-m", "toelanczos.cli", "run", "--problem-file", "stiff.json",
+                         "--M", "20", "--n", "1", "--reference", "rk45", "--output", "s",
+                         cwd=tmp_path)
+        assert proc.returncode == EXIT_SHAPE
+        assert "error: integrator failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [f.name for f in tmp_path.iterdir()] == ["stiff.json"]
+
+    def test_import_leaves_integrator_unloaded(self, tmp_path):
+        # only an RK45 reference loads scipy.integrate
+        proc = run_fresh("-c", "import sys, toelanczos; print('scipy.integrate' in sys.modules)",
+                         cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["run", "--problem", "timedep5", "--M", "12", "--n", "5",
@@ -311,19 +347,19 @@ class TestConvergence:
 
     def test_rk45_reference_integrated_once(self, tmp_path, monkeypatch):
         calls = []
-        solve_ivp = problems.solve_ivp
+        solve_ivp = scipy.integrate.solve_ivp
 
         def counting_solve_ivp(*args, **kwargs):
             calls.append(1)
             return solve_ivp(*args, **kwargs)
-        monkeypatch.setattr(problems, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
         argv = ["convergence", "--problem", "timedep5", "--M", "10,20,30", "--n", "5",
                 "--reference", "rk45"]
         assert run_cli(*argv, "--output", str(tmp_path / "once")) == EXIT_OK
         assert len(calls) == 1
         # a fresh integration per mesh writes the same bytes
         monkeypatch.setattr(cli, "_sweep_reference", lambda problem, args: lambda mesh: (
-            cli._reference_values(problem, mesh, args.reference, args.rtol, args.atol)))
+            problems.rk45_reference(problem, mesh, rtol=args.rtol, atol=args.atol).values))
         assert run_cli(*argv, "--output", str(tmp_path / "each")) == EXIT_OK
         assert len(calls) == 4
         for suffix in ("_convergence.csv", "_slope.json"):

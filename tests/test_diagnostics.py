@@ -117,13 +117,13 @@ class TestConvergenceSlope:
 
 class TestMeasuresOnRuns:
     def test_zero_problem_residuals_vanish(self):
-        a4, res = run(builtin("zero1"), 6, 1)
-        ev, ew = err_recurrences(res, a4)
+        _, res = run(builtin("zero1"), 6, 1)
+        ev, ew = err_recurrences(res)
         assert ev < 1e-15 and ew == 0.0
 
     def test_err_w_exactly_zero_without_rescaling(self):
-        a4, res = run(builtin("timedep5"), 12, 5)
-        _, ew = err_recurrences(res, a4)
+        _, res = run(builtin("timedep5"), 12, 5)
+        _, ew = err_recurrences(res)
         assert ew == 0.0
 
     @pytest.mark.parametrize("problem_id", ["const3", "timedep5", "zero1", "nmr1", "nmr2",
@@ -132,23 +132,23 @@ class TestMeasuresOnRuns:
         # nmr1 and nmr2 run on the imaginary profiles and are mapped by powers
         # of i; the W row is still formed in the run's own arithmetic
         p = builtin(problem_id)
-        a4, res = run(p, 12, min(p.n, 4))
+        _, res = run(p, 12, min(p.n, 4))
         assert res.status.completed
-        assert err_recurrences(res, a4)[1] == 0.0
+        assert err_recurrences(res)[1] == 0.0
 
     def test_biorth_single_iteration_exact(self):
-        a4, res = run(builtin("const3"), 9, 1)
+        _, res = run(builtin("const3"), 9, 1)
         assert err_biorth(res) < 1e-14
 
     def test_const3_table_scale(self):
-        a4, res = run(builtin("const3"), 10, 3)
+        _, res = run(builtin("const3"), 10, 3)
         assert err_biorth(res) < 1e-12
-        ev, ew = err_recurrences(res, a4)
+        ev, ew = err_recurrences(res)
         assert ev < 1e-12 and ew == 0.0
 
     @pytest.mark.parametrize("problem_id,m,n", BUILTIN_RUNS)
     def test_biorth_finite_and_recomputable(self, problem_id, m, n):
-        a4, res = run(builtin(problem_id), m, n)
+        _, res = run(builtin(problem_id), m, n)
         eo = err_biorth(res)
         assert np.isfinite(eo)
         # brute-force recomputation via flattening, on the bases of the run on A
@@ -164,7 +164,7 @@ class TestMeasuresOnRuns:
     def test_recurrences_match_flattening_oracle(self, problem_id, m, n):
         a4, res = run(rand3() if problem_id == "rand3" else builtin(problem_id), m, n)
         assert res.status.completed
-        ev, ew = err_recurrences(res, a4)
+        ev, ew = err_recurrences(res)
         assert ew == 0.0
         ev_flat, ew_flat = flattened_recurrences(res, a4)
         assert abs(ev - ev_flat) < 1e-13
@@ -184,7 +184,7 @@ class TestMeasuresOnRuns:
             noise *= 1e-3 * frobenius(basis[-1]) / np.linalg.norm(noise)
             perturbed[f"run_residual_{side}"] = HyperVec(old.data + noise, old.orientation)
         res = dataclasses.replace(res, **perturbed)
-        ev, ew = err_recurrences(res, a4)
+        ev, ew = err_recurrences(res)
         ev_flat, ew_flat = flattened_recurrences(res, a4)
         assert min(ev, ew) > 1e-6
         assert ev == pytest.approx(ev_flat, rel=1e-9)
@@ -192,8 +192,8 @@ class TestMeasuresOnRuns:
 
     def test_moments_zero_for_first_three(self):
         p = builtin("const3")
-        a4, res = run(p, 10, 3)
-        errs = err_moments(res, a4)
+        _, res = run(p, 10, 3)
+        errs = err_moments(res)
         assert np.all(errs[:3] < 1e-13)
 
 
@@ -204,7 +204,7 @@ def assert_moments_match_powers(res, a4):
     dense = to_tensor4(a4)
     e1 = np.zeros(n)
     e1[0] = 1.0
-    lhs, rhs = moment_matrices(res, a4)
+    lhs, rhs = moment_matrices(res)
     assert len(lhs) == len(rhs) == 2 * n
     for k in range(2 * n):
         want_l = star_inner(w_basis(res)[0], dense_mul_tv(star_pow(dense, k), v_basis(res)[0]))
@@ -254,21 +254,21 @@ class TestMomentMatrices:
         entries = {(k, l): [Term(complex(mat[k, l]))]
                    for k in range(big_n) for l in range(big_n)}
         p = Problem("rand", big_n, 0.0, 1.0, entries, rand(big_n), rand(big_n))
-        a4, res = run(p, max(m, 2), data.draw(st.integers(1, big_n)))
+        _, res = run(p, max(m, 2), data.draw(st.integers(1, big_n)))
         t4 = assemble_tridiag(res.tri)
         e1 = np.zeros(res.tri.n)
         e1[0] = 1.0
         cur = lift(e1, res.tri.m)
-        _, rhs = moment_matrices(res, a4)
+        _, rhs = moment_matrices(res)
         for got in rhs[1:]:
             cur = dense_mul_tv(t4, cur)
             assert np.array_equal(got, star_inner(lift_dual(e1, res.tri.m), cur))
 
     def test_err_moments_past_the_matched_range(self):
         p = builtin("const3")
-        a4, res = run(p, 10, 2)
-        errs = err_moments(res, a4, k_max=6)
-        lhs, rhs = moment_matrices(res, a4, k_max=6)
+        _, res = run(p, 10, 2)
+        errs = err_moments(res, k_max=6)
+        lhs, rhs = moment_matrices(res, k_max=6)
         assert errs.shape == (7,)
         den = max(np.linalg.norm(lhs[5]), np.linalg.norm(rhs[5]))
         assert errs[5] == np.linalg.norm(lhs[5] - rhs[5]) / den

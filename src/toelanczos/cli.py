@@ -12,9 +12,10 @@ Three subcommands:
 Outputs are deterministic: identical configuration and seed give
 byte-identical files.  JSON outputs hold no NaN or Infinity: the report's
 ``breakdown_cond`` is ``null`` when beta is exactly singular (an infinite
-condition number), and the slope is ``null`` when fewer than two points have
-a positive ``err_sol``.  Exit codes: 0 success, 2 shape/config error or a
-failed RK45 reference integration, 3 lucky breakdown, 4 serious breakdown,
+condition number), and the slope is ``null`` when fewer than two distinct M
+values have a positive ``err_sol``.  Exit codes: 0 success, 2 shape/config
+error (both or neither of ``--problem`` and ``--problem-file`` among them) or
+a failed RK45 reference integration, 3 lucky breakdown, 4 serious breakdown,
 5 singular resolvent, 6 I/O error, 7 guarded workload without --allow-large.
 
 Workloads with M^3 * N^2 * n above 1e10 require ``--allow-large``.  That
@@ -61,14 +62,12 @@ class GuardError(RuntimeError):
 
 
 def _load_problem(args) -> prob.Problem:
-    if args.problem_file:
+    if args.problem_file is not None:
         with open(args.problem_file) as fh:
             return prob.problem_from_json(fh.read())
-    if args.problem:
-        if args.problem.startswith("nmr") and args.seed is not None:
-            return prob.nmr_generate(int(args.problem[3:]), seed=args.seed)
-        return prob.builtin(args.problem)
-    raise ValueError("one of --problem or --problem-file is required")
+    if args.problem in ("nmr1", "nmr2", "nmr3") and args.seed is not None:
+        return prob.nmr_generate(int(args.problem[3:]), seed=args.seed)
+    return prob.builtin(args.problem)
 
 
 def _check_budget(m: int, n_outer: int, iters: int, allow_large: bool) -> None:
@@ -180,9 +179,12 @@ def cmd_convergence(args) -> int:
         worst_exit = max(worst_exit, _STATUS_EXIT[report.meta["status"]])
         if report.err_sol is not None:
             points.append((m, report.err_sol))
-    # log-log fit: an exact point (err_sol == 0) has no logarithm
-    fit = [(m, err) for m, err in points if err > 0]
-    slope = diag.convergence_slope(fit) if len(fit) >= 2 else None
+    # log-log fit: an exact point (err_sol == 0) has no logarithm, and points
+    # at fewer than two distinct M values have no slope
+    try:
+        slope = diag.convergence_slope([(m, err) for m, err in points if err > 0])
+    except ValueError:
+        slope = None
     text = json.dumps({"slope": slope, "points": points}, indent=2, allow_nan=False)
     with open(args.output + "_convergence.csv", "w") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -236,8 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, need_n=True):
-        p.add_argument("--problem", help="builtin problem id (const3, timedep5, zero1, nmr1/2/3)")
-        p.add_argument("--problem-file", help="path to a problem JSON file")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--problem",
+                            help="builtin problem id (const3, timedep5, zero1, nmr1/2/3)")
+        source.add_argument("--problem-file", help="path to a problem JSON file")
         p.add_argument("--M", type=_comma_ints, required=True,
                        help="mesh size, or comma list for sweeps")
         if need_n:

@@ -219,11 +219,12 @@ def err_solution(s_hat: np.ndarray, s_n: np.ndarray) -> float:
 def convergence_slope(points) -> float:
     """Least-squares slope of log(err) against log(M).
 
-    An O(1/M) method shows a slope near -1.
+    An O(1/M) method shows a slope near -1.  Points at fewer than two
+    distinct M values define no slope and raise ``ValueError``.
     """
     pts = [(float(m), float(e)) for m, e in points]
-    if len(pts) < 2:
-        raise ValueError("need at least two (M, err) points")
+    if len({m for m, _ in pts}) < 2:
+        raise ValueError("need (M, err) points at two or more distinct M values")
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     slope, _ = np.polyfit(x, y, 1)

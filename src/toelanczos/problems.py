@@ -15,6 +15,7 @@ content, or from an adaptive Dormand-Prince integration with dense output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,9 +45,13 @@ __all__ = [
 
 DEFAULT_NMR_SEED = 20230517
 
+# evaluations of A(t) u one RK45 reference may spend; the builtins need at
+# most 3,866 (see DECISIONS.md, "A bounded RK45 reference")
+RK45_MAX_CALLS = 50_000
+
 
 class StiffnessError(RuntimeError):
-    """The adaptive integrator underflowed its step size."""
+    """The adaptive integrator underflowed its step size or exceeded its call budget."""
 
 
 @dataclass(frozen=True)
@@ -424,6 +429,9 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
     matching), and ``s_hat_i = w^H u(tau_i)``; the returned reference's
     ``resample`` evaluates it on any other mesh of the interval.
 
+    An integration that needs more than :data:`RK45_MAX_CALLS` evaluations
+    of ``A(t) u``, as a stiff problem does, raises :class:`StiffnessError`.
+
     ``scipy.integrate`` is imported on the first call, not with the
     package, so runs without an RK45 reference never load it.
     """
@@ -433,8 +441,15 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
         raise ValueError(f"rtol and atol must be finite and positive, got {rtol}, {atol}")
     y0 = problem.v.astype(complex)
     a_of_t = problem.compile_matrix()
-    sol = solve_ivp(lambda t, y: a_of_t(t) @ y,
-                    (problem.a, problem.b), y0,
+    calls = itertools.count(1)
+
+    def rhs(t, y):
+        if next(calls) > RK45_MAX_CALLS:
+            raise StiffnessError(f"integrator failed for {problem.id!r} near t = {t}: more "
+                                 f"than {RK45_MAX_CALLS} evaluations of A(t) u")
+        return a_of_t(t) @ y
+
+    sol = solve_ivp(rhs, (problem.a, problem.b), y0,
                     method="RK45", rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         t_fail = sol.t[-1] if sol.t.size else problem.a

@@ -17,10 +17,11 @@ Reversing the indices makes a level upper triangular, and each is solved by
 the back substitution on numpy's LAPACK that applies ``beta^{-1}`` in the
 iteration.  That solve is exact back substitution only on a triangular
 matrix, so other coefficients are rejected.  The levels are formed and
-solved in the coefficients' dtype, float64 for a real Lanczos run.  A 1-norm
-condition estimate is recorded per level and a
-:class:`ResolventSingularError` carries the depth at which an unusable level
-appeared: one whose estimate is infinite or exceeds ``1/eps``.
+solved in the coefficients' dtype, float64 for a real Lanczos run.  Each
+level's solve also returns its inverse, so its exact 1-norm condition number
+``|s|_1 |s^{-1}|_1`` is recorded, and a :class:`ResolventSingularError`
+carries the depth of an unusable level: one whose condition number is
+infinite or exceeds ``1/eps``.
 
 The solution approximation on a mesh with step ``h`` is
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .discretize import Mesh
 from .lanczos import TriTensor, _solve_upper
@@ -58,7 +58,7 @@ class ResolventSingularError(RuntimeError):
         self.depth = depth
         self.cond = cond
         super().__init__(
-            f"resolvent level {depth} has condition estimate {cond:.3e}; "
+            f"resolvent level {depth} has condition number {cond:.3e}; "
             "refine the mesh (the inverses exist for small enough h)")
 
 
@@ -92,29 +92,29 @@ def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarra
         evaluate the shorter fraction it defines).  A non-lower-triangular
         alpha or beta raises ``ValueError``.
     cond_log : list, optional
-        Appends one condition estimate per level, outermost last.
+        Appends each level's exact 1-norm condition number, outermost last.
 
-    Raises :class:`ResolventSingularError` when a level's 1-norm condition
-    estimate is infinite or exceeds ``1/eps``.
+    Raises :class:`ResolventSingularError` when a level's condition number is
+    above ``1/eps`` or infinite: a zero diagonal entry, a non-finite level or inverse.
     """
     if any(np.triu(c, 1).any() for c in (*tri.alphas, *tri.betas)):
         raise ValueError("the resolvent needs lower-triangular alpha and beta coefficients")
     eye = np.eye(tri.m, dtype=np.result_type(*tri.alphas, *tri.betas))
-    trcon = get_lapack_funcs("trcon", (eye,))
-    level = tri.n
-    s = eye - tri.alphas[level - 1]
-    while True:
-        rcond, _ = trcon(s, norm="1", uplo="L")
-        cond = np.inf if rcond == 0 else 1.0 / float(rcond)
+    s = eye - tri.alphas[-1]
+    for level in range(tri.n, 0, -1):
+        # [s^{-1} beta, s^{-1}] in one solve; beta first keeps its values those
+        # of a solve on beta alone, bit for bit
+        rhs = eye if level == 1 else np.hstack([tri.betas[level - 2], eye])
+        x = _solve_lower(s, rhs) if s.diagonal().all() and np.isfinite(s).all() else None
+        with np.errstate(over="ignore"):
+            cond = np.inf if x is None else np.linalg.norm(s, 1) * np.linalg.norm(x[:, -tri.m:], 1)
         if cond_log is not None:
             cond_log.append(cond)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise ResolventSingularError(level, cond)
-        if level == 1:
-            return _solve_lower(s, eye)
-        inner_beta = _solve_lower(s, tri.betas[level - 2])
-        level -= 1
-        s = (eye - tri.alphas[level - 1]) - inner_beta
+        if level > 1:
+            s = (eye - tri.alphas[level - 2]) - x[:, :tri.m]
+    return x
 
 
 def approx_solution(tri: TriTensor, mesh: Mesh, normalization: complex = 1.0) -> SolutionVec:

@@ -23,14 +23,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_fresh(*argv, cwd):
+def run_fresh(*argv, cwd, timeout=120):
     """Run ``python`` with ``argv`` in a new interpreter on this checkout's sources.
 
     Its warnings go to its stderr, untouched by the test session's filters.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=timeout)
+
+
+# prints whether any scipy module is loaded
+SCIPY_LOADED = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
 
 
 def strict_json(path):
@@ -152,12 +156,36 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert [f.name for f in tmp_path.iterdir()] == ["stiff.json"]
 
+    def test_stiff_decay_fails_within_call_budget(self, tmp_path):
+        # u' = -1e50 u: RK45 takes steps near 1e-50 and would never reach t = 1
+        doc = json.loads(problem_to_json(builtin("zero1")))
+        doc["entries"] = [{"k": 1, "l": 1, "terms": [
+            {"re": -1e50, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]}]
+        (tmp_path / "stiff.json").write_text(json.dumps(doc))
+        proc = run_fresh("-m", "toelanczos.cli", "run", "--problem-file", "stiff.json",
+                         "--M", "20", "--n", "1", "--reference", "rk45", "--output", "s",
+                         cwd=tmp_path, timeout=30)
+        assert proc.returncode == EXIT_SHAPE
+        assert "error: integrator failed" in proc.stderr
+        assert f"more than {problems.RK45_MAX_CALLS} evaluations" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [f.name for f in tmp_path.iterdir()] == ["stiff.json"]
+
     def test_import_leaves_integrator_unloaded(self, tmp_path):
-        # only an RK45 reference loads scipy.integrate
-        proc = run_fresh("-c", "import sys, toelanczos; print('scipy.integrate' in sys.modules)",
-                         cwd=tmp_path)
+        # only an RK45 reference loads scipy.integrate, and nothing else loads scipy
+        proc = run_fresh("-c", "import sys, toelanczos; print('scipy.integrate' in sys.modules); "
+                         + SCIPY_LOADED, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "False"]
+
+    def test_runs_without_rk45_load_no_scipy(self, tmp_path):
+        code = ("import sys; from toelanczos import cli; print(cli.main(['run', '--problem', "
+                "'const3', '--M', '40', '--n', '3', '--reference', 'analytic', '--output', 'r'])); "
+                "print(cli.main(['ttranks', '--problem', 'nmr2', '--M', '120', '--output', 't'])); "
+                + SCIPY_LOADED)
+        proc = run_fresh("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(EXIT_OK), str(EXIT_OK), "False"]
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["run", "--problem", "timedep5", "--M", "12", "--n", "5",
@@ -322,6 +350,25 @@ class TestOptions:
         assert flag[-2] in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("source", [
+        pytest.param(["--problem", "nmr2", "--problem-file", "p.json"], id="both"),
+        pytest.param([], id="neither"),
+    ])
+    def test_problem_source_exactly_one(self, tmp_path, capsys, source):
+        (tmp_path / "p.json").write_text(problem_to_json(builtin("const3")))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", *source, "--M", "8", "--n", "3", "--output", str(tmp_path / "x"))
+        assert exc.value.code == EXIT_SHAPE
+        assert "--problem-file" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["p.json"]
+
+    def test_seed_with_unknown_nmr_id_names_builtins(self, tmp_path, capsys):
+        code = run_cli("run", "--problem", "nmrx", "--seed", "1", "--M", "8", "--n", "3",
+                       "--output", str(tmp_path / "x"))
+        assert code == EXIT_SHAPE
+        assert "unknown builtin problem 'nmrx'; known: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_leaves_timedep5_unchanged(self, tmp_path):
         files = {}
         for tag, seed in (("plain", []), ("seeded", ["--seed", "7"])):
@@ -374,6 +421,15 @@ class TestConvergence:
         doc = strict_json(tmp_path / "z_slope.json")
         assert doc["slope"] is None
         assert [err for _, err in doc["points"]] == [0.0, 0.0]
+
+    def test_one_distinct_m_gives_null_slope(self, tmp_path):
+        # two points at one M define no slope
+        code = run_cli("convergence", "--problem", "const3", "--M", "10,10", "--n", "3",
+                       "--reference", "analytic", "--output", str(tmp_path / "d"))
+        assert code == EXIT_OK
+        doc = strict_json(tmp_path / "d_slope.json")
+        assert doc["slope"] is None
+        assert [m for m, _ in doc["points"]] == [10, 10]
 
     def test_empty_m_list_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

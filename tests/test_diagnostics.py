@@ -111,8 +111,10 @@ class TestConvergenceSlope:
         assert convergence_slope(pts) == pytest.approx(-1.04, abs=0.01)
 
     def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            convergence_slope([(10, 1.0)])
+        # two errors at one M define no slope
+        for pts in ([(10, 1.0)], [(10, 1.0), (10, 2.0)]):
+            with pytest.raises(ValueError):
+                convergence_slope(pts)
 
 
 class TestMeasuresOnRuns:

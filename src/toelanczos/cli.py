@@ -1,6 +1,8 @@
 """Command-line driver wiring problems through the full pipeline.
 
-Three subcommands:
+:func:`solve` runs one discretize -> Lanczos -> resolvent pass and returns
+``(mesh, result, solution)``; it is the one place that wires the pipeline.
+Import it as ``from toelanczos.cli import solve``.  Three subcommands:
 
 ``run``          one (problem, M, n) pipeline pass; writes the solution CSV
                  and a JSON report with the error measures and run status.
@@ -37,7 +39,7 @@ import sys
 from . import diagnostics as diag
 from . import problems as prob
 from .discretize import build_mesh, discretize_problem
-from .lanczos import tensor_lanczos
+from .lanczos import DEFAULT_EPS_LUCKY, DEFAULT_EPS_SERIOUS, tensor_lanczos
 from .resolvent import ResolventSingularError, approx_solution, solution_to_csv
 from .tensor_core import ShapeError
 from .tt import RANK_CSV_COLUMNS, rank_report_row, tt_svd
@@ -103,29 +105,33 @@ def _sweep_reference(problem, args):
     return values
 
 
+def solve(problem, m, n, eps_lucky=DEFAULT_EPS_LUCKY, eps_serious=DEFAULT_EPS_SERIOUS):
+    """``(mesh, result, solution)`` of one discretize -> Lanczos -> resolvent pass.
+
+    A breakdown prefix still defines a (shorter) resolvent: it is evaluated,
+    and ``solution`` is ``None`` when it is unusable.  On a completed run an
+    unusable resolvent raises :class:`ResolventSingularError`.
+    """
+    mesh = build_mesh(problem.a, problem.b, m)
+    result = tensor_lanczos(discretize_problem(problem, mesh), problem.v, problem.w, n,
+                            eps_lucky=eps_lucky, eps_serious=eps_serious)
+    try:
+        return mesh, result, approx_solution(result.tri, mesh, result.normalization)
+    except ResolventSingularError:
+        if result.status.completed:
+            raise
+        return mesh, result, None
+
+
 def _pipeline_once(problem, m, n, args, reference):
-    """One discretize -> Lanczos -> resolvent -> diagnostics pass.
+    """One :func:`solve` pass plus its diagnostics.
 
     ``reference`` maps the mesh to the reference values, or to ``None``.
     """
-    mesh = build_mesh(problem.a, problem.b, m)
-    a4 = discretize_problem(problem, mesh)
-    result = tensor_lanczos(a4, problem.v, problem.w, n,
-                            eps_lucky=args.eps_lucky, eps_serious=args.eps_serious)
+    mesh, result, solution = solve(problem, m, n, args.eps_lucky, args.eps_serious)
     status = result.status
-    solution = None
-    report_err_sol = None
-    # breakdown prefixes still define a (shorter) resolvent; evaluate it, but
-    # only a completed run turns resolvent failure into a hard error
-    try:
-        solution = approx_solution(result.tri, mesh, result.normalization)
-    except ResolventSingularError:
-        if status.completed:
-            raise
-    if solution is not None:
-        ref = reference(mesh)
-        if ref is not None:
-            report_err_sol = diag.err_solution(ref, solution.values)
+    ref = None if solution is None else reference(mesh)
+    report_err_sol = None if ref is None else diag.err_solution(ref, solution.values)
     err_m = diag.err_moments(result)
     err_v, err_w = diag.err_recurrences(result)
     err_o = diag.err_biorth(result)
@@ -250,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
                            default="none")
             p.add_argument("--rtol", type=_positive_float, default=1e-10)
             p.add_argument("--atol", type=_positive_float, default=1e-12)
-            p.add_argument("--eps-lucky", type=_positive_float, default=1e-13,
+            p.add_argument("--eps-lucky", type=_positive_float, default=DEFAULT_EPS_LUCKY,
                            dest="eps_lucky")
-            p.add_argument("--eps-serious", type=_positive_float, default=1e13,
+            p.add_argument("--eps-serious", type=_positive_float, default=DEFAULT_EPS_SERIOUS,
                            dest="eps_serious")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for the generated problems nmr1/2/3; "
@@ -285,7 +291,10 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ShapeError, ValueError, KeyError, prob.StiffnessError) as exc:
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_SHAPE
+    except (ShapeError, ValueError, prob.StiffnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
     except ResolventSingularError as exc:

@@ -290,46 +290,34 @@ def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED, *, nu: float = 1e4,
                               gamma_scale=gamma_scale)
     s = -2j * np.pi  # A(t) = -i 2 pi H(t)
     w2 = 2 * np.pi * coeffs.nu
-    entries: dict[tuple[int, int], list[Term]] = {}
+
+    def levels(x):  # kind 1 keeps its zero weights
+        return [(k, k, x[k]) for k in range(16)]
+
+    def coupling(mat):
+        return [(int(i), int(j), mat[i, j]) for i, j in zip(*np.nonzero(mat))]
+
+    # (coupling, modulation) parts; a modulation lists (weight, trig, omega) summands
     if kind == 1:
-        for k in range(16):
-            entries[(k, k)] = [
-                Term(s * coeffs.alpha[k]),
-                Term(s * coeffs.beta[k], 0, "cos", w2),
-                Term(s * coeffs.gamma[k], 0, "cos", 2 * w2),
-            ]
+        parts = [(levels(coeffs.beta), [(1.0, "cos", w2)]),
+                 (levels(coeffs.gamma), [(1.0, "cos", 2 * w2)])]
     elif kind == 2:
-        for k in range(16):
-            entries[(k, k)] = [Term(s * coeffs.alpha[k])]
-        for (i, j) in zip(*np.nonzero(coeffs.B)):
-            entries.setdefault((int(i), int(j)), []).append(Term(s * coeffs.B[i, j], 0, "cos", w2))
-        for (i, j) in zip(*np.nonzero(coeffs.C)):
-            entries.setdefault((int(i), int(j)), []).append(Term(s * coeffs.C[i, j], 0, "cos", 2 * w2))
+        parts = [(coupling(coeffs.B), [(1.0, "cos", w2)]),
+                 (coupling(coeffs.C), [(1.0, "cos", 2 * w2)])]
     else:
-        for k in range(16):
-            entries[(k, k)] = [Term(s * coeffs.alpha[k])]
-        # B * (0.5 + cos 4t + sin 10t - 0.4 sin 16t)
-        for (i, j) in zip(*np.nonzero(coeffs.B)):
-            c = s * coeffs.B[i, j]
-            entries.setdefault((int(i), int(j)), []).extend([
-                Term(0.5 * c),
-                Term(c, 0, "cos", 4.0),
-                Term(c, 0, "sin", 10.0),
-                Term(-0.4 * c, 0, "sin", 16.0),
-            ])
-        # C * (sin 4t + cos 8t + 2 sin 12t)
-        for (i, j) in zip(*np.nonzero(coeffs.C)):
-            c = s * coeffs.C[i, j]
-            entries.setdefault((int(i), int(j)), []).extend([
-                Term(c, 0, "sin", 4.0),
-                Term(c, 0, "cos", 8.0),
-                Term(2.0 * c, 0, "sin", 12.0),
-            ])
+        parts = [(coupling(coeffs.B), [(0.5, "none", 0.0), (1.0, "cos", 4.0),
+                                       (1.0, "sin", 10.0), (-0.4, "sin", 16.0)]),
+                 (coupling(coeffs.C), [(1.0, "sin", 4.0), (1.0, "cos", 8.0),
+                                       (2.0, "sin", 12.0)])]
+    entries = {(k, k): [Term(s * coeffs.alpha[k])] for k in range(16)}
+    for pairs, modulation in parts:
+        for i, j, x in pairs:
+            entries.setdefault((i, j), []).extend(
+                Term(weight * (s * x), 0, trig, omega) for weight, trig, omega in modulation)
     a, b = _NMR_INTERVALS[kind]
     vec = _nmr_vectors(kind)
-    prob = Problem(f"nmr{kind}", 16, a, b, entries, vec, vec,
+    return Problem(f"nmr{kind}", 16, a, b, entries, vec, vec,
                    meta={"kind": kind, "seed": seed, "coefficients": coeffs})
-    return prob
 
 
 _BUILTIN_FACTORIES = {

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import toelanczos as tl
-from toelanczos.cli import EXIT_GUARD, EXIT_OK, EXIT_SERIOUS, main as cli_main
+from toelanczos.cli import EXIT_GUARD, EXIT_OK, EXIT_SERIOUS, main as cli_main, solve
 from toelanczos.tensor_core import frobenius
 from oracles import (
     dense_mul_tv,
@@ -31,16 +31,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def run_pipeline(problem, m, n):
-    mesh = tl.build_mesh(problem.a, problem.b, m)
-    a4 = tl.discretize_problem(problem, mesh)
-    result = tl.tensor_lanczos(a4, problem.v, problem.w, n)
-    return mesh, a4, result
-
-
 def pipeline_err_sol(problem, m, n, reference="analytic"):
-    mesh, a4, result = run_pipeline(problem, m, n)
-    sol = tl.approx_solution(result.tri, mesh, result.normalization)
+    mesh, _, sol = solve(problem, m, n)
     if reference == "analytic":
         ref = tl.analytic_const3(mesh).values
     elif reference == "analytic_nmr1":
@@ -108,7 +100,7 @@ class TestCriterion03PropertySuite:
         p = tl.builtin("const3")
         worst = {"err_v": 0.0, "err_w": 0.0, "err_o": 0.0, "err_m": 0.0}
         for m in (10, 50, 100):
-            mesh, a4, result = run_pipeline(p, m, 3)
+            _, result, _ = solve(p, m, 3)
             ev, ew = tl.err_recurrences(result)
             eo = tl.err_biorth(result)
             em = tl.err_moments(result)
@@ -223,7 +215,9 @@ class TestCriterion06ResolventOracle:
         for pid, n in (("const3", 3), ("timedep5", 5)):
             p = tl.builtin(pid)
             for m in (20, 50):
-                mesh, a4, result = run_pipeline(p, m, n)
+                mesh = tl.build_mesh(p.a, p.b, m)
+                a4 = tl.discretize_problem(p, mesh)
+                result = tl.tensor_lanczos(a4, p.v, p.w, n)
                 s_frac = tl.approx_solution(result.tri, mesh, result.normalization).values
                 s_series = solution_via_series(a4, p.v, p.w, mesh).values
                 worst = max(worst, float(np.linalg.norm(s_frac - s_series)

@@ -8,14 +8,27 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from toelanczos import Problem, Reference, builtin, problem_to_json
+from toelanczos import (
+    Problem,
+    Reference,
+    ResolventSingularError,
+    approx_solution,
+    build_mesh,
+    builtin,
+    builtin_ids,
+    discretize_problem,
+    problem_to_json,
+    tensor_lanczos,
+)
 from toelanczos import cli, diagnostics, problems, tensor_core
 from toelanczos.cli import (
     EXIT_GUARD,
     EXIT_OK,
+    EXIT_RESOLVENT,
     EXIT_SERIOUS,
     EXIT_SHAPE,
     main,
+    solve,
 )
 
 
@@ -96,10 +109,12 @@ class TestRun:
                        "--reference", "analytic", "--output", str(out))
         assert code == EXIT_OK
 
-    def test_unknown_problem_is_shape_error(self, tmp_path):
+    def test_unknown_problem_is_shape_error(self, tmp_path, capsys):
         code = run_cli("run", "--problem", "bogus", "--M", "5", "--n", "1",
                        "--output", str(tmp_path / "x"))
         assert code == EXIT_SHAPE
+        # the message itself, not the quoted str() of its KeyError
+        assert capsys.readouterr().err.startswith("error: unknown builtin problem 'bogus'")
 
     def test_serious_breakdown_exit_code(self, tmp_path):
         path = tmp_path / "serious.json"
@@ -475,6 +490,77 @@ class TestTTRanks:
         assert code == EXIT_SHAPE
         assert "no nonzeros" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+# a 1x1 problem A = 10 on [0, 1]: at M = 10, h*A = 1 makes I - alpha_1 singular
+SINGULAR1 = {
+    "id": "singular1", "n": 1, "interval": [0.0, 1.0],
+    "v": [{"re": 1.0, "im": 0.0}], "w": [{"re": 1.0, "im": 0.0}],
+    "entries": [{"k": 1, "l": 1, "terms": [
+        {"re": 10.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]}],
+}
+
+BUILTIN_N = {"const3": 3, "timedep5": 5, "zero1": 1, "nmr1": 4, "nmr2": 4, "nmr3": 4}
+
+
+class TestSolve:
+    @pytest.mark.parametrize("problem_id", builtin_ids())
+    def test_equals_the_hand_wired_chain(self, problem_id):
+        p, n = builtin(problem_id), BUILTIN_N[problem_id]
+        mesh = build_mesh(p.a, p.b, 40)
+        res = tensor_lanczos(discretize_problem(p, mesh), p.v, p.w, n)
+        sol = approx_solution(res.tri, mesh, res.normalization)
+        got_mesh, got_res, got_sol = solve(p, 40, n)
+        assert np.array_equal(got_mesh.tau, mesh.tau)
+        for got, want in ((got_res.tri.alphas, res.tri.alphas),
+                          (got_res.tri.betas, res.tri.betas)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, want))
+        assert np.array_equal(got_sol.values, sol.values)
+
+    def test_breakdown_prefix_keeps_its_solution(self, tmp_path):
+        # nmr3 at M=100 breaks down seriously at k=9; the 9-level prefix is usable
+        _, res, sol = solve(builtin("nmr3"), 100, 12)
+        assert res.status.kind == "serious_breakdown" and res.status.k == 9
+        assert res.tri.n == 9
+        assert sol is not None and np.all(np.isfinite(sol.values))
+        code = run_cli("run", "--problem", "nmr3", "--M", "100", "--n", "12",
+                       "--output", str(tmp_path / "b"))
+        assert code == EXIT_SERIOUS
+
+    def test_completed_run_with_singular_level_raises(self, tmp_path, capsys):
+        path = tmp_path / "singular1.json"
+        path.write_text(json.dumps(SINGULAR1))
+        p = problems.problem_from_json(path.read_text())
+        mesh = build_mesh(p.a, p.b, 10)
+        assert tensor_lanczos(discretize_problem(p, mesh), p.v, p.w, 1).status.completed
+        with pytest.raises(ResolventSingularError, match="level 1"):
+            solve(p, 10, 1)
+        code = run_cli("run", "--problem-file", str(path), "--M", "10", "--n", "1",
+                       "--output", str(tmp_path / "s"))
+        assert code == EXIT_RESOLVENT
+        assert "error: resolvent level 1" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["singular1.json"]
+
+    def test_commands_call_solve_once_per_mesh(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(cli, "solve", counting_solve)
+        assert run_cli("run", "--problem", "const3", "--M", "10", "--n", "3",
+                       "--output", str(tmp_path / "r")) == EXIT_OK
+        assert calls == [10]
+        assert run_cli("convergence", "--problem", "const3", "--M", "10,20,30", "--n", "3",
+                       "--reference", "analytic", "--output", str(tmp_path / "c")) == EXIT_OK
+        assert calls == [10, 10, 20, 30]
+
+    def test_entry_point_runs_without_warning(self, tmp_path):
+        # importing cli from the package would make runpy warn on -m toelanczos.cli
+        proc = run_fresh("-m", "toelanczos.cli", "--help", cwd=tmp_path)
+        assert proc.returncode == 0
+        assert "Warning" not in proc.stderr
 
 
 class TestDeterminism:

@@ -5,14 +5,13 @@ from toelanczos import (
     BlockStructure,
     Problem,
     Term,
-    approx_solution,
     build_mesh,
     builtin,
     convergence_slope,
     discretize_problem,
     err_solution,
-    tensor_lanczos,
 )
+from toelanczos.cli import solve
 from toelanczos.discretize import DiscretizationError
 
 from oracles import entry_per_term, theta_matrix, to_tensor4
@@ -149,10 +148,7 @@ class TestOrderOfAccuracy:
                     np.array([1.0]), np.array([1.0]))
         errs = []
         for m in (10, 40, 160):
-            mesh = build_mesh(0.0, 1.0, m)
-            a4 = discretize_problem(p, mesh)
-            res = tensor_lanczos(a4, p.v, p.w, 1)
-            sol = approx_solution(res.tri, mesh, res.normalization)
+            mesh, _, sol = solve(p, m, 1)
             ref = np.exp(np.sin(mesh.tau))
             errs.append((m, err_solution(ref, sol.values)))
         slope = convergence_slope(errs)

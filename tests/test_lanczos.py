@@ -23,6 +23,7 @@ from toelanczos import (
     tensor_lanczos,
 )
 from toelanczos import lanczos, resolvent
+from toelanczos.cli import solve
 from toelanczos.lanczos import TriTensor, _apply_inverse_right, _solve_upper
 from toelanczos.resolvent import _solve_lower
 from oracles import (
@@ -278,10 +279,9 @@ class TestTriangularSolves:
         for namespace in (scipy.linalg, lanczos, resolvent):
             monkeypatch.setattr(namespace, "solve_triangular", refuse, raising=False)
         p = builtin(problem_id)
-        mesh = build_mesh(p.a, p.b, m)
-        res = tensor_lanczos(discretize_problem(p, mesh), p.v, p.w, n)
+        _, res, sol = solve(p, m, n)
         assert res.status.completed and res.tri.n == n
-        assert np.all(np.isfinite(approx_solution(res.tri, mesh, res.normalization).values))
+        assert np.all(np.isfinite(sol.values))
 
 
 class TestClassifyBreakdown:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -100,6 +101,22 @@ class TestNmrGenerators:
             kinds = [(t.trig, t.omega) for t in terms]
             nu = p.meta["coefficients"].nu
             assert kinds == [("none", 0.0), ("cos", 2 * np.pi * nu), ("cos", 4 * np.pi * nu)]
+
+    @pytest.mark.parametrize("overrides", [{"mod_scale": 0.0}, {"gamma_scale": 0.0}])
+    def test_kind1_keeps_zero_weight_terms(self, overrides):
+        p = nmr_generate(1, **overrides)
+        assert set(p.entries) == {(k, k) for k in range(16)}
+        assert all(len(terms) == 3 for terms in p.entries.values())
+
+    @pytest.mark.parametrize("kind,digest", [
+        (1, "b5c5f13378c114f9752e0e6c83ffa52fbf32c074e84a07d1b0b1c615ad08fd70"),
+        (2, "a000e3d885197f6d22e07a76dc01662e8a37f6aa758f19fe0b6ec734e0bf8a68"),
+        (3, "2c98008887210864bfe5eef59720d9d4dbf9fd1c9a68c0b70dcf2444aad9c304"),
+    ])
+    def test_generated_content_pinned(self, kind, digest):
+        # the problem file of each kind at the default seed, byte for byte
+        text = problem_to_json(nmr_generate(kind))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_determinism(self):
         p1 = nmr_generate(2, seed=7)

@@ -13,6 +13,7 @@ from toelanczos import (
     star_resolvent_11,
     tensor_lanczos,
 )
+from toelanczos.cli import solve
 from toelanczos.lanczos import TriTensor
 from oracles import assemble_tridiag, lu_resolvent_11, neumann_resolvent, solution_via_series
 
@@ -116,8 +117,7 @@ class TestStarResolvent11:
         # a real Lanczos run gives a real resolvent; the i-mapped nmr2
         # coefficients stay complex
         p = builtin(problem_id)
-        a4 = discretize_problem(p, build_mesh(p.a, p.b, 12))
-        res = tensor_lanczos(a4, p.v, p.w, 3)
+        _, res, sol = solve(p, 12, 3)
         log, log_c = [], []
         got = star_resolvent_11(res.tri, cond_log=log)
         as_complex = TriTensor(res.tri.m, [x.astype(complex) for x in res.tri.alphas],
@@ -126,8 +126,7 @@ class TestStarResolvent11:
         assert got.dtype == dtype
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert np.allclose(log, log_c, rtol=1e-12)
-        values = approx_solution(res.tri, build_mesh(p.a, p.b, 12), res.normalization).values
-        assert values.dtype == np.complex128
+        assert sol.values.dtype == np.complex128
 
     def test_non_finite_beta_raises_value_error(self):
         m = 3
@@ -159,10 +158,7 @@ class TestStarResolvent11:
 class TestApproxSolution:
     def test_zero_problem_gives_ones(self):
         p = builtin("zero1")
-        mesh = build_mesh(p.a, p.b, 7)
-        a4 = discretize_problem(p, mesh)
-        res = tensor_lanczos(a4, p.v, p.w, 1)
-        sol = approx_solution(res.tri, mesh, res.normalization)
+        _, _, sol = solve(p, 7, 1)
         assert np.allclose(sol.values, 1.0, atol=1e-14)
 
     def test_scalar_exponential(self):
@@ -170,20 +166,14 @@ class TestApproxSolution:
 
         p = Problem("exp1", 1, 0.0, 1.0, {(0, 0): [Term(1.0)]},
                     np.array([1.0]), np.array([1.0]))
-        mesh = build_mesh(0.0, 1.0, 100)
-        a4 = discretize_problem(p, mesh)
-        res = tensor_lanczos(a4, p.v, p.w, 1)
-        sol = approx_solution(res.tri, mesh, res.normalization)
+        mesh, _, sol = solve(p, 100, 1)
         rel = np.abs(sol.values - np.exp(mesh.tau)) / np.exp(mesh.tau)
         assert np.max(rel) < 0.03
 
     def test_first_entry_near_inner_product(self):
         p = builtin("const3")
         for m in (10, 50, 200):
-            mesh = build_mesh(p.a, p.b, m)
-            a4 = discretize_problem(p, mesh)
-            res = tensor_lanczos(a4, p.v, p.w, 3)
-            sol = approx_solution(res.tri, mesh, res.normalization)
+            mesh, _, sol = solve(p, m, 3)
             assert abs(sol.values[0] - 1.0) < 5.0 * mesh.h
 
 
@@ -208,10 +198,7 @@ class TestSeriesOracle:
 class TestCsv:
     def test_solution_csv_schema(self):
         p = builtin("zero1")
-        mesh = build_mesh(p.a, p.b, 3)
-        a4 = discretize_problem(p, mesh)
-        res = tensor_lanczos(a4, p.v, p.w, 1)
-        sol = approx_solution(res.tri, mesh, res.normalization)
+        mesh, _, sol = solve(p, 3, 1)
         text = solution_to_csv(sol)
         lines = text.strip().split("\n")
         assert lines[0] == "tau,re_s,im_s"

@@ -23,7 +23,8 @@ a failed RK45 reference integration, 3 lucky breakdown, 4 serious breakdown,
 Workloads with M^3 * N^2 * n above 1e10 require ``--allow-large``.  That
 count was the cost of the dense operator products; the profile-form
 operator applies in ``O(N^2 M^2)``, so the remaining ``M^3`` work is the
-per-slice coefficient products and solves, and the budget is kept as it is
+per-slice coefficient products and the inverses of ``beta`` and of the
+resolvent levels, and the budget is kept as it is
 until it is re-derived for that cost model.  ``ttranks`` is checked with
 n = 1; it decomposes the profiles in ``O(N^2 M min(N^2, M) + M^3)`` and
 forms no dense operator.

@@ -25,14 +25,14 @@ The operator is the discretized
 :class:`~toelanczos.tensor_core.ProfileTensor`, whose slices are lower
 triangular; lower-triangular matrices are closed under the sums, products
 and inverses above, so every basis slice, ``alpha_k`` and ``beta_k`` has an
-exactly zero strict upper triangle.  ``beta^{-1}`` is applied by one
-triangular solve per iteration, on the transposed system, which is upper
-triangular.  The resolvent levels built from these coefficients are lower
-triangular too, and :func:`~toelanczos.resolvent.star_resolvent_11` solves
-them, index-reversed to upper triangular, with the same helper.  Both run on
-numpy's LAPACK, the library under every product here: scipy's wheel bundles
-a second OpenBLAS whose thread pool, alternating with numpy's, contends for
-the same cores.
+exactly zero strict upper triangle.  Each iteration inverts ``beta_{k+1}``
+once, index-reversed to upper triangular so that the LU factorization never
+pivots, and applies the inverse to the stacked basis slices in one matrix
+product.  The resolvent levels built from these coefficients are lower
+triangular too, and :func:`~toelanczos.resolvent.star_resolvent_11` inverts
+them with the same helper.  Both run on numpy's LAPACK, the library under
+every product here: scipy's wheel bundles a second OpenBLAS whose thread
+pool, alternating with numpy's, contends for the same cores.
 
 Arithmetic: the recurrence runs in float64 when the data allow it and in
 complex128 otherwise, decided from the profiles and probes alone.  With real
@@ -136,8 +136,9 @@ class LanczosStatus:
     """Outcome of a run: 'completed', 'lucky_breakdown', or 'serious_breakdown'.
 
     ``k`` is the 1-based iteration at which a breakdown was detected, ``side``
-    which residual vanished for a lucky one, ``cond`` the condition estimate
-    of the offending beta for a serious one.
+    which residual vanished for a lucky one, ``cond`` the exact 2-norm
+    condition number ``sigma_max/sigma_min`` of the offending beta for a
+    serious one (``inf`` when beta is exactly singular).
     """
 
     kind: str
@@ -245,26 +246,19 @@ def _v_update(av: np.ndarray, v_k: np.ndarray, alpha: np.ndarray,
     return out
 
 
-def _solve_upper(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``u^{-1} b`` for an upper-triangular ``u``, on numpy's LAPACK.
+def _inverse_lower(l: np.ndarray) -> np.ndarray:
+    """``l^{-1}`` for a lower-triangular ``l``, on numpy's LAPACK.
 
-    Partial pivoting never swaps a row of an upper-triangular matrix (every
-    entry below the pivot is zero) and eliminates with exact zero
-    multipliers, so ``np.linalg.solve`` is exact back substitution, and zeros
-    that substitution forces stay exact.  LAPACK would carry a NaN or an
-    infinity through silently, so a non-finite operand raises ``ValueError``;
-    an exactly singular ``u`` raises ``LinAlgError``.
+    Reversing the indices makes ``l`` upper triangular, and on an upper
+    triangular matrix partial pivoting never swaps a row (every entry below
+    the pivot is zero) and eliminates with exact zero multipliers, so the
+    inverse keeps an exactly zero strict upper triangle once reversed back.
+    LAPACK would carry a NaN or an infinity through silently, so a non-finite
+    ``l`` raises ``ValueError``; an exactly singular one raises ``LinAlgError``.
     """
-    if not (np.isfinite(u).all() and np.isfinite(b).all()):
-        raise ValueError("triangular solve operands must not contain infs or NaNs")
-    return np.linalg.solve(u, b)
-
-
-def _apply_inverse_right(beta: np.ndarray, hv: HyperVec) -> HyperVec:
-    # X = S @ beta^{-1}  <=>  beta^T X^T = S^T, for all slices S stacked by rows
-    stacked = hv.data.reshape(-1, hv.m)
-    out = _solve_upper(beta.T, stacked.T).T
-    return HyperVec(out.reshape(hv.data.shape), hv.orientation)
+    if not np.isfinite(l).all():
+        raise ValueError("triangular inverse operand must not contain infs or NaNs")
+    return np.linalg.inv(l[::-1, ::-1])[::-1, ::-1]
 
 
 def _scaled_operator(a: ProfileTensor, v: np.ndarray,
@@ -301,12 +295,13 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
         Breakdown thresholds, see :func:`classify_breakdown`; NaN, which
         would switch a check off, raises ``ValueError``.
 
-    ``beta^{-1}`` is applied by one triangular solve on the stacked basis
-    slices per iteration, never by forming an inverse; that needs the lower
-    triangular slices of a :class:`ProfileTensor`, so any other operator
-    type raises ``TypeError``.  The arithmetic (float64 on ``A`` or on
-    ``-i A``, or complex128) follows from the data as the module docstring
-    states; there is no option for it.
+    ``V_{k+1}`` is one matrix product of the stacked residual slices with
+    the exact-zero inverse of the lower-triangular ``beta_{k+1}``; that needs
+    the lower-triangular slices of a :class:`ProfileTensor`, so any other
+    operator type raises ``TypeError``.  A NaN or infinite residual makes
+    ``beta_{k+1}`` non-finite, and inverting it raises ``ValueError``.  The
+    arithmetic (float64 on ``A`` or on ``-i A``, or complex128) follows from
+    the data as the module docstring states; there is no option for it.
     """
     if not isinstance(a, ProfileTensor):
         raise TypeError(f"tensor_lanczos needs a ProfileTensor, got {type(a).__name__}")
@@ -362,7 +357,8 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
             return finish(replace(breakdown, k=k), v_hat, w_hat)
 
         betas.append(beta_next)
-        v_basis.append(_apply_inverse_right(beta_next, v_hat))
+        v_next = v_hat.data.reshape(-1, m) @ _inverse_lower(beta_next)
+        v_basis.append(HyperVec(v_next.reshape(v_hat.data.shape), "right"))
         w_basis.append(w_hat)
 
     raise AssertionError("unreachable")

@@ -13,15 +13,14 @@ block placement of the tridiagonal tensor.  The tests check it against a
 truncated series evaluation of the resolvent.
 
 The Lanczos coefficients are lower triangular, hence so is every level.
-Reversing the indices makes a level upper triangular, and each is solved by
-the back substitution on numpy's LAPACK that applies ``beta^{-1}`` in the
-iteration.  That solve is exact back substitution only on a triangular
-matrix, so other coefficients are rejected.  The levels are formed and
-solved in the coefficients' dtype, float64 for a real Lanczos run.  Each
-level's solve also returns its inverse, so its exact 1-norm condition number
-``|s|_1 |s^{-1}|_1`` is recorded, and a :class:`ResolventSingularError`
-carries the depth of an unusable level: one whose condition number is
-infinite or exceeds ``1/eps``.
+Each level ``s`` is inverted by the helper that inverts ``beta`` in the
+iteration, which keeps exact zeros above the diagonal only for a triangular
+matrix, so other coefficients are rejected.  The inverse ``x`` gives the
+level's exact 1-norm condition number ``|s|_1 |x|_1`` and the next level's
+Schur term ``x @ beta``; the outermost ``x`` is ``R_11``.  The levels are
+formed and inverted in the coefficients' dtype, float64 for a real Lanczos
+run.  A :class:`ResolventSingularError` carries the depth of an unusable
+level: one whose condition number is infinite or exceeds ``1/eps``.
 
 The solution approximation on a mesh with step ``h`` is
 
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import Mesh
-from .lanczos import TriTensor, _solve_upper
+from .lanczos import TriTensor, _inverse_lower
 
 __all__ = [
     "SolutionVec",
@@ -74,14 +73,6 @@ class SolutionVec:
         self.values = np.asarray(self.values, dtype=complex).ravel()
 
 
-def _solve_lower(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``s^{-1} b`` for a lower-triangular ``s``, as ``(J s J)(J X) = J b``.
-
-    ``J`` reverses the indices, which makes ``J s J`` upper triangular.
-    """
-    return _solve_upper(s[::-1, ::-1], b[::-1])[::-1]
-
-
 def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarray:
     """(1, 1) block of the ``*``-resolvent of ``T_n`` via the continued fraction.
 
@@ -90,7 +81,7 @@ def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarra
     tri : TriTensor
         Complete coefficient set (callers holding a breakdown prefix may
         evaluate the shorter fraction it defines).  A non-lower-triangular
-        alpha or beta raises ``ValueError``.
+        alpha or beta, or a NaN or infinite beta, raises ``ValueError``.
     cond_log : list, optional
         Appends each level's exact 1-norm condition number, outermost last.
 
@@ -99,21 +90,21 @@ def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarra
     """
     if any(np.triu(c, 1).any() for c in (*tri.alphas, *tri.betas)):
         raise ValueError("the resolvent needs lower-triangular alpha and beta coefficients")
+    if not all(np.isfinite(c).all() for c in tri.betas):
+        raise ValueError("the resolvent's beta coefficients must not contain infs or NaNs")
     eye = np.eye(tri.m, dtype=np.result_type(*tri.alphas, *tri.betas))
     s = eye - tri.alphas[-1]
     for level in range(tri.n, 0, -1):
-        # [s^{-1} beta, s^{-1}] in one solve; beta first keeps its values those
-        # of a solve on beta alone, bit for bit
-        rhs = eye if level == 1 else np.hstack([tri.betas[level - 2], eye])
-        x = _solve_lower(s, rhs) if s.diagonal().all() and np.isfinite(s).all() else None
+        x = _inverse_lower(s) if s.diagonal().all() and np.isfinite(s).all() else None
+        # an overflow makes kappa_1 infinite, or the next level non-finite
         with np.errstate(over="ignore"):
-            cond = np.inf if x is None else np.linalg.norm(s, 1) * np.linalg.norm(x[:, -tri.m:], 1)
-        if cond_log is not None:
-            cond_log.append(cond)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise ResolventSingularError(level, cond)
-        if level > 1:
-            s = (eye - tri.alphas[level - 2]) - x[:, :tri.m]
+            cond = np.inf if x is None else np.linalg.norm(s, 1) * np.linalg.norm(x, 1)
+            if cond_log is not None:
+                cond_log.append(cond)
+            if not np.isfinite(cond) or cond > _COND_LIMIT:
+                raise ResolventSingularError(level, cond)
+            if level > 1:
+                s = (eye - tri.alphas[level - 2]) - x @ tri.betas[level - 2]
     return x
 
 

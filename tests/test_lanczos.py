@@ -24,8 +24,7 @@ from toelanczos import (
 )
 from toelanczos import lanczos, resolvent
 from toelanczos.cli import solve
-from toelanczos.lanczos import TriTensor, _apply_inverse_right, _solve_upper
-from toelanczos.resolvent import _solve_lower
+from toelanczos.lanczos import TriTensor, _inverse_lower
 from oracles import (
     assemble_tridiag,
     complex_lanczos,
@@ -108,7 +107,7 @@ class TestBasicRuns:
         assert np.allclose(s2, 2.0 * s1, rtol=1e-12)
 
     def test_rejects_dense_operator(self):
-        # the triangular beta solves rely on the profile form's lower-triangular slices
+        # the exact-zero beta inverse relies on the profile form's lower-triangular slices
         p = builtin("const3")
         a4 = discretize_problem(p, build_mesh(p.a, p.b, 5))
         with pytest.raises(TypeError, match="ProfileTensor"):
@@ -233,7 +232,7 @@ def random_lower(rng, m, complex_):
 
 
 class TestTriangularSolves:
-    """The ``beta`` and resolvent solves: exact triangular solves on numpy's LAPACK."""
+    """``beta^{-1}`` and the resolvent levels: one exact-zero inverse on numpy's LAPACK."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(1, 8), big_n=st.integers(1, 4), complex_=st.booleans(),
@@ -242,9 +241,13 @@ class TestTriangularSolves:
         rng = np.random.default_rng(seed)
         beta = random_lower(rng, m, complex_)
         slices = np.stack([random_lower(rng, m, complex_) for _ in range(big_n)])
-        cases = [(_apply_inverse_right(beta, HyperVec(slices, "right")).data,
+        inverse = _inverse_lower(beta)
+        # the loop's GEMM on the stacked slices, and a resolvent level's
+        # inverse and Schur term
+        cases = [((slices.reshape(-1, m) @ inverse).reshape(slices.shape),
                   times_inverse_right(slices, beta))]
-        cases += [(_solve_lower(beta, b), solve_lower(beta, b)) for b in (np.eye(m), slices[0])]
+        cases += [(inverse, solve_lower(beta, np.eye(m))),
+                  (inverse @ slices[0], solve_lower(beta, slices[0]))]
         tol = 16 * m * np.linalg.cond(beta, 1) * np.finfo(float).eps
         for got, want in cases:
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
@@ -252,15 +255,33 @@ class TestTriangularSolves:
 
     @pytest.mark.parametrize("operand", ["u", "b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_operand_raises(self, operand, bad):
-        u, b = np.triu(np.ones((3, 3))), np.eye(3)
-        {"u": u, "b": b}[operand][0, 2] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            _solve_upper(u, b)
+    def test_non_finite_operand_raises(self, monkeypatch, operand, bad):
+        # "u": the inverted matrix itself; "b": the residual that the loop's
+        # GEMM multiplies, which reaches the guard through beta = W^D * V_hat
+        if operand == "u":
+            l = np.tril(np.ones((3, 3)))
+            l[2, 0] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _inverse_lower(l)
+            return
+        v_update = lanczos._v_update
+
+        def poisoned(*args):
+            out = v_update(*args)
+            out[0, 2, 0] = bad
+            return out
+
+        monkeypatch.setattr(lanczos, "_v_update", poisoned)
+        monkeypatch.setattr(lanczos, "classify_breakdown", lambda *args: None)
+        p = builtin("timedep5")
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, 8))
+        # an infinity meets the zeros of W^D in beta's products
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            tensor_lanczos(a4, p.v, p.w, 3)
 
     def test_nan_residual_stopped_at_the_solve(self, monkeypatch):
         # the SVD in the breakdown check refuses a non-finite beta first; with
-        # it bypassed, the solve keeps the NaN out of the basis
+        # it bypassed, the inverse of beta keeps the NaN out of the basis
         p = builtin("timedep5")
         a4 = discretize_problem(p, build_mesh(p.a, p.b, 8))
         profiles = a4.data.copy()

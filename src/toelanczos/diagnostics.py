@@ -48,6 +48,7 @@ from .tensor_core import (
     star_inner,
     star_mul_tv,
     star_mul_vt,
+    vec_times_coef,
 )
 from .tensor_core import star_mul_tt  # unused here: the benchmark's tracer wraps it by name
 
@@ -128,21 +129,20 @@ def err_recurrences(result: LanczosResult) -> tuple[float, float]:
     """
     b = result.operator
     tri = result.run_tri
-    vb = [hv.data for hv in result.run_v_basis]
-    wb = [hv.data for hv in result.run_w_basis]
+    vb, wb = result.run_v_basis, result.run_w_basis
     v_rows, w_rows = [], []
     for k in range(tri.n):
         last = k + 1 == tri.n
-        v_next = result.run_residual_v.data if last else np.matmul(vb[k + 1], tri.betas[k])
-        w_next = result.run_residual_w.data if last else wb[k + 1]
-        av = star_mul_tv(b, result.run_v_basis[k]).data
-        wa = star_mul_vt(result.run_w_basis[k], b).data
+        v_next = result.run_residual_v if last else vec_times_coef(vb[k + 1], tri.betas[k])
+        w_next = result.run_residual_w if last else wb[k + 1]
+        av = star_mul_tv(b, vb[k])
+        wa = star_mul_vt(wb[k], b)
         prev = () if k == 0 else (vb[k - 1],)
-        v_num = _v_update(av, vb[k], tri.alphas[k], *prev) - v_next
+        v_num = _v_update(av, vb[k], tri.alphas[k], *prev) - v_next.data
         prev = () if k == 0 else (tri.betas[k - 1], wb[k - 1])
-        w_num = _w_update(wa, tri.alphas[k], wb[k], *prev) - w_next
-        v_rows.append((frobenius(av), frobenius(v_num), frobenius(av - v_num)))
-        w_rows.append((frobenius(wa), frobenius(w_num), frobenius(wa - w_num)))
+        w_num = _w_update(wa, tri.alphas[k], wb[k], *prev) - w_next.data
+        v_rows.append((frobenius(av), frobenius(v_num), frobenius(av.data - v_num)))
+        w_rows.append((frobenius(wa), frobenius(w_num), frobenius(wa.data - w_num)))
     return _relative_residual(v_rows), _relative_residual(w_rows)
 
 

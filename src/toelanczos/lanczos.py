@@ -56,7 +56,9 @@ complex128 on ``A``.
 Breakdowns: a vanishing residual hypervector is a *lucky* breakdown (an
 invariant subspace was found); a singular ``beta_{k+1}`` with nonvanishing
 residuals is a *serious* one and stops the process.  Both are reported in the
-result status together with the completed prefix, never raised.
+result status together with the completed prefix, never raised.  A NaN or
+infinite coefficient, from an overflow or from non-finite data, is neither:
+it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -70,12 +72,14 @@ from .tensor_core import (
     HyperVec,
     ProfileTensor,
     ShapeError,
+    coef_times_vec,
     frobenius,
     lift,
     lift_dual,
     star_inner,
     star_mul_tv,
     star_mul_vt,
+    vec_times_coef,
 )
 
 __all__ = [
@@ -223,27 +227,39 @@ def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
     return None
 
 
-def _w_update(wa: np.ndarray, alpha: np.ndarray, w_k: np.ndarray,
-              beta_k: np.ndarray | None = None, w_prev: np.ndarray | None = None) -> np.ndarray:
+def _w_update(wa: HyperVec, alpha: np.ndarray, w_k: HyperVec,
+              beta_k: np.ndarray | None = None, w_prev: HyperVec | None = None) -> np.ndarray:
     """``(W_k*A - alpha_k x W_k) - beta_k x W_{k-1}``; the last term is absent for k = 1.
 
-    The one place that writes this grouping: the iteration and
+    Returns the data of the dual hypervector, in the operands' mesh-major
+    layout.  The one place that writes this grouping: the iteration and
     :func:`~toelanczos.diagnostics.err_recurrences` both call it, which is
     what makes ``err_W`` exactly zero.
     """
-    out = wa - np.matmul(alpha, w_k)
+    out = wa.data - coef_times_vec(alpha, w_k).data
     if beta_k is not None:
-        out = out - np.matmul(beta_k, w_prev)
+        out = out - coef_times_vec(beta_k, w_prev).data
     return out
 
 
-def _v_update(av: np.ndarray, v_k: np.ndarray, alpha: np.ndarray,
-              v_prev: np.ndarray | None = None) -> np.ndarray:
-    """``(A*V_k - V_k x alpha_k) - V_{k-1}``; the last term is absent for k = 1."""
-    out = av - np.matmul(v_k, alpha)
+def _v_update(av: HyperVec, v_k: HyperVec, alpha: np.ndarray,
+              v_prev: HyperVec | None = None) -> np.ndarray:
+    """``(A*V_k - V_k x alpha_k) - V_{k-1}``; the last term is absent for k = 1.
+
+    Returns the data of the right hypervector, in the operands' mesh-major
+    layout.
+    """
+    out = av.data - vec_times_coef(v_k, alpha).data
     if v_prev is not None:
-        out = out - v_prev
+        out = out - v_prev.data
     return out
+
+
+def _require_finite(coefficient: np.ndarray, name: str, k: int) -> None:
+    """Stop the iteration at a NaN or infinite coefficient, naming it and ``k``."""
+    if not np.isfinite(coefficient).all():
+        raise ValueError(f"Lanczos iteration k={k}: {name} contains infs or NaNs (an entry "
+                         "of the operator or of the probe vectors is too large or not finite)")
 
 
 def _inverse_lower(l: np.ndarray) -> np.ndarray:
@@ -298,8 +314,11 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     ``V_{k+1}`` is one matrix product of the stacked residual slices with
     the exact-zero inverse of the lower-triangular ``beta_{k+1}``; that needs
     the lower-triangular slices of a :class:`ProfileTensor`, so any other
-    operator type raises ``TypeError``.  A NaN or infinite residual makes
-    ``beta_{k+1}`` non-finite, and inverting it raises ``ValueError``.  The
+    operator type raises ``TypeError``.  The products run without
+    floating-point warnings, and the loop stops at the first ``alpha_k`` or
+    ``beta_{k+1}`` that holds a NaN or an infinity (an overflowing operator,
+    or a non-finite residual) with a ``ValueError`` that names ``k``; the
+    check comes before the breakdown test, whose SVD would refuse it.  The
     arithmetic (float64 on ``A`` or on ``-i A``, or complex128) follows from
     the data as the module docstring states; there is no option for it.
     """
@@ -336,30 +355,33 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
         return LanczosResult(tri, v_basis, w_basis, res_v, res_w, status, normalization,
                              scale, b)
 
-    for k in range(1, n + 1):
-        wa = star_mul_vt(w_basis[-1], b)
-        alpha = star_inner(wa, v_basis[-1])
-        alphas.append(alpha)
-        av = star_mul_tv(b, v_basis[-1])
-        w_prev = () if k == 1 else (betas[-1], w_basis[-2].data)
-        v_prev = () if k == 1 else (v_basis[-2].data,)
-        w_hat = HyperVec(_w_update(wa.data, alpha, w_basis[-1].data, *w_prev), "dual")
-        v_hat = HyperVec(_v_update(av.data, v_basis[-1].data, alpha, *v_prev), "right")
+    # an overflow shows in the next coefficient, which is checked before use
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            wa = star_mul_vt(w_basis[-1], b)
+            alpha = star_inner(wa, v_basis[-1])
+            _require_finite(alpha, f"alpha_{k}", k)
+            alphas.append(alpha)
+            av = star_mul_tv(b, v_basis[-1])
+            w_prev = () if k == 1 else (betas[-1], w_basis[-2])
+            v_prev = () if k == 1 else (v_basis[-2],)
+            w_hat = HyperVec(_w_update(wa, alpha, w_basis[-1], *w_prev), "dual")
+            v_hat = HyperVec(_v_update(av, v_basis[-1], alpha, *v_prev), "right")
 
-        if k == n:
-            return finish(LanczosStatus("completed"), v_hat, w_hat)
+            if k == n:
+                return finish(LanczosStatus("completed"), v_hat, w_hat)
 
-        beta_next = star_inner(w_hat, v_hat)
-        breakdown = classify_breakdown(v_hat, w_hat, frobenius(v_basis[-1]),
-                                       frobenius(w_basis[-1]), beta_next,
-                                       eps_lucky, eps_serious)
-        if breakdown is not None:
-            return finish(replace(breakdown, k=k), v_hat, w_hat)
+            beta_next = star_inner(w_hat, v_hat)
+            _require_finite(beta_next, f"beta_{k + 1}", k)
+            breakdown = classify_breakdown(v_hat, w_hat, frobenius(v_basis[-1]),
+                                           frobenius(w_basis[-1]), beta_next,
+                                           eps_lucky, eps_serious)
+            if breakdown is not None:
+                return finish(replace(breakdown, k=k), v_hat, w_hat)
 
-        betas.append(beta_next)
-        v_next = v_hat.data.reshape(-1, m) @ _inverse_lower(beta_next)
-        v_basis.append(HyperVec(v_next.reshape(v_hat.data.shape), "right"))
-        w_basis.append(w_hat)
+            betas.append(beta_next)
+            v_basis.append(vec_times_coef(v_hat, _inverse_lower(beta_next)))
+            w_basis.append(w_hat)
 
     raise AssertionError("unreachable")
 

@@ -24,9 +24,28 @@ copy.  A product runs in the common dtype of its operands, casting a real
 operand to complex first, so no ``matmul`` mixes the two; a run whose data
 are all real is real throughout.
 
-:func:`star_mul_tv` and :func:`star_mul_vt` are one ``np.matmul`` call each,
-and :func:`star_mul_tt` and :func:`star_inner` accumulate one slice product
-per outer index in ascending order, on operands of fixed shape and layout;
+Layout: every hypervector a function here returns is stored mesh-major, with
+the operator's mesh index first.  A right hypervector lives in a C-ordered
+``(m, n, m)`` buffer ``V[j, k, c] = V_k[j, c]``, a dual one in
+``W[j, k, r] = W_k[r, j]``; :attr:`HyperVec.data` is the ``(n, m, m)`` view
+onto that buffer, so indexing ``data[k]`` is unchanged.  A hypervector held
+in another layout (a C-ordered ``(n, m, m)`` array, say) is read through a
+mesh-major copy, with bit-identical results.  In this layout:
+
+* :func:`star_mul_tv` and :func:`star_mul_vt` are one batched ``np.matmul``
+  over the mesh index, on matrices with a unit stride, plus a prefix sum
+  over the contiguous ``(n, m)`` planes; the prefix sum adds plane ``j`` to
+  its neighbour in ``np.cumsum``'s order, so it equals ``np.cumsum`` bit
+  for bit without its strided pass;
+* the coefficient products :func:`vec_times_coef` (``V x c``) and
+  :func:`coef_times_vec` (``c x W^D``) are one ``(n m, m)`` GEMM each;
+* :func:`star_inner` accumulates the slice products ``w[k] @ v[k]`` one by
+  one in ascending ``k``, on strided views; exact cancellations in that sum
+  (a singular ``beta``) would not survive a reordered single GEMM.
+
+No other module transposes or reshapes hypervector data.
+
+Every product runs on operands of fixed shape and layout, in a fixed order;
 this fixes the floating-point result, so repeated runs are bit-identical.
 No product skips a slice: the structure flags are derived from the data and
 read only by the benchmark's tracer.
@@ -50,6 +69,8 @@ __all__ = [
     "star_mul_tv",
     "star_mul_vt",
     "star_inner",
+    "vec_times_coef",
+    "coef_times_vec",
     "lift",
     "lift_dual",
     "frobenius",
@@ -68,12 +89,6 @@ def _float_or_complex(data) -> np.ndarray:
     """``data`` as complex128 if it is complex, else as float64; no copy when it already is."""
     data = np.asarray(data)
     return data.astype(complex if np.iscomplexobj(data) else float, copy=False)
-
-
-def _common(*arrays: np.ndarray) -> list[np.ndarray]:
-    """The arrays cast to their common dtype (no copy for those already in it)."""
-    dtype = np.result_type(*arrays)
-    return [x.astype(dtype, copy=False) for x in arrays]
 
 
 class BlockStructure(IntEnum):
@@ -171,6 +186,11 @@ class HyperVec:
     The data are complex128 or float64, as for :class:`ProfileTensor`.
     Right-oriented hypervectors act only as right operands of ``*`` products;
     dual ones (the paper's apex-D objects) only from the left.
+
+    ``data`` is kept as given, without a copy.  The products return
+    hypervectors whose ``data`` is an ``(n, m, m)`` view onto a mesh-major
+    buffer (module docstring): ``data.transpose(1, 0, 2)`` is C-contiguous
+    for a right one, ``data.transpose(2, 0, 1)`` for a dual one.
     """
 
     data: np.ndarray
@@ -216,13 +236,47 @@ def star_mul_tt(a: Tensor4, b: Tensor4) -> Tensor4:
     return Tensor4(out)
 
 
+# axis orders between the (n, m, m) view and the (m, n, m) mesh-major buffer
+_TO_MESH = {"right": (1, 0, 2), "dual": (2, 0, 1)}
+_FROM_MESH = {"right": (1, 0, 2), "dual": (1, 2, 0)}
+
+
+def _mesh(hv: HyperVec, dtype=None) -> np.ndarray:
+    """The mesh-major ``(m, n, m)`` buffer of ``hv`` in ``dtype``; a copy only if it is not one."""
+    return np.asarray(hv.data.transpose(_TO_MESH[hv.orientation]), dtype=dtype, order="C")
+
+
+def _from_mesh(buf: np.ndarray, orientation: str) -> HyperVec:
+    """The hypervector stored in the mesh-major buffer ``buf``, without a copy."""
+    return HyperVec(buf.transpose(_FROM_MESH[orientation]), orientation)
+
+
+def _prefix_sum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Running sum of ``x`` along axis 0, in place, from the last plane if ``reverse``.
+
+    Each plane gets its neighbour's sum added in ``np.cumsum``'s order, so
+    the result is ``np.cumsum``'s bit for bit, but each step is one add of
+    contiguous planes.
+    """
+    planes = list(x[::-1] if reverse else x)
+    for prev, cur in zip(planes, planes[1:]):
+        np.add(cur, prev, cur)
+    return x
+
+
+def _mesh_profiles(a: ProfileTensor, dtype) -> np.ndarray:
+    """The profiles as ``(m, n1, n2)``: entry ``[j, i1, i2]`` is ``data[i1, i2, j]``."""
+    return np.asarray(a.data.transpose(2, 0, 1), dtype=dtype, order="C")
+
+
 def star_mul_tv(a: ProfileTensor, v: HyperVec) -> HyperVec:
     """Tensor-hypervector product ``(A * V)[i1] = sum_k a[i1, k] @ v[k]``.
 
     ``a[i1, k] @ v[k]`` is ``data[i1, k]`` scaling the rows of the row-wise
-    cumulative sum of ``v[k]``, so mesh row ``j`` of the result is
-    ``data[:, :, j] @ cumsum(v)[:, j]``: one batched product over the rows,
-    written straight into the output.  Any operator other than a
+    running sum of ``v[k]``, so mesh row ``j`` of the result is
+    ``data[:, :, j] @ cumsum(v)[:, j]``: a prefix sum over the mesh-major
+    planes of ``V`` and one batched product over the rows, written straight
+    into the mesh-major output.  Any operator other than a
     :class:`ProfileTensor` raises ``TypeError``.
     """
     _require_profile(a)
@@ -230,10 +284,9 @@ def star_mul_tv(a: ProfileTensor, v: HyperVec) -> HyperVec:
         raise OrientationError("tensor-hypervector product needs a right-oriented operand")
     if a.n2 != v.n or a.m != v.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
-    profiles, csum = _common(a.data, np.cumsum(v.data, axis=1))
-    out = np.empty((a.n1, a.m, a.m), dtype=csum.dtype)
-    np.matmul(profiles.transpose(2, 0, 1), csum.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
-    return HyperVec(out, "right")
+    dtype = np.result_type(a.data, v.data)
+    csum = _prefix_sum(np.array(v.data.transpose(_TO_MESH["right"]), dtype=dtype, order="C"))
+    return _from_mesh(np.matmul(_mesh_profiles(a, dtype), csum), "right")
 
 
 def star_mul_vt(w: HyperVec, a: ProfileTensor) -> HyperVec:
@@ -241,33 +294,70 @@ def star_mul_vt(w: HyperVec, a: ProfileTensor) -> HyperVec:
 
     The profiles ``data[k, i2]`` scale the columns of ``w[k]``, so mesh
     column ``j`` of the sum over ``k`` is ``data[:, :, j].T @ w[:, :, j]``:
-    one batched product over the columns, written into the output, which
-    then takes one reverse cumulative sum along the columns.  Any operator
-    other than a :class:`ProfileTensor` raises ``TypeError``.
+    one batched product over the columns, written into the mesh-major
+    output, which then takes one reverse prefix sum over its planes.  Any
+    operator other than a :class:`ProfileTensor` raises ``TypeError``.
     """
     _require_profile(a)
     if w.orientation != "dual":
         raise OrientationError("hypervector-tensor product needs a dual-oriented operand")
     if w.n != a.n1 or w.m != a.m:
         raise ShapeError(f"cannot *-multiply {w.data.shape} with {a.data.shape}")
-    profiles, wd = _common(a.data, w.data)
-    out = np.empty((a.n2, a.m, a.m), dtype=wd.dtype)
-    np.matmul(profiles.transpose(2, 1, 0), wd.transpose(2, 0, 1), out=out.transpose(2, 0, 1))
-    np.cumsum(out[..., ::-1], axis=2, out=out[..., ::-1])
-    return HyperVec(out, "dual")
+    dtype = np.result_type(a.data, w.data)
+    out = np.matmul(_mesh_profiles(a, dtype).transpose(0, 2, 1), _mesh(w, dtype))
+    return _from_mesh(_prefix_sum(out, reverse=True), "dual")
 
 
 def star_inner(w: HyperVec, v: HyperVec) -> np.ndarray:
-    """Hypervector inner product ``W^D * V = sum_k w[k] @ v[k]`` (an m x m matrix)."""
+    """Hypervector inner product ``W^D * V = sum_k w[k] @ v[k]`` (an m x m matrix).
+
+    The slice products are summed one by one in ascending ``k``, each on
+    the strided slices of the mesh-major buffers: ``wm[:, k]`` is ``w[k]``
+    transposed.  BLAS may round a product of the same values differently
+    when an operand's layout differs, so an operand in another layout is
+    read through a mesh-major copy.
+    """
     if w.orientation != "dual" or v.orientation != "right":
         raise OrientationError("inner product takes (dual, right) operands")
     if w.n != v.n or w.m != v.m:
         raise ShapeError(f"cannot contract {w.data.shape} with {v.data.shape}")
-    wd, vd = _common(w.data, v.data)
-    out = np.zeros((w.m, w.m), dtype=wd.dtype)
+    dtype = np.result_type(w.data, v.data)
+    wm, vm = _mesh(w, dtype), _mesh(v, dtype)
+    out = np.zeros((w.m, w.m), dtype=dtype)
     for k in range(w.n):
-        out += wd[k] @ vd[k]
+        out += wm[:, k].T @ vm[:, k]
     return out
+
+
+def vec_times_coef(v: HyperVec, c: np.ndarray) -> HyperVec:
+    """``V x c``: every slice of the right hypervector ``v`` times the m x m matrix ``c``.
+
+    One GEMM of the stacked ``(n m, m)`` mesh-major rows with ``c``.
+    """
+    if v.orientation != "right":
+        raise OrientationError("V x c needs a right-oriented hypervector")
+    c = np.asarray(c)
+    if c.shape != (v.m, v.m):
+        raise ShapeError(f"cannot multiply {v.data.shape} by a {c.shape} coefficient")
+    dtype = np.result_type(v.data, c)
+    vm, c = _mesh(v, dtype), c.astype(dtype, copy=False)
+    return _from_mesh((vm.reshape(-1, v.m) @ c).reshape(vm.shape), "right")
+
+
+def coef_times_vec(c: np.ndarray, w: HyperVec) -> HyperVec:
+    """``c x W^D``: the m x m matrix ``c`` times every slice of the dual hypervector ``w``.
+
+    One GEMM of the stacked ``(n m, m)`` mesh-major rows with ``c.T``: row
+    ``(j, k)`` of the buffer is column ``j`` of ``w[k]``.
+    """
+    if w.orientation != "dual":
+        raise OrientationError("c x W needs a dual-oriented hypervector")
+    c = np.asarray(c)
+    if c.shape != (w.m, w.m):
+        raise ShapeError(f"cannot multiply a {c.shape} coefficient by {w.data.shape}")
+    dtype = np.result_type(w.data, c)
+    wm, c = _mesh(w, dtype), c.astype(dtype, copy=False)
+    return _from_mesh((wm.reshape(-1, w.m) @ c.T).reshape(wm.shape), "dual")
 
 
 def lift(a: np.ndarray, m: int) -> HyperVec:
@@ -275,7 +365,7 @@ def lift(a: np.ndarray, m: int) -> HyperVec:
     a = _float_or_complex(a).ravel()
     if a.size < 1 or m < 1:
         raise ShapeError("lift needs a nonempty vector and m >= 1")
-    return HyperVec(a[:, None, None] * np.eye(m), "right")
+    return _from_mesh(np.eye(m)[:, None, :] * a[:, None], "right")
 
 
 def lift_dual(a: np.ndarray, m: int) -> HyperVec:
@@ -283,7 +373,7 @@ def lift_dual(a: np.ndarray, m: int) -> HyperVec:
     a = _float_or_complex(a).ravel()
     if a.size < 1 or m < 1:
         raise ShapeError("lift needs a nonempty vector and m >= 1")
-    return HyperVec(np.conj(a)[:, None, None] * np.eye(m), "dual")
+    return _from_mesh(np.eye(m)[:, None, :] * np.conj(a)[:, None], "dual")
 
 
 def frobenius(x) -> float:

@@ -10,6 +10,9 @@ from toelanczos import (
     ProfileTensor,
     ShapeError,
     Tensor4,
+    build_mesh,
+    builtin,
+    discretize_problem,
     frobenius,
     lift,
     lift_dual,
@@ -17,7 +20,9 @@ from toelanczos import (
     star_mul_tt,
     star_mul_tv,
     star_mul_vt,
+    tensor_lanczos,
 )
+from toelanczos.tensor_core import _prefix_sum, coef_times_vec, vec_times_coef
 from oracles import (
     dense_mul_tv,
     dense_mul_vt,
@@ -421,3 +426,80 @@ class TestAlgebraicProperties:
             left = dense_mul_tv(scale_t(ak, alpha, "right"), lift(vec, m))
             right = scale_v(dense_mul_tv(ak, lift(vec, m)), alpha, "right")
             assert rel_err(left.data, right.data) < 1e-12
+
+
+def is_mesh_major(hv):
+    """Whether ``hv.data`` is a view onto a C-ordered mesh-major ``(m, n, m)`` buffer."""
+    axes = (1, 0, 2) if hv.orientation == "right" else (2, 0, 1)
+    return hv.data.transpose(axes).flags.c_contiguous
+
+
+def c_ordered(hv):
+    """The same values as ``hv`` in a C-ordered ``(n, m, m)`` array."""
+    return HyperVec(np.ascontiguousarray(hv.data), hv.orientation)
+
+
+class TestMeshMajorLayout:
+    """Hypervectors stored mesh-major: the layout changes no bit of any product."""
+
+    @pytest.fixture(params=[("nmr2", np.float64), ("nmr3", np.complex128)], ids=["nmr2", "nmr3"])
+    def run(self, request):
+        problem_id, dtype = request.param
+        p = builtin(problem_id)
+        # at M=100 BLAS rounds a float64 slice product differently when the
+        # dual operand is C-ordered, so layout independence is not automatic
+        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 100)), p.v, p.w, 3)
+        assert res.status.completed and res.operator.data.dtype == dtype
+        return res
+
+    def test_run_stores_its_hypervectors_mesh_major(self, run):
+        hvs = [*run.run_v_basis, *run.run_w_basis, run.run_residual_v, run.run_residual_w]
+        assert all(is_mesh_major(hv) for hv in hvs)
+        assert not is_mesh_major(c_ordered(run.run_v_basis[1]))
+
+    def test_products_bit_identical_across_layouts(self, run):
+        a = run.operator
+        v, w = run.run_v_basis[1], run.run_w_basis[1]
+        c = run.run_tri.alphas[1]
+        for got, want in [(star_mul_tv(a, v), star_mul_tv(a, c_ordered(v))),
+                          (star_mul_vt(w, a), star_mul_vt(c_ordered(w), a)),
+                          (vec_times_coef(v, c), vec_times_coef(c_ordered(v), c)),
+                          (coef_times_vec(c, w), coef_times_vec(c, c_ordered(w)))]:
+            assert is_mesh_major(got) and is_mesh_major(want)
+            assert np.array_equal(got.data, want.data)
+        inner = star_inner(w, v)
+        for pair in [(c_ordered(w), v), (w, c_ordered(v)), (c_ordered(w), c_ordered(v))]:
+            assert np.array_equal(star_inner(*pair), inner)
+
+    def test_inner_is_the_ascending_slice_sum(self, run):
+        # the order in which criterion 9's singular beta cancels exactly
+        w, v = run.run_w_basis[2], run.run_v_basis[2]
+        want = np.zeros_like(star_inner(w, v))
+        for k in range(w.n):
+            want += w.data[k] @ v.data[k]
+        assert np.array_equal(star_inner(w, v), want)
+        assert np.array_equal(star_inner(c_ordered(w), c_ordered(v)), want)
+
+    def test_prefix_sum_is_cumsum(self, run):
+        for hv, axes in [(run.run_v_basis[1], (1, 0, 2)), (run.run_w_basis[1], (2, 0, 1))]:
+            x = hv.data.transpose(axes)
+            assert np.array_equal(_prefix_sum(x.copy()), np.cumsum(x, axis=0))
+            assert np.array_equal(_prefix_sum(x.copy(), reverse=True),
+                                  np.cumsum(x[::-1], axis=0)[::-1])
+
+    def test_coefficient_products_per_slice(self):
+        rng = np.random.default_rng(40)
+        v, w = rand_hv(rng, 3, 4), rand_hv(rng, 3, 4, "dual")
+        c = rng.standard_normal((4, 4))
+        assert rel_err(vec_times_coef(v, c).data, v.data @ c) < 1e-14
+        assert rel_err(coef_times_vec(c, w).data, c @ w.data) < 1e-14
+        with pytest.raises(OrientationError):
+            vec_times_coef(w, c)
+        with pytest.raises(OrientationError):
+            coef_times_vec(c, v)
+        with pytest.raises(ShapeError):
+            vec_times_coef(v, np.eye(3))
+
+    def test_lifts_are_mesh_major(self):
+        vec = np.array([1.0, 2j, -3.0])
+        assert is_mesh_major(lift(vec, 4)) and is_mesh_major(lift_dual(vec, 4))

@@ -31,6 +31,11 @@ construction.  It is algebraically identical to forming
 ``A*V_n - V_n*T_n - V~_n`` from materialized tensors and reproduces it to
 roundoff, and it makes the W-side residual vanish exactly, which is the
 pinned expected behavior.
+
+A run can complete with finite coefficients and still overflow in its
+diagnostics: moment ``k`` raises the operator to the ``k``-th power.  The
+measures run without floating-point warnings and raise ``ValueError``, naming
+the measure (and ``k`` for a moment), when a norm they divide is not finite.
 """
 
 from __future__ import annotations
@@ -86,6 +91,19 @@ def _stacked_norm(pieces) -> float:
     return math.hypot(*(frobenius(x) for x in pieces))
 
 
+def _ratio(num: float, den: float, name: str) -> float:
+    """The measure ``name`` as the ratio ``num / den`` of two norms, 0 for ``num = 0``.
+
+    The norms of a run whose powers or products overflow come out infinite
+    or NaN; the measure is then not defined, and a silent 0 or NaN in the
+    report would hide that, so either raises ``ValueError`` naming it.
+    """
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise ValueError(f"{name} is not finite: the products of the run overflow "
+                         "(an entry of the operator is too large)")
+    return 0.0 if num == 0.0 else num / den
+
+
 def err_biorth(result: LanczosResult) -> float:
     """Relative deviation of ``W_n * V_n`` from the ``*`` identity.
 
@@ -97,20 +115,20 @@ def err_biorth(result: LanczosResult) -> float:
     """
     vb, wb = result.run_v_basis, result.run_w_basis
     eye = np.eye(vb[0].m)
-    dev = [star_inner(w, v) - eye if i == j else star_inner(w, v)
-           for i, w in enumerate(wb) for j, v in enumerate(vb)]
-    return _stacked_norm(dev) / max(_stacked_norm(vb), _stacked_norm(wb))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = [star_inner(w, v) - eye if i == j else star_inner(w, v)
+               for i, w in enumerate(wb) for j, v in enumerate(vb)]
+        return _ratio(_stacked_norm(dev), max(_stacked_norm(vb), _stacked_norm(wb)), "err_o")
 
 
-def _relative_residual(rows) -> float:
+def _relative_residual(rows, name: str) -> float:
     """``|R| / max(|P|, |P - R|)`` from the rows' norms ``(|P_k|, |R_k|, |P_k - R_k|)``.
 
-    ``P`` stacks the products and ``R`` the residual rows.
+    ``P`` stacks the products and ``R`` the residual rows; ``name`` is the
+    measure's, for the error on an overflow.
     """
     products, residual, rest = (math.hypot(*col) for col in zip(*rows))
-    if residual == 0.0:
-        return 0.0
-    return residual / max(products, rest)
+    return _ratio(residual, max(products, rest), name)
 
 
 def err_recurrences(result: LanczosResult) -> tuple[float, float]:
@@ -131,19 +149,20 @@ def err_recurrences(result: LanczosResult) -> tuple[float, float]:
     tri = result.run_tri
     vb, wb = result.run_v_basis, result.run_w_basis
     v_rows, w_rows = [], []
-    for k in range(tri.n):
-        last = k + 1 == tri.n
-        v_next = result.run_residual_v if last else vec_times_coef(vb[k + 1], tri.betas[k])
-        w_next = result.run_residual_w if last else wb[k + 1]
-        av = star_mul_tv(b, vb[k])
-        wa = star_mul_vt(wb[k], b)
-        prev = () if k == 0 else (vb[k - 1],)
-        v_num = _v_update(av, vb[k], tri.alphas[k], *prev) - v_next.data
-        prev = () if k == 0 else (tri.betas[k - 1], wb[k - 1])
-        w_num = _w_update(wa, tri.alphas[k], wb[k], *prev) - w_next.data
-        v_rows.append((frobenius(av), frobenius(v_num), frobenius(av.data - v_num)))
-        w_rows.append((frobenius(wa), frobenius(w_num), frobenius(wa.data - w_num)))
-    return _relative_residual(v_rows), _relative_residual(w_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(tri.n):
+            last = k + 1 == tri.n
+            v_next = result.run_residual_v if last else vec_times_coef(vb[k + 1], tri.betas[k])
+            w_next = result.run_residual_w if last else wb[k + 1]
+            av = star_mul_tv(b, vb[k])
+            wa = star_mul_vt(wb[k], b)
+            prev = () if k == 0 else (vb[k - 1],)
+            v_num = _v_update(av, vb[k], tri.alphas[k], *prev) - v_next.data
+            prev = () if k == 0 else (tri.betas[k - 1], wb[k - 1])
+            w_num = _w_update(wa, tri.alphas[k], wb[k], *prev) - w_next.data
+            v_rows.append((frobenius(av), frobenius(v_num), frobenius(av.data - v_num)))
+            w_rows.append((frobenius(wa), frobenius(w_num), frobenius(wa.data - w_num)))
+    return _relative_residual(v_rows, "err_V"), _relative_residual(w_rows, "err_W")
 
 
 def moment_matrices(result: LanczosResult,
@@ -192,10 +211,10 @@ def err_moments(result: LanczosResult, k_max: int | None = None) -> np.ndarray:
     :func:`moment_matrices`, whose starting hypervectors are the run's own.
     """
     out = []
-    for lhs, rhs in zip(*moment_matrices(result, k_max)):
-        den = max(frobenius(lhs), frobenius(rhs))
-        num = frobenius(lhs - rhs)
-        out.append(0.0 if den == 0 else float(num / den))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (lhs, rhs) in enumerate(zip(*moment_matrices(result, k_max))):
+            den = max(frobenius(lhs), frobenius(rhs))
+            out.append(_ratio(frobenius(lhs - rhs), den, f"err_M(k={k})"))
     return np.array(out)
 
 

@@ -234,11 +234,13 @@ def _w_update(wa: HyperVec, alpha: np.ndarray, w_k: HyperVec,
     Returns the data of the dual hypervector, in the operands' mesh-major
     layout.  The one place that writes this grouping: the iteration and
     :func:`~toelanczos.diagnostics.err_recurrences` both call it, which is
-    what makes ``err_W`` exactly zero.
+    what makes ``err_W`` exactly zero.  The differences are formed in the
+    fresh buffer of ``alpha_k x W_k``, so no operand is written to.
     """
-    out = wa.data - coef_times_vec(alpha, w_k).data
+    out = coef_times_vec(alpha, w_k).data
+    np.subtract(wa.data, out, out=out)
     if beta_k is not None:
-        out = out - coef_times_vec(beta_k, w_prev).data
+        np.subtract(out, coef_times_vec(beta_k, w_prev).data, out=out)
     return out
 
 
@@ -247,11 +249,13 @@ def _v_update(av: HyperVec, v_k: HyperVec, alpha: np.ndarray,
     """``(A*V_k - V_k x alpha_k) - V_{k-1}``; the last term is absent for k = 1.
 
     Returns the data of the right hypervector, in the operands' mesh-major
-    layout.
+    layout.  The differences are formed in the fresh buffer of
+    ``V_k x alpha_k``, so no operand is written to.
     """
-    out = av.data - vec_times_coef(v_k, alpha).data
+    out = vec_times_coef(v_k, alpha).data
+    np.subtract(av.data, out, out=out)
     if v_prev is not None:
-        out = out - v_prev.data
+        np.subtract(out, v_prev.data, out=out)
     return out
 
 

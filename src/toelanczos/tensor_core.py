@@ -38,23 +38,38 @@ mesh-major copy, with bit-identical results.  In this layout:
   its neighbour in ``np.cumsum``'s order, so it equals ``np.cumsum`` bit
   for bit without its strided pass;
 * the coefficient products :func:`vec_times_coef` (``V x c``) and
-  :func:`coef_times_vec` (``c x W^D``) are one ``(n m, m)`` GEMM each;
+  :func:`coef_times_vec` (``c x W^D``) are one GEMM of the stacked
+  ``(n m, m)`` rows per mesh strip (below);
 * :func:`star_inner` accumulates the slice products ``w[k] @ v[k]`` one by
   one in ascending ``k``, on strided views; exact cancellations in that sum
   (a singular ``beta``) would not survive a reordered single GEMM.
 
 No other module transposes or reshapes hypervector data.
 
+Triangular contract: :func:`star_inner`, :func:`vec_times_coef` and
+:func:`coef_times_vec` require hypervectors whose slices are lower
+triangular, and the coefficient products also a lower-triangular ``c``.
+Every hypervector the package builds has them: the lifts are diagonal, the
+operator's slices are lower triangular, and sums, products and inverses keep
+that.  Entries above a diagonal may go unread.  The three kernels split the
+mesh index into ``max(1, m // 64)`` balanced strips of rows and skip the
+blocks the contract makes exactly zero; the skipped terms are exact zeros
+trailing or leading each entry's sum, so every entry adds the same nonzero
+terms in the same order.  Below ``m = 128`` there is one strip, the whole
+product.  The zero blocks of the results are written as exact zeros.
+
 Every product runs on operands of fixed shape and layout, in a fixed order;
 this fixes the floating-point result, so repeated runs are bit-identical.
 No product skips a slice: the structure flags are derived from the data and
-read only by the benchmark's tracer.
+read only by the benchmark's tracer.  Only the triangular zero blocks within
+the slices are skipped, by strips fixed by ``m`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cache
 
 import numpy as np
 
@@ -88,7 +103,7 @@ class OrientationError(ValueError):
 def _float_or_complex(data) -> np.ndarray:
     """``data`` as complex128 if it is complex, else as float64; no copy when it already is."""
     data = np.asarray(data)
-    return data.astype(complex if np.iscomplexobj(data) else float, copy=False)
+    return data.astype(complex if data.dtype.kind == "c" else float, copy=False)
 
 
 class BlockStructure(IntEnum):
@@ -191,6 +206,11 @@ class HyperVec:
     hypervectors whose ``data`` is an ``(n, m, m)`` view onto a mesh-major
     buffer (module docstring): ``data.transpose(1, 0, 2)`` is C-contiguous
     for a right one, ``data.transpose(2, 0, 1)`` for a dual one.
+
+    :func:`star_inner`, :func:`vec_times_coef` and :func:`coef_times_vec`
+    take only hypervectors with lower-triangular slices (the module's
+    triangular contract), which every hypervector the package builds has;
+    they may leave entries above the diagonal unread.
     """
 
     data: np.ndarray
@@ -269,6 +289,18 @@ def _mesh_profiles(a: ProfileTensor, dtype) -> np.ndarray:
     return np.asarray(a.data.transpose(2, 0, 1), dtype=dtype, order="C")
 
 
+# width of a mesh strip in the triangular products, like LAPACK's block size
+_STRIP = 64
+
+
+@cache
+def _strips(m: int) -> tuple[tuple[int, int], ...]:
+    """Bounds ``(s, e)`` of ``max(1, m // _STRIP)`` balanced strips of the mesh index."""
+    count = max(1, m // _STRIP)
+    bounds = [m * i // count for i in range(count + 1)]
+    return tuple(zip(bounds, bounds[1:]))
+
+
 def star_mul_tv(a: ProfileTensor, v: HyperVec) -> HyperVec:
     """Tensor-hypervector product ``(A * V)[i1] = sum_k a[i1, k] @ v[k]``.
 
@@ -311,11 +343,17 @@ def star_mul_vt(w: HyperVec, a: ProfileTensor) -> HyperVec:
 def star_inner(w: HyperVec, v: HyperVec) -> np.ndarray:
     """Hypervector inner product ``W^D * V = sum_k w[k] @ v[k]`` (an m x m matrix).
 
-    The slice products are summed one by one in ascending ``k``, each on
-    the strided slices of the mesh-major buffers: ``wm[:, k]`` is ``w[k]``
-    transposed.  BLAS may round a product of the same values differently
-    when an operand's layout differs, so an operand in another layout is
-    read through a mesh-major copy.
+    Requires lower-triangular slices (module docstring); entries above the
+    diagonal may go unread.  The slice products are summed one by one in
+    ascending ``k``, each on the strided slices of the mesh-major buffers:
+    ``wm[:, k]`` is ``w[k]`` transposed.  Rows ``[s, e)`` of the result are
+    formed per strip: ``w[k][s:e]`` is zero past column ``e``, and so is
+    ``v[k][:e]``, so they take ``w[k][s:e, :e] @ v[k][:e, :e]``, and the
+    rest of each row is an exact zero.  Every entry adds the same nonzero
+    terms in the same order as the full sum, without its trailing zeros.
+    BLAS may round a product of the same values differently when an
+    operand's layout differs, so an operand in another layout is read
+    through a mesh-major copy.
     """
     if w.orientation != "dual" or v.orientation != "right":
         raise OrientationError("inner product takes (dual, right) operands")
@@ -324,15 +362,21 @@ def star_inner(w: HyperVec, v: HyperVec) -> np.ndarray:
     dtype = np.result_type(w.data, v.data)
     wm, vm = _mesh(w, dtype), _mesh(v, dtype)
     out = np.zeros((w.m, w.m), dtype=dtype)
-    for k in range(w.n):
-        out += wm[:, k].T @ vm[:, k]
+    for s, e in _strips(w.m):
+        rows, ws, vs = out[s:e, :e], wm[:e, :, s:e], vm[:e, :, :e]
+        for k in range(w.n):
+            rows += ws[:, k].T @ vs[:, k]
     return out
 
 
 def vec_times_coef(v: HyperVec, c: np.ndarray) -> HyperVec:
     """``V x c``: every slice of the right hypervector ``v`` times the m x m matrix ``c``.
 
-    One GEMM of the stacked ``(n m, m)`` mesh-major rows with ``c``.
+    Requires lower-triangular slices and a lower-triangular ``c`` (module
+    docstring); entries above their diagonals may go unread.  The stacked
+    ``(n m, m)`` mesh-major rows of mesh rows ``[s, e)`` are zero past
+    column ``e``, so each strip is one GEMM with ``c[:e, :e]`` written into
+    the output's rows, whose columns from ``e`` on are set to exact zeros.
     """
     if v.orientation != "right":
         raise OrientationError("V x c needs a right-oriented hypervector")
@@ -341,14 +385,24 @@ def vec_times_coef(v: HyperVec, c: np.ndarray) -> HyperVec:
         raise ShapeError(f"cannot multiply {v.data.shape} by a {c.shape} coefficient")
     dtype = np.result_type(v.data, c)
     vm, c = _mesh(v, dtype), c.astype(dtype, copy=False)
-    return _from_mesh((vm.reshape(-1, v.m) @ c).reshape(vm.shape), "right")
+    n, m = v.n, v.m
+    rows, out_rows = vm.reshape(-1, m), np.empty((n * m, m), dtype)
+    for s, e in _strips(m):
+        np.matmul(rows[s * n:e * n, :e], c[:e, :e], out=out_rows[s * n:e * n, :e])
+        if e < m:
+            out_rows[s * n:e * n, e:] = 0
+    return _from_mesh(out_rows.reshape(vm.shape), "right")
 
 
 def coef_times_vec(c: np.ndarray, w: HyperVec) -> HyperVec:
     """``c x W^D``: the m x m matrix ``c`` times every slice of the dual hypervector ``w``.
 
-    One GEMM of the stacked ``(n m, m)`` mesh-major rows with ``c.T``: row
-    ``(j, k)`` of the buffer is column ``j`` of ``w[k]``.
+    Requires lower-triangular slices and a lower-triangular ``c`` (module
+    docstring); entries above their diagonals may go unread.  Row
+    ``(j, k)`` of the stacked ``(n m, m)`` mesh-major rows is column ``j``
+    of ``w[k]``, zero before entry ``j``; so the rows of mesh rows
+    ``[s, e)`` are one GEMM with ``c.T[s:, s:]`` written into the output's
+    rows, whose first ``s`` columns are set to exact zeros.
     """
     if w.orientation != "dual":
         raise OrientationError("c x W needs a dual-oriented hypervector")
@@ -357,7 +411,13 @@ def coef_times_vec(c: np.ndarray, w: HyperVec) -> HyperVec:
         raise ShapeError(f"cannot multiply a {c.shape} coefficient by {w.data.shape}")
     dtype = np.result_type(w.data, c)
     wm, c = _mesh(w, dtype), c.astype(dtype, copy=False)
-    return _from_mesh((wm.reshape(-1, w.m) @ c.T).reshape(wm.shape), "dual")
+    n, m = w.n, w.m
+    rows, out_rows = wm.reshape(-1, m), np.empty((n * m, m), dtype)
+    for s, e in _strips(m):
+        np.matmul(rows[s * n:e * n, s:], c.T[s:, s:], out=out_rows[s * n:e * n, s:])
+        if s:
+            out_rows[s * n:e * n, :s] = 0
+    return _from_mesh(out_rows.reshape(wm.shape), "dual")
 
 
 def lift(a: np.ndarray, m: int) -> HyperVec:

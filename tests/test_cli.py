@@ -186,20 +186,35 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert [f.name for f in tmp_path.iterdir()] == ["stiff.json"]
 
-    @pytest.mark.parametrize("scale", [1e150, 1e300])
-    def test_overflowing_run_fails_with_one_error_line(self, tmp_path, scale):
-        # the coefficients overflow: the loop stops at the first non-finite
-        # alpha or beta, before any warning or LAPACK message
+    @staticmethod
+    def run_scaled_const3(tmp_path, scale):
+        """``run`` on const3 with every coefficient times ``scale``, in a fresh interpreter."""
         doc = json.loads(problem_to_json(builtin("const3")))
         for entry in doc["entries"]:
             for term in entry["terms"]:
                 term["re"] *= scale
         (tmp_path / "big.json").write_text(json.dumps(doc))
-        proc = run_fresh("-m", "toelanczos.cli", "run", "--problem-file", "big.json",
+        return run_fresh("-m", "toelanczos.cli", "run", "--problem-file", "big.json",
                          "--M", "20", "--n", "3", "--output", "b", cwd=tmp_path)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_overflowing_run_fails_with_one_error_line(self, tmp_path, scale):
+        # the coefficients overflow: the loop stops at the first non-finite
+        # alpha or beta, before any warning or LAPACK message
+        proc = self.run_scaled_const3(tmp_path, scale)
         assert proc.returncode == EXIT_SHAPE
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: Lanczos iteration k="), proc.stderr
+        assert [f.name for f in tmp_path.iterdir()] == ["big.json"]
+
+    @pytest.mark.parametrize("scale", [1e60, 1e100])
+    def test_overflowing_diagnostics_fail_with_one_error_line(self, tmp_path, scale):
+        # the run completes with finite coefficients, but the moments, powers
+        # of the operator, overflow: the measure is named, with no warning
+        proc = self.run_scaled_const3(tmp_path, scale)
+        assert proc.returncode == EXIT_SHAPE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: err_"), proc.stderr
         assert [f.name for f in tmp_path.iterdir()] == ["big.json"]
 
     def test_import_leaves_integrator_unloaded(self, tmp_path):

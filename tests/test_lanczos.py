@@ -22,11 +22,14 @@ from toelanczos import (
     split_unit_vectors,
     star_inner,
     star_mul_tt,
+    star_mul_tv,
+    star_mul_vt,
     tensor_lanczos,
 )
 from toelanczos import cli, diagnostics, lanczos, resolvent
 from toelanczos.cli import solve
-from toelanczos.lanczos import TriTensor, _inverse_lower
+from toelanczos.lanczos import TriTensor, _inverse_lower, _v_update, _w_update
+from toelanczos.tensor_core import coef_times_vec, vec_times_coef
 from oracles import (
     assemble_tridiag,
     complex_lanczos,
@@ -332,16 +335,21 @@ class TestTracedKernels:
                 monkeypatch.setattr(module, name, counted(getattr(module, name), key))
         return calls
 
-    @pytest.mark.parametrize("problem_id,n", [("timedep5", 4), ("nmr3", 3)])
-    def test_call_counts(self, calls, tmp_path, problem_id, n):
+    @pytest.mark.parametrize("problem_id,n,m", [
+        pytest.param("timedep5", 4, 12, id="timedep5-4"),
+        pytest.param("nmr3", 3, 12, id="nmr3-3"),
+        # two mesh strips: the strip loops stay inside the traced kernels
+        pytest.param("timedep5", 3, 130, id="timedep5-3-M130"),
+    ])
+    def test_call_counts(self, calls, tmp_path, problem_id, n, m):
         p = builtin(problem_id)
-        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 12)), p.v, p.w, n)
+        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, m)), p.v, p.w, n)
         assert res.status.completed
         loop = {("lanczos", "star_mul_tv"): n, ("lanczos", "star_mul_vt"): n,
                 ("lanczos", "star_inner"): 2 * n - 1}
         assert calls == Counter(loop)
         calls.clear()
-        assert cli.main(["run", "--problem", problem_id, "--M", "12", "--n", str(n),
+        assert cli.main(["run", "--problem", problem_id, "--M", str(m), "--n", str(n),
                          "--output", str(tmp_path / "r")]) == 0
         # moments: 2n-1 products and 2n inners; recurrences: n of each
         # product; biorthogonality: the n x n inner table
@@ -434,6 +442,41 @@ class TestBreakdownRuns:
         assert res.tri.n == 1
         assert np.linalg.norm(res.run_residual_v.data) > 0
         assert np.linalg.norm(res.run_residual_w.data) > 0
+
+    @pytest.mark.parametrize("m", [12, 130, 250])
+    def test_criterion9_breakdown_at_every_strip_count(self, m):
+        # beta_2 is exactly singular only if star_inner keeps each entry's
+        # ascending slice sum; at M=130 and 250 it runs over 2 and 3 strips
+        p = const_problem([[0, 1, 1], [1, 1, 1], [-1, 0, 2]], ident="serious3")
+        res = tensor_lanczos(discretize_problem(p, build_mesh(0.0, 1.0, m)), p.v, p.w, 3)
+        assert res.status.kind == "serious_breakdown"
+        assert res.status.k == 1 and res.status.cond == float("inf")
+
+
+class TestUpdates:
+    """The residual updates are formed in the product's buffer, never in an operand."""
+
+    @pytest.mark.parametrize("problem_id", ["nmr2", "nmr3"])
+    def test_operands_unchanged(self, problem_id):
+        # M=130: the coefficient products run over two strips
+        p = builtin(problem_id)
+        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 130)), p.v, p.w, 2)
+        vb, wb, tri = res.run_v_basis, res.run_w_basis, res.run_tri
+        alpha, beta = tri.alphas[1], tri.betas[0]
+        av, wa = star_mul_tv(res.operator, vb[1]), star_mul_vt(wb[1], res.operator)
+        operands = [av.data, wa.data, *(hv.data for hv in vb + wb), alpha, beta]
+        before = [x.copy() for x in operands]
+        got = [_v_update(av, vb[1], alpha), _v_update(av, vb[1], alpha, vb[0]),
+               _w_update(wa, alpha, wb[1]), _w_update(wa, alpha, wb[1], beta, wb[0])]
+        for x, y in zip(operands, before):
+            assert np.array_equal(x, y)
+        # the grouping (x - y) - z, bit for bit
+        v_first = av.data - vec_times_coef(vb[1], alpha).data
+        w_first = wa.data - coef_times_vec(alpha, wb[1]).data
+        want = [v_first, v_first - vb[0].data,
+                w_first, w_first - coef_times_vec(beta, wb[0]).data]
+        for g, x in zip(got, want):
+            assert np.array_equal(g, x)
 
 
 class TestAssembleTridiag:

@@ -22,7 +22,7 @@ from toelanczos import (
     star_mul_vt,
     tensor_lanczos,
 )
-from toelanczos.tensor_core import _prefix_sum, coef_times_vec, vec_times_coef
+from toelanczos.tensor_core import _prefix_sum, _strips, coef_times_vec, vec_times_coef
 from oracles import (
     dense_mul_tv,
     dense_mul_vt,
@@ -503,3 +503,39 @@ class TestMeshMajorLayout:
     def test_lifts_are_mesh_major(self):
         vec = np.array([1.0, 2j, -3.0])
         assert is_mesh_major(lift(vec, 4)) and is_mesh_major(lift_dual(vec, 4))
+
+
+def rand_lower(rng, n, m, dtype, orientation="right"):
+    """A hypervector of random lower-triangular slices in ``dtype``."""
+    data = rng.standard_normal((n, m, m))
+    if dtype == np.complex128:
+        data = data + 1j * rng.standard_normal((n, m, m))
+    return HyperVec(np.tril(data), orientation)
+
+
+class TestTriangularStrips:
+    """The coefficient products and ``star_inner`` skip the triangular zero blocks."""
+
+    def test_strips_are_balanced(self):
+        for m in range(1, 600):
+            strips = _strips(m)
+            assert len(strips) == max(1, m // 64)
+            assert strips[0][0] == 0 and strips[-1][1] == m
+            assert all(e == s for (_, e), (s, _) in zip(strips, strips[1:]))
+            widths = {e - s for s, e in strips}
+            assert max(widths) - min(widths) <= 1
+        assert _strips(127) == ((0, 127),) and len(_strips(128)) == 2
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+    @pytest.mark.parametrize("m", [130, 200, 250])
+    def test_kernels_match_dense_slices(self, m, dtype):
+        rng = np.random.default_rng(m)
+        v, w = rand_lower(rng, 3, m, dtype), rand_lower(rng, 3, m, dtype, "dual")
+        c = rand_lower(rng, 1, m, dtype).data[0]
+        upper = np.triu_indices(m, 1)
+        for got, want in [(vec_times_coef(v, c).data, v.data @ c),
+                          (coef_times_vec(c, w).data, c @ w.data),
+                          (star_inner(w, v), sum(w.data[k] @ v.data[k] for k in range(3)))]:
+            assert got.dtype == dtype
+            assert rel_err(got, want) < 1e-13
+            assert not got[..., upper[0], upper[1]].any()

@@ -13,9 +13,9 @@ Import it as ``from toelanczos.cli import solve``.  Three subcommands:
 
 Outputs are deterministic: identical configuration and seed give
 byte-identical files.  JSON outputs hold no NaN or Infinity: the report's
-``breakdown_cond`` is ``null`` when beta is exactly singular (an infinite
-condition number), and the slope is ``null`` when fewer than two distinct M
-values have a positive ``err_sol``.  Exit codes: 0 success, 2 shape/config
+``breakdown_cond`` (beta's 1-norm condition number) is ``null`` when it is
+infinite, and the slope is ``null`` when fewer than two distinct M values
+have a positive ``err_sol``.  Exit codes: 0 success, 2 shape/config
 error (both or neither of ``--problem`` and ``--problem-file`` among them) or
 a failed RK45 reference integration, 3 lucky breakdown, 4 serious breakdown,
 5 singular resolvent, 6 I/O error, 7 guarded workload without --allow-large.
@@ -257,10 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                            default="none")
             p.add_argument("--rtol", type=_positive_float, default=1e-10)
             p.add_argument("--atol", type=_positive_float, default=1e-12)
-            p.add_argument("--eps-lucky", type=_positive_float, default=DEFAULT_EPS_LUCKY,
-                           dest="eps_lucky")
+            p.add_argument("--eps-lucky", type=_positive_float, default=DEFAULT_EPS_LUCKY)
             p.add_argument("--eps-serious", type=_positive_float, default=DEFAULT_EPS_SERIOUS,
-                           dest="eps_serious")
+                           help="bound on the 1-norm condition number of beta_{k+1}")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for the generated problems nmr1/2/3; "
                             "the other problems ignore it")

@@ -27,12 +27,12 @@ triangular; lower-triangular matrices are closed under the sums, products
 and inverses above, so every basis slice, ``alpha_k`` and ``beta_k`` has an
 exactly zero strict upper triangle.  Each iteration inverts ``beta_{k+1}``
 once, index-reversed to upper triangular so that the LU factorization never
-pivots, and applies the inverse to the stacked basis slices in one matrix
-product.  The resolvent levels built from these coefficients are lower
-triangular too, and :func:`~toelanczos.resolvent.star_resolvent_11` inverts
-them with the same helper.  Both run on numpy's LAPACK, the library under
-every product here: scipy's wheel bundles a second OpenBLAS whose thread
-pool, alternating with numpy's, contends for the same cores.
+pivots, takes the breakdown test's ``kappa_1`` from the inverse and applies
+it to the stacked basis slices in one matrix product.  The resolvent levels
+are lower triangular too; :func:`~toelanczos.resolvent.star_resolvent_11`
+inverts and checks them with the same helper.  Both run on numpy's LAPACK,
+the library under every product: scipy's wheel bundles a second OpenBLAS
+whose thread pool, alternating with numpy's, contends for the same cores.
 
 Arithmetic: the recurrence runs in float64 when the data allow it and in
 complex128 otherwise, decided from the profiles and probes alone.  With real
@@ -46,7 +46,7 @@ a real run on ``B``.  Induction on the recurrences shows that the run on
     residual_v -> i^-(n-2) residual_v,   residual_w -> i^n residual_w.
 
 Each factor is a power of ``i``, so the map is exact in floating point, and
-``|i| = 1`` leaves every residual norm and ``cond(beta)``, hence the
+``|i| = 1`` leaves every residual norm and ``kappa_1(beta)``, hence the
 breakdown tests, as they are in the run on ``B``.  :class:`LanczosResult`
 keeps the run on ``B``, operator included, and maps only its coefficients,
 which the resolvent reads; the diagnostics measure the run itself.  Any
@@ -140,9 +140,8 @@ class LanczosStatus:
     """Outcome of a run: 'completed', 'lucky_breakdown', or 'serious_breakdown'.
 
     ``k`` is the 1-based iteration at which a breakdown was detected, ``side``
-    which residual vanished for a lucky one, ``cond`` the exact 2-norm
-    condition number ``sigma_max/sigma_min`` of the offending beta for a
-    serious one (``inf`` when beta is exactly singular).
+    which residual vanished for a lucky one, ``cond`` the offending beta's
+    ``kappa_1 = |beta|_1 |beta^{-1}|_1`` for a serious one (``inf`` if singular).
     """
 
     kind: str
@@ -206,23 +205,21 @@ class LanczosResult:
 
 
 def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
-                       w_prev_norm: float, beta: np.ndarray, eps_lucky: float,
+                       w_prev_norm: float, cond: float, eps_lucky: float,
                        eps_serious: float) -> LanczosStatus | None:
     """Classify the state after forming a new residual pair and beta.
 
     Returns a ``lucky_breakdown`` status if a relative residual norm drops
     below ``eps_lucky`` (the V side is checked first, and ``side`` names the
-    vanished one), else a ``serious_breakdown`` status with ``cond`` if
-    ``sigma_max(beta)/sigma_min(beta)`` exceeds ``eps_serious``, else
-    ``None``.  The caller fills in the iteration ``k``.
+    vanished one), else a ``serious_breakdown`` status if beta's ``cond``
+    (``kappa_1`` from :func:`_inverse_lower`) exceeds ``eps_serious`` or is
+    infinite, else ``None``.  The caller fills in the iteration ``k``.
     """
     if frobenius(v_hat) / v_prev_norm < eps_lucky:
         return LanczosStatus("lucky_breakdown", side="v")
     if frobenius(w_hat) / w_prev_norm < eps_lucky:
         return LanczosStatus("lucky_breakdown", side="w")
-    sigma = np.linalg.svd(beta, compute_uv=False)
-    cond = float("inf") if sigma[-1] == 0.0 else float(sigma[0] / sigma[-1])
-    if cond > eps_serious:
+    if cond == np.inf or cond > eps_serious:
         return LanczosStatus("serious_breakdown", cond=cond)
     return None
 
@@ -266,19 +263,23 @@ def _require_finite(coefficient: np.ndarray, name: str, k: int) -> None:
                          "of the operator or of the probe vectors is too large or not finite)")
 
 
-def _inverse_lower(l: np.ndarray) -> np.ndarray:
-    """``l^{-1}`` for a lower-triangular ``l``, on numpy's LAPACK.
+def _inverse_lower(l: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``(l^{-1}, kappa_1)`` for a lower-triangular ``l``, on numpy's LAPACK.
 
     Reversing the indices makes ``l`` upper triangular, and on an upper
     triangular matrix partial pivoting never swaps a row (every entry below
     the pivot is zero) and eliminates with exact zero multipliers, so the
     inverse keeps an exactly zero strict upper triangle once reversed back.
-    LAPACK would carry a NaN or an infinity through silently, so a non-finite
-    ``l`` raises ``ValueError``; an exactly singular one raises ``LinAlgError``.
+    ``kappa_1 = |l|_1 |l^{-1}|_1``.  A zero diagonal entry, the one way ``l``
+    is singular, and a non-finite ``l``, inverse or ``kappa_1``, which LAPACK
+    would carry through silently, give ``(None, inf)``.
     """
-    if not np.isfinite(l).all():
-        raise ValueError("triangular inverse operand must not contain infs or NaNs")
-    return np.linalg.inv(l[::-1, ::-1])[::-1, ::-1]
+    if not (l.diagonal().all() and np.isfinite(l).all()):
+        return None, np.inf
+    x = np.linalg.inv(l[::-1, ::-1])[::-1, ::-1]
+    with np.errstate(over="ignore"):  # a non-finite inverse gives a non-finite kappa_1
+        cond = float(np.linalg.norm(l, 1) * np.linalg.norm(x, 1))
+    return (x, cond) if np.isfinite(cond) else (None, np.inf)
 
 
 def _scaled_operator(a: ProfileTensor, v: np.ndarray,
@@ -322,7 +323,7 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     floating-point warnings, and the loop stops at the first ``alpha_k`` or
     ``beta_{k+1}`` that holds a NaN or an infinity (an overflowing operator,
     or a non-finite residual) with a ``ValueError`` that names ``k``; the
-    check comes before the breakdown test, whose SVD would refuse it.  The
+    check comes before the inverse, which would report it as singular.  The
     arithmetic (float64 on ``A`` or on ``-i A``, or complex128) follows from
     the data as the module docstring states; there is no option for it.
     """
@@ -377,14 +378,16 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
 
             beta_next = star_inner(w_hat, v_hat)
             _require_finite(beta_next, f"beta_{k + 1}", k)
+            inverse, cond = _inverse_lower(beta_next)
             breakdown = classify_breakdown(v_hat, w_hat, frobenius(v_basis[-1]),
-                                           frobenius(w_basis[-1]), beta_next,
+                                           frobenius(w_basis[-1]), cond,
                                            eps_lucky, eps_serious)
             if breakdown is not None:
                 return finish(replace(breakdown, k=k), v_hat, w_hat)
 
             betas.append(beta_next)
-            v_basis.append(vec_times_coef(v_hat, _inverse_lower(beta_next)))
+            v_basis.append(vec_times_coef(v_hat, inverse))
+            del inverse  # held into the next iteration it raises peak RSS; see the decisions ledger
             w_basis.append(w_hat)
 
     raise AssertionError("unreachable")

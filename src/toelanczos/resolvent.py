@@ -15,12 +15,12 @@ truncated series evaluation of the resolvent.
 The Lanczos coefficients are lower triangular, hence so is every level.
 Each level ``s`` is inverted by the helper that inverts ``beta`` in the
 iteration, which keeps exact zeros above the diagonal only for a triangular
-matrix, so other coefficients are rejected.  The inverse ``x`` gives the
-level's exact 1-norm condition number ``|s|_1 |x|_1`` and the next level's
-Schur term ``x @ beta``; the outermost ``x`` is ``R_11``.  The levels are
-formed and inverted in the coefficients' dtype, float64 for a real Lanczos
-run.  A :class:`ResolventSingularError` carries the depth of an unusable
-level: one whose condition number is infinite or exceeds ``1/eps``.
+matrix, so other coefficients are rejected.  It returns the inverse ``x``
+and ``kappa_1 = |s|_1 |x|_1``, as it does for the breakdown test; ``x``
+gives the next level's Schur term ``x @ beta``, the outermost is ``R_11``.
+The levels are formed and inverted in the coefficients' dtype, float64 for a
+real Lanczos run.  A :class:`ResolventSingularError` carries the depth of an
+unusable level: one whose ``kappa_1`` is infinite or exceeds ``1/eps``.
 
 The solution approximation on a mesh with step ``h`` is
 
@@ -86,7 +86,7 @@ def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarra
         Appends each level's exact 1-norm condition number, outermost last.
 
     Raises :class:`ResolventSingularError` when a level's condition number is
-    above ``1/eps`` or infinite: a zero diagonal entry, a non-finite level or inverse.
+    above ``1/eps`` or infinite (see :func:`~toelanczos.lanczos._inverse_lower`).
     """
     if any(np.triu(c, 1).any() for c in (*tri.alphas, *tri.betas)):
         raise ValueError("the resolvent needs lower-triangular alpha and beta coefficients")
@@ -95,15 +95,13 @@ def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarra
     eye = np.eye(tri.m, dtype=np.result_type(*tri.alphas, *tri.betas))
     s = eye - tri.alphas[-1]
     for level in range(tri.n, 0, -1):
-        x = _inverse_lower(s) if s.diagonal().all() and np.isfinite(s).all() else None
-        # an overflow makes kappa_1 infinite, or the next level non-finite
-        with np.errstate(over="ignore"):
-            cond = np.inf if x is None else np.linalg.norm(s, 1) * np.linalg.norm(x, 1)
-            if cond_log is not None:
-                cond_log.append(cond)
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                raise ResolventSingularError(level, cond)
-            if level > 1:
+        x, cond = _inverse_lower(s)
+        if cond_log is not None:
+            cond_log.append(cond)
+        if cond > _COND_LIMIT:
+            raise ResolventSingularError(level, cond)
+        if level > 1:
+            with np.errstate(over="ignore"):  # an overflow makes the next level singular
                 s = (eye - tri.alphas[level - 2]) - x @ tri.betas[level - 2]
     return x
 

@@ -246,7 +246,7 @@ class TestTriangularSolves:
         rng = np.random.default_rng(seed)
         beta = random_lower(rng, m, complex_)
         slices = np.stack([random_lower(rng, m, complex_) for _ in range(big_n)])
-        inverse = _inverse_lower(beta)
+        inverse, cond = _inverse_lower(beta)
         # the loop's GEMM on the stacked slices, and a resolvent level's
         # inverse and Schur term
         cases = [((slices.reshape(-1, m) @ inverse).reshape(slices.shape),
@@ -254,6 +254,8 @@ class TestTriangularSolves:
         cases += [(inverse, solve_lower(beta, np.eye(m))),
                   (inverse @ slices[0], solve_lower(beta, slices[0]))]
         tol = 16 * m * np.linalg.cond(beta, 1) * np.finfo(float).eps
+        # the condition number that the breakdown test and the resolvent read
+        assert cond == pytest.approx(np.linalg.cond(beta, 1), rel=tol)
         for got, want in cases:
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
             assert np.all(np.triu(got, 1) == 0)
@@ -261,13 +263,14 @@ class TestTriangularSolves:
     @pytest.mark.parametrize("operand", ["u", "b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_operand_raises(self, monkeypatch, operand, bad):
-        # "u": the inverted matrix itself; "b": the residual that the loop's
-        # GEMM multiplies, which reaches the guard through beta = W^D * V_hat
+        # "u": the inverted matrix itself, which the helper reports as
+        # unusable; "b": the residual that the loop's GEMM multiplies, which
+        # reaches the loop's guard through beta = W^D * V_hat
         if operand == "u":
             l = np.tril(np.ones((3, 3)))
             l[2, 0] = bad
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                _inverse_lower(l)
+            x, cond = _inverse_lower(l)
+            assert x is None and cond == np.inf
             return
         v_update = lanczos._v_update
 
@@ -294,15 +297,29 @@ class TestTriangularSolves:
         with pytest.raises(ValueError, match="infs or NaNs"):
             tensor_lanczos(ProfileTensor(profiles), p.v, p.w, 3)
 
+    @pytest.mark.parametrize("l", [
+        pytest.param(np.diag([1.0, 0.0, 2.0]), id="zero-diagonal"),
+        pytest.param(np.tril(np.full((4, 4), 1e300), -1) + 1e-300 * np.eye(4),
+                     id="inverse-overflows"),
+    ])
+    def test_unusable_inverse_is_none_with_infinite_condition(self, l):
+        x, cond = _inverse_lower(l)
+        assert x is None and cond == np.inf
+
     @pytest.mark.parametrize("problem_id,m,n", [("timedep5", 25, 5), ("nmr3", 20, 4)])
-    def test_pipeline_never_calls_scipy_solve_triangular(self, monkeypatch, problem_id, m, n):
+    def test_no_solve_triangular_or_svd_in_pipeline(self, monkeypatch, problem_id, m, n):
         # scipy's wheel bundles its own OpenBLAS; alternating its thread pool
-        # with numpy's oversubscribes the cores
+        # with numpy's oversubscribes the cores.  The breakdown test reads
+        # kappa_1 from the inverse the loop forms, so no SVD runs either.
         def refuse(*args, **kwargs):
             raise AssertionError("solve_triangular runs on scipy's OpenBLAS")
 
+        def refuse_svd(*args, **kwargs):
+            raise AssertionError("an SVD on the solve path")
+
         for namespace in (scipy.linalg, lanczos, resolvent):
             monkeypatch.setattr(namespace, "solve_triangular", refuse, raising=False)
+        monkeypatch.setattr(np.linalg, "svd", refuse_svd)
         p = builtin(problem_id)
         _, res, sol = solve(p, m, n)
         assert res.status.completed and res.tri.n == n
@@ -363,38 +380,41 @@ class TestClassifyBreakdown:
         m = 3
         z = HyperVec(np.zeros((2, m, m)), "right")
         w = HyperVec(np.ones((2, m, m)), "dual")
-        check = classify_breakdown(z, w, 1.0, 1.0, np.eye(m), 1e-13, 1e13)
+        check = classify_breakdown(z, w, 1.0, 1.0, 1.0, 1e-13, 1e13)
         assert check.kind == "lucky_breakdown" and check.side == "v"
 
     def test_identity_beta_is_fine(self):
         m = 3
         v = HyperVec(np.ones((2, m, m)), "right")
         w = HyperVec(np.ones((2, m, m)), "dual")
-        check = classify_breakdown(v, w, 1.0, 1.0, np.eye(m), 1e-13, 1e13)
+        _, cond = _inverse_lower(np.eye(m))
+        assert cond == 1.0
+        check = classify_breakdown(v, w, 1.0, 1.0, cond, 1e-13, 1e13)
         assert check is None
 
     def test_huge_condition_is_serious(self):
         v = HyperVec(np.ones((2, 2, 2)), "right")
         w = HyperVec(np.ones((2, 2, 2)), "dual")
-        beta = np.diag([1.0, 1e-20])
-        check = classify_breakdown(v, w, 1.0, 1.0, beta, 1e-13, 1e13)
+        _, cond = _inverse_lower(np.diag([1.0, 1e-20]))
+        check = classify_breakdown(v, w, 1.0, 1.0, cond, 1e-13, 1e13)
         assert check.kind == "serious_breakdown"
         assert check.cond > 1e19
 
     def test_lucky_takes_precedence(self):
         z = HyperVec(np.zeros((2, 2, 2)), "right")
         w = HyperVec(np.ones((2, 2, 2)), "dual")
-        check = classify_breakdown(z, w, 1.0, 1.0, np.zeros((2, 2)), 1e-13, 1e13)
+        check = classify_breakdown(z, w, 1.0, 1.0, np.inf, 1e-13, 1e13)
         assert check.kind == "lucky_breakdown"
 
     # residual scales far from eps_lucky = 1e-13 and condition numbers 10**j
-    # far from eps_serious = 10**(e + 0.5), so no case sits on a threshold
+    # far from eps_serious = 10**(e + 0.5), so no case sits on a threshold;
+    # an infinite eps_serious still stops at an infinite condition number
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 3), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
            v_scale=st.sampled_from([0.0, 1e-30, 1.0]),
            w_scale=st.sampled_from([0.0, 1e-30, 1.0]),
            exps=st.lists(st.integers(-20, 3), min_size=1, max_size=4),
-           zero_sigma=st.booleans(), e_serious=st.integers(0, 15))
+           zero_sigma=st.booleans(), e_serious=st.sampled_from([*range(16), np.inf]))
     def test_rules(self, n, m, seed, v_scale, w_scale, exps, zero_sigma, e_serious):
         rng = np.random.default_rng(seed)
         draw = lambda: rng.uniform(0.5, 1.0, (n, m, m)) * rng.choice([-1, 1], (n, m, m))
@@ -403,16 +423,17 @@ class TestClassifyBreakdown:
         sigma = 10.0 ** np.resize(np.array(exps, dtype=float), m)
         if zero_sigma:
             sigma[-1] = 0.0
-        beta = np.diag(sigma)[::-1]  # a permuted diagonal: same singular values
+        # a diagonal beta: kappa_1 = kappa_2 = max / min
+        _, beta_cond = _inverse_lower(np.diag(sigma))
         eps_serious = 10.0 ** (e_serious + 0.5)
-        check = classify_breakdown(v, w, 1.0, 1.0, beta, 1e-13, eps_serious)
+        check = classify_breakdown(v, w, 1.0, 1.0, beta_cond, 1e-13, eps_serious)
         cond = np.inf if sigma.min() == 0 else sigma.max() / sigma.min()
         if v_scale < 1.0 or w_scale < 1.0:
             # lucky beats serious, and the V side is checked first
             assert check.kind == "lucky_breakdown"
             assert check.side == ("v" if v_scale < 1.0 else "w")
             assert check.cond is None
-        elif cond > eps_serious:
+        elif cond == np.inf or cond > eps_serious:
             assert check.kind == "serious_breakdown" and check.side is None
             assert check.cond == pytest.approx(cond, rel=1e-12)
         else:
@@ -446,11 +467,22 @@ class TestBreakdownRuns:
     @pytest.mark.parametrize("m", [12, 130, 250])
     def test_criterion9_breakdown_at_every_strip_count(self, m):
         # beta_2 is exactly singular only if star_inner keeps each entry's
-        # ascending slice sum; at M=130 and 250 it runs over 2 and 3 strips
+        # ascending slice sum; at M=130 and 250 it runs over 2 and 3 strips.
+        # An infinite condition number stops the run whatever eps_serious is.
         p = const_problem([[0, 1, 1], [1, 1, 1], [-1, 0, 2]], ident="serious3")
-        res = tensor_lanczos(discretize_problem(p, build_mesh(0.0, 1.0, m)), p.v, p.w, 3)
-        assert res.status.kind == "serious_breakdown"
-        assert res.status.k == 1 and res.status.cond == float("inf")
+        a4 = discretize_problem(p, build_mesh(0.0, 1.0, m))
+        for eps_serious in (lanczos.DEFAULT_EPS_SERIOUS, np.inf):
+            res = tensor_lanczos(a4, p.v, p.w, 3, eps_serious=eps_serious)
+            assert res.status.kind == "serious_breakdown", eps_serious
+            assert res.status.k == 1 and res.status.cond == float("inf")
+
+    def test_nmr3_m200_stops_at_k7_with_a_usable_prefix(self):
+        # beta_8 has kappa_1 = 6.7e13 above eps_serious = 1e13, and
+        # kappa_2 = 8.2e12 below it; the 7-term prefix gives a finite solution
+        _, res, sol = solve(builtin("nmr3"), 200, 9)
+        assert res.status.kind == "serious_breakdown" and res.status.k == 7
+        assert res.tri.n == 7 and res.status.cond > lanczos.DEFAULT_EPS_SERIOUS
+        assert sol is not None and np.all(np.isfinite(sol.values))
 
 
 class TestUpdates:

@@ -18,11 +18,12 @@ formed.
 Every measure takes the :class:`~toelanczos.lanczos.LanczosResult` alone
 and reads the run as it was computed: its ``operator`` ``A / scale`` and
 its ``run_*`` fields, in the run's dtype, so a float64 run is measured in
-float64.  For ``scale = i`` the ``i``-map multiplies each biorthogonality
-entry and each recurrence row by a unit factor and moment ``k`` by ``i^k``
-(see :mod:`toelanczos.lanczos`), so the measures are those of the run on
-``A``; :func:`moment_matrices` applies the ``i^k`` to return the moments of
-``A``.
+float64.  They read the bases, which a run keeps only with
+``keep_bases=True``; on any other run they raise ``ValueError``.  For
+``scale = i`` the ``i``-map multiplies each biorthogonality entry and each
+recurrence row by a unit factor and moment ``k`` by ``i^k`` (see
+:mod:`toelanczos.lanczos`), so the measures are those of the run on ``A``;
+:func:`moment_matrices` applies the ``i^k`` to return the moments of ``A``.
 
 The recurrence residuals call the iteration's own update helpers
 (``lanczos._v_update`` and ``lanczos._w_update``) per basis vector and
@@ -104,6 +105,14 @@ def _ratio(num: float, den: float, name: str) -> float:
     return 0.0 if num == 0.0 else num / den
 
 
+def _bases(result: LanczosResult, name: str) -> tuple[list, list]:
+    """The run's bases; a run that did not keep them raises ``ValueError`` naming ``name``."""
+    if result.run_v_basis is None or result.run_w_basis is None:
+        raise ValueError(f"{name} reads the Lanczos bases; run tensor_lanczos "
+                         "with keep_bases=True")
+    return result.run_v_basis, result.run_w_basis
+
+
 def err_biorth(result: LanczosResult) -> float:
     """Relative deviation of ``W_n * V_n`` from the ``*`` identity.
 
@@ -113,7 +122,7 @@ def err_biorth(result: LanczosResult) -> float:
     :func:`~toelanczos.tensor_core.star_inner` on the run's bases, with
     ``I`` subtracted on the diagonal.
     """
-    vb, wb = result.run_v_basis, result.run_w_basis
+    vb, wb = _bases(result, "err_biorth")
     eye = np.eye(vb[0].m)
     with np.errstate(over="ignore", invalid="ignore"):
         dev = [star_inner(w, v) - eye if i == j else star_inner(w, v)
@@ -147,7 +156,7 @@ def err_recurrences(result: LanczosResult) -> tuple[float, float]:
     """
     b = result.operator
     tri = result.run_tri
-    vb, wb = result.run_v_basis, result.run_w_basis
+    vb, wb = _bases(result, "err_recurrences")
     v_rows, w_rows = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(tri.n):
@@ -186,10 +195,10 @@ def moment_matrices(result: LanczosResult,
     n = tri.n
     if k_max is None:
         k_max = 2 * n - 1
+    vb, wb = _bases(result, "moment_matrices")
     e1 = np.zeros(n)
     e1[0] = 1.0
-    w_lift = result.run_w_basis[0]
-    cur = result.run_v_basis[0]
+    w_lift, cur = wb[0], vb[0]
     cur_t = lift(e1, tri.m)
     lhs = [star_inner(w_lift, cur)]
     rhs = [cur_t.data[0].copy()]
@@ -210,6 +219,7 @@ def err_moments(result: LanczosResult, k_max: int | None = None) -> np.ndarray:
     ``err_M(k) = |L_k - R_k| / max(|L_k|, |R_k|)`` for the moment pair of
     :func:`moment_matrices`, whose starting hypervectors are the run's own.
     """
+    _bases(result, "err_moments")
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (lhs, rhs) in enumerate(zip(*moment_matrices(result, k_max))):

@@ -175,6 +175,9 @@ class LanczosResult:
     the residuals are exactly the hatted vectors of the last completed
     iteration and form the nonzero slices of the recurrence residual
     tensors.  The diagnostics read ``operator`` and these fields alone.
+    The bases are ``None`` unless the run kept them
+    (``tensor_lanczos(..., keep_bases=True)``): the resolvent reads only
+    the coefficients, and the diagnostics refuse a run without bases.
 
     ``tri`` holds the coefficients of the run on ``A``: ``run_tri`` itself
     for ``scale = 1``, and for ``scale = i`` the module's ``i``-map applied
@@ -186,8 +189,8 @@ class LanczosResult:
     """
 
     run_tri: TriTensor
-    run_v_basis: list[HyperVec]
-    run_w_basis: list[HyperVec]
+    run_v_basis: list[HyperVec] | None
+    run_w_basis: list[HyperVec] | None
     run_residual_v: HyperVec
     run_residual_w: HyperVec
     status: LanczosStatus
@@ -225,32 +228,39 @@ def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
 
 
 def _w_update(wa: HyperVec, alpha: np.ndarray, w_k: HyperVec,
-              beta_k: np.ndarray | None = None, w_prev: HyperVec | None = None) -> np.ndarray:
+              beta_k: np.ndarray | None = None, w_prev: HyperVec | None = None, *,
+              tmp: np.ndarray | None = None) -> np.ndarray:
     """``(W_k*A - alpha_k x W_k) - beta_k x W_{k-1}``; the last term is absent for k = 1.
 
     Returns the data of the dual hypervector, in the operands' mesh-major
     layout.  The one place that writes this grouping: the iteration and
     :func:`~toelanczos.diagnostics.err_recurrences` both call it, which is
-    what makes ``err_W`` exactly zero.  The differences are formed in the
-    fresh buffer of ``alpha_k x W_k``, so no operand is written to.
+    what makes ``err_W`` exactly zero.  Without ``tmp`` the differences are
+    formed in the fresh buffer of ``alpha_k x W_k``, so no operand is
+    written to; with ``tmp``, a workspace buffer that takes the coefficient
+    products, they are formed in ``wa``'s own buffer, with the same values.
     """
-    out = coef_times_vec(alpha, w_k).data
-    np.subtract(wa.data, out, out=out)
+    prod = coef_times_vec(alpha, w_k, out=tmp).data
+    out = prod if tmp is None else wa.data
+    np.subtract(wa.data, prod, out=out)
     if beta_k is not None:
-        np.subtract(out, coef_times_vec(beta_k, w_prev).data, out=out)
+        np.subtract(out, coef_times_vec(beta_k, w_prev, out=tmp).data, out=out)
     return out
 
 
 def _v_update(av: HyperVec, v_k: HyperVec, alpha: np.ndarray,
-              v_prev: HyperVec | None = None) -> np.ndarray:
+              v_prev: HyperVec | None = None, *, tmp: np.ndarray | None = None) -> np.ndarray:
     """``(A*V_k - V_k x alpha_k) - V_{k-1}``; the last term is absent for k = 1.
 
     Returns the data of the right hypervector, in the operands' mesh-major
-    layout.  The differences are formed in the fresh buffer of
-    ``V_k x alpha_k``, so no operand is written to.
+    layout.  Without ``tmp`` the differences are formed in the fresh buffer
+    of ``V_k x alpha_k``, so no operand is written to; with ``tmp``, a
+    workspace buffer that takes that product, they are formed in ``av``'s
+    own buffer, with the same values.
     """
-    out = vec_times_coef(v_k, alpha).data
-    np.subtract(av.data, out, out=out)
+    prod = vec_times_coef(v_k, alpha, out=tmp).data
+    out = prod if tmp is None else av.data
+    np.subtract(av.data, prod, out=out)
     if v_prev is not None:
         np.subtract(out, v_prev.data, out=out)
     return out
@@ -300,7 +310,8 @@ def _scaled_operator(a: ProfileTensor, v: np.ndarray,
 
 def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                    eps_lucky: float = DEFAULT_EPS_LUCKY,
-                   eps_serious: float = DEFAULT_EPS_SERIOUS) -> LanczosResult:
+                   eps_serious: float = DEFAULT_EPS_SERIOUS,
+                   keep_bases: bool = False) -> LanczosResult:
     """Run n iterations of the tensor non-Hermitian Lanczos process.
 
     Parameters
@@ -315,6 +326,23 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     eps_lucky, eps_serious : float
         Breakdown thresholds, see :func:`classify_breakdown`; NaN, which
         would switch a check off, raises ``ValueError``.
+    keep_bases : bool
+        Keep every basis hypervector in the result, for the diagnostics
+        that read them.  The coefficients, residuals and status do not
+        depend on it, bit for bit.
+
+    Without ``keep_bases`` the loop runs on seven mesh-major buffers (the
+    module docstring of :mod:`~toelanczos.tensor_core`, "Workspace"):
+    ``V_{k-1}``, ``V_k``, ``W_{k-1}`` and ``W_k``; ``W_k*A``, which becomes
+    ``W_hat_{k+1}`` by in-place subtraction, and ``A*V_k``, which becomes
+    ``V_hat_{k+1}`` the same way; and one temporary for the coefficient
+    products and the prefix sum of ``A*V_k``.  ``V_{k+1}`` is written into
+    ``V_{k-1}``'s buffer, ``W_hat_{k+1}`` becomes ``W_{k+1}``, and
+    ``W_{k-1}``'s buffer takes the next ``W*A``, so the memory of a run does
+    not grow with ``n``.  With ``keep_bases`` the same loop passes no buffer,
+    so every product gets a fresh one, and the lists keep every basis
+    vector; up-front workspace buffers there cost the CLI's runs page
+    faults and time (decisions ledger, "One workspace per run").
 
     ``V_{k+1}`` is one matrix product of the stacked residual slices with
     the exact-zero inverse of the lower-triangular ``beta_{k+1}``; that needs
@@ -355,23 +383,28 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     alphas: list[np.ndarray] = []
     betas: list[np.ndarray] = []
 
+    def workspace():  # None: the kernel allocates the product's buffer itself
+        return None if keep_bases else np.empty(v_basis[0].mesh.shape, b.data.dtype)
+
+    wa_buf, av_buf, tmp = workspace(), workspace(), workspace()
+
     def finish(status, res_v, res_w):
         tri = TriTensor(m, alphas, betas)
-        return LanczosResult(tri, v_basis, w_basis, res_v, res_w, status, normalization,
-                             scale, b)
+        bases = (v_basis, w_basis) if keep_bases else (None, None)
+        return LanczosResult(tri, *bases, res_v, res_w, status, normalization, scale, b)
 
     # an overflow shows in the next coefficient, which is checked before use
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n + 1):
-            wa = star_mul_vt(w_basis[-1], b)
+            wa = star_mul_vt(w_basis[-1], b, out=wa_buf)
             alpha = star_inner(wa, v_basis[-1])
             _require_finite(alpha, f"alpha_{k}", k)
             alphas.append(alpha)
-            av = star_mul_tv(b, v_basis[-1])
+            av = star_mul_tv(b, v_basis[-1], out=av_buf, scratch=tmp)
             w_prev = () if k == 1 else (betas[-1], w_basis[-2])
             v_prev = () if k == 1 else (v_basis[-2],)
-            w_hat = HyperVec(_w_update(wa, alpha, w_basis[-1], *w_prev), "dual")
-            v_hat = HyperVec(_v_update(av, v_basis[-1], alpha, *v_prev), "right")
+            w_hat = HyperVec(_w_update(wa, alpha, w_basis[-1], *w_prev, tmp=tmp), "dual")
+            v_hat = HyperVec(_v_update(av, v_basis[-1], alpha, *v_prev, tmp=tmp), "right")
 
             if k == n:
                 return finish(LanczosStatus("completed"), v_hat, w_hat)
@@ -386,8 +419,12 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                 return finish(replace(breakdown, k=k), v_hat, w_hat)
 
             betas.append(beta_next)
-            v_basis.append(vec_times_coef(v_hat, inverse))
-            del inverse  # held into the next iteration it raises peak RSS; see the decisions ledger
+            if keep_bases or k == 1:
+                v_out, wa_buf = workspace(), workspace()
+            else:  # V_{k-1}'s buffer takes V_{k+1}, and W_{k-1}'s the next W*A
+                v_out, wa_buf = v_basis.pop(0).mesh, w_basis.pop(0).mesh
+            v_basis.append(vec_times_coef(v_hat, inverse, out=v_out))
+            del inverse  # held into the next iteration it adds to the peak; see the decisions ledger
             w_basis.append(w_hat)
 
     raise AssertionError("unreachable")

@@ -46,6 +46,16 @@ mesh-major copy, with bit-identical results.  In this layout:
 
 No other module transposes or reshapes hypervector data.
 
+Workspace: :func:`star_mul_tv`, :func:`star_mul_vt`, :func:`vec_times_coef`
+and :func:`coef_times_vec` take a keyword-only ``out=`` buffer, and
+:func:`star_mul_tv` also a ``scratch=`` buffer for its prefix sum.  Each is
+a C-ordered mesh-major ``(m, n, m)`` array of the product's dtype that
+shares no memory with an operand (:attr:`HyperVec.mesh` of a hypervector
+the package built is one); ``out`` is overwritten entirely, and the result
+is the hypervector stored in it.  A kernel does the same products in the
+same order into a given buffer as into a fresh one, so the results are
+bit-identical; the Lanczos loop runs on a fixed set of such buffers.
+
 Triangular contract: :func:`star_inner`, :func:`vec_times_coef` and
 :func:`coef_times_vec` require hypervectors whose slices are lower
 triangular, and the coefficient products also a lower-triangular ``c``.
@@ -231,6 +241,11 @@ class HyperVec:
     def m(self) -> int:
         return self.data.shape[1]
 
+    @property
+    def mesh(self) -> np.ndarray:
+        """The ``(m, n, m)`` mesh-major view of ``data``, C-ordered when it is stored so."""
+        return self.data.transpose(_TO_MESH[self.orientation])
+
 
 def _require_profile(a) -> None:
     if not isinstance(a, ProfileTensor):
@@ -263,7 +278,19 @@ _FROM_MESH = {"right": (1, 0, 2), "dual": (1, 2, 0)}
 
 def _mesh(hv: HyperVec, dtype=None) -> np.ndarray:
     """The mesh-major ``(m, n, m)`` buffer of ``hv`` in ``dtype``; a copy only if it is not one."""
-    return np.asarray(hv.data.transpose(_TO_MESH[hv.orientation]), dtype=dtype, order="C")
+    return np.asarray(hv.mesh, dtype=dtype, order="C")
+
+
+def _buffer(buf: np.ndarray | None, shape: tuple, dtype, *operands: np.ndarray) -> np.ndarray:
+    """``buf``, checked to be a workspace buffer apart from ``operands``, or a fresh one."""
+    if buf is None:
+        return np.empty(shape, dtype)
+    if buf.shape != shape or buf.dtype != dtype or not buf.flags.c_contiguous:
+        raise ShapeError(f"expected a C-ordered {shape} {np.dtype(dtype)} buffer, got "
+                         f"{buf.shape} {buf.dtype}")
+    if any(np.may_share_memory(buf, x) for x in operands):
+        raise ValueError("a workspace buffer must not share memory with an operand")
+    return buf
 
 
 def _from_mesh(buf: np.ndarray, orientation: str) -> HyperVec:
@@ -301,15 +328,18 @@ def _strips(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(bounds, bounds[1:]))
 
 
-def star_mul_tv(a: ProfileTensor, v: HyperVec) -> HyperVec:
+def star_mul_tv(a: ProfileTensor, v: HyperVec, *, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> HyperVec:
     """Tensor-hypervector product ``(A * V)[i1] = sum_k a[i1, k] @ v[k]``.
 
     ``a[i1, k] @ v[k]`` is ``data[i1, k]`` scaling the rows of the row-wise
     running sum of ``v[k]``, so mesh row ``j`` of the result is
     ``data[:, :, j] @ cumsum(v)[:, j]``: a prefix sum over the mesh-major
     planes of ``V`` and one batched product over the rows, written straight
-    into the mesh-major output.  Any operator other than a
-    :class:`ProfileTensor` raises ``TypeError``.
+    into the mesh-major output.  The prefix sum runs on a mesh-major copy of
+    ``V``, made in ``scratch``; ``out`` takes the result (module docstring,
+    "Workspace").  Any operator other than a :class:`ProfileTensor` raises
+    ``TypeError``.
     """
     _require_profile(a)
     if v.orientation != "right":
@@ -317,18 +347,21 @@ def star_mul_tv(a: ProfileTensor, v: HyperVec) -> HyperVec:
     if a.n2 != v.n or a.m != v.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
     dtype = np.result_type(a.data, v.data)
-    csum = _prefix_sum(np.array(v.data.transpose(_TO_MESH["right"]), dtype=dtype, order="C"))
-    return _from_mesh(np.matmul(_mesh_profiles(a, dtype), csum), "right")
+    csum = _buffer(scratch, v.mesh.shape, dtype, v.data)
+    np.copyto(csum, v.mesh)
+    out = _buffer(out, (v.m, a.n1, v.m), dtype, v.data, csum)
+    return _from_mesh(np.matmul(_mesh_profiles(a, dtype), _prefix_sum(csum), out=out), "right")
 
 
-def star_mul_vt(w: HyperVec, a: ProfileTensor) -> HyperVec:
+def star_mul_vt(w: HyperVec, a: ProfileTensor, *, out: np.ndarray | None = None) -> HyperVec:
     """Dual-hypervector-tensor product ``(W^D * A)[i2] = sum_k w[k] @ a[k, i2]``.
 
     The profiles ``data[k, i2]`` scale the columns of ``w[k]``, so mesh
     column ``j`` of the sum over ``k`` is ``data[:, :, j].T @ w[:, :, j]``:
     one batched product over the columns, written into the mesh-major
-    output, which then takes one reverse prefix sum over its planes.  Any
-    operator other than a :class:`ProfileTensor` raises ``TypeError``.
+    output (``out`` if given, module docstring, "Workspace"), which then
+    takes one reverse prefix sum over its planes.  Any operator other than a
+    :class:`ProfileTensor` raises ``TypeError``.
     """
     _require_profile(a)
     if w.orientation != "dual":
@@ -336,7 +369,8 @@ def star_mul_vt(w: HyperVec, a: ProfileTensor) -> HyperVec:
     if w.n != a.n1 or w.m != a.m:
         raise ShapeError(f"cannot *-multiply {w.data.shape} with {a.data.shape}")
     dtype = np.result_type(a.data, w.data)
-    out = np.matmul(_mesh_profiles(a, dtype).transpose(0, 2, 1), _mesh(w, dtype))
+    out = np.matmul(_mesh_profiles(a, dtype).transpose(0, 2, 1), _mesh(w, dtype),
+                    out=_buffer(out, (w.m, a.n2, w.m), dtype, w.data))
     return _from_mesh(_prefix_sum(out, reverse=True), "dual")
 
 
@@ -369,7 +403,7 @@ def star_inner(w: HyperVec, v: HyperVec) -> np.ndarray:
     return out
 
 
-def vec_times_coef(v: HyperVec, c: np.ndarray) -> HyperVec:
+def vec_times_coef(v: HyperVec, c: np.ndarray, *, out: np.ndarray | None = None) -> HyperVec:
     """``V x c``: every slice of the right hypervector ``v`` times the m x m matrix ``c``.
 
     Requires lower-triangular slices and a lower-triangular ``c`` (module
@@ -377,6 +411,7 @@ def vec_times_coef(v: HyperVec, c: np.ndarray) -> HyperVec:
     ``(n m, m)`` mesh-major rows of mesh rows ``[s, e)`` are zero past
     column ``e``, so each strip is one GEMM with ``c[:e, :e]`` written into
     the output's rows, whose columns from ``e`` on are set to exact zeros.
+    The output is ``out`` if given (module docstring, "Workspace").
     """
     if v.orientation != "right":
         raise OrientationError("V x c needs a right-oriented hypervector")
@@ -386,15 +421,16 @@ def vec_times_coef(v: HyperVec, c: np.ndarray) -> HyperVec:
     dtype = np.result_type(v.data, c)
     vm, c = _mesh(v, dtype), c.astype(dtype, copy=False)
     n, m = v.n, v.m
-    rows, out_rows = vm.reshape(-1, m), np.empty((n * m, m), dtype)
+    buf = _buffer(out, vm.shape, dtype, v.data)
+    rows, out_rows = vm.reshape(-1, m), buf.reshape(-1, m)
     for s, e in _strips(m):
         np.matmul(rows[s * n:e * n, :e], c[:e, :e], out=out_rows[s * n:e * n, :e])
         if e < m:
             out_rows[s * n:e * n, e:] = 0
-    return _from_mesh(out_rows.reshape(vm.shape), "right")
+    return _from_mesh(buf, "right")
 
 
-def coef_times_vec(c: np.ndarray, w: HyperVec) -> HyperVec:
+def coef_times_vec(c: np.ndarray, w: HyperVec, *, out: np.ndarray | None = None) -> HyperVec:
     """``c x W^D``: the m x m matrix ``c`` times every slice of the dual hypervector ``w``.
 
     Requires lower-triangular slices and a lower-triangular ``c`` (module
@@ -402,7 +438,8 @@ def coef_times_vec(c: np.ndarray, w: HyperVec) -> HyperVec:
     ``(j, k)`` of the stacked ``(n m, m)`` mesh-major rows is column ``j``
     of ``w[k]``, zero before entry ``j``; so the rows of mesh rows
     ``[s, e)`` are one GEMM with ``c.T[s:, s:]`` written into the output's
-    rows, whose first ``s`` columns are set to exact zeros.
+    rows, whose first ``s`` columns are set to exact zeros.  The output is
+    ``out`` if given (module docstring, "Workspace").
     """
     if w.orientation != "dual":
         raise OrientationError("c x W needs a dual-oriented hypervector")
@@ -412,12 +449,13 @@ def coef_times_vec(c: np.ndarray, w: HyperVec) -> HyperVec:
     dtype = np.result_type(w.data, c)
     wm, c = _mesh(w, dtype), c.astype(dtype, copy=False)
     n, m = w.n, w.m
-    rows, out_rows = wm.reshape(-1, m), np.empty((n * m, m), dtype)
+    buf = _buffer(out, wm.shape, dtype, w.data)
+    rows, out_rows = wm.reshape(-1, m), buf.reshape(-1, m)
     for s, e in _strips(m):
         np.matmul(rows[s * n:e * n, s:], c.T[s:, s:], out=out_rows[s * n:e * n, s:])
         if s:
             out_rows[s * n:e * n, :s] = 0
-    return _from_mesh(out_rows.reshape(wm.shape), "dual")
+    return _from_mesh(buf, "dual")
 
 
 def lift(a: np.ndarray, m: int) -> HyperVec:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -63,7 +64,7 @@ def run_const3(m, n=3):
     p = builtin("const3")
     mesh = build_mesh(p.a, p.b, m)
     a4 = discretize_problem(p, mesh)
-    return p, mesh, a4, tensor_lanczos(a4, p.v, p.w, n)
+    return p, mesh, a4, tensor_lanczos(a4, p.v, p.w, n, keep_bases=True)
 
 
 class TestBasicRuns:
@@ -142,7 +143,7 @@ class TestLowerTriangularInvariants:
     def test_strict_upper_triangles_exactly_zero(self, problem_id, m, n):
         p = builtin(problem_id)
         a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
-        res = tensor_lanczos(a4, p.v, p.w, n)
+        res = tensor_lanczos(a4, p.v, p.w, n, keep_bases=True)
         assert res.status.completed and res.tri.n == n
         mats = [*res.tri.alphas, *res.tri.betas, residual_v(res).data, residual_w(res).data]
         for hv in v_basis(res) + w_basis(res):
@@ -160,7 +161,7 @@ class TestRunArithmetic:
     def test_run_dtype_per_builtin(self, problem_id, dtype, scale):
         p = builtin(problem_id)
         a4 = discretize_problem(p, build_mesh(p.a, p.b, 8))
-        res = tensor_lanczos(a4, p.v, p.w, min(p.n, 3))
+        res = tensor_lanczos(a4, p.v, p.w, min(p.n, 3), keep_bases=True)
         assert res.status.completed and res.scale == scale
         run = [*res.run_tri.alphas, *res.run_tri.betas, res.run_residual_v.data,
                res.run_residual_w.data, *(hv.data for hv in res.run_v_basis + res.run_w_basis)]
@@ -187,7 +188,7 @@ class TestRunArithmetic:
             kappa = max(np.linalg.norm(x) * np.linalg.norm(y) / m
                         for x, y in zip(ref["v_basis"], ref["w_basis"]))
             assume(kappa <= 10)
-            res = tensor_lanczos(a4, v, w, n)
+            res = tensor_lanczos(a4, v, w, n, keep_bases=True)
             assert res.status.completed and res.scale == scale
             assert not np.iscomplexobj(res.run_tri.alphas[0])
             pairs = [*zip(res.tri.alphas, ref["alphas"]), *zip(res.tri.betas, ref["betas"]),
@@ -274,8 +275,8 @@ class TestTriangularSolves:
             return
         v_update = lanczos._v_update
 
-        def poisoned(*args):
-            out = v_update(*args)
+        def poisoned(*args, **kwargs):
+            out = v_update(*args, **kwargs)
             out[0, 2, 0] = bad
             return out
 
@@ -341,9 +342,9 @@ class TestTracedKernels:
         calls = Counter()
 
         def counted(fn, key):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[key] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         for module in (lanczos, diagnostics):
@@ -486,13 +487,18 @@ class TestBreakdownRuns:
 
 
 class TestUpdates:
-    """The residual updates are formed in the product's buffer, never in an operand."""
+    """The residual updates are formed in a product's buffer, never in an operand.
+
+    Given a workspace buffer ``tmp``, they are formed in ``A*V_k``'s or
+    ``W_k*A``'s own buffer instead.
+    """
 
     @pytest.mark.parametrize("problem_id", ["nmr2", "nmr3"])
     def test_operands_unchanged(self, problem_id):
         # M=130: the coefficient products run over two strips
         p = builtin(problem_id)
-        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 130)), p.v, p.w, 2)
+        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 130)), p.v, p.w, 2,
+                             keep_bases=True)
         vb, wb, tri = res.run_v_basis, res.run_w_basis, res.run_tri
         alpha, beta = tri.alphas[1], tri.betas[0]
         av, wa = star_mul_tv(res.operator, vb[1]), star_mul_vt(wb[1], res.operator)
@@ -509,6 +515,69 @@ class TestUpdates:
                 w_first, w_first - coef_times_vec(beta, wb[0]).data]
         for g, x in zip(got, want):
             assert np.array_equal(g, x)
+
+        # with a workspace buffer the same bits are formed in the kernel output's buffer
+        tmp = np.empty(av.mesh.shape, av.data.dtype)
+        in_place = [_v_update(av, vb[1], alpha, vb[0], tmp=tmp),
+                    _w_update(wa, alpha, wb[1], beta, wb[0], tmp=tmp)]
+        for g, x, prod in zip(in_place, want[1::2], (av, wa)):
+            assert np.shares_memory(g, prod.data) and np.array_equal(g, x)
+
+
+class TestWorkspace:
+    """Without ``keep_bases`` the loop rotates a fixed set of buffers, with the same bits."""
+
+    @staticmethod
+    def assert_same_run(a4, v, w, n):
+        lean = tensor_lanczos(a4, v, w, n)
+        kept = tensor_lanczos(a4, v, w, n, keep_bases=True)
+        assert lean.run_v_basis is None and lean.run_w_basis is None
+        assert len(kept.run_v_basis) == len(kept.run_w_basis) == kept.run_tri.n
+        assert lean.status == kept.status
+        got, want = (
+            [*r.run_tri.alphas, *r.run_tri.betas, r.run_residual_v.data, r.run_residual_w.data]
+            for r in (lean, kept))
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        return lean
+
+    # past their Krylov dimension const3 stops lucky, timedep5 and nmr1 seriously
+    @pytest.mark.parametrize("m", [40, 130])
+    @pytest.mark.parametrize("problem_id,n", [("const3", 5), ("timedep5", 7), ("zero1", 1),
+                                              ("nmr1", 8), ("nmr2", 4), ("nmr3", 4)])
+    def test_bit_identical_to_the_kept_bases(self, problem_id, n, m):
+        p = builtin(problem_id)
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
+        self.assert_same_run(a4, p.v, p.w, n)
+
+    def test_bit_identical_with_complex_probes(self):
+        p = builtin("timedep5")
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, 130))
+        v = p.v + 0.5j * np.arange(p.n)
+        res = self.assert_same_run(a4, v, p.w - 0.25j, 4)
+        assert res.status.completed and res.operator.data.dtype == np.complex128
+
+    def test_solve_path_memory_flat_in_n(self):
+        # nmr2 runs in float64; one hypervector is M * N * M * 8 bytes = 1.76 MiB
+        p = builtin("nmr2")
+        m = 120
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
+        hypervector = m * p.n * m * 8
+        peaks = []
+        for n in (3, 6):
+            tracemalloc.start()
+            try:
+                res = tensor_lanczos(a4, p.v, p.w, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.status.completed and res.tri.n == n
+            assert res.run_v_basis is None and res.run_w_basis is None
+            del res
+        assert abs(peaks[1] - peaks[0]) < hypervector
+        # the loop's seven buffers, with the coefficients and a copy of the profiles
+        assert peaks[0] < 8 * hypervector
 
 
 class TestAssembleTridiag:

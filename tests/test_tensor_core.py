@@ -22,7 +22,14 @@ from toelanczos import (
     star_mul_vt,
     tensor_lanczos,
 )
-from toelanczos.tensor_core import _prefix_sum, _strips, coef_times_vec, vec_times_coef
+from toelanczos.tensor_core import (
+    _from_mesh,
+    _mesh,
+    _prefix_sum,
+    _strips,
+    coef_times_vec,
+    vec_times_coef,
+)
 from oracles import (
     dense_mul_tv,
     dense_mul_vt,
@@ -448,7 +455,8 @@ class TestMeshMajorLayout:
         p = builtin(problem_id)
         # at M=100 BLAS rounds a float64 slice product differently when the
         # dual operand is C-ordered, so layout independence is not automatic
-        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 100)), p.v, p.w, 3)
+        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 100)), p.v, p.w, 3,
+                             keep_bases=True)
         assert res.status.completed and res.operator.data.dtype == dtype
         return res
 
@@ -539,3 +547,46 @@ class TestTriangularStrips:
             assert got.dtype == dtype
             assert rel_err(got, want) < 1e-13
             assert not got[..., upper[0], upper[1]].any()
+
+
+class TestWorkspaceBuffers:
+    """A kernel writes into a given buffer the bits it returns in a fresh one."""
+
+    @staticmethod
+    def mesh_major(hv):
+        return _from_mesh(_mesh(hv), hv.orientation)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+    @pytest.mark.parametrize("m", [40, 130])
+    def test_out_matches_the_fresh_call(self, m, dtype):
+        rng = np.random.default_rng(m)
+        a = ProfileTensor(rng.standard_normal((3, 3, m)) * (1j if dtype == np.complex128 else 1))
+        v = self.mesh_major(rand_lower(rng, 3, m, dtype))
+        w = self.mesh_major(rand_lower(rng, 3, m, dtype, "dual"))
+        c = rand_lower(rng, 1, m, dtype).data[0]
+
+        def garbage():
+            # NaNs left anywhere in the result would fail array_equal
+            return np.full((m, 3, m), np.nan, dtype)
+
+        calls = [(star_mul_tv, (a, v), {"scratch": garbage()}), (star_mul_vt, (w, a), {}),
+                 (vec_times_coef, (v, c), {}), (coef_times_vec, (c, w), {})]
+        for kernel, args, scratch in calls:
+            out = garbage()
+            got = kernel(*args, out=out, **scratch)
+            assert is_mesh_major(got) and np.shares_memory(got.data, out)
+            assert np.array_equal(got.data, kernel(*args).data)
+
+    def test_unusable_buffers_raise(self):
+        rng = np.random.default_rng(1)
+        a = rand_profile(rng, 2, 5)
+        v = self.mesh_major(rand_lower(rng, 2, 5, np.complex128))
+        with pytest.raises(ShapeError, match="buffer"):
+            star_mul_tv(a, v, out=np.empty((5, 2, 5)))  # float64 for a complex product
+        with pytest.raises(ShapeError, match="buffer"):
+            vec_times_coef(v, np.eye(5), out=np.empty((5, 2, 5), complex).transpose(2, 1, 0))
+        with pytest.raises(ValueError, match="share memory"):
+            vec_times_coef(v, np.eye(5), out=v.mesh)
+        scratch = np.empty((5, 2, 5), complex)
+        with pytest.raises(ValueError, match="share memory"):
+            star_mul_tv(a, v, out=scratch, scratch=scratch)

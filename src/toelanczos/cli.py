@@ -112,12 +112,11 @@ def solve(problem, m, n, eps_lucky=DEFAULT_EPS_LUCKY, eps_serious=DEFAULT_EPS_SE
     A breakdown prefix still defines a (shorter) resolvent: it is evaluated,
     and ``solution`` is ``None`` when it is unusable.  On a completed run an
     unusable resolvent raises :class:`ResolventSingularError`.  The result
-    keeps its bases, which the diagnostics read; a caller that needs only the
-    coefficients calls :func:`~toelanczos.lanczos.tensor_lanczos` itself.
+    holds no basis; the diagnostics rebuild the bases from it on first read.
     """
     mesh = build_mesh(problem.a, problem.b, m)
     result = tensor_lanczos(discretize_problem(problem, mesh), problem.v, problem.w, n,
-                            eps_lucky=eps_lucky, eps_serious=eps_serious, keep_bases=True)
+                            eps_lucky=eps_lucky, eps_serious=eps_serious)
     try:
         return mesh, result, approx_solution(result.tri, mesh, result.normalization)
     except ResolventSingularError:

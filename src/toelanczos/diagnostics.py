@@ -18,20 +18,16 @@ formed.
 Every measure takes the :class:`~toelanczos.lanczos.LanczosResult` alone
 and reads the run as it was computed: its ``operator`` ``A / scale`` and
 its ``run_*`` fields, in the run's dtype, so a float64 run is measured in
-float64.  They read the bases, which a run keeps only with
-``keep_bases=True``; on any other run they raise ``ValueError``.  For
-``scale = i`` the ``i``-map multiplies each biorthogonality entry and each
-recurrence row by a unit factor and moment ``k`` by ``i^k`` (see
-:mod:`toelanczos.lanczos`), so the measures are those of the run on ``A``;
-:func:`moment_matrices` applies the ``i^k`` to return the moments of ``A``.
-
-The recurrence residuals call the iteration's own update helpers
-(``lanczos._v_update`` and ``lanczos._w_update``) per basis vector and
-subtract the next vector, so the grouping is the iteration's by
-construction.  It is algebraically identical to forming
-``A*V_n - V_n*T_n - V~_n`` from materialized tensors and reproduces it to
-roundoff, and it makes the W-side residual vanish exactly, which is the
-pinned expected behavior.
+float64.  The run keeps no basis: :func:`err_recurrences` and
+:func:`err_biorth` read the result's ``walk``, which rebuilds the bases
+once from the coefficients with the iteration's own updates (so the
+recurrence rows keep its grouping, and match ``A*V_n - V_n*T_n - V~_n`` of
+materialized tensors to roundoff), and :func:`moment_matrices` lifts the
+run's probes.  For ``scale = i`` the
+``i``-map multiplies each biorthogonality entry and each recurrence row by
+a unit factor and moment ``k`` by ``i^k`` (see :mod:`toelanczos.lanczos`),
+so the measures are those of the run on ``A``; :func:`moment_matrices`
+applies the ``i^k`` to return the moments of ``A``.
 
 A run can complete with finite coefficients and still overflow in its
 diagnostics: moment ``k`` raises the operator to the ``k``-th power.  The
@@ -47,16 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lanczos import LanczosResult, _times_i_power, _v_update, _w_update
-from .tensor_core import (
-    frobenius,
-    lift,
-    star_inner,
-    star_mul_tv,
-    star_mul_vt,
-    vec_times_coef,
-)
-from .tensor_core import star_mul_tt  # unused here: the benchmark's tracer wraps it by name
+from .lanczos import LanczosResult, _times_i_power
+from .tensor_core import frobenius, lift, lift_dual, star_inner, star_mul_tv
+# unused here: the benchmark's tracer wraps them by name
+from .tensor_core import star_mul_tt, star_mul_vt
 
 __all__ = [
     "ErrorReport",
@@ -105,14 +95,6 @@ def _ratio(num: float, den: float, name: str) -> float:
     return 0.0 if num == 0.0 else num / den
 
 
-def _bases(result: LanczosResult, name: str) -> tuple[list, list]:
-    """The run's bases; a run that did not keep them raises ``ValueError`` naming ``name``."""
-    if result.run_v_basis is None or result.run_w_basis is None:
-        raise ValueError(f"{name} reads the Lanczos bases; run tensor_lanczos "
-                         "with keep_bases=True")
-    return result.run_v_basis, result.run_w_basis
-
-
 def err_biorth(result: LanczosResult) -> float:
     """Relative deviation of ``W_n * V_n`` from the ``*`` identity.
 
@@ -120,9 +102,9 @@ def err_biorth(result: LanczosResult) -> float:
     ``W_n`` the dual basis as the rows of an n x N one, so entry (i, j) of
     ``W_n * V_n`` is ``W_i^D * V_j``: the n x n table of
     :func:`~toelanczos.tensor_core.star_inner` on the run's bases, with
-    ``I`` subtracted on the diagonal.
+    ``I`` subtracted on the diagonal.  The bases are the result's ``walk``.
     """
-    vb, wb = _bases(result, "err_biorth")
+    vb, wb = result.walk.v_basis, result.walk.w_basis
     eye = np.eye(vb[0].m)
     with np.errstate(over="ignore", invalid="ignore"):
         dev = [star_inner(w, v) - eye if i == j else star_inner(w, v)
@@ -143,43 +125,22 @@ def _relative_residual(rows, name: str) -> float:
 def err_recurrences(result: LanczosResult) -> tuple[float, float]:
     """Relative residuals of the compact three-term recurrences (err_V, err_W).
 
-    Row k recomputes ``A*V_k`` and ``W_k*A``, applies the iteration's own
-    update (:func:`~toelanczos.lanczos._v_update`,
-    :func:`~toelanczos.lanczos._w_update`) and subtracts the next vector,
-    ``V_{k+1} x beta_{k+1}`` and ``W_{k+1}``, or the stored residual on the
-    last row.  Denominators follow the displayed measures:
-    ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and the W analogue.  Each row
-    contributes its three squared norms and is then dropped.
-
-    The rows are formed on the run, with ``A / scale`` and in its dtype, so
-    the W row repeats the iteration's arithmetic exactly and ``err_W`` is 0.
+    From the rows of the result's ``walk``: row k is the iteration's own
+    update of ``A*V_k`` (``W_k*A``) less the next vector, or less the stored
+    residual on the last row.  Denominators follow the displayed measures,
+    ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and the W analogue.  The rows repeat
+    the run's arithmetic in its dtype, so ``err_W`` is exactly 0.
     """
-    b = result.operator
-    tri = result.run_tri
-    vb, wb = _bases(result, "err_recurrences")
-    v_rows, w_rows = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(tri.n):
-            last = k + 1 == tri.n
-            v_next = result.run_residual_v if last else vec_times_coef(vb[k + 1], tri.betas[k])
-            w_next = result.run_residual_w if last else wb[k + 1]
-            av = star_mul_tv(b, vb[k])
-            wa = star_mul_vt(wb[k], b)
-            prev = () if k == 0 else (vb[k - 1],)
-            v_num = _v_update(av, vb[k], tri.alphas[k], *prev) - v_next.data
-            prev = () if k == 0 else (tri.betas[k - 1], wb[k - 1])
-            w_num = _w_update(wa, tri.alphas[k], wb[k], *prev) - w_next.data
-            v_rows.append((frobenius(av), frobenius(v_num), frobenius(av.data - v_num)))
-            w_rows.append((frobenius(wa), frobenius(w_num), frobenius(wa.data - w_num)))
-    return _relative_residual(v_rows, "err_V"), _relative_residual(w_rows, "err_W")
+    walk = result.walk
+    return _relative_residual(walk.v_rows, "err_V"), _relative_residual(walk.w_rows, "err_W")
 
 
 def moment_matrices(result: LanczosResult,
                     k_max: int | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Both sides of the matching moments for k = 0 .. k_max (default 2n-1).
 
-    Returns the lists ``W_1^D * A^{k*} * V_1`` (the run's starting
-    hypervectors, normalization included) and ``e_1^D * T_n^{k*} * e_1``
+    Returns the lists ``W_1^D * A^{k*} * V_1`` (the lifts of the run's
+    probes ``run_start``, normalization included) and ``e_1^D * T_n^{k*} * e_1``
     (first Euclidean lifts of length n), each an m x m matrix per k.  The
     powers are never formed: each side keeps its Krylov vector and applies
     one product per k, ``A * cur`` on the left and the three-term
@@ -195,10 +156,10 @@ def moment_matrices(result: LanczosResult,
     n = tri.n
     if k_max is None:
         k_max = 2 * n - 1
-    vb, wb = _bases(result, "moment_matrices")
+    v, w = result.run_start
     e1 = np.zeros(n)
     e1[0] = 1.0
-    w_lift, cur = wb[0], vb[0]
+    w_lift, cur = lift_dual(w, tri.m), lift(v, tri.m)
     cur_t = lift(e1, tri.m)
     lhs = [star_inner(w_lift, cur)]
     rhs = [cur_t.data[0].copy()]
@@ -219,7 +180,6 @@ def err_moments(result: LanczosResult, k_max: int | None = None) -> np.ndarray:
     ``err_M(k) = |L_k - R_k| / max(|L_k|, |R_k|)`` for the moment pair of
     :func:`moment_matrices`, whose starting hypervectors are the run's own.
     """
-    _bases(result, "err_moments")
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (lhs, rhs) in enumerate(zip(*moment_matrices(result, k_max))):

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,35 +163,51 @@ def _times_i_power(x: np.ndarray, p: int) -> np.ndarray:
     return _I_POWERS[p % 4] * x
 
 
+class LanczosWalk(NamedTuple):
+    """The bases ``V_1..V_n``, ``W_1^D..W_n^D`` and the recurrence rows of a run.
+
+    ``v_hat, w_hat`` are the last row's hatted pair, the run's residuals.  Row
+    k of ``v_rows`` is ``(|A*V_k|, |R_k|, |A*V_k - R_k|)``; ``w_rows`` likewise.
+    """
+
+    v_basis: list[HyperVec]
+    w_basis: list[HyperVec]
+    v_hat: HyperVec
+    w_hat: HyperVec
+    v_rows: list[tuple[float, float, float]]
+    w_rows: list[tuple[float, float, float]]
+
+
+def _row_norms(product: HyperVec, residual: np.ndarray) -> tuple[float, float, float]:
+    """``(|P|, |R|, |P - R|)`` of a recurrence row; ``P - R`` is formed in ``R``'s buffer."""
+    r = frobenius(residual)
+    return frobenius(product), r, frobenius(np.subtract(product.data, residual, out=residual))
+
+
 @dataclass
 class LanczosResult:
-    """Coefficients, bases, residuals and status of one Lanczos run on ``A``.
+    """Coefficients, residuals and status of one Lanczos run on ``A``.
 
     ``operator`` is the operator the recurrence ran on, ``A / scale`` in the
     run's dtype; for a float64 run it is a view of ``A``'s profiles.  The
     ``run_*`` fields hold the recurrence as it ran on it: the coefficients
-    ``run_tri``, the bases ``run_v_basis`` and ``run_w_basis``, and the
+    ``run_tri``, the probes ``run_start = (v, w)`` it lifted to ``V_1`` and
+    ``W_1^D`` (``v`` normalized, both in the run's dtype), and the
     residuals ``run_residual_v``, which is ``V_{n+1} x beta_{n+1}`` (the
-    unnormalized V residual), and ``run_residual_w``, which is ``W_{n+1}^D``;
-    the residuals are exactly the hatted vectors of the last completed
-    iteration and form the nonzero slices of the recurrence residual
-    tensors.  The diagnostics read ``operator`` and these fields alone.
-    The bases are ``None`` unless the run kept them
-    (``tensor_lanczos(..., keep_bases=True)``): the resolvent reads only
-    the coefficients, and the diagnostics refuse a run without bases.
+    unnormalized V residual), and ``run_residual_w``, which is
+    ``W_{n+1}^D``: the hatted vectors of the last completed iteration.  The
+    run keeps no basis; ``walk`` rebuilds the bases from these fields.
 
     ``tri`` holds the coefficients of the run on ``A``: ``run_tri`` itself
     for ``scale = 1``, and for ``scale = i`` the module's ``i``-map applied
-    once on first read.  It is the only mapped view; a run's bases are never
-    copied into complex.
+    once on first read; the bases are never copied into complex.
 
     ``normalization`` records the ``w^H v`` factor divided out of ``v`` on
     entry; downstream solution values must be rescaled by it.
     """
 
     run_tri: TriTensor
-    run_v_basis: list[HyperVec] | None
-    run_w_basis: list[HyperVec] | None
+    run_start: tuple[np.ndarray, np.ndarray]
     run_residual_v: HyperVec
     run_residual_w: HyperVec
     status: LanczosStatus
@@ -205,6 +222,42 @@ class LanczosResult:
             return run
         return TriTensor(run.m, [_times_i_power(a, 1) for a in run.alphas],
                          [_times_i_power(b, 2) for b in run.betas])
+
+    @cached_property
+    def walk(self) -> LanczosWalk:
+        """The bases and recurrence rows, from one walk over the run's coefficients.
+
+        Row k forms ``A*V_k``, ``W_k*A`` and the hatted pair with the loop's
+        own updates, ``V_{k+1} = V_hat x beta_{k+1}^{-1}`` with its inverse,
+        ``W_{k+1} = W_hat``, and ``R_k``: the hatted vector less the next one
+        (``V_{k+1} x beta_{k+1}``), or less the residual on the last row.  A
+        kernel gives the same bits into a fresh buffer as into the loop's
+        workspace, so the walk is the run bit for bit.
+        """
+        b, tri = self.operator, self.run_tri
+        vb, wb = [lift(self.run_start[0], tri.m)], [lift_dual(self.run_start[1], tri.m)]
+        v_rows, w_rows = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(tri.n):
+                av, wa = star_mul_tv(b, vb[k]), star_mul_vt(wb[k], b)
+                w_prev = () if k == 0 else (tri.betas[k - 1], wb[k - 1])
+                v_prev = () if k == 0 else (vb[k - 1],)
+                w_hat = HyperVec(_w_update(wa, tri.alphas[k], wb[k], *w_prev), "dual")
+                v_hat = HyperVec(_v_update(av, vb[k], tri.alphas[k], *v_prev), "right")
+                if k + 1 == tri.n:
+                    hats = v_hat, w_hat
+                    v_res = v_hat.data - self.run_residual_v.data
+                    w_res = w_hat.data - self.run_residual_w.data
+                else:  # V_hat is spent once V_{k+1} is formed: R_k takes its buffer
+                    vb.append(vec_times_coef(v_hat, _inverse_lower(tri.betas[k])[0]))
+                    wb.append(w_hat)
+                    v_res = np.subtract(v_hat.data, vec_times_coef(vb[-1], tri.betas[k]).data,
+                                        out=v_hat.data)
+                    w_res = w_hat.data - wb[-1].data
+                v_rows.append(_row_norms(av, v_res))
+                w_rows.append(_row_norms(wa, w_res))
+                del av, wa, v_hat, w_hat, v_res, w_res  # freed before the next row's products
+        return LanczosWalk(vb, wb, *hats, v_rows, w_rows)
 
 
 def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
@@ -234,11 +287,11 @@ def _w_update(wa: HyperVec, alpha: np.ndarray, w_k: HyperVec,
 
     Returns the data of the dual hypervector, in the operands' mesh-major
     layout.  The one place that writes this grouping: the iteration and
-    :func:`~toelanczos.diagnostics.err_recurrences` both call it, which is
-    what makes ``err_W`` exactly zero.  Without ``tmp`` the differences are
-    formed in the fresh buffer of ``alpha_k x W_k``, so no operand is
-    written to; with ``tmp``, a workspace buffer that takes the coefficient
-    products, they are formed in ``wa``'s own buffer, with the same values.
+    :attr:`LanczosResult.walk` both call it, which is what makes ``err_W``
+    exactly zero.  The differences are formed in the fresh buffer of
+    ``alpha_k x W_k``, so no operand is written to, or, given a workspace
+    buffer ``tmp`` for the coefficient products, in ``wa``'s own buffer,
+    with the same values.
     """
     prod = coef_times_vec(alpha, w_k, out=tmp).data
     out = prod if tmp is None else wa.data
@@ -253,10 +306,8 @@ def _v_update(av: HyperVec, v_k: HyperVec, alpha: np.ndarray,
     """``(A*V_k - V_k x alpha_k) - V_{k-1}``; the last term is absent for k = 1.
 
     Returns the data of the right hypervector, in the operands' mesh-major
-    layout.  Without ``tmp`` the differences are formed in the fresh buffer
-    of ``V_k x alpha_k``, so no operand is written to; with ``tmp``, a
-    workspace buffer that takes that product, they are formed in ``av``'s
-    own buffer, with the same values.
+    layout, formed as :func:`_w_update` forms its own: in the fresh buffer
+    of ``V_k x alpha_k``, or, given ``tmp`` for that product, in ``av``'s.
     """
     prod = vec_times_coef(v_k, alpha, out=tmp).data
     out = prod if tmp is None else av.data
@@ -310,8 +361,7 @@ def _scaled_operator(a: ProfileTensor, v: np.ndarray,
 
 def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                    eps_lucky: float = DEFAULT_EPS_LUCKY,
-                   eps_serious: float = DEFAULT_EPS_SERIOUS,
-                   keep_bases: bool = False) -> LanczosResult:
+                   eps_serious: float = DEFAULT_EPS_SERIOUS) -> LanczosResult:
     """Run n iterations of the tensor non-Hermitian Lanczos process.
 
     Parameters
@@ -326,23 +376,12 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     eps_lucky, eps_serious : float
         Breakdown thresholds, see :func:`classify_breakdown`; NaN, which
         would switch a check off, raises ``ValueError``.
-    keep_bases : bool
-        Keep every basis hypervector in the result, for the diagnostics
-        that read them.  The coefficients, residuals and status do not
-        depend on it, bit for bit.
 
-    Without ``keep_bases`` the loop runs on seven mesh-major buffers (the
-    module docstring of :mod:`~toelanczos.tensor_core`, "Workspace"):
-    ``V_{k-1}``, ``V_k``, ``W_{k-1}`` and ``W_k``; ``W_k*A``, which becomes
-    ``W_hat_{k+1}`` by in-place subtraction, and ``A*V_k``, which becomes
-    ``V_hat_{k+1}`` the same way; and one temporary for the coefficient
-    products and the prefix sum of ``A*V_k``.  ``V_{k+1}`` is written into
-    ``V_{k-1}``'s buffer, ``W_hat_{k+1}`` becomes ``W_{k+1}``, and
-    ``W_{k-1}``'s buffer takes the next ``W*A``, so the memory of a run does
-    not grow with ``n``.  With ``keep_bases`` the same loop passes no buffer,
-    so every product gets a fresh one, and the lists keep every basis
-    vector; up-front workspace buffers there cost the CLI's runs page
-    faults and time (decisions ledger, "One workspace per run").
+    The loop rotates seven mesh-major buffers, so its memory does not grow
+    with ``n``: ``V_{k-1}``, ``V_k``, ``W_{k-1}`` and ``W_k``; ``W_k*A`` and
+    ``A*V_k``, which become the hatted pair in place; and one temporary
+    (module docstring of :mod:`~toelanczos.tensor_core`, "Workspace").  The
+    result keeps no basis; :attr:`LanczosResult.walk` rebuilds the bases.
 
     ``V_{k+1}`` is one matrix product of the stacked residual slices with
     the exact-zero inverse of the lower-triangular ``beta_{k+1}``; that needs
@@ -383,15 +422,11 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     alphas: list[np.ndarray] = []
     betas: list[np.ndarray] = []
 
-    def workspace():  # None: the kernel allocates the product's buffer itself
-        return None if keep_bases else np.empty(v_basis[0].mesh.shape, b.data.dtype)
-
-    wa_buf, av_buf, tmp = workspace(), workspace(), workspace()
+    wa_buf, av_buf, tmp = (np.empty(v_basis[0].mesh.shape, b.data.dtype) for _ in range(3))
 
     def finish(status, res_v, res_w):
-        tri = TriTensor(m, alphas, betas)
-        bases = (v_basis, w_basis) if keep_bases else (None, None)
-        return LanczosResult(tri, *bases, res_v, res_w, status, normalization, scale, b)
+        return LanczosResult(TriTensor(m, alphas, betas), (v, w), res_v, res_w, status,
+                             normalization, scale, b)
 
     # an overflow shows in the next coefficient, which is checked before use
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,8 +454,8 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                 return finish(replace(breakdown, k=k), v_hat, w_hat)
 
             betas.append(beta_next)
-            if keep_bases or k == 1:
-                v_out, wa_buf = workspace(), workspace()
+            if k == 1:
+                v_out, wa_buf = np.empty_like(tmp), np.empty_like(tmp)
             else:  # V_{k-1}'s buffer takes V_{k+1}, and W_{k-1}'s the next W*A
                 v_out, wa_buf = v_basis.pop(0).mesh, w_basis.pop(0).mesh
             v_basis.append(vec_times_coef(v_hat, inverse, out=v_out))

@@ -528,10 +528,11 @@ def problem_from_json(text: str) -> Problem:
     A malformed document raises ``ValueError`` naming the bad field: a
     missing field, or a value of the wrong JSON type, such as a string or
     list where a number belongs.  ``power`` must be an integer; an integral
-    float such as ``2.0`` is read as ``2``, and ``1.7`` is rejected.
+    float such as ``2.0`` is read as ``2``, and ``1.7`` is rejected.  Two
+    entries with the same ``(k, l)`` are rejected too, naming both.
     """
     doc = _typed(json.loads(text), "the document", "object")
-    entries = {}
+    entries, first = {}, {}  # first: (k, l) -> index of its entry
     for i, ent in enumerate(_field(doc, "entries", "list")):
         where = f"entries[{i}]"
         terms = []
@@ -540,8 +541,11 @@ def problem_from_json(text: str) -> Problem:
             terms.append(Term(_complex_field(t, tw), _field(t, "power", "integer", tw, 0),
                               _field(t, "trig", "string", tw, "none"),
                               _field(t, "omega", "number", tw, 0.0)))
-        entries[(_field(ent, "k", "integer", where) - 1,
-                 _field(ent, "l", "integer", where) - 1)] = terms
+        kl = (_field(ent, "k", "integer", where), _field(ent, "l", "integer", where))
+        if first.setdefault(kl, i) != i:
+            raise ValueError(f"problem file: entries[{first[kl]}] and {where} both give "
+                             f"entry (k, l) = {kl}")
+        entries[(kl[0] - 1, kl[1] - 1)] = terms
     v, w = (np.array([_complex_field(z, f"{key}[{i}]")
                       for i, z in enumerate(_field(doc, key, "list"))]) for key in ("v", "w"))
     interval = _field(doc, "interval", "list")

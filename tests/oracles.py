@@ -187,12 +187,12 @@ def _mapped(result, hv: HyperVec, p: int) -> HyperVec:
 
 def v_basis(result) -> list[HyperVec]:
     """The right basis of the run on ``A``: ``V_k -> i^-(k-1) V_k`` for ``scale = i``."""
-    return [_mapped(result, hv, -k) for k, hv in enumerate(result.run_v_basis)]
+    return [_mapped(result, hv, -k) for k, hv in enumerate(result.walk.v_basis)]
 
 
 def w_basis(result) -> list[HyperVec]:
     """The dual basis of the run on ``A``: ``W_k -> i^(k-1) W_k`` for ``scale = i``."""
-    return [_mapped(result, hv, k) for k, hv in enumerate(result.run_w_basis)]
+    return [_mapped(result, hv, k) for k, hv in enumerate(result.walk.w_basis)]
 
 
 def residual_v(result) -> HyperVec:

@@ -136,7 +136,7 @@ class TestCriterion04RandomProblems:
             p = tl.Problem(f"rand{runs}", n_dim, 0.0, 1.0, entries, v, w)
             mesh = tl.build_mesh(0.0, 1.0, m)
             a4 = tl.discretize_problem(p, mesh)
-            result = tl.tensor_lanczos(a4, v, w, n_dim, keep_bases=True)
+            result = tl.tensor_lanczos(a4, v, w, n_dim)
             if not result.status.completed:
                 continue
             ev, ew = tl.err_recurrences(result)

@@ -298,8 +298,11 @@ class TestMalformedProblemFile:
         (lambda doc: {**doc, "v": [doc["v"][0], {"re": float("nan"), "im": 0.0},
                                    doc["v"][2]]}, "v[1].re"),
         (_with_term("omega", float("inf")), "entries[0].terms[0].omega"),
+        # entry (1, 1) twice, the second with no terms: no A(t) is solved
+        (lambda doc: {**doc, "entries": [*doc["entries"], {"k": 1, "l": 1, "terms": []}]},
+         "entries[0] and entries[8] both give entry (k, l) = (1, 1)"),
     ], ids=["v-item-not-object", "re-string", "top-level-array", "fractional-power",
-            "v-re-nan", "omega-infinity"])
+            "v-re-nan", "omega-infinity", "duplicate-entry"])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(change(json.loads(problem_to_json(builtin("const3"))))))

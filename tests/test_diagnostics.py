@@ -65,7 +65,7 @@ def rand3():
 def run(problem, m, n):
     mesh = build_mesh(problem.a, problem.b, m)
     a4 = discretize_problem(problem, mesh)
-    return a4, tensor_lanczos(a4, problem.v, problem.w, n, keep_bases=True)
+    return a4, tensor_lanczos(a4, problem.v, problem.w, n)
 
 
 def flattened_recurrences(res, a4):
@@ -192,7 +192,7 @@ class TestMeasuresOnRuns:
         a4, res = run(rand3() if problem_id == "rand3" else builtin(problem_id), m, n)
         rng = np.random.default_rng(17)
         perturbed = {}
-        for side, basis in (("v", res.run_v_basis), ("w", res.run_w_basis)):
+        for side, basis in (("v", res.walk.v_basis), ("w", res.walk.w_basis)):
             old = getattr(res, f"run_residual_{side}")
             noise = rng.standard_normal(old.data.shape)
             noise *= 1e-3 * frobenius(basis[-1]) / np.linalg.norm(noise)
@@ -209,18 +209,6 @@ class TestMeasuresOnRuns:
         _, res = run(p, 10, 3)
         errs = err_moments(res)
         assert np.all(errs[:3] < 1e-13)
-
-
-class TestRunsWithoutBases:
-    @pytest.mark.parametrize("measure", [err_biorth, err_recurrences, moment_matrices,
-                                         err_moments], ids=lambda f: f.__name__)
-    def test_refused_with_one_line(self, measure):
-        p = builtin("const3")
-        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 10)), p.v, p.w, 3)
-        assert res.run_v_basis is None and res.run_w_basis is None
-        with pytest.raises(ValueError, match=f"^{measure.__name__} reads the Lanczos bases; "
-                                             "run tensor_lanczos with keep_bases=True$"):
-            measure(res)
 
 
 def assert_moments_match_powers(res, a4):

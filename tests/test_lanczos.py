@@ -64,7 +64,7 @@ def run_const3(m, n=3):
     p = builtin("const3")
     mesh = build_mesh(p.a, p.b, m)
     a4 = discretize_problem(p, mesh)
-    return p, mesh, a4, tensor_lanczos(a4, p.v, p.w, n, keep_bases=True)
+    return p, mesh, a4, tensor_lanczos(a4, p.v, p.w, n)
 
 
 class TestBasicRuns:
@@ -85,7 +85,7 @@ class TestBasicRuns:
         _, _, _, res = run_const3(8)
         assert res.status.completed
         assert res.tri.n == 3
-        assert len(res.run_v_basis) == 3 and len(res.run_w_basis) == 3
+        assert len(res.walk.v_basis) == 3 and len(res.walk.w_basis) == 3
         assert len(res.tri.betas) == 2
 
     def test_moment_matching_exercises_theorem(self):
@@ -143,7 +143,7 @@ class TestLowerTriangularInvariants:
     def test_strict_upper_triangles_exactly_zero(self, problem_id, m, n):
         p = builtin(problem_id)
         a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
-        res = tensor_lanczos(a4, p.v, p.w, n, keep_bases=True)
+        res = tensor_lanczos(a4, p.v, p.w, n)
         assert res.status.completed and res.tri.n == n
         mats = [*res.tri.alphas, *res.tri.betas, residual_v(res).data, residual_w(res).data]
         for hv in v_basis(res) + w_basis(res):
@@ -161,10 +161,10 @@ class TestRunArithmetic:
     def test_run_dtype_per_builtin(self, problem_id, dtype, scale):
         p = builtin(problem_id)
         a4 = discretize_problem(p, build_mesh(p.a, p.b, 8))
-        res = tensor_lanczos(a4, p.v, p.w, min(p.n, 3), keep_bases=True)
+        res = tensor_lanczos(a4, p.v, p.w, min(p.n, 3))
         assert res.status.completed and res.scale == scale
         run = [*res.run_tri.alphas, *res.run_tri.betas, res.run_residual_v.data,
-               res.run_residual_w.data, *(hv.data for hv in res.run_v_basis + res.run_w_basis)]
+               res.run_residual_w.data, *(hv.data for hv in res.walk.v_basis + res.walk.w_basis)]
         assert all(x.dtype == dtype for x in run)
         # the i*B coefficients are mapped to complex ones; a real run's stay real
         want = np.complex128 if scale == 1j else dtype
@@ -188,7 +188,7 @@ class TestRunArithmetic:
             kappa = max(np.linalg.norm(x) * np.linalg.norm(y) / m
                         for x, y in zip(ref["v_basis"], ref["w_basis"]))
             assume(kappa <= 10)
-            res = tensor_lanczos(a4, v, w, n, keep_bases=True)
+            res = tensor_lanczos(a4, v, w, n)
             assert res.status.completed and res.scale == scale
             assert not np.iscomplexobj(res.run_tri.alphas[0])
             pairs = [*zip(res.tri.alphas, ref["alphas"]), *zip(res.tri.betas, ref["betas"]),
@@ -369,11 +369,16 @@ class TestTracedKernels:
         calls.clear()
         assert cli.main(["run", "--problem", problem_id, "--M", str(m), "--n", str(n),
                          "--output", str(tmp_path / "r")]) == 0
-        # moments: 2n-1 products and 2n inners; recurrences: n of each
-        # product; biorthogonality: the n x n inner table
-        assert calls == Counter({**loop, ("diagnostics", "star_mul_tv"): 3 * n - 1,
-                                 ("diagnostics", "star_mul_vt"): n,
+        # the walk, built once for the recurrences and biorthogonality: n of
+        # each product; moments: 2n-1 products and 2n inners; biorthogonality:
+        # the n x n inner table
+        assert calls == Counter({**loop, ("lanczos", "star_mul_tv"): 2 * n,
+                                 ("lanczos", "star_mul_vt"): 2 * n,
+                                 ("diagnostics", "star_mul_tv"): 2 * n - 1,
                                  ("diagnostics", "star_inner"): n * n + 2 * n})
+        # loop, moments and one walk: a second walk would add n
+        tv = sum(c for (_, name), c in calls.items() if name == "star_mul_tv")
+        assert tv == n + (2 * n - 1) + n
 
 
 class TestClassifyBreakdown:
@@ -497,9 +502,8 @@ class TestUpdates:
     def test_operands_unchanged(self, problem_id):
         # M=130: the coefficient products run over two strips
         p = builtin(problem_id)
-        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 130)), p.v, p.w, 2,
-                             keep_bases=True)
-        vb, wb, tri = res.run_v_basis, res.run_w_basis, res.run_tri
+        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 130)), p.v, p.w, 2)
+        vb, wb, tri = res.walk.v_basis, res.walk.w_basis, res.run_tri
         alpha, beta = tri.alphas[1], tri.betas[0]
         av, wa = star_mul_tv(res.operator, vb[1]), star_mul_vt(wb[1], res.operator)
         operands = [av.data, wa.data, *(hv.data for hv in vb + wb), alpha, beta]
@@ -525,22 +529,21 @@ class TestUpdates:
 
 
 class TestWorkspace:
-    """Without ``keep_bases`` the loop rotates a fixed set of buffers, with the same bits."""
+    """The loop rotates a fixed set of buffers; the walk rebuilds the run from its coefficients.
+
+    The bases a result keeps are its walk's, rebuilt on first read; the
+    bit-identity tests check that they reproduce the run that kept none.
+    """
 
     @staticmethod
-    def assert_same_run(a4, v, w, n):
-        lean = tensor_lanczos(a4, v, w, n)
-        kept = tensor_lanczos(a4, v, w, n, keep_bases=True)
-        assert lean.run_v_basis is None and lean.run_w_basis is None
-        assert len(kept.run_v_basis) == len(kept.run_w_basis) == kept.run_tri.n
-        assert lean.status == kept.status
-        got, want = (
-            [*r.run_tri.alphas, *r.run_tri.betas, r.run_residual_v.data, r.run_residual_w.data]
-            for r in (lean, kept))
-        assert len(got) == len(want)
-        for x, y in zip(got, want):
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-        return lean
+    def assert_walk_rebuilds_the_run(a4, v, w, n):
+        res = tensor_lanczos(a4, v, w, n)
+        walk = res.walk
+        assert len(walk.v_basis) == len(walk.w_basis) == res.run_tri.n
+        for got, want in ((walk.v_hat, res.run_residual_v), (walk.w_hat, res.run_residual_w)):
+            assert got.data.dtype == want.data.dtype and np.array_equal(got.data, want.data)
+        assert diagnostics.err_recurrences(res)[1] == 0.0
+        return res
 
     # past their Krylov dimension const3 stops lucky, timedep5 and nmr1 seriously
     @pytest.mark.parametrize("m", [40, 130])
@@ -549,16 +552,25 @@ class TestWorkspace:
     def test_bit_identical_to_the_kept_bases(self, problem_id, n, m):
         p = builtin(problem_id)
         a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
-        self.assert_same_run(a4, p.v, p.w, n)
+        self.assert_walk_rebuilds_the_run(a4, p.v, p.w, n)
 
     def test_bit_identical_with_complex_probes(self):
         p = builtin("timedep5")
         a4 = discretize_problem(p, build_mesh(p.a, p.b, 130))
         v = p.v + 0.5j * np.arange(p.n)
-        res = self.assert_same_run(a4, v, p.w - 0.25j, 4)
+        res = self.assert_walk_rebuilds_the_run(a4, v, p.w - 0.25j, 4)
         assert res.status.completed and res.operator.data.dtype == np.complex128
 
-    def test_solve_path_memory_flat_in_n(self):
+    def test_moments_leave_the_walk_unbuilt(self):
+        _, _, _, res = run_const3(10)
+        err_moments(res)
+        assert "walk" not in vars(res)
+
+    @pytest.mark.parametrize("caller", [
+        pytest.param(lambda p, a4, m, n: tensor_lanczos(a4, p.v, p.w, n), id="tensor_lanczos"),
+        pytest.param(lambda p, a4, m, n: solve(p, m, n)[1], id="cli.solve"),
+    ])
+    def test_solve_path_memory_flat_in_n(self, caller):
         # nmr2 runs in float64; one hypervector is M * N * M * 8 bytes = 1.76 MiB
         p = builtin("nmr2")
         m = 120
@@ -568,12 +580,11 @@ class TestWorkspace:
         for n in (3, 6):
             tracemalloc.start()
             try:
-                res = tensor_lanczos(a4, p.v, p.w, n)
+                res = caller(p, a4, m, n)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert res.status.completed and res.tri.n == n
-            assert res.run_v_basis is None and res.run_w_basis is None
             del res
         assert abs(peaks[1] - peaks[0]) < hypervector
         # the loop's seven buffers, with the coefficients and a copy of the profiles

@@ -359,8 +359,10 @@ class TestProblemJson:
         (lambda doc: doc["v"][1].update(re=float("nan")), r"v\[1\]\.re must be a finite"),
         (lambda doc: doc.update(interval=[float("-inf"), 1.0]), r"interval\[0\] must be a finite"),
         (lambda doc: doc["w"][0].update(im=10**400), r"w\[0\]\.im must be a finite"),
+        (lambda doc: doc["entries"].append({**doc["entries"][0], "terms": [{"re": 2, "im": 0}]}),
+         r"entries\[0\] and entries\[8\] both give entry \(k, l\) = \(1, 1\)"),
     ], ids=["n-missing", "short-interval", "im-missing", "entry-not-object", "v-re-nan",
-            "interval-minus-infinity", "integer-beyond-float"])
+            "interval-minus-infinity", "integer-beyond-float", "duplicate-entry"])
     def test_malformed_document_names_the_field(self, change, field):
         doc = json.loads(problem_to_json(builtin("const3")))
         change(doc)

@@ -455,19 +455,18 @@ class TestMeshMajorLayout:
         p = builtin(problem_id)
         # at M=100 BLAS rounds a float64 slice product differently when the
         # dual operand is C-ordered, so layout independence is not automatic
-        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 100)), p.v, p.w, 3,
-                             keep_bases=True)
+        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 100)), p.v, p.w, 3)
         assert res.status.completed and res.operator.data.dtype == dtype
         return res
 
     def test_run_stores_its_hypervectors_mesh_major(self, run):
-        hvs = [*run.run_v_basis, *run.run_w_basis, run.run_residual_v, run.run_residual_w]
+        hvs = [*run.walk.v_basis, *run.walk.w_basis, run.run_residual_v, run.run_residual_w]
         assert all(is_mesh_major(hv) for hv in hvs)
-        assert not is_mesh_major(c_ordered(run.run_v_basis[1]))
+        assert not is_mesh_major(c_ordered(run.walk.v_basis[1]))
 
     def test_products_bit_identical_across_layouts(self, run):
         a = run.operator
-        v, w = run.run_v_basis[1], run.run_w_basis[1]
+        v, w = run.walk.v_basis[1], run.walk.w_basis[1]
         c = run.run_tri.alphas[1]
         for got, want in [(star_mul_tv(a, v), star_mul_tv(a, c_ordered(v))),
                           (star_mul_vt(w, a), star_mul_vt(c_ordered(w), a)),
@@ -481,7 +480,7 @@ class TestMeshMajorLayout:
 
     def test_inner_is_the_ascending_slice_sum(self, run):
         # the order in which criterion 9's singular beta cancels exactly
-        w, v = run.run_w_basis[2], run.run_v_basis[2]
+        w, v = run.walk.w_basis[2], run.walk.v_basis[2]
         want = np.zeros_like(star_inner(w, v))
         for k in range(w.n):
             want += w.data[k] @ v.data[k]
@@ -489,7 +488,7 @@ class TestMeshMajorLayout:
         assert np.array_equal(star_inner(c_ordered(w), c_ordered(v)), want)
 
     def test_prefix_sum_is_cumsum(self, run):
-        for hv, axes in [(run.run_v_basis[1], (1, 0, 2)), (run.run_w_basis[1], (2, 0, 1))]:
+        for hv, axes in [(run.walk.v_basis[1], (1, 0, 2)), (run.walk.w_basis[1], (2, 0, 1))]:
             x = hv.data.transpose(axes)
             assert np.array_equal(_prefix_sum(x.copy()), np.cumsum(x, axis=0))
             assert np.array_equal(_prefix_sum(x.copy(), reverse=True),

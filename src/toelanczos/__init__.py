@@ -33,7 +33,6 @@ from .problems import (
     analytic_reference,
     builtin,
     builtin_ids,
-    nmr_coefficients,
     nmr_generate,
     problem_from_json,
     problem_to_json,

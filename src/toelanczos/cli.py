@@ -292,9 +292,6 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except KeyError as exc:  # str() of a KeyError quotes its message
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_SHAPE
     except (ShapeError, ValueError, prob.StiffnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE

@@ -74,17 +74,20 @@ def discretize_problem(problem, mesh: Mesh) -> ProfileTensor:
     Profile (k, l) is ``h * A_kl(tau_i)`` (entry i takes the sample at
     tau_i), with ``A(tau_i)`` from the problem's compiled evaluator
     (:meth:`~toelanczos.problems.Problem.compile_matrix`); entries with no
-    terms sample to exact zeros.  A non-finite sample raises
+    terms sample to exact zeros.  A non-finite profile value, from a
+    non-finite sample or one that overflows when scaled by ``h``, raises
     :class:`DiscretizationError` naming the first such entry (in row-major
-    order) and its ``tau``.
+    order) and its ``tau``, with no numpy warning: the sampling runs under
+    one ``np.errstate``.
     """
     a_of_t = problem.compile_matrix()
-    samples = np.stack([a_of_t(t) for t in mesh.tau], axis=-1)
-    bad = np.argwhere(~np.isfinite(samples))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        profiles = np.stack([a_of_t(t) for t in mesh.tau], axis=-1) * mesh.h
+    bad = np.argwhere(~np.isfinite(profiles))
     if bad.size:
         k, l, i = bad[0]
         raise DiscretizationError(
-            f"entry ({k}, {l}) of problem {problem.id!r} is not finite "
-            f"at tau[{i}] = {mesh.tau[i]}"
+            f"entry ({k}, {l}) of problem {problem.id!r}, scaled by h = {mesh.h}, is not "
+            f"finite at tau[{i}] = {mesh.tau[i]}"
         )
-    return ProfileTensor(samples * mesh.h)
+    return ProfileTensor(profiles)

@@ -35,7 +35,6 @@ __all__ = [
     "analytic_const3",
     "analytic_nmr1",
     "analytic_reference",
-    "nmr_coefficients",
     "nmr_generate",
     "rk45_reference",
     "StiffnessError",
@@ -51,7 +50,7 @@ RK45_MAX_CALLS = 50_000
 
 
 class StiffnessError(RuntimeError):
-    """The adaptive integrator underflowed its step size or exceeded its call budget."""
+    """The RK45 integrator underflowed its step, ran out of calls or met a non-finite A(t) u."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,8 @@ class Problem:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         self.v = np.asarray(self.v, dtype=complex).ravel()
         self.w = np.asarray(self.w, dtype=complex).ravel()
         if self.v.size != self.n or self.w.size != self.n:
@@ -220,16 +221,15 @@ def _symmetric_sparse(rng, n, scale, complex_values=False):
     return mat
 
 
-# Default frequency scales (Hz) per experiment kind.  The intervals differ by
+# Frequency scales (Hz) per experiment kind.  The intervals differ by
 # orders of magnitude, so the scales are chosen to put the integrated phase
 # 2*pi*alpha*tau_exp at O(1): the stated iteration counts then reach the
 # discretization-limited accuracy, the regime the experiments probe.
 _NMR_SCALES = {1: (4e3, 2e3), 2: (2e4, 5e3), 3: (3e2, 1.5e2)}
+_NMR_NU = 1e4  # spinning rate (Hz) of kinds 1-2
 
 
-def nmr_coefficients(kind: int, seed: int = DEFAULT_NMR_SEED, *, nu: float = 1e4,
-                     mod_scale: float | None = None,
-                     gamma_scale: float | None = None) -> NmrCoefficients:
+def _nmr_coefficients(kind: int, seed: int) -> NmrCoefficients:
     """Draw the synthetic coefficient set for one experiment kind.
 
     The true coefficient data of the cited spin systems is not public, so the
@@ -238,26 +238,21 @@ def nmr_coefficients(kind: int, seed: int = DEFAULT_NMR_SEED, *, nu: float = 1e4
     seeded uniform draw.  Diagonal frequencies are alpha ~ U(-s, s) with the
     per-kind scale s from ``_NMR_SCALES``; modulation weights and couplings
     use the second per-kind scale, and couplings get two symmetric partners
-    per row.  ``nu`` is the spinning rate; ``mod_scale`` overrides the scale
-    of the kind-1 modulation weights and ``gamma_scale`` that of the
-    ``cos(4 pi nu t)`` weights alone (default: ``mod_scale``).
+    per row.  The spinning rate is ``_NMR_NU``, 1e4 Hz.
     """
     if kind not in (1, 2, 3):
         raise ValueError(f"unknown experiment kind {kind}")
     rng = np.random.default_rng(seed + 1000 * kind)
     n = 16
-    nu = float(nu)
     alpha_scale, coupling_scale = _NMR_SCALES[kind]
-    mod_scale = float(coupling_scale if mod_scale is None else mod_scale)
-    gamma_scale = float(mod_scale if gamma_scale is None else gamma_scale)
     alpha = rng.uniform(-alpha_scale, alpha_scale, size=n)
     if kind == 1:
-        beta = rng.uniform(-mod_scale, mod_scale, size=n)
-        gamma = rng.uniform(-gamma_scale, gamma_scale, size=n)
-        return NmrCoefficients(kind, seed, nu, alpha, beta=beta, gamma=gamma)
+        beta = rng.uniform(-coupling_scale, coupling_scale, size=n)
+        gamma = rng.uniform(-coupling_scale, coupling_scale, size=n)
+        return NmrCoefficients(kind, seed, _NMR_NU, alpha, beta=beta, gamma=gamma)
     B = _symmetric_sparse(rng, n, coupling_scale)
     C = _symmetric_sparse(rng, n, coupling_scale, complex_values=(kind == 3))
-    return NmrCoefficients(kind, seed, nu, alpha, B=B, C=C)
+    return NmrCoefficients(kind, seed, _NMR_NU, alpha, B=B, C=C)
 
 
 def _nmr_vectors(kind: int) -> np.ndarray:
@@ -269,9 +264,7 @@ def _nmr_vectors(kind: int) -> np.ndarray:
 _NMR_INTERVALS = {1: (0.0, 5e-5), 2: (0.0, 5e-6), 3: (0.0, 1e-3)}
 
 
-def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED, *, nu: float = 1e4,
-                 mod_scale: float | None = None,
-                 gamma_scale: float | None = None) -> Problem:
+def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED) -> Problem:
     """Build the spin-simulation problem ``A(t) = -2*pi*i * H(t)`` for one kind.
 
     kind 1: diagonal ``H``, level k carrying
@@ -281,34 +274,29 @@ def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED, *, nu: float = 1e4,
     kind 3: ``diag(alpha) + B (0.5 + cos 4t + sin 10t - 0.4 sin 16t)
     + C (sin 4t + cos 8t + 2 sin 12t)`` with real B and complex Hermitian C.
 
-    Probe vectors default to the repeating (0, 1, 1) pattern for kinds 1-2 and
-    all-ones for kind 3; intervals default to [0, 5e-5], [0, 5e-6], [0, 1e-3].
-    Identical seeds give bit-identical problems.  ``nu``, ``mod_scale`` and
-    ``gamma_scale`` are passed to :func:`nmr_coefficients`.
+    The spinning rate ``nu`` is 1e4 Hz.  The probe vectors are the repeating
+    (0, 1, 1) pattern for kinds 1-2 and all-ones for kind 3; the intervals
+    are [0, 5e-5], [0, 5e-6], [0, 1e-3].  Identical seeds give bit-identical
+    problems; ``meta["coefficients"]`` holds the drawn
+    :class:`NmrCoefficients`.
     """
-    coeffs = nmr_coefficients(kind, seed, nu=nu, mod_scale=mod_scale,
-                              gamma_scale=gamma_scale)
+    coeffs = _nmr_coefficients(kind, seed)
     s = -2j * np.pi  # A(t) = -i 2 pi H(t)
     w2 = 2 * np.pi * coeffs.nu
-
-    def levels(x):  # kind 1 keeps its zero weights
-        return [(k, k, x[k]) for k in range(16)]
 
     def coupling(mat):
         return [(int(i), int(j), mat[i, j]) for i, j in zip(*np.nonzero(mat))]
 
     # (coupling, modulation) parts; a modulation lists (weight, trig, omega) summands
-    if kind == 1:
-        parts = [(levels(coeffs.beta), [(1.0, "cos", w2)]),
-                 (levels(coeffs.gamma), [(1.0, "cos", 2 * w2)])]
-    elif kind == 2:
-        parts = [(coupling(coeffs.B), [(1.0, "cos", w2)]),
-                 (coupling(coeffs.C), [(1.0, "cos", 2 * w2)])]
-    else:
+    if kind == 3:
         parts = [(coupling(coeffs.B), [(0.5, "none", 0.0), (1.0, "cos", 4.0),
                                        (1.0, "sin", 10.0), (-0.4, "sin", 16.0)]),
                  (coupling(coeffs.C), [(1.0, "sin", 4.0), (1.0, "cos", 8.0),
                                        (2.0, "sin", 12.0)])]
+    else:  # kind 1 couples each level to itself
+        B, C = ((coeffs.B, coeffs.C) if kind == 2
+                else (np.diag(coeffs.beta), np.diag(coeffs.gamma)))
+        parts = [(coupling(B), [(1.0, "cos", w2)]), (coupling(C), [(1.0, "cos", 2 * w2)])]
     entries = {(k, k): [Term(s * coeffs.alpha[k])] for k in range(16)}
     for pairs, modulation in parts:
         for i, j, x in pairs:
@@ -335,13 +323,14 @@ def builtin_ids() -> list[str]:
 
 
 def builtin(problem_id: str) -> Problem:
-    """Return a built-in problem by id (const3, timedep5, zero1, nmr1/2/3)."""
-    try:
-        factory = _BUILTIN_FACTORIES[problem_id]
-    except KeyError:
-        raise KeyError(f"unknown builtin problem {problem_id!r}; "
-                       f"known: {', '.join(builtin_ids())}") from None
-    return factory()
+    """Return a built-in problem by id (const3, timedep5, zero1, nmr1/2/3).
+
+    An unknown id raises ``ValueError`` naming the known ones.
+    """
+    if problem_id not in _BUILTIN_FACTORIES:
+        raise ValueError(f"unknown builtin problem {problem_id!r}; "
+                         f"known: {', '.join(builtin_ids())}")
+    return _BUILTIN_FACTORIES[problem_id]()
 
 
 def analytic_const3(mesh: Mesh) -> Reference:
@@ -419,6 +408,9 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
 
     An integration that needs more than :data:`RK45_MAX_CALLS` evaluations
     of ``A(t) u``, as a stiff problem does, raises :class:`StiffnessError`.
+    So does the first evaluation of ``A(t) u`` that holds an infinity or a
+    NaN (a pole of a term, or an overflow), naming its ``t``; the
+    integration runs under one ``np.errstate``, so it prints no warning.
 
     ``scipy.integrate`` is imported on the first call, not with the
     package, so runs without an RK45 reference never load it.
@@ -435,10 +427,16 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
         if next(calls) > RK45_MAX_CALLS:
             raise StiffnessError(f"integrator failed for {problem.id!r} near t = {t}: more "
                                  f"than {RK45_MAX_CALLS} evaluations of A(t) u")
-        return a_of_t(t) @ y
+        du = a_of_t(t) @ y
+        # an inf or NaN entry makes |du . du| non-finite; finite entries can overflow it
+        if not math.isfinite(abs(du.dot(du))) and not np.isfinite(du).all():
+            raise StiffnessError(f"integrator failed for {problem.id!r} at t = {t}: "
+                                 "A(t) u is not finite")
+        return du
 
-    sol = solve_ivp(rhs, (problem.a, problem.b), y0,
-                    method="RK45", rtol=rtol, atol=atol, dense_output=True)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (problem.a, problem.b), y0,
+                        method="RK45", rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         t_fail = sol.t[-1] if sol.t.size else problem.a
         raise StiffnessError(

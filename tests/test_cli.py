@@ -186,6 +186,28 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert [f.name for f in tmp_path.iterdir()] == ["stiff.json"]
 
+    @pytest.mark.parametrize("coeff,power,b,message", [
+        # a pole at t = a: the integrator stops at its first evaluation
+        (-1.0, -1, 1.0, "integrator failed for 'const3' at t = 0.0: A(t) u is not finite"),
+        # t**400 overflows past t = 5.9: the discretization names the sample
+        (-1.0, 400, 10.0,
+         "entry (0, 0) of problem 'const3', scaled by h = 1.25, is not finite at tau[4] = 6.25"),
+        # a finite sample that overflows when scaled by h
+        (1e307, 0, 1000.0,
+         "entry (0, 0) of problem 'const3', scaled by h = 125.0, is not finite at tau[0] = 125.0"),
+    ], ids=["pole", "overflow", "h-overflow"])
+    def test_non_finite_term_fails_with_one_error_line(self, tmp_path, coeff, power, b, message):
+        doc = json.loads(problem_to_json(builtin("const3")))
+        doc["interval"] = [0.0, b]
+        doc["entries"][0]["terms"][0].update(re=coeff, power=power)
+        (tmp_path / "term.json").write_text(json.dumps(doc))
+        proc = run_fresh("-m", "toelanczos.cli", "run", "--problem-file", "term.json",
+                         "--M", "8", "--n", "3", "--reference", "rk45", "--output", "p",
+                         cwd=tmp_path, timeout=30)
+        assert proc.returncode == EXIT_SHAPE
+        assert proc.stderr.splitlines() == ["error: " + message], proc.stderr
+        assert [f.name for f in tmp_path.iterdir()] == ["term.json"]
+
     @staticmethod
     def run_scaled_const3(tmp_path, scale):
         """``run`` on const3 with every coefficient times ``scale``, in a fresh interpreter."""
@@ -301,8 +323,10 @@ class TestMalformedProblemFile:
         # entry (1, 1) twice, the second with no terms: no A(t) is solved
         (lambda doc: {**doc, "entries": [*doc["entries"], {"k": 1, "l": 1, "terms": []}]},
          "entries[0] and entries[8] both give entry (k, l) = (1, 1)"),
+        (lambda doc: {**doc, "n": 0, "v": [], "w": [], "entries": []},
+         "n must be at least 1, got 0"),
     ], ids=["v-item-not-object", "re-string", "top-level-array", "fractional-power",
-            "v-re-nan", "omega-infinity", "duplicate-entry"])
+            "v-re-nan", "omega-infinity", "duplicate-entry", "n-zero"])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(change(json.loads(problem_to_json(builtin("const3"))))))

@@ -590,6 +590,22 @@ class TestWorkspace:
         # the loop's seven buffers, with the coefficients and a copy of the profiles
         assert peaks[0] < 8 * hypervector
 
+    @pytest.mark.parametrize("problem_id,m,n", [("nmr3", 80, 4), ("nmr3", 80, 6),
+                                                ("timedep5", 100, 5), ("nmr2", 120, 4)])
+    def test_walk_frees_each_row(self, problem_id, m, n):
+        # above the 2n bases and the last hatted pair the walk keeps, one row's
+        # transients at a time: 4 hypervectors, 5 if a row's outlive the next row's products
+        p = builtin(problem_id)
+        res = solve(p, m, n)[1]
+        hypervector = res.run_residual_v.data.nbytes
+        tracemalloc.start()
+        try:
+            diagnostics.err_recurrences(res)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 4.5 * hypervector
+
 
 class TestAssembleTridiag:
     def test_single_iteration(self):

@@ -16,7 +16,6 @@ from toelanczos import (
     build_mesh,
     builtin,
     builtin_ids,
-    nmr_coefficients,
     nmr_generate,
     problem_from_json,
     problem_to_json,
@@ -32,7 +31,7 @@ CONST3 = np.array([[-1.0, 1, 1], [1, 0, 1], [1, 1, -1]])
 class TestBuiltins:
     def test_registry(self):
         assert set(builtin_ids()) == {"const3", "timedep5", "zero1", "nmr1", "nmr2", "nmr3"}
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown builtin problem 'nope'"):
             builtin("nope")
 
     def test_const3_entries(self):
@@ -102,12 +101,6 @@ class TestNmrGenerators:
             nu = p.meta["coefficients"].nu
             assert kinds == [("none", 0.0), ("cos", 2 * np.pi * nu), ("cos", 4 * np.pi * nu)]
 
-    @pytest.mark.parametrize("overrides", [{"mod_scale": 0.0}, {"gamma_scale": 0.0}])
-    def test_kind1_keeps_zero_weight_terms(self, overrides):
-        p = nmr_generate(1, **overrides)
-        assert set(p.entries) == {(k, k) for k in range(16)}
-        assert all(len(terms) == 3 for terms in p.entries.values())
-
     @pytest.mark.parametrize("kind,digest", [
         (1, "b5c5f13378c114f9752e0e6c83ffa52fbf32c074e84a07d1b0b1c615ad08fd70"),
         (2, "a000e3d885197f6d22e07a76dc01662e8a37f6aa758f19fe0b6ec734e0bf8a68"),
@@ -141,7 +134,7 @@ class TestNmrGenerators:
         assert builtin("nmr3").b == pytest.approx(1e-3)
 
     def test_kind3_has_complex_coupling(self):
-        coeffs = nmr_coefficients(3)
+        coeffs = nmr_generate(3).meta["coefficients"]
         assert np.iscomplexobj(coeffs.C) and np.linalg.norm(coeffs.C.imag) > 0
         assert np.allclose(coeffs.C, coeffs.C.conj().T)
 
@@ -154,22 +147,25 @@ class TestNmrGenerators:
     def test_unknown_override_raises(self, name):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             nmr_generate(1, **{name: 0.0})
-        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
-            nmr_coefficients(2, **{name: 0.0})
 
-    def test_overrides_change_the_draw(self):
-        base = nmr_coefficients(1, seed=3)
-        off = nmr_coefficients(1, seed=3, mod_scale=0.0)
-        assert np.array_equal(off.alpha, base.alpha)
-        assert not np.any(off.beta) and not np.any(off.gamma)
-        no_gamma = nmr_coefficients(1, seed=3, nu=2e4, gamma_scale=0.0)
-        assert no_gamma.nu == 2e4 and np.array_equal(no_gamma.beta, base.beta)
-        assert not np.any(no_gamma.gamma)
+
+def without_modulation(p):
+    """A generated kind-1 problem with both modulation weights of every level zeroed.
+
+    The terms and the ``meta`` coefficients both lose them, so the closed form
+    and the integrated ``A(t)`` describe the same problem.
+    """
+    entries = {key: [t if t.trig == "none" else dataclasses.replace(t, coeff=0j) for t in terms]
+               for key, terms in p.entries.items()}
+    c = p.meta["coefficients"]
+    meta = {**p.meta, "coefficients": dataclasses.replace(c, beta=np.zeros(16),
+                                                          gamma=np.zeros(16))}
+    return dataclasses.replace(p, entries=entries, meta=meta)
 
 
 class TestAnalyticNmr1:
     def test_matches_rk45_with_modulation_off(self):
-        p = nmr_generate(1, seed=3, mod_scale=0.0)
+        p = without_modulation(nmr_generate(1, seed=3))
         mesh = build_mesh(p.a, p.b, 40)
         ref = analytic_nmr1(p, mesh)
         ode = rk45_reference(p, mesh, rtol=1e-10, atol=1e-13)
@@ -361,8 +357,9 @@ class TestProblemJson:
         (lambda doc: doc["w"][0].update(im=10**400), r"w\[0\]\.im must be a finite"),
         (lambda doc: doc["entries"].append({**doc["entries"][0], "terms": [{"re": 2, "im": 0}]}),
          r"entries\[0\] and entries\[8\] both give entry \(k, l\) = \(1, 1\)"),
+        (lambda doc: doc.update(n=0, v=[], w=[], entries=[]), "n must be at least 1, got 0"),
     ], ids=["n-missing", "short-interval", "im-missing", "entry-not-object", "v-re-nan",
-            "interval-minus-infinity", "integer-beyond-float", "duplicate-entry"])
+            "interval-minus-infinity", "integer-beyond-float", "duplicate-entry", "n-zero"])
     def test_malformed_document_names_the_field(self, change, field):
         doc = json.loads(problem_to_json(builtin("const3")))
         change(doc)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,20 @@ from oracles import (
     to_tensor4,
     tt_reconstruct,
 )
+
+
+def single_modulation_nmr1(nu):
+    """nmr1 with its ``cos(4 pi nu t)`` weights zeroed and spinning at ``nu`` Hz.
+
+    Each level's terms are ``alpha_k``, ``beta_k cos(2 pi nu t)`` and
+    ``gamma_k cos(4 pi nu t)``, scaled by ``-2 pi i``; the draw is the default one.
+    """
+    p = nmr_generate(1)
+    w2 = 2 * np.pi * nu
+    entries = {key: [const, dataclasses.replace(beta, omega=w2),
+                     dataclasses.replace(gamma, coeff=0j, omega=2 * w2)]
+               for key, (const, beta, gamma) in p.entries.items()}
+    return dataclasses.replace(p, entries=entries)
 
 
 def rel_recon_err(a, t):
@@ -131,7 +147,7 @@ class TestTTSvd:
         # two-dimensional at every spinning rate, so both ranks must agree
         t_by_nu = {}
         for nu in (1e4, 1e1):
-            p = nmr_generate(1, nu=nu, gamma_scale=0.0)
+            p = single_modulation_nmr1(nu)
             mesh = build_mesh(p.a, p.b, 60)
             t_by_nu[nu] = tt_svd(discretize_problem(p, mesh), 1e-10)
         assert t_by_nu[1e4].ranks[1] == t_by_nu[1e1].ranks[1] == 16

@@ -5,7 +5,7 @@ Five diagnostics quantify a run:
 * ``err_o``   : biorthogonality, ``|W_n * V_n - I_*| / max(|V_n|, |W_n|)``
 * ``err_V``   : V-side three-term recurrence residual (relative)
 * ``err_W``   : W-side analogue; exactly zero, because with ``gamma = I``
-  the W update is definitional
+  the W update is definitional: ``W_{k+1}`` is the hatted ``W_hat``
 * ``err_M(k)``: matching-moment mismatch for k = 0 .. 2n-1
 * ``err_sol`` : relative Euclidean error against a reference solution
 
@@ -22,12 +22,12 @@ float64.  The run keeps no basis: :func:`err_recurrences` and
 :func:`err_biorth` read the result's ``walk``, which rebuilds the bases
 once from the coefficients with the iteration's own updates (so the
 recurrence rows keep its grouping, and match ``A*V_n - V_n*T_n - V~_n`` of
-materialized tensors to roundoff), and :func:`moment_matrices` lifts the
-run's probes.  For ``scale = i`` the
-``i``-map multiplies each biorthogonality entry and each recurrence row by
-a unit factor and moment ``k`` by ``i^k`` (see :mod:`toelanczos.lanczos`),
-so the measures are those of the run on ``A``; :func:`moment_matrices`
-applies the ``i^k`` to return the moments of ``A``.
+materialized tensors to roundoff) and keeps only the bases and the rows'
+norms, and :func:`moment_matrices` lifts the run's probes.  For
+``scale = i`` the ``i``-map multiplies each biorthogonality entry and each
+recurrence row by a unit factor and moment ``k`` by ``i^k`` (see
+:mod:`toelanczos.lanczos`), so the measures are those of the run on ``A``;
+:func:`moment_matrices` applies the ``i^k`` to return the moments of ``A``.
 
 A run can complete with finite coefficients and still overflow in its
 diagnostics: moment ``k`` raises the operator to the ``k``-th power.  The
@@ -125,11 +125,14 @@ def _relative_residual(rows, name: str) -> float:
 def err_recurrences(result: LanczosResult) -> tuple[float, float]:
     """Relative residuals of the compact three-term recurrences (err_V, err_W).
 
-    From the rows of the result's ``walk``: row k is the iteration's own
-    update of ``A*V_k`` (``W_k*A``) less the next vector, or less the stored
-    residual on the last row.  Denominators follow the displayed measures,
-    ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and the W analogue.  The rows repeat
-    the run's arithmetic in its dtype, so ``err_W`` is exactly 0.
+    From the row norms of the result's ``walk``: row k is the iteration's
+    own update of ``A*V_k`` (``W_k*A``) less the next vector, or less the
+    stored residual on the last row.  Denominators follow the displayed
+    measures, ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and the W analogue.  The
+    next W vector is the update itself, so each W row but the last is zero
+    by definition; the last rows compare the walk with the stored
+    residuals, and since the walk repeats the run's arithmetic in its
+    dtype, ``err_W`` is exactly 0.
     """
     walk = result.walk
     return _relative_residual(walk.v_rows, "err_V"), _relative_residual(walk.w_rows, "err_W")

@@ -166,20 +166,20 @@ def _times_i_power(x: np.ndarray, p: int) -> np.ndarray:
 class LanczosWalk(NamedTuple):
     """The bases ``V_1..V_n``, ``W_1^D..W_n^D`` and the recurrence rows of a run.
 
-    ``v_hat, w_hat`` are the last row's hatted pair, the run's residuals.  Row
-    k of ``v_rows`` is ``(|A*V_k|, |R_k|, |A*V_k - R_k|)``; ``w_rows`` likewise.
+    Row k of ``v_rows`` is ``(|A*V_k|, |R_k|, |A*V_k - R_k|)``; ``w_rows``
+    likewise.  That is all :func:`~toelanczos.diagnostics.err_recurrences`
+    and :func:`~toelanczos.diagnostics.err_biorth` read.
     """
 
     v_basis: list[HyperVec]
     w_basis: list[HyperVec]
-    v_hat: HyperVec
-    w_hat: HyperVec
     v_rows: list[tuple[float, float, float]]
     w_rows: list[tuple[float, float, float]]
 
 
-def _row_norms(product: HyperVec, residual: np.ndarray) -> tuple[float, float, float]:
-    """``(|P|, |R|, |P - R|)`` of a recurrence row; ``P - R`` is formed in ``R``'s buffer."""
+def _row_norms(product: HyperVec, hat: HyperVec, nxt: HyperVec) -> tuple[float, float, float]:
+    """``(|P|, |R|, |P - R|)`` of the row ``R = hat - nxt``, formed in ``hat``'s buffer."""
+    residual = np.subtract(hat.data, nxt.data, out=hat.data)
     r = frobenius(residual)
     return frobenius(product), r, frobenius(np.subtract(product.data, residual, out=residual))
 
@@ -230,9 +230,10 @@ class LanczosResult:
         Row k forms ``A*V_k``, ``W_k*A`` and the hatted pair with the loop's
         own updates, ``V_{k+1} = V_hat x beta_{k+1}^{-1}`` with its inverse,
         ``W_{k+1} = W_hat``, and ``R_k``: the hatted vector less the next one
-        (``V_{k+1} x beta_{k+1}``), or less the residual on the last row.  A
-        kernel gives the same bits into a fresh buffer as into the loop's
-        workspace, so the walk is the run bit for bit.
+        (``V_{k+1} x beta_{k+1}``), or less the stored residual on the last
+        row, each formed in the hatted vector's buffer.  A kernel gives the
+        same bits into a fresh buffer as into the loop's workspace, so the
+        walk is the run bit for bit, and it keeps only the bases and rows.
         """
         b, tri = self.operator, self.run_tri
         vb, wb = [lift(self.run_start[0], tri.m)], [lift_dual(self.run_start[1], tri.m)]
@@ -245,19 +246,17 @@ class LanczosResult:
                 w_hat = HyperVec(_w_update(wa, tri.alphas[k], wb[k], *w_prev), "dual")
                 v_hat = HyperVec(_v_update(av, vb[k], tri.alphas[k], *v_prev), "right")
                 if k + 1 == tri.n:
-                    hats = v_hat, w_hat
-                    v_res = v_hat.data - self.run_residual_v.data
-                    w_res = w_hat.data - self.run_residual_w.data
-                else:  # V_hat is spent once V_{k+1} is formed: R_k takes its buffer
+                    v_next = self.run_residual_v
+                    w_rows.append(_row_norms(wa, w_hat, self.run_residual_w))
+                else:
                     vb.append(vec_times_coef(v_hat, _inverse_lower(tri.betas[k])[0]))
                     wb.append(w_hat)
-                    v_res = np.subtract(v_hat.data, vec_times_coef(vb[-1], tri.betas[k]).data,
-                                        out=v_hat.data)
-                    w_res = w_hat.data - wb[-1].data
-                v_rows.append(_row_norms(av, v_res))
-                w_rows.append(_row_norms(wa, w_res))
-                del av, wa, v_hat, w_hat, v_res, w_res  # freed before the next row's products
-        return LanczosWalk(vb, wb, *hats, v_rows, w_rows)
+                    v_next = vec_times_coef(vb[-1], tri.betas[k])
+                    wa_norm = frobenius(wa)  # W_{k+1} is W_hat: R_k is 0
+                    w_rows.append((wa_norm, 0.0, wa_norm))
+                v_rows.append(_row_norms(av, v_hat, v_next))
+                del av, wa, v_hat, w_hat, v_next  # freed before the next row's products
+        return LanczosWalk(vb, wb, v_rows, w_rows)
 
 
 def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,

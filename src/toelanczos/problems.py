@@ -48,6 +48,8 @@ DEFAULT_NMR_SEED = 20230517
 # most 3,866 (see DECISIONS.md, "A bounded RK45 reference")
 RK45_MAX_CALLS = 50_000
 
+_TRIG_KINDS = ("none", "cos", "sin")
+
 
 class StiffnessError(RuntimeError):
     """The RK45 integrator underflowed its step, ran out of calls or met a non-finite A(t) u."""
@@ -63,7 +65,7 @@ class Term:
     omega: float = 0.0
 
     def __post_init__(self):
-        if self.trig not in ("none", "cos", "sin"):
+        if self.trig not in _TRIG_KINDS:
             raise ValueError(f"unknown trig kind {self.trig!r}")
 
 
@@ -526,29 +528,44 @@ def problem_from_json(text: str) -> Problem:
     A malformed document raises ``ValueError`` naming the bad field: a
     missing field, or a value of the wrong JSON type, such as a string or
     list where a number belongs.  ``power`` must be an integer; an integral
-    float such as ``2.0`` is read as ``2``, and ``1.7`` is rejected.  Two
-    entries with the same ``(k, l)`` are rejected too, naming both.
+    float such as ``2.0`` is read as ``2``, and ``1.7`` is rejected.  ``n``
+    is read first, and the values it bounds are checked against it: the
+    1-based ``k`` and ``l`` of each entry must lie in ``1..n``, and ``v``
+    and ``w`` must hold ``n`` numbers.  ``trig`` must be one of none, cos
+    and sin.  Two entries with the same ``(k, l)`` are rejected too, naming
+    both.
     """
     doc = _typed(json.loads(text), "the document", "object")
+    n = _field(doc, "n", "integer")
+    if n < 1:
+        raise ValueError(f"problem file: n must be at least 1, got {n}")
     entries, first = {}, {}  # first: (k, l) -> index of its entry
     for i, ent in enumerate(_field(doc, "entries", "list")):
         where = f"entries[{i}]"
-        terms = []
-        for j, t in enumerate(_field(ent, "terms", "list", where)):
-            tw = f"{where}.terms[{j}]"
-            terms.append(Term(_complex_field(t, tw), _field(t, "power", "integer", tw, 0),
-                              _field(t, "trig", "string", tw, "none"),
-                              _field(t, "omega", "number", tw, 0.0)))
-        kl = (_field(ent, "k", "integer", where), _field(ent, "l", "integer", where))
+        kl = tuple(_field(ent, key, "integer", where) for key in ("k", "l"))
+        for key, index in zip(("k", "l"), kl):
+            if not 1 <= index <= n:
+                raise ValueError(f"problem file: {where}.{key} must be in 1..{n}, got {index}")
         if first.setdefault(kl, i) != i:
             raise ValueError(f"problem file: entries[{first[kl]}] and {where} both give "
                              f"entry (k, l) = {kl}")
+        terms = []
+        for j, t in enumerate(_field(ent, "terms", "list", where)):
+            tw = f"{where}.terms[{j}]"
+            trig = _field(t, "trig", "string", tw, "none")
+            if trig not in _TRIG_KINDS:
+                raise ValueError(f"problem file: {tw}.trig: unknown trig kind {trig!r:.60}, "
+                                 f"expected one of {', '.join(_TRIG_KINDS)}")
+            terms.append(Term(_complex_field(t, tw), _field(t, "power", "integer", tw, 0),
+                              trig, _field(t, "omega", "number", tw, 0.0)))
         entries[(kl[0] - 1, kl[1] - 1)] = terms
     v, w = (np.array([_complex_field(z, f"{key}[{i}]")
                       for i, z in enumerate(_field(doc, key, "list"))]) for key in ("v", "w"))
+    for key, vec in (("v", v), ("w", w)):
+        if vec.size != n:
+            raise ValueError(f"problem file: {key} must hold n = {n} numbers, got {vec.size}")
     interval = _field(doc, "interval", "list")
     if len(interval) != 2:
         raise ValueError(f"problem file: interval must hold two numbers, got {interval!r:.60}")
     a, b = (_typed(x, f"interval[{i}]", "number") for i, x in enumerate(interval))
-    return Problem(_field(doc, "id", "string"), _field(doc, "n", "integer"),
-                   a, b, entries, v, w)
+    return Problem(_field(doc, "id", "string"), n, a, b, entries, v, w)

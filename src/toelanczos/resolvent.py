@@ -51,14 +51,19 @@ _COND_LIMIT = 1.0 / np.finfo(float).eps
 
 
 class ResolventSingularError(RuntimeError):
-    """A continued-fraction level was singular or numerically unusable."""
+    """A continued-fraction level was singular or numerically unusable.
+
+    The message gives the level and its ``kappa_1`` and suggests no remedy:
+    a pole of ``A(t)`` at ``t = a`` makes level 1 singular on every mesh,
+    and a run past its usable ``n`` needs fewer iterations, not a finer mesh.
+    """
 
     def __init__(self, depth: int, cond: float):
         self.depth = depth
         self.cond = cond
         super().__init__(
-            f"resolvent level {depth} has condition number {cond:.3e}; "
-            "refine the mesh (the inverses exist for small enough h)")
+            f"resolvent level {depth} has kappa_1 = {cond:.3e}, above 1/eps = "
+            f"{_COND_LIMIT:.3e}: the continued fraction cannot be evaluated at this M and n")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,8 @@ from toelanczos.cli import (
     main,
     solve,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -325,15 +328,24 @@ class TestMalformedProblemFile:
          "entries[0] and entries[8] both give entry (k, l) = (1, 1)"),
         (lambda doc: {**doc, "n": 0, "v": [], "w": [], "entries": []},
          "n must be at least 1, got 0"),
+        # k and l are 1-based in the file
+        (lambda doc: {**doc, "entries": [{**doc["entries"][1], "k": 0}]},
+         "entries[0].k must be in 1..3, got 0"),
+        (lambda doc: {**doc, "entries": [{**doc["entries"][1], "l": 0}]},
+         "entries[0].l must be in 1..3, got 0"),
+        (_with_term("trig", "tan"), "entries[0].terms[0].trig: unknown trig kind 'tan'"),
+        (lambda doc: {**doc, "v": doc["v"][:2]}, "v must hold n = 3 numbers, got 2"),
     ], ids=["v-item-not-object", "re-string", "top-level-array", "fractional-power",
-            "v-re-nan", "omega-infinity", "duplicate-entry", "n-zero"])
+            "v-re-nan", "omega-infinity", "duplicate-entry", "n-zero", "k-zero", "l-zero",
+            "trig-unknown", "v-short"])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, change, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(change(json.loads(problem_to_json(builtin("const3"))))))
         code = run_cli("run", "--problem-file", str(path), "--M", "8", "--n", "3",
                        "--output", str(tmp_path / "x"))
         assert code == EXIT_SHAPE
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
         assert [f.name for f in tmp_path.iterdir()] == ["bad.json"]
 
 
@@ -558,6 +570,10 @@ SINGULAR1 = {
         {"re": 10.0, "im": 0.0, "power": 0, "trig": "none", "omega": 0.0}]}],
 }
 
+# A(t) = 1/t on [0, 1]: h * A(tau_1) = 1 makes I - alpha_1 singular on every mesh
+POLE1 = {**SINGULAR1, "id": "pole1", "entries": [{"k": 1, "l": 1, "terms": [
+    {"re": 1.0, "im": 0.0, "power": -1, "trig": "none", "omega": 0.0}]}]}
+
 BUILTIN_N = {"const3": 3, "timedep5": 5, "zero1": 1, "nmr1": 4, "nmr2": 4, "nmr3": 4}
 
 
@@ -600,6 +616,44 @@ class TestSolve:
         assert "error: resolvent level 1" in capsys.readouterr().err
         assert [f.name for f in tmp_path.iterdir()] == ["singular1.json"]
 
+    @pytest.mark.parametrize("source,argv,level", [
+        ("file", ["--M", "4", "--n", "1"], 1),
+        ("file", ["--M", "100", "--n", "1"], 1),
+        # completes, past its usable n: level 12 has kappa_1 = 1.3e19
+        ("nmr3", ["--M", "80", "--n", "12", "--eps-serious", "1e20"], 12),
+    ], ids=["pole-M4", "pole-M100", "nmr3-past-usable-n"])
+    def test_singular_level_promises_no_remedy(self, tmp_path, capsys, source, argv, level):
+        # a finer mesh helps neither case, and the message does not suggest one
+        path = tmp_path / "pole1.json"
+        path.write_text(json.dumps(POLE1))
+        problem = ["--problem-file", str(path)] if source == "file" else ["--problem", source]
+        code = run_cli("run", *problem, *argv, "--output", str(tmp_path / "s"))
+        assert code == EXIT_RESOLVENT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error: resolvent level {level} has kappa_1 = ")
+        assert "small enough h" not in lines[0]
+        assert [f.name for f in tmp_path.iterdir()] == ["pole1.json"]
+
+    def test_unusable_breakdown_prefix_writes_no_solution(self, tmp_path):
+        # nmr1 at M=40 stops seriously at k=6, and the 6-level prefix's resolvent is unusable
+        _, res, sol = solve(builtin("nmr1"), 40, 12, eps_serious=1e20)
+        assert res.status.kind == "serious_breakdown" and res.status.k == 6
+        assert sol is None
+        flags = ["--problem", "nmr1", "--n", "12", "--eps-serious", "1e20",
+                 "--reference", "analytic"]
+        assert run_cli("run", *flags, "--M", "40", "--output", str(tmp_path / "r")) == EXIT_SERIOUS
+        report = strict_json(tmp_path / "r_report.json")
+        assert report["err_sol"] is None and report["meta"]["status"] == "serious_breakdown"
+        code = run_cli("convergence", *flags, "--M", "20,40", "--output", str(tmp_path / "c"))
+        assert code == EXIT_SERIOUS
+        header, *rows = (tmp_path / "c_convergence.csv").read_text().splitlines()
+        col = header.split(",").index("err_sol")
+        assert len(rows) == 2 and all(row.split(",")[col] == "" for row in rows)
+        assert strict_json(tmp_path / "c_slope.json") == {"slope": None, "points": []}
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "c_convergence.csv", "c_slope.json", "r_report.json"]
+
     def test_commands_call_solve_once_per_mesh(self, tmp_path, monkeypatch):
         calls = []
 
@@ -636,3 +690,26 @@ class TestDeterminism:
                 (tmp_path / f"{tag}_ttranks.csv").read_bytes(),
             ]
         assert files["one"] == files["two"]
+
+
+class TestReadme:
+    """The README's problem-file example and its command run as documented."""
+
+    def test_problem_file_example_runs(self, tmp_path):
+        text = README.read_text()
+        example = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+        p = problems.problem_from_json(example)
+        assert p.n == 2 and sorted(p.entries) == [(0, 0), (0, 1), (1, 0)]
+        path = tmp_path / "example2.json"
+        path.write_text(example)
+        command = re.search(r"toelanczos (run --problem-file example2\.json .*)", text)
+        argv = [str(path) if arg == "example2.json" else arg
+                for arg in command.group(1).split()[:-1]]
+        assert run_cli(*argv, str(tmp_path / "e")) == EXIT_OK
+        assert strict_json(tmp_path / "e_report.json")["meta"]["status"] == "completed"
+        assert (tmp_path / "e_solution.csv").exists()
+
+    def test_exit_codes_are_listed(self):
+        text = README.read_text()
+        codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+        assert all(f"\n| {code} | " in text for code in codes)

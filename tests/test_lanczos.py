@@ -540,8 +540,10 @@ class TestWorkspace:
         res = tensor_lanczos(a4, v, w, n)
         walk = res.walk
         assert len(walk.v_basis) == len(walk.w_basis) == res.run_tri.n
-        for got, want in ((walk.v_hat, res.run_residual_v), (walk.w_hat, res.run_residual_w)):
-            assert got.data.dtype == want.data.dtype and np.array_equal(got.data, want.data)
+        dtype = res.operator.data.dtype
+        assert all(hv.data.dtype == dtype for hv in walk.v_basis + walk.w_basis)
+        # the last row's hatted pair less the stored residuals: the walk is the run
+        assert walk.v_rows[-1][1] == 0.0 and walk.w_rows[-1][1] == 0.0
         assert diagnostics.err_recurrences(res)[1] == 0.0
         return res
 
@@ -593,7 +595,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("problem_id,m,n", [("nmr3", 80, 4), ("nmr3", 80, 6),
                                                 ("timedep5", 100, 5), ("nmr2", 120, 4)])
     def test_walk_frees_each_row(self, problem_id, m, n):
-        # above the 2n bases and the last hatted pair the walk keeps, one row's
+        # the walk keeps its 2n bases and nothing else; above them, one row's
         # transients at a time: 4 hypervectors, 5 if a row's outlive the next row's products
         p = builtin(problem_id)
         res = solve(p, m, n)[1]
@@ -604,6 +606,7 @@ class TestWorkspace:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert kept <= (2 * n + 0.5) * hypervector
         assert peak - kept <= 4.5 * hypervector
 
 

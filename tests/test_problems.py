@@ -358,8 +358,16 @@ class TestProblemJson:
         (lambda doc: doc["entries"].append({**doc["entries"][0], "terms": [{"re": 2, "im": 0}]}),
          r"entries\[0\] and entries\[8\] both give entry \(k, l\) = \(1, 1\)"),
         (lambda doc: doc.update(n=0, v=[], w=[], entries=[]), "n must be at least 1, got 0"),
+        # k and l are 1-based in the file
+        (lambda doc: doc["entries"][1].update(k=0), r"entries\[1\]\.k must be in 1\.\.3, got 0$"),
+        (lambda doc: doc["entries"][1].update(l=0), r"entries\[1\]\.l must be in 1\.\.3, got 0$"),
+        (lambda doc: doc["entries"][2]["terms"][0].update(trig="tan"),
+         r"entries\[2\]\.terms\[0\]\.trig: unknown trig kind 'tan', expected one of "
+         r"none, cos, sin$"),
+        (lambda doc: doc.update(v=doc["v"][:2]), r"v must hold n = 3 numbers, got 2$"),
     ], ids=["n-missing", "short-interval", "im-missing", "entry-not-object", "v-re-nan",
-            "interval-minus-infinity", "integer-beyond-float", "duplicate-entry", "n-zero"])
+            "interval-minus-infinity", "integer-beyond-float", "duplicate-entry", "n-zero",
+            "k-zero", "l-zero", "trig-unknown", "v-short"])
     def test_malformed_document_names_the_field(self, change, field):
         doc = json.loads(problem_to_json(builtin("const3")))
         change(doc)

@@ -3,8 +3,9 @@
 The pipeline: describe ``A(t)`` as a :class:`~toelanczos.problems.Problem`,
 discretize it on an equispaced mesh into a 4-mode tensor, run the
 non-Hermitian Lanczos process to a block-tridiagonal coefficient tensor,
-and evaluate its resolvent's (1, 1) block as a continued fraction to get
-the sampled approximation of ``w^H U(t) v``.
+and solve for the first column of its resolvent's (1, 1) block by forward
+substitution over the mesh to get the sampled approximation of
+``w^H U(t) v``.
 """
 
 from .diagnostics import (
@@ -43,7 +44,6 @@ from .resolvent import (
     SolutionVec,
     approx_solution,
     solution_to_csv,
-    star_resolvent_11,
 )
 from .tensor_core import (
     BlockStructure,

@@ -22,9 +22,9 @@ a failed RK45 reference integration, 3 lucky breakdown, 4 serious breakdown,
 
 Workloads with M^3 * N^2 * n above 1e10 require ``--allow-large``.  That
 count was the cost of the dense operator products; the profile-form
-operator applies in ``O(N^2 M^2)``, so the remaining ``M^3`` work is the
-per-slice coefficient products and the inverses of ``beta`` and of the
-resolvent levels, and the budget is kept as it is
+operator applies in ``O(N^2 M^2)`` and the resolvent's column takes
+``O(n M^2)``, so the remaining ``M^3`` work is the per-slice coefficient
+products and the inverses of ``beta``, and the budget is kept as it is
 until it is re-derived for that cost model.  ``ttranks`` is checked with
 n = 1; it decomposes the profiles in ``O(N^2 M min(N^2, M) + M^3)`` and
 forms no dense operator.
@@ -110,8 +110,8 @@ def solve(problem, m, n, eps_lucky=DEFAULT_EPS_LUCKY, eps_serious=DEFAULT_EPS_SE
     """``(mesh, result, solution)`` of one discretize -> Lanczos -> resolvent pass.
 
     A breakdown prefix still defines a (shorter) resolvent: it is evaluated,
-    and ``solution`` is ``None`` when it is unusable.  On a completed run an
-    unusable resolvent raises :class:`ResolventSingularError`.  The result
+    and ``solution`` is ``None`` when its column is unusable.  On a completed
+    run an unusable column raises :class:`ResolventSingularError`.  The result
     holds no basis; the diagnostics rebuild the bases from it on first read.
     """
     mesh = build_mesh(problem.a, problem.b, m)

@@ -28,9 +28,7 @@ and inverses above, so every basis slice, ``alpha_k`` and ``beta_k`` has an
 exactly zero strict upper triangle.  Each iteration inverts ``beta_{k+1}``
 once, index-reversed to upper triangular so that the LU factorization never
 pivots, takes the breakdown test's ``kappa_1`` from the inverse and applies
-it to the stacked basis slices in one matrix product.  The resolvent levels
-are lower triangular too; :func:`~toelanczos.resolvent.star_resolvent_11`
-inverts and checks them with the same helper.  Both run on numpy's LAPACK,
+it to the stacked basis slices in one matrix product, on numpy's LAPACK,
 the library under every product: scipy's wheel bundles a second OpenBLAS
 whose thread pool, alternating with numpy's, contends for the same cores.
 

@@ -1,26 +1,21 @@
 """Resolvent evaluation and the discrete solution vector.
 
-The (1, 1) block of the ``*``-resolvent ``(I_* - T_n)^{-*}`` of the
-tridiagonal coefficient tensor is a continued fraction in the m x m
-coefficient matrices:
-
-    R_11 = (a~_1 - (a~_2 - ( ... a~_n^{-1} ... ) b_3)^{-1} b_2)^{-1}
-
-with ``a~_i = I - alpha_i``, evaluated innermost-outward.  The superdiagonal
-slices of ``T_n`` are ``I``, so each level subtracts the inner inverse times
-the beta factor on its right; this Schur complement recursion follows the
-block placement of the tridiagonal tensor.  The tests check it against a
-truncated series evaluation of the resolvent.
-
-The Lanczos coefficients are lower triangular, hence so is every level.
-Each level ``s`` is inverted by the helper that inverts ``beta`` in the
-iteration, which keeps exact zeros above the diagonal only for a triangular
-matrix, so other coefficients are rejected.  It returns the inverse ``x``
-and ``kappa_1 = |s|_1 |x|_1``, as it does for the breakdown test; ``x``
-gives the next level's Schur term ``x @ beta``, the outermost is ``R_11``.
-The levels are formed and inverted in the coefficients' dtype, float64 for a
-real Lanczos run.  A :class:`ResolventSingularError` carries the depth of an
-unusable level: one whose ``kappa_1`` is infinite or exceeds ``1/eps``.
+The solution reads ``R_11 e_1``, the first column of the (1, 1) block of
+the ``*``-resolvent ``(I_* - T_n)^{-*}``: the first block of ``x`` in
+``(I - T_n) x = E_1 e_1``.  The Lanczos coefficients are lower triangular,
+so mesh row ``j`` of each block ``x_k`` depends only on rows ``<= j``, and
+one forward substitution over the mesh solves the system in ``O(n M^2)``
+(Golub and Van Loan, *Matrix Computations*, 4th ed., section 4.5).  Row
+``j`` is the n x n tridiagonal system ``D_j``: ``1 - alpha_k[j, j]`` on the
+diagonal, ``-beta_k[j, j]`` below and ``-1`` above it, and the right-hand
+side ``e_1 delta_{j0} + alpha_k[j, :j] . x_k[:j] + beta_k[j, :j] . x_{k-1}[:j]``.
+It runs in the coefficients' dtype.  A coefficient with a nonzero strict
+upper triangle, or a NaN or infinite ``beta``, raises ``ValueError``.  The
+first mesh row whose ``D_j`` is singular or too ill-conditioned, or whose
+``x`` is not finite, raises :class:`ResolventSingularError`.  The
+condition number is ``kappa_1`` of ``D_j`` balanced, with
+``sqrt|beta_k[j, j]|`` on both off-diagonals: a diagonal similarity, so
+the test does not depend on how ``T_n`` splits ``beta`` between them.
 
 The solution approximation on a mesh with step ``h`` is
 
@@ -36,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import Mesh
-from .lanczos import TriTensor, _inverse_lower
+from .lanczos import TriTensor
 
 __all__ = [
     "SolutionVec",
     "ResolventSingularError",
-    "star_resolvent_11",
     "approx_solution",
     "solution_to_csv",
 ]
@@ -51,19 +45,17 @@ _COND_LIMIT = 1.0 / np.finfo(float).eps
 
 
 class ResolventSingularError(RuntimeError):
-    """A continued-fraction level was singular or numerically unusable.
+    """A mesh row's ``D_j`` was singular or too ill-conditioned, or its ``x`` not finite.
 
-    The message gives the level and its ``kappa_1`` and suggests no remedy:
-    a pole of ``A(t)`` at ``t = a`` makes level 1 singular on every mesh,
-    and a run past its usable ``n`` needs fewer iterations, not a finer mesh.
+    The message names the 1-based row and ``kappa_1(D_j)``, ``inf`` unless that
+    is a finite value above ``1/eps``, and suggests no remedy: a pole of
+    ``A(t)`` at ``t = a`` makes row 1 singular on every mesh.
     """
 
-    def __init__(self, depth: int, cond: float):
-        self.depth = depth
-        self.cond = cond
-        super().__init__(
-            f"resolvent level {depth} has kappa_1 = {cond:.3e}, above 1/eps = "
-            f"{_COND_LIMIT:.3e}: the continued fraction cannot be evaluated at this M and n")
+    def __init__(self, row: int, cond: float):
+        self.row, self.cond = row, (cond if _COND_LIMIT < cond < np.inf else np.inf)
+        super().__init__(f"resolvent mesh row {row} has kappa_1 = {self.cond:.3e}, above 1/eps "
+                         f"= {_COND_LIMIT:.3e}: the solution cannot be evaluated at this M and n")
 
 
 @dataclass
@@ -78,43 +70,53 @@ class SolutionVec:
         self.values = np.asarray(self.values, dtype=complex).ravel()
 
 
-def star_resolvent_11(tri: TriTensor, cond_log: list | None = None) -> np.ndarray:
-    """(1, 1) block of the ``*``-resolvent of ``T_n`` via the continued fraction.
+def _inverses(d: np.ndarray) -> np.ndarray:
+    """``D_j^{-1}`` for the stacked ``D_j``, NaN for a singular one (numpy raises
+    for the whole stack, so it is halved until the singular ones are isolated)."""
+    try:
+        return np.linalg.inv(d)
+    except np.linalg.LinAlgError:
+        half = len(d) // 2
+        return np.concatenate([_inverses(d[:half]), _inverses(d[half:])]) if half else d * np.nan
 
-    Parameters
-    ----------
-    tri : TriTensor
-        Complete coefficient set (callers holding a breakdown prefix may
-        evaluate the shorter fraction it defines).  A non-lower-triangular
-        alpha or beta, or a NaN or infinite beta, raises ``ValueError``.
-    cond_log : list, optional
-        Appends each level's exact 1-norm condition number, outermost last.
 
-    Raises :class:`ResolventSingularError` when a level's condition number is
-    above ``1/eps`` or infinite (see :func:`~toelanczos.lanczos._inverse_lower`).
-    """
-    if any(np.triu(c, 1).any() for c in (*tri.alphas, *tri.betas)):
+def _resolvent_column(tri: TriTensor) -> np.ndarray:
+    """``R_11 e_1`` by forward substitution over the mesh rows."""
+    alphas, betas, n, m = tri.alphas, tri.betas, tri.n, tri.m
+    if any(np.triu(c, 1).any() for c in (*alphas, *betas)):
         raise ValueError("the resolvent needs lower-triangular alpha and beta coefficients")
-    if not all(np.isfinite(c).all() for c in tri.betas):
+    if not all(np.isfinite(c).all() for c in betas):
         raise ValueError("the resolvent's beta coefficients must not contain infs or NaNs")
-    eye = np.eye(tri.m, dtype=np.result_type(*tri.alphas, *tri.betas))
-    s = eye - tri.alphas[-1]
-    for level in range(tri.n, 0, -1):
-        x, cond = _inverse_lower(s)
-        if cond_log is not None:
-            cond_log.append(cond)
-        if cond > _COND_LIMIT:
-            raise ResolventSingularError(level, cond)
-        if level > 1:
-            with np.errstate(over="ignore"):  # an overflow makes the next level singular
-                s = (eye - tri.alphas[level - 2]) - x @ tri.betas[level - 2]
-    return x
+    d = np.zeros((m, n, n), dtype=np.result_type(*alphas, *betas))  # D_j, one per mesh row
+    balanced = np.zeros_like(d)
+    for k in range(n):
+        d[:, k, k] = balanced[:, k, k] = 1 - alphas[k].diagonal()
+        if k:
+            b = betas[k - 1].diagonal()
+            r = np.sqrt(np.abs(b)) + (b == 0)
+            d[:, k, k - 1], d[:, k - 1, k] = -b, -1
+            balanced[:, k, k - 1], balanced[:, k - 1, k] = -b / r, -r
+    x = np.zeros((n, m), dtype=d.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are caught as non-finite
+        inv = _inverses(d)
+        cond = (np.abs(balanced).sum(axis=1).max(axis=1)
+                * np.abs(_inverses(balanced)).sum(axis=1).max(axis=1))
+        x[:, 0] = inv[0, :, 0]  # row 0 has no history: D_0 x[:, 0] = e_1
+        for j in range(1, m):
+            rhs = [alphas[k][j, :j].dot(x[k, :j]) for k in range(n)]
+            for k in range(1, n):
+                rhs[k] += betas[k - 1][j, :j].dot(x[k - 1, :j])
+            x[:, j] = inv[j] @ rhs
+        usable = (cond <= _COND_LIMIT) & np.isfinite(x).all(axis=0)  # cond is NaN if singular
+    if not usable.all():
+        j = int(np.argmin(usable))
+        raise ResolventSingularError(j + 1, float(cond[j]))
+    return x[0]
 
 
 def approx_solution(tri: TriTensor, mesh: Mesh, normalization: complex = 1.0) -> SolutionVec:
-    """Assemble ``s_n`` from the resolvent block on the given mesh."""
-    r11 = star_resolvent_11(tri)
-    return SolutionVec(mesh, normalization * np.cumsum(r11[:, 0]), tri.n)
+    """Assemble ``s_n`` from the resolvent's first column on the given mesh."""
+    return SolutionVec(mesh, normalization * np.cumsum(_resolvent_column(tri)), tri.n)
 
 
 def solution_to_csv(sol: SolutionVec) -> str:

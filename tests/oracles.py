@@ -274,11 +274,12 @@ def theta_matrix(mesh) -> np.ndarray:
 
 
 def lu_resolvent_11(tri) -> np.ndarray:
-    """The resolvent continued fraction with each level factored by row-pivoted LU.
+    """``R_11`` by the resolvent continued fraction, each level factored by row-pivoted LU.
 
-    The general dense evaluation that
-    :func:`~toelanczos.resolvent.star_resolvent_11` specializes to
-    lower-triangular levels; it needs no triangular structure.
+    ``R_11 = (a~_1 - (a~_2 - ( ... a~_n^{-1} ... ) b_3)^{-1} b_2)^{-1}`` with
+    ``a~_i = I - alpha_i``, evaluated innermost-outward: the Schur complement
+    recursion of the block tridiagonal ``I - T_n``.  It needs no triangular
+    structure; the package solves for the first column alone.
     """
     eye = np.eye(tri.m, dtype=complex)
     level = tri.n
@@ -288,6 +289,14 @@ def lu_resolvent_11(tri) -> np.ndarray:
         level -= 1
         s = (eye - tri.alphas[level - 1]) - inner_beta
     return lu_solve(lu_factor(s), eye)
+
+
+def dense_resolvent_column(tri) -> np.ndarray:
+    """``R_11 e_1`` from one dense solve of ``(I - T_n) x = E_1 e_1``, of size ``n M``."""
+    size = tri.n * tri.m
+    rhs = np.zeros(size)
+    rhs[0] = 1.0
+    return np.linalg.solve(np.eye(size) - to_block_matrix(assemble_tridiag(tri)), rhs)[:tri.m]
 
 
 def neumann_resolvent(t: Tensor4, max_terms: int | None = None,

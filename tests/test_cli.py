@@ -31,6 +31,7 @@ from toelanczos.cli import (
     main,
     solve,
 )
+from oracles import dense_resolvent_column
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -608,51 +609,84 @@ class TestSolve:
         p = problems.problem_from_json(path.read_text())
         mesh = build_mesh(p.a, p.b, 10)
         assert tensor_lanczos(discretize_problem(p, mesh), p.v, p.w, 1).status.completed
-        with pytest.raises(ResolventSingularError, match="level 1"):
+        with pytest.raises(ResolventSingularError, match="mesh row 1 "):
             solve(p, 10, 1)
         code = run_cli("run", "--problem-file", str(path), "--M", "10", "--n", "1",
                        "--output", str(tmp_path / "s"))
         assert code == EXIT_RESOLVENT
-        assert "error: resolvent level 1" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: resolvent mesh row 1 has kappa_1 = inf, above 1/eps = 4.504e+15: "
+            "the solution cannot be evaluated at this M and n"]
         assert [f.name for f in tmp_path.iterdir()] == ["singular1.json"]
 
-    @pytest.mark.parametrize("source,argv,level", [
+    @pytest.mark.parametrize("source,argv,row", [
         ("file", ["--M", "4", "--n", "1"], 1),
         ("file", ["--M", "100", "--n", "1"], 1),
-        # completes, past its usable n: level 12 has kappa_1 = 1.3e19
-        ("nmr3", ["--M", "80", "--n", "12", "--eps-serious", "1e20"], 12),
+        # completes, past its usable n: the continued fraction's level 12 had
+        # kappa_1 = 1.3e19, but no mesh row's D_j is ill-conditioned
+        ("nmr3", ["--M", "80", "--n", "12", "--eps-serious", "1e20"], None),
     ], ids=["pole-M4", "pole-M100", "nmr3-past-usable-n"])
-    def test_singular_level_promises_no_remedy(self, tmp_path, capsys, source, argv, level):
-        # a finer mesh helps neither case, and the message does not suggest one
+    def test_singular_level_promises_no_remedy(self, tmp_path, capsys, source, argv, row):
+        # a finer mesh does not help a pole at t = a, and the message does not suggest one
         path = tmp_path / "pole1.json"
         path.write_text(json.dumps(POLE1))
         problem = ["--problem-file", str(path)] if source == "file" else ["--problem", source]
         code = run_cli("run", *problem, *argv, "--output", str(tmp_path / "s"))
-        assert code == EXIT_RESOLVENT
         lines = capsys.readouterr().err.splitlines()
+        if row is None:
+            assert code == EXIT_OK and lines == []
+            assert sorted(f.name for f in tmp_path.iterdir()) == [
+                "pole1.json", "s_report.json", "s_solution.csv"]
+            return
+        assert code == EXIT_RESOLVENT
         assert len(lines) == 1, lines
-        assert lines[0].startswith(f"error: resolvent level {level} has kappa_1 = ")
+        assert lines[0].startswith(f"error: resolvent mesh row {row} has kappa_1 = inf")
         assert "small enough h" not in lines[0]
         assert [f.name for f in tmp_path.iterdir()] == ["pole1.json"]
 
-    def test_unusable_breakdown_prefix_writes_no_solution(self, tmp_path):
-        # nmr1 at M=40 stops seriously at k=6, and the 6-level prefix's resolvent is unusable
-        _, res, sol = solve(builtin("nmr1"), 40, 12, eps_serious=1e20)
-        assert res.status.kind == "serious_breakdown" and res.status.k == 6
-        assert sol is None
+    @pytest.mark.parametrize("problem_id,m,n_used,err_sol,max_cond", [
+        # completes; the continued fraction raised at level 12 (kappa_1 = 1.3e19)
+        ("nmr3", 80, 12, 2.088e-2, 1.13),
+        # stops seriously at k=6; the fraction of the 6-term prefix was unusable
+        ("nmr1", 40, 6, 4.745e-3, 1.10),
+    ])
+    def test_runs_past_usable_n_return_their_solution(self, problem_id, m, n_used, err_sol,
+                                                      max_cond):
+        p = builtin(problem_id)
+        mesh, res, sol = solve(p, m, 12, eps_serious=1e20)
+        assert res.tri.n == sol.n_used == n_used
+        want = res.normalization * np.cumsum(dense_resolvent_column(res.tri))
+        assert np.max(np.abs(sol.values - want)) <= 1e-14 * np.max(np.abs(want))
+        ref = (problems.rk45_reference(p, mesh, rtol=1e-12, atol=1e-14) if problem_id == "nmr3"
+               else problems.analytic_reference(p, mesh))
+        assert diagnostics.err_solution(ref.values, sol.values) == pytest.approx(err_sol, rel=1e-3)
+        # the row systems D_j, balanced: sqrt|beta_k[j, j]| on both off-diagonals
+        d = np.zeros((m, res.tri.n, res.tri.n), dtype=complex)
+        for k in range(res.tri.n):
+            d[:, k, k] = 1 - res.tri.alphas[k].diagonal()
+            if k:
+                r = np.sqrt(np.abs(res.tri.betas[k - 1].diagonal()))
+                d[:, k, k - 1] = -res.tri.betas[k - 1].diagonal() / r
+                d[:, k - 1, k] = -r
+        assert max(np.linalg.cond(dj, 1) for dj in d) == pytest.approx(max_cond, rel=0.01)
+
+    def test_breakdown_prefix_past_usable_n_writes_its_solution(self, tmp_path):
+        # nmr1 at M=20 and 40 stops seriously at k=6, and the 6-term prefix's
+        # column is usable (the continued fraction was not)
         flags = ["--problem", "nmr1", "--n", "12", "--eps-serious", "1e20",
                  "--reference", "analytic"]
         assert run_cli("run", *flags, "--M", "40", "--output", str(tmp_path / "r")) == EXIT_SERIOUS
         report = strict_json(tmp_path / "r_report.json")
-        assert report["err_sol"] is None and report["meta"]["status"] == "serious_breakdown"
+        assert report["meta"]["status"] == "serious_breakdown" and report["meta"]["breakdown_k"] == 6
+        assert report["err_sol"] == pytest.approx(4.745e-3, rel=1e-3)
         code = run_cli("convergence", *flags, "--M", "20,40", "--output", str(tmp_path / "c"))
         assert code == EXIT_SERIOUS
         header, *rows = (tmp_path / "c_convergence.csv").read_text().splitlines()
         col = header.split(",").index("err_sol")
-        assert len(rows) == 2 and all(row.split(",")[col] == "" for row in rows)
-        assert strict_json(tmp_path / "c_slope.json") == {"slope": None, "points": []}
+        assert len(rows) == 2 and float(rows[1].split(",")[col]) == report["err_sol"]
+        assert strict_json(tmp_path / "c_slope.json")["slope"] == pytest.approx(-1.0, abs=0.05)
         assert sorted(f.name for f in tmp_path.iterdir()) == [
-            "c_convergence.csv", "c_slope.json", "r_report.json"]
+            "c_convergence.csv", "c_slope.json", "r_report.json", "r_solution.csv"]
 
     def test_commands_call_solve_once_per_mesh(self, tmp_path, monkeypatch):
         calls = []

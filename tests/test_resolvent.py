@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,78 +12,103 @@ from toelanczos import (
     builtin,
     discretize_problem,
     solution_to_csv,
-    star_resolvent_11,
     tensor_lanczos,
 )
+from toelanczos import lanczos, resolvent
 from toelanczos.cli import solve
 from toelanczos.lanczos import TriTensor
-from oracles import assemble_tridiag, lu_resolvent_11, neumann_resolvent, solution_via_series
+from toelanczos.resolvent import _resolvent_column
+from oracles import (assemble_tridiag, dense_resolvent_column, lu_resolvent_11,
+                     neumann_resolvent, solution_via_series)
+
+BUILTIN_N = {"const3": 3, "timedep5": 5, "zero1": 1, "nmr1": 4, "nmr2": 4, "nmr3": 4}
 
 
 class TestStarResolvent11:
+    """The first column ``R_11 e_1`` of the resolvent's (1, 1) block."""
+
     def test_zero_alpha_gives_identity(self):
         m = 4
         tri = TriTensor(m, [np.zeros((m, m), dtype=complex)], [])
-        assert np.allclose(star_resolvent_11(tri), np.eye(m), atol=1e-15)
+        assert np.array_equal(_resolvent_column(tri), np.eye(m)[:, 0])
 
     def test_nilpotent_alpha_matches_neumann_sum(self):
         rng = np.random.default_rng(0)
         m = 5
         alpha = np.tril(rng.standard_normal((m, m)), -1) + 0j
         tri = TriTensor(m, [alpha], [])
-        r = star_resolvent_11(tri)
+        r = _resolvent_column(tri)
         # strictly lower triangular: the geometric series terminates at m terms
         acc = np.zeros((m, m), dtype=complex)
         power = np.eye(m)
         for _ in range(m + 1):
             acc += power
             power = power @ alpha
-        assert np.linalg.norm(r - acc) < 1e-13
+        assert np.linalg.norm(r - acc[:, 0]) < 1e-13
 
     def test_const3_matches_series_resolvent(self):
         p = builtin("const3")
         mesh = build_mesh(p.a, p.b, 10)
         a4 = discretize_problem(p, mesh)
         res = tensor_lanczos(a4, p.v, p.w, 3)
-        r_frac = star_resolvent_11(res.tri)
+        r_col = _resolvent_column(res.tri)
         r_series = neumann_resolvent(assemble_tridiag(res.tri), max_terms=3 * 10)
-        num = np.linalg.norm(r_frac - r_series.data[0, 0])
-        assert num / np.linalg.norm(r_series.data[0, 0]) < 1e-11
+        want = r_series.data[0, 0][:, 0]
+        assert np.linalg.norm(r_col - want) / np.linalg.norm(want) < 1e-11
 
     def test_singularity_reports_depth(self):
         m = 3
-        tri = TriTensor(m, [np.eye(m, dtype=complex)], [])  # I - alpha = 0
-        with pytest.raises(ResolventSingularError) as err:
-            star_resolvent_11(tri)
-        assert err.value.depth == 1
+        tri = TriTensor(m, [np.eye(m, dtype=complex)], [])  # D_j = 1 - 1 = 0 on every row
+        with pytest.raises(ResolventSingularError, match="mesh row 1 has kappa_1 = inf") as err:
+            _resolvent_column(tri)
+        assert err.value.row == 1 and err.value.cond == np.inf
 
-    @pytest.mark.parametrize("alphas,betas,depth", [
-        pytest.param([np.zeros((2, 2)), np.diag([1.0, 0.0])], [np.eye(2)], 2,
+    @pytest.mark.parametrize("alphas,betas,row,value", [
+        # D_2 = [[1, -1], [-1, 1]] is exactly singular
+        pytest.param([np.zeros((2, 2)), np.diag([1.0, 0.0])], [np.eye(2)], 2, np.inf,
                      id="zero-diagonal-inner"),
-        pytest.param([np.array([[1 - 2.0**-52, 0.0], [1e300, 1 - 2.0**-52]])], [], 1,
+        # row 2 reads alpha_1[1, 0] x_1[0] = 1e300 * 2^52, which overflows to inf
+        pytest.param([np.array([[1 - 2.0**-52, 0.0], [1e300, 1 - 2.0**-52]])], [], 2, np.inf,
                      id="inverse-overflows"),
-        pytest.param([np.array([[0.0, 0.0], [-1e200, 0.0]])], [], 1,
+        # both D_j = [1]: the exact column (1, -1e200)
+        pytest.param([np.array([[0.0, 0.0], [-1e200, 0.0]])], [], None, [1.0, -1e200],
                      id="condition-overflows"),
-        pytest.param([np.zeros((2, 2)), 0.5 * np.eye(2)], [1e308 * np.eye(2)], 1,
-                     id="inner-term-overflows"),
+        # the fraction overflowed forming (I - alpha_2)^{-1} beta_2 = 2e308; balanced,
+        # D_1 = [[1, -1e154], [-1e154, 0.5]] is well conditioned, and the column
+        # is the exact 1 / (1 - 2e308), a subnormal
+        pytest.param([np.zeros((2, 2)), 0.5 * np.eye(2)], [1e308 * np.eye(2)], None,
+                     [0.5 / (0.5 - 1e308), 0.0], id="inner-term-overflows"),
+        # beta_2[j, j] = 0 leaves D_j = [[1, -1], [0, 1]] unbalanced; row 2 reads
+        # beta_2[1, 0] x_1[0] = 1, so x[:, 1] = D_2^{-1} (0, 1) = (1, 1)
+        pytest.param([np.zeros((2, 2)), np.zeros((2, 2))], [np.array([[0.0, 0.0], [1.0, 0.0]])],
+                     None, [1.0, 1.0], id="zero-beta-diagonal"),
+        # D_j = [[1, -1], [-(1 - 2^-52), 1]] has kappa_1 = 4 * 2^52 (balanced alike)
+        pytest.param([np.zeros((2, 2)), np.zeros((2, 2))], [(1 - 2.0**-52) * np.eye(2)],
+                     1, 2.0**54, id="near-singular"),
     ])
-    def test_unusable_level_logs_inf_at_its_depth(self, alphas, betas, depth):
-        log = []
+    def test_unusable_level_logs_inf_at_its_depth(self, alphas, betas, row, value):
+        tri = TriTensor(2, alphas, betas)
+        if row is None:
+            assert _resolvent_column(tri) == pytest.approx(value, rel=1e-12, abs=0)
+            return
         with pytest.raises(ResolventSingularError) as err:
-            star_resolvent_11(TriTensor(2, alphas, betas), cond_log=log)
-        assert err.value.depth == depth
-        assert len(log) == len(alphas) - depth + 1 and log[-1] == np.inf
+            _resolvent_column(tri)
+        assert err.value.row == row
+        assert err.value.cond == pytest.approx(value, rel=1e-12)
+        assert str(err.value).startswith(f"resolvent mesh row {row} has kappa_1 = {value:.3e}")
 
-    @pytest.mark.parametrize("problem_id,m,n", [("const3", 10, 3), ("timedep5", 20, 5),
-                                                ("zero1", 5, 1), ("nmr1", 100, 4),
-                                                ("nmr2", 40, 4), ("nmr3", 40, 4)])
-    def test_strict_upper_triangle_exactly_zero(self, problem_id, m, n):
-        # a pivoted LU leaves roundoff above the diagonal (5.3e-22 on nmr1 at M=100)
-        p = builtin(problem_id)
-        a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
-        res = tensor_lanczos(a4, p.v, p.w, n)
-        assert res.status.completed
-        assert np.all(np.triu(star_resolvent_11(res.tri), 1) == 0)
+    def test_condition_is_scale_invariant(self):
+        # const3 with every coefficient times 1e10 is as well posed as const3
+        # (the column matches the fraction within 5.2e-15); the plain D_j has
+        # kappa_1 3.1e25 there, the balanced one the same ~1 as unscaled
+        for scale in (1.0, 1e10, 1e100):
+            p = builtin("const3")
+            p = replace(p, entries={kl: [replace(t, coeff=t.coeff * scale) for t in terms]
+                                    for kl, terms in p.entries.items()})
+            _, res, sol = solve(p, 20, 3)
+            want = np.cumsum(lu_resolvent_11(res.tri)[:, 0])
+            got = np.cumsum(_resolvent_column(res.tri))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), scale
 
     @pytest.mark.parametrize("which", ["alpha", "beta"])
     def test_rejects_non_triangular_coefficients(self, which):
@@ -91,14 +118,14 @@ class TestStarResolvent11:
         coeffs[which][0][0, m - 1] = 1e-30
         tri = TriTensor(m, coeffs["alpha"], coeffs["beta"])
         with pytest.raises(ValueError, match="lower-triangular"):
-            star_resolvent_11(tri)
+            _resolvent_column(tri)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(1, 8), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_matches_pivoted_lu_fraction(self, m, n, seed):
-        # coefficients of 2-norm 1/8 keep every level within 0.31 of I (the
-        # fixed point of e = (1 + 1/(1 - e))/8), so each level's condition
-        # number stays below 2
+        # coefficients of 2-norm 1/8 keep every level of the fraction within
+        # 0.31 of I (the fixed point of e = (1 + 1/(1 - e))/8), so each level's
+        # condition number stays below 2
         rng = np.random.default_rng(seed)
 
         def coefficient():
@@ -107,25 +134,36 @@ class TestStarResolvent11:
 
         tri = TriTensor(m, [coefficient() for _ in range(n)],
                         [coefficient() for _ in range(n - 1)])
-        got = star_resolvent_11(tri)
-        want = lu_resolvent_11(tri)
+        got = _resolvent_column(tri)
+        want = lu_resolvent_11(tri)[:, 0]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m", [40, 120, 250])
+    @pytest.mark.parametrize("problem_id", sorted(BUILTIN_N))
+    def test_matches_both_oracles_on_builtins(self, problem_id, m):
+        # the continued fraction and one dense (nM) x (nM) solve, compared
+        # after the cumulative sum that gives the solution
+        _, res, sol = solve(builtin(problem_id), m, BUILTIN_N[problem_id])
+        assert res.status.completed
+        s = np.cumsum(_resolvent_column(res.tri))
+        for want in (lu_resolvent_11(res.tri)[:, 0], dense_resolvent_column(res.tri)):
+            want = np.cumsum(want)
+            assert np.max(np.abs(s - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(sol.values, res.normalization * s)
 
     @pytest.mark.parametrize("problem_id,dtype", [("const3", np.float64), ("timedep5", np.float64),
                                                   ("nmr2", np.complex128)])
     def test_levels_in_the_coefficients_dtype(self, problem_id, dtype):
-        # a real Lanczos run gives a real resolvent; the i-mapped nmr2
+        # a real Lanczos run gives a real column; the i-mapped nmr2
         # coefficients stay complex
         p = builtin(problem_id)
         _, res, sol = solve(p, 12, 3)
-        log, log_c = [], []
-        got = star_resolvent_11(res.tri, cond_log=log)
+        got = _resolvent_column(res.tri)
         as_complex = TriTensor(res.tri.m, [x.astype(complex) for x in res.tri.alphas],
                                [x.astype(complex) for x in res.tri.betas])
-        want = star_resolvent_11(as_complex, cond_log=log_c)
+        want = _resolvent_column(as_complex)
         assert got.dtype == dtype
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-        assert np.allclose(log, log_c, rtol=1e-12)
         assert sol.values.dtype == np.complex128
 
     def test_non_finite_beta_raises_value_error(self):
@@ -134,25 +172,27 @@ class TestStarResolvent11:
         beta[2, 0] = np.nan
         tri = TriTensor(m, [np.zeros((m, m)), np.zeros((m, m))], [beta])
         with pytest.raises(ValueError, match="infs or NaNs"):
-            star_resolvent_11(tri)
+            _resolvent_column(tri)
 
-    def test_condition_log(self):
-        # the log holds each level's exact kappa_1, not an estimate of it; on
-        # the two outermost nmr1 levels a one-norm estimator reads 22-29% low
-        for problem_id, m, n in [("const3", 8, 3), ("nmr1", 100, 4)]:
-            p = builtin(problem_id)
-            a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
-            tri = tensor_lanczos(a4, p.v, p.w, n).tri
-            log = []
-            star_resolvent_11(tri, cond_log=log)
-            assert len(log) == n and all(c >= 1.0 for c in log)
-            level = np.eye(m) - tri.alphas[n - 1]
-            levels = [level]
-            for k in range(n - 1, 0, -1):
-                level = np.eye(m) - tri.alphas[k - 1] - np.linalg.solve(level, tri.betas[k - 1])
-                levels.append(level)
-            want = [np.linalg.cond(s, 1) for s in levels]
-            assert np.allclose(log, want, rtol=1e-12, atol=0), (problem_id, log, want)
+    @pytest.mark.parametrize("problem_id,m,n", [("nmr2", 40, 4), ("timedep5", 30, 5)])
+    def test_forms_no_m_by_m_inverse(self, monkeypatch, problem_id, m, n):
+        # the column is O(n M^2): no M x M inverse or solve may come back
+        mesh, res, want = solve(builtin(problem_id), m, n)
+
+        def refusing(fn):
+            def guarded(a, *args, **kwargs):
+                if np.shape(a)[-2:] == (m, m):
+                    raise AssertionError(f"{fn.__name__} on an M x M operand")
+                return fn(a, *args, **kwargs)
+            return guarded
+
+        for name in ("inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, refusing(getattr(np.linalg, name)))
+        monkeypatch.setattr(lanczos, "_inverse_lower", refusing(lanczos._inverse_lower))
+        monkeypatch.setattr(resolvent, "_inverse_lower", refusing(lanczos._inverse_lower),
+                            raising=False)
+        got = approx_solution(res.tri, mesh, res.normalization)
+        assert np.array_equal(got.values, want.values)
 
 
 class TestApproxSolution:

@@ -30,7 +30,7 @@ from .problems import (
     Reference,
     Term,
     analytic_const3,
-    analytic_nmr1,
+    analytic_diagonal,
     analytic_reference,
     builtin,
     builtin_ids,

@@ -110,8 +110,9 @@ def solve(problem, m, n, eps_lucky=DEFAULT_EPS_LUCKY, eps_serious=DEFAULT_EPS_SE
     """``(mesh, result, solution)`` of one discretize -> Lanczos -> resolvent pass.
 
     A breakdown prefix still defines a (shorter) resolvent: it is evaluated,
-    and ``solution`` is ``None`` when its column is unusable.  On a completed
-    run an unusable column raises :class:`ResolventSingularError`.  The result
+    and when its column is unusable ``solution`` is the
+    :class:`ResolventSingularError` that says why (its mesh row and
+    ``kappa_1``).  On a completed run an unusable column raises it.  The result
     holds no basis; the diagnostics rebuild the bases from it on first read.
     """
     mesh = build_mesh(problem.a, problem.b, m)
@@ -119,18 +120,22 @@ def solve(problem, m, n, eps_lucky=DEFAULT_EPS_LUCKY, eps_serious=DEFAULT_EPS_SE
                             eps_lucky=eps_lucky, eps_serious=eps_serious)
     try:
         return mesh, result, approx_solution(result.tri, mesh, result.normalization)
-    except ResolventSingularError:
+    except ResolventSingularError as exc:
         if result.status.completed:
             raise
-        return mesh, result, None
+        return mesh, result, exc
 
 
 def _pipeline_once(problem, m, n, args, reference):
     """One :func:`solve` pass plus its diagnostics.
 
-    ``reference`` maps the mesh to the reference values, or to ``None``.
+    ``reference`` maps the mesh to the reference values, or to ``None``.  The
+    report's ``resolvent_error`` says why a breakdown prefix has no solution.
     """
     mesh, result, solution = solve(problem, m, n, args.eps_lucky, args.eps_serious)
+    error = None
+    if isinstance(solution, ResolventSingularError):
+        error, solution = str(solution), None
     status = result.status
     ref = None if solution is None else reference(mesh)
     report_err_sol = None if ref is None else diag.err_solution(ref, solution.values)
@@ -144,7 +149,8 @@ def _pipeline_once(problem, m, n, args, reference):
                                     "breakdown_side": status.side,
                                     "breakdown_cond": (status.cond if status.cond is None
                                                        or math.isfinite(status.cond) else None),
-                                    "reference": args.reference})
+                                    "reference": args.reference,
+                                    "resolvent_error": error})
     return report, solution
 
 

@@ -9,8 +9,9 @@ structural.  :meth:`Problem.compile_matrix` is the one evaluator of the
 terms: the discretization samples it and the RK45 reference integrates it.
 
 References (the sampled true bilinear form ``w^H U(t) v``) come either from
-closed forms, which :func:`analytic_reference` chooses by the problem's
-content, or from an adaptive Dormand-Prince integration with dense output.
+closed forms, which :func:`analytic_reference` reads from the problem's
+terms alone, or from an adaptive Dormand-Prince integration with dense
+output.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ __all__ = [
     "Term",
     "Problem",
     "Reference",
-    "NmrCoefficients",
     "builtin",
     "builtin_ids",
     "analytic_const3",
-    "analytic_nmr1",
+    "analytic_diagonal",
     "analytic_reference",
     "nmr_generate",
     "rk45_reference",
@@ -80,7 +80,6 @@ class Problem:
     entries: dict[tuple[int, int], list[Term]]
     v: np.ndarray
     w: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1:
@@ -155,14 +154,8 @@ class Reference:
 
 
 def _entries_from_matrix(mat) -> dict:
-    entries = {}
-    n = len(mat)
-    for k in range(n):
-        for l in range(n):
-            terms = mat[k][l]
-            if terms:
-                entries[(k, l)] = list(terms)
-    return entries
+    return {(k, l): list(terms) for k, row in enumerate(mat)
+            for l, terms in enumerate(row) if terms}
 
 
 def _const3() -> Problem:
@@ -195,20 +188,6 @@ def _zero1() -> Problem:
     return Problem("zero1", 1, 0.0, 1.0, {}, np.array([1.0]), np.array([1.0]))
 
 
-@dataclass(frozen=True)
-class NmrCoefficients:
-    """Seeded synthetic coefficient set for the spin-simulation generators."""
-
-    kind: int
-    seed: int
-    nu: float
-    alpha: np.ndarray                  # 16 diagonal frequencies
-    beta: np.ndarray | None = None     # kind 1: per-level cos(2 pi nu t) weights
-    gamma: np.ndarray | None = None    # kind 1: per-level cos(4 pi nu t) weights
-    B: np.ndarray | None = None        # kinds 2-3: coupling matrix
-    C: np.ndarray | None = None        # kinds 2-3: second coupling matrix
-
-
 def _symmetric_sparse(rng, n, scale, complex_values=False):
     mat = np.zeros((n, n), dtype=complex if complex_values else float)
     for i in range(n):
@@ -231,16 +210,17 @@ _NMR_SCALES = {1: (4e3, 2e3), 2: (2e4, 5e3), 3: (3e2, 1.5e2)}
 _NMR_NU = 1e4  # spinning rate (Hz) of kinds 1-2
 
 
-def _nmr_coefficients(kind: int, seed: int) -> NmrCoefficients:
-    """Draw the synthetic coefficient set for one experiment kind.
+def _nmr_coefficients(kind: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``(alpha, B, C)``, the synthetic coefficients of one experiment kind.
 
     The true coefficient data of the cited spin systems is not public, so the
     generators keep the functional forms, the 2**4 = 16 state-space size, the
     coupling sparsity style, and the experiment intervals, with values from a
     seeded uniform draw.  Diagonal frequencies are alpha ~ U(-s, s) with the
     per-kind scale s from ``_NMR_SCALES``; modulation weights and couplings
-    use the second per-kind scale, and couplings get two symmetric partners
-    per row.  The spinning rate is ``_NMR_NU``, 1e4 Hz.
+    use the second per-kind scale.  Kind 1's ``B`` and ``C`` are diagonal
+    (each level's two modulation weights); the couplings of kinds 2-3 get two
+    symmetric partners per row.
     """
     if kind not in (1, 2, 3):
         raise ValueError(f"unknown experiment kind {kind}")
@@ -249,18 +229,11 @@ def _nmr_coefficients(kind: int, seed: int) -> NmrCoefficients:
     alpha_scale, coupling_scale = _NMR_SCALES[kind]
     alpha = rng.uniform(-alpha_scale, alpha_scale, size=n)
     if kind == 1:
-        beta = rng.uniform(-coupling_scale, coupling_scale, size=n)
-        gamma = rng.uniform(-coupling_scale, coupling_scale, size=n)
-        return NmrCoefficients(kind, seed, _NMR_NU, alpha, beta=beta, gamma=gamma)
+        return (alpha, np.diag(rng.uniform(-coupling_scale, coupling_scale, size=n)),
+                np.diag(rng.uniform(-coupling_scale, coupling_scale, size=n)))
     B = _symmetric_sparse(rng, n, coupling_scale)
     C = _symmetric_sparse(rng, n, coupling_scale, complex_values=(kind == 3))
-    return NmrCoefficients(kind, seed, _NMR_NU, alpha, B=B, C=C)
-
-
-def _nmr_vectors(kind: int) -> np.ndarray:
-    if kind == 3:
-        return np.ones(16)
-    return np.tile([0.0, 1.0, 1.0], 6)[:16]
+    return alpha, B, C
 
 
 _NMR_INTERVALS = {1: (0.0, 5e-5), 2: (0.0, 5e-6), 3: (0.0, 1e-3)}
@@ -269,45 +242,40 @@ _NMR_INTERVALS = {1: (0.0, 5e-5), 2: (0.0, 5e-6), 3: (0.0, 1e-3)}
 def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED) -> Problem:
     """Build the spin-simulation problem ``A(t) = -2*pi*i * H(t)`` for one kind.
 
-    kind 1: diagonal ``H``, level k carrying
-    ``alpha_k + beta_k cos(2 pi nu t) + gamma_k cos(4 pi nu t)``.
-    kind 2: ``diag(alpha) + B cos(2 pi nu t) + C cos(4 pi nu t)`` with real
-    symmetric sparse couplings.
+    kinds 1-2: ``diag(alpha) + B cos(2 pi nu t) + C cos(4 pi nu t)``, with
+    diagonal ``B`` and ``C`` for kind 1 and real symmetric sparse couplings
+    for kind 2.
     kind 3: ``diag(alpha) + B (0.5 + cos 4t + sin 10t - 0.4 sin 16t)
     + C (sin 4t + cos 8t + 2 sin 12t)`` with real B and complex Hermitian C.
 
     The spinning rate ``nu`` is 1e4 Hz.  The probe vectors are the repeating
     (0, 1, 1) pattern for kinds 1-2 and all-ones for kind 3; the intervals
     are [0, 5e-5], [0, 5e-6], [0, 1e-3].  Identical seeds give bit-identical
-    problems; ``meta["coefficients"]`` holds the drawn
-    :class:`NmrCoefficients`.
+    problems.  The terms are the whole problem: :func:`analytic_diagonal`
+    reads kind 1's closed form from them, as from the problem's file.
     """
-    coeffs = _nmr_coefficients(kind, seed)
+    alpha, B, C = _nmr_coefficients(kind, seed)
     s = -2j * np.pi  # A(t) = -i 2 pi H(t)
-    w2 = 2 * np.pi * coeffs.nu
+    w2 = 2 * np.pi * _NMR_NU
 
     def coupling(mat):
         return [(int(i), int(j), mat[i, j]) for i, j in zip(*np.nonzero(mat))]
 
     # (coupling, modulation) parts; a modulation lists (weight, trig, omega) summands
     if kind == 3:
-        parts = [(coupling(coeffs.B), [(0.5, "none", 0.0), (1.0, "cos", 4.0),
-                                       (1.0, "sin", 10.0), (-0.4, "sin", 16.0)]),
-                 (coupling(coeffs.C), [(1.0, "sin", 4.0), (1.0, "cos", 8.0),
-                                       (2.0, "sin", 12.0)])]
-    else:  # kind 1 couples each level to itself
-        B, C = ((coeffs.B, coeffs.C) if kind == 2
-                else (np.diag(coeffs.beta), np.diag(coeffs.gamma)))
+        parts = [(coupling(B), [(0.5, "none", 0.0), (1.0, "cos", 4.0),
+                                (1.0, "sin", 10.0), (-0.4, "sin", 16.0)]),
+                 (coupling(C), [(1.0, "sin", 4.0), (1.0, "cos", 8.0), (2.0, "sin", 12.0)])]
+    else:
         parts = [(coupling(B), [(1.0, "cos", w2)]), (coupling(C), [(1.0, "cos", 2 * w2)])]
-    entries = {(k, k): [Term(s * coeffs.alpha[k])] for k in range(16)}
+    entries = {(k, k): [Term(s * alpha[k])] for k in range(16)}
     for pairs, modulation in parts:
         for i, j, x in pairs:
             entries.setdefault((i, j), []).extend(
                 Term(weight * (s * x), 0, trig, omega) for weight, trig, omega in modulation)
     a, b = _NMR_INTERVALS[kind]
-    vec = _nmr_vectors(kind)
-    return Problem(f"nmr{kind}", 16, a, b, entries, vec, vec,
-                   meta={"kind": kind, "seed": seed, "coefficients": coeffs})
+    vec = np.ones(16) if kind == 3 else np.tile([0.0, 1.0, 1.0], 6)[:16]
+    return Problem(f"nmr{kind}", 16, a, b, entries, vec, vec)
 
 
 _BUILTIN_FACTORIES = {
@@ -346,29 +314,49 @@ def analytic_const3(mesh: Mesh) -> Reference:
     return Reference(vals)
 
 
-def analytic_nmr1(problem: Problem, mesh: Mesh) -> Reference:
-    """Exact ``w^H U(t) v`` for a generated diagonal (kind 1) experiment.
+def _integral(term: Term, a: float, tau: np.ndarray) -> np.ndarray | None:
+    """``int_a^tau term(t) dt`` in closed form, or ``None`` when it has none here."""
+    c, q, w = term.coeff, term.power + 1, term.omega
+    if term.trig == "none" and q >= 1:
+        return c * (tau**q - a**q) / q
+    if q != 1 or w == 0:
+        return None
+    if term.trig == "cos":
+        return c * (np.sin(w * tau) - np.sin(w * a)) / w
+    return c * (np.cos(w * a) - np.cos(w * tau)) / w
 
-    ``A(t)`` is diagonal and commutes with itself, so each level evolves by
-    the exponential of the antiderivative:
 
-        u_k(t) = exp(-2 pi i [alpha_k t + beta_k sin(2 pi nu t)/(2 pi nu)
-                              + gamma_k sin(4 pi nu t)/(4 pi nu)])
+def analytic_diagonal(problem: Problem, mesh: Mesh) -> Reference:
+    """Exact ``w^H U(t) v`` for a diagonal ``A(t)``, read from its terms.
 
-    The coefficients come from the problem's ``meta`` and the probes are
-    the problem's own ``v`` and ``w``.  Any other problem raises
-    ``ValueError``.
+    A diagonal ``A(t)`` commutes with itself, so ``U(t) = exp(int_a^t A)``:
+    level ``k`` evolves by ``exp(phase_k)``, its phase the sum of its terms'
+    integrals, and ``s = sum_k conj(w_k) exp(phase_k) v_k``.  A term
+    integrates in closed form when it is a polynomial ``c t^p`` with
+    ``p >= 0`` or a ``cos`` or ``sin`` of power 0 with ``omega != 0``.  An
+    off-diagonal term, any other term, or a closed form that is not finite
+    (an overflowing ``exp``) raises ``ValueError`` naming it.
     """
-    if problem.meta.get("kind") != 1:
-        raise ValueError("analytic solution is available for a generated kind-1 problem only")
-    coeffs = problem.meta["coefficients"]
-    t = mesh.tau[None, :]
-    w2 = 2 * np.pi * coeffs.nu
-    phase = (coeffs.alpha[:, None] * t
-             + coeffs.beta[:, None] * np.sin(w2 * t) / w2
-             + coeffs.gamma[:, None] * np.sin(2 * w2 * t) / (2 * w2))
-    diag = np.exp(-2j * np.pi * phase)
-    vals = (np.conj(problem.w)[:, None] * diag * problem.v[:, None]).sum(axis=0)
+    def refuse(why):
+        return ValueError(f"no analytic reference for problem {problem.id!r}: {why}")
+
+    tau = mesh.tau
+    phase = np.zeros((problem.n, tau.size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are caught as non-finite
+        for (k, l), terms in problem.entries.items():
+            if terms and k != l:
+                raise refuse(f"entry (k, l) = ({k + 1}, {l + 1}) is off the diagonal")
+            for j, term in enumerate(terms):
+                # numpy's power overflows to inf where a Python float's raises
+                part = _integral(term, np.float64(problem.a), tau)
+                if part is None:
+                    raise refuse(f"term {j} of entry (k, l) = ({k + 1}, {k + 1}), {term}, "
+                                 "has no closed-form integral")
+                phase[k] += part
+        vals = (np.conj(problem.w)[:, None] * np.exp(phase) * problem.v[:, None]).sum(axis=0)
+    if not np.isfinite(vals).all():
+        i = int(np.argmin(np.isfinite(vals)))
+        raise refuse(f"the closed form is not finite at tau[{i}] = {float(tau[i])}")
     return Reference(vals)
 
 
@@ -380,21 +368,17 @@ def _same_content(p: Problem, q: Problem) -> bool:
 
 
 def analytic_reference(problem: Problem, mesh: Mesh) -> Reference:
-    """The closed-form reference for a problem that admits one, chosen by content.
+    """The closed-form reference for a problem that admits one, read from its content.
 
-    A problem with no terms (``A = 0``) gets the constant ``w^H v``; one whose
-    entries, interval and probe vectors equal the builtin const3's gets
-    :func:`analytic_const3`; a generated kind-1 spin problem (its ``meta``
-    carries the coefficients) gets :func:`analytic_nmr1`.  The ``id`` plays
-    no part.  Any other problem raises ``ValueError``.
+    A problem whose entries, interval and probe vectors equal the builtin
+    const3's gets :func:`analytic_const3`; any other gets
+    :func:`analytic_diagonal`, which integrates a diagonal ``A(t)`` exactly
+    (``A = 0`` and the generated nmr1 among them) and raises ``ValueError``
+    for every other content.  The ``id`` plays no part.
     """
-    if not any(problem.entries.values()):
-        return Reference(np.full(mesh.m, np.vdot(problem.w, problem.v)))
     if _same_content(problem, _const3()):
         return analytic_const3(mesh)
-    if problem.meta.get("kind") == 1:
-        return analytic_nmr1(problem, mesh)
-    raise ValueError(f"no analytic reference for problem {problem.id!r}")
+    return analytic_diagonal(problem, mesh)
 
 
 def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,

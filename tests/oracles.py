@@ -30,6 +30,7 @@ from toelanczos import (
     star_mul_tv,
 )
 from toelanczos.lanczos import _times_i_power
+from toelanczos.problems import _NMR_NU, _nmr_coefficients
 from toelanczos.tt import TTTensor, _rank_from_tail, parameter_count
 
 
@@ -434,3 +435,20 @@ def reference_per_term(problem, mesh, rtol: float = 1e-10, atol: float = 1e-12) 
                     (problem.a, problem.b), problem.v.astype(complex),
                     method="RK45", rtol=rtol, atol=atol, dense_output=True)
     return np.conj(problem.w) @ sol.sol(mesh.tau)
+
+
+def nmr1_closed_form(seed: int, mesh, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w^H U(t) v`` of the generated nmr1 from its drawn coefficients, not its terms.
+
+    Level k carries ``alpha_k + beta_k cos(2 pi nu t) + gamma_k cos(4 pi nu t)``
+    (``beta`` and ``gamma`` the diagonals of the draw's ``B`` and ``C``) and
+    evolves by ``exp(-2 pi i [alpha_k t + beta_k sin(2 pi nu t) / (2 pi nu)
+    + gamma_k sin(4 pi nu t) / (4 pi nu)])``; the interval starts at 0.
+    """
+    alpha, b, c = _nmr_coefficients(1, seed)
+    t = mesh.tau[None, :]
+    w2 = 2 * np.pi * _NMR_NU
+    phase = (alpha[:, None] * t
+             + np.diag(b)[:, None] * np.sin(w2 * t) / w2
+             + np.diag(c)[:, None] * np.sin(2 * w2 * t) / (2 * w2))
+    return (np.conj(w)[:, None] * np.exp(-2j * np.pi * phase) * v[:, None]).sum(axis=0)

@@ -34,9 +34,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def pipeline_err_sol(problem, m, n, reference="analytic"):
     mesh, _, sol = solve(problem, m, n)
     if reference == "analytic":
-        ref = tl.analytic_const3(mesh).values
-    elif reference == "analytic_nmr1":
-        ref = tl.analytic_nmr1(problem, mesh).values
+        ref = tl.analytic_reference(problem, mesh).values
     else:
         ref = tl.rk45_reference(problem, mesh, rtol=1e-10, atol=1e-13).values
     return tl.err_solution(ref, sol.values)
@@ -231,7 +229,7 @@ class TestCriterion07NmrExperiments:
     def test_analytic_oracle_agrees_with_rk45(self):
         p = tl.builtin("nmr1")
         mesh = tl.build_mesh(p.a, p.b, 50)
-        ana = tl.analytic_nmr1(p, mesh).values
+        ana = tl.analytic_reference(p, mesh).values
         ode = tl.rk45_reference(p, mesh, rtol=1e-10, atol=1e-13).values
         gap = float(np.linalg.norm(ana - ode) / np.linalg.norm(ana))
         report("criterion 7 (experiment-1 oracle vs RK45)", gap < 1e-7,
@@ -240,7 +238,7 @@ class TestCriterion07NmrExperiments:
     @pytest.mark.parametrize("kind,n_iter", [(1, 3), (2, 4), (3, 4)])
     def test_synthetic_experiments_converge(self, kind, n_iter):
         p = tl.builtin(f"nmr{kind}")
-        reference = "analytic_nmr1" if kind == 1 else "rk45"
+        reference = "analytic" if kind == 1 else "rk45"
         errs = []
         for m in (5, 50, 500):
             errs.append((m, pipeline_err_sol(p, m, n_iter, reference=reference)))

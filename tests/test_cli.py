@@ -13,6 +13,7 @@ from toelanczos import (
     Problem,
     Reference,
     ResolventSingularError,
+    Term,
     approx_solution,
     build_mesh,
     builtin,
@@ -24,6 +25,7 @@ from toelanczos import (
 from toelanczos import cli, diagnostics, problems, tensor_core
 from toelanczos.cli import (
     EXIT_GUARD,
+    EXIT_LUCKY,
     EXIT_OK,
     EXIT_RESOLVENT,
     EXIT_SERIOUS,
@@ -350,6 +352,12 @@ class TestMalformedProblemFile:
         assert [f.name for f in tmp_path.iterdir()] == ["bad.json"]
 
 
+# a diagonal A(t): (1, 1) is -t^2/2 + 2i sin 3t, (2, 2) is (1 - i) cos 5t - 0.3
+DIAG2 = Problem("diag2", 2, 0.5, 2.0, {
+    (0, 0): [Term(-0.5, 2), Term(2j, 0, "sin", 3.0)],
+    (1, 1): [Term(1 - 1j, 0, "cos", 5.0), Term(-0.3)]}, [1.0, 0.5], [1.0, 2.0])
+
+
 class TestAnalyticReference:
     """``--reference analytic`` picks the closed form by content, never by id."""
 
@@ -395,11 +403,40 @@ class TestAnalyticReference:
         report = json.loads((tmp_path / "n_report.json").read_text())
         assert 0.0 < report["err_sol"] < 0.1
 
-    def test_nmr1_file_has_no_closed_form(self, tmp_path, capsys):
-        # a problem file carries no generator coefficients
-        code = self.run_file(write_problem(tmp_path, builtin("nmr1"), "nmr1"), tmp_path / "x")
+    def test_nmr1_file_gets_the_generated_reference(self, tmp_path):
+        # the closed form is read from the terms, which the file holds in full
+        code = self.run_file(write_problem(tmp_path, builtin("nmr1"), "nmr1"), tmp_path / "f")
+        assert code == EXIT_OK
+        assert run_cli("run", "--problem", "nmr1", "--M", "8", "--n", "3", "--reference",
+                       "analytic", "--output", str(tmp_path / "b")) == EXIT_OK
+        got = strict_json(tmp_path / "f_report.json")
+        assert got["err_sol"] == strict_json(tmp_path / "b_report.json")["err_sol"] > 0
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda doc: doc["entries"].append({"k": 1, "l": 2, "terms": [{"re": 0.1, "im": 0.0}]}),
+         "entry (k, l) = (1, 2) is off the diagonal"),
+        (lambda doc: doc["entries"][0]["terms"][0].update(power=-1),
+         "term 0 of entry (k, l) = (1, 1)"),
+        (lambda doc: doc["entries"][1]["terms"][0].update(power=1),
+         "term 0 of entry (k, l) = (2, 2)"),
+        (lambda doc: doc["entries"][1]["terms"][0].update(omega=0.0),
+         "term 0 of entry (k, l) = (2, 2)"),
+        # exp of the integral of t^400 overflows: the reference is refused, not written as NaN
+        (lambda doc: doc["entries"][0]["terms"][0].update(re=1.0, power=400),
+         "the closed form is not finite at tau[4] = 1.25"),
+    ], ids=["off-diagonal", "power-minus-1", "cos-power-1", "cos-omega-0", "overflow"])
+    def test_content_without_closed_form_exits_2(self, tmp_path, capsys, change, message):
+        doc = json.loads(problem_to_json(DIAG2))
+        doc["interval"] = [0.0, 2.0]
+        change(doc)
+        (tmp_path / "diag2.json").write_text(json.dumps(doc))
+        code = self.run_file(tmp_path / "diag2.json", tmp_path / "x", n="2")
         assert code == EXIT_SHAPE
-        assert "no analytic reference" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: no analytic reference for problem 'diag2': ")
+        assert message in lines[0]
+        assert [f.name for f in tmp_path.iterdir()] == ["diag2.json"]
 
 
 class TestOptions:
@@ -678,6 +715,7 @@ class TestSolve:
         assert run_cli("run", *flags, "--M", "40", "--output", str(tmp_path / "r")) == EXIT_SERIOUS
         report = strict_json(tmp_path / "r_report.json")
         assert report["meta"]["status"] == "serious_breakdown" and report["meta"]["breakdown_k"] == 6
+        assert report["meta"]["resolvent_error"] is None
         assert report["err_sol"] == pytest.approx(4.745e-3, rel=1e-3)
         code = run_cli("convergence", *flags, "--M", "20,40", "--output", str(tmp_path / "c"))
         assert code == EXIT_SERIOUS
@@ -687,6 +725,22 @@ class TestSolve:
         assert strict_json(tmp_path / "c_slope.json")["slope"] == pytest.approx(-1.0, abs=0.05)
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "c_convergence.csv", "c_slope.json", "r_report.json", "r_solution.csv"]
+
+    def test_unusable_prefix_names_its_row(self, tmp_path):
+        # a lucky breakdown at k=1 whose 1-term prefix has D_1 exactly singular
+        path = tmp_path / "pole1.json"
+        path.write_text(json.dumps(POLE1))
+        error = solve(problems.problem_from_json(path.read_text()), 10, 3)[2]
+        assert isinstance(error, ResolventSingularError) and error.row == 1
+        code = run_cli("run", "--problem-file", str(path), "--M", "10", "--n", "3",
+                       "--reference", "rk45", "--output", str(tmp_path / "p"))
+        assert code == EXIT_LUCKY
+        report = strict_json(tmp_path / "p_report.json")
+        assert report["err_sol"] is None
+        assert report["meta"]["resolvent_error"] == str(error)
+        assert report["meta"]["resolvent_error"].startswith(
+            "resolvent mesh row 1 has kappa_1 = inf")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["p_report.json", "pole1.json"]
 
     def test_commands_call_solve_once_per_mesh(self, tmp_path, monkeypatch):
         calls = []

@@ -12,7 +12,8 @@ from toelanczos import (
     Problem,
     Term,
     analytic_const3,
-    analytic_nmr1,
+    analytic_diagonal,
+    analytic_reference,
     build_mesh,
     builtin,
     builtin_ids,
@@ -21,9 +22,9 @@ from toelanczos import (
     problem_to_json,
     rk45_reference,
 )
-from toelanczos.problems import StiffnessError
+from toelanczos.problems import _NMR_NU, DEFAULT_NMR_SEED, StiffnessError
 
-from oracles import entry_per_term, matrix_per_term, reference_per_term
+from oracles import entry_per_term, matrix_per_term, nmr1_closed_form, reference_per_term
 
 CONST3 = np.array([[-1.0, 1, 1], [1, 0, 1], [1, 1, -1]])
 
@@ -98,8 +99,8 @@ class TestNmrGenerators:
         assert set(p.entries) == {(k, k) for k in range(16)}
         for terms in p.entries.values():
             kinds = [(t.trig, t.omega) for t in terms]
-            nu = p.meta["coefficients"].nu
-            assert kinds == [("none", 0.0), ("cos", 2 * np.pi * nu), ("cos", 4 * np.pi * nu)]
+            assert kinds == [("none", 0.0), ("cos", 2 * np.pi * _NMR_NU),
+                             ("cos", 4 * np.pi * _NMR_NU)]
 
     @pytest.mark.parametrize("kind,digest", [
         (1, "b5c5f13378c114f9752e0e6c83ffa52fbf32c074e84a07d1b0b1c615ad08fd70"),
@@ -134,9 +135,14 @@ class TestNmrGenerators:
         assert builtin("nmr3").b == pytest.approx(1e-3)
 
     def test_kind3_has_complex_coupling(self):
-        coeffs = nmr_generate(3).meta["coefficients"]
-        assert np.iscomplexobj(coeffs.C) and np.linalg.norm(coeffs.C.imag) > 0
-        assert np.allclose(coeffs.C, coeffs.C.conj().T)
+        # C's sin(4t) term carries -2 pi i C[k, l] (B's 4t term is a cos)
+        c = np.zeros((16, 16), dtype=complex)
+        for (k, l), terms in nmr_generate(3).entries.items():
+            for t in terms:
+                if (t.trig, t.omega) == ("sin", 4.0):
+                    c[k, l] = t.coeff / (-2j * np.pi)
+        assert np.linalg.norm(c.imag) > 0
+        assert np.allclose(c, c.conj().T)
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
@@ -150,31 +156,24 @@ class TestNmrGenerators:
 
 
 def without_modulation(p):
-    """A generated kind-1 problem with both modulation weights of every level zeroed.
-
-    The terms and the ``meta`` coefficients both lose them, so the closed form
-    and the integrated ``A(t)`` describe the same problem.
-    """
+    """A generated kind-1 problem with both modulation weights of every level zeroed."""
     entries = {key: [t if t.trig == "none" else dataclasses.replace(t, coeff=0j) for t in terms]
                for key, terms in p.entries.items()}
-    c = p.meta["coefficients"]
-    meta = {**p.meta, "coefficients": dataclasses.replace(c, beta=np.zeros(16),
-                                                          gamma=np.zeros(16))}
-    return dataclasses.replace(p, entries=entries, meta=meta)
+    return dataclasses.replace(p, entries=entries)
 
 
 class TestAnalyticNmr1:
     def test_matches_rk45_with_modulation_off(self):
         p = without_modulation(nmr_generate(1, seed=3))
         mesh = build_mesh(p.a, p.b, 40)
-        ref = analytic_nmr1(p, mesh)
+        ref = analytic_reference(p, mesh)
         ode = rk45_reference(p, mesh, rtol=1e-10, atol=1e-13)
         assert np.linalg.norm(ref.values - ode.values) / np.linalg.norm(ref.values) < 1e-8
 
     def test_matches_rk45_default(self):
         p = builtin("nmr1")
         mesh = build_mesh(p.a, p.b, 50)
-        ref = analytic_nmr1(p, mesh)
+        ref = analytic_reference(p, mesh)
         ode = rk45_reference(p, mesh, rtol=1e-10, atol=1e-13)
         assert np.linalg.norm(ref.values - ode.values) / np.linalg.norm(ref.values) < 1e-7
 
@@ -182,16 +181,74 @@ class TestAnalyticNmr1:
         # replaced probes: the closed form must follow them, as RK45 does
         p = dataclasses.replace(nmr_generate(1, seed=5), v=np.ones(16), w=np.ones(16))
         mesh = build_mesh(p.a, p.b, 40)
-        ref = analytic_nmr1(p, mesh)
+        ref = analytic_reference(p, mesh)
         ode = rk45_reference(p, mesh, rtol=1e-10, atol=1e-13)
         assert np.linalg.norm(ref.values - ode.values) / np.linalg.norm(ref.values) < 1e-7
 
     def test_kind_guard(self):
+        # the closed form is read from the content: nmr2 couples its levels,
+        # and nmr1 read back from its file is the generated problem
         mesh = build_mesh(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            analytic_nmr1(nmr_generate(2), mesh)
-        with pytest.raises(ValueError):
-            analytic_nmr1(problem_from_json(problem_to_json(builtin("nmr1"))), mesh)
+        with pytest.raises(ValueError, match="'nmr2': entry .* is off the diagonal"):
+            analytic_reference(nmr_generate(2), mesh)
+        p = builtin("nmr1")
+        mesh = build_mesh(p.a, p.b, 40)
+        from_file = analytic_reference(problem_from_json(problem_to_json(p)), mesh)
+        assert np.array_equal(from_file.values, analytic_reference(p, mesh).values)
+
+    @pytest.mark.parametrize("seed", [DEFAULT_NMR_SEED, 1, 3, 7, 41])
+    def test_matches_the_drawn_coefficients(self, seed):
+        # the terms' integrals against the closed form written from the draw
+        p = nmr_generate(1, seed=seed)
+        for m in (10, 40, 250, 1000):
+            mesh = build_mesh(p.a, p.b, m)
+            want = nmr1_closed_form(seed, mesh, p.v, p.w)
+            got = analytic_reference(p, mesh).values
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# a diagonal A(t) on [0.5, 2] with a t^2, a sin, a cos and a constant term
+DIAG2 = Problem("diag2", 2, 0.5, 2.0, {
+    (0, 0): [Term(-0.5, 2), Term(2j, 0, "sin", 3.0)],
+    (1, 1): [Term(1 - 1j, 0, "cos", 5.0), Term(-0.3)]}, [1.0, 0.5], [1.0, 2.0])
+
+
+class TestAnalyticDiagonal:
+    @pytest.mark.parametrize("m", [10, 40, 250])
+    def test_matches_rk45(self, m):
+        mesh = build_mesh(DIAG2.a, DIAG2.b, m)
+        ref = analytic_diagonal(DIAG2, mesh).values
+        ode = rk45_reference(DIAG2, mesh, rtol=1e-12, atol=1e-14).values
+        assert np.max(np.abs(ref - ode)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("problem", [
+        builtin("zero1"),
+        Problem("quiet", 2, 0.0, 1.0, {(0, 1): []}, [1.0, 2.0], [3.0, 1j]),
+    ], ids=["zero1", "empty-entry"])
+    def test_zero_operator_gets_w_h_v(self, problem):
+        mesh = build_mesh(problem.a, problem.b, 7)
+        assert np.array_equal(analytic_reference(problem, mesh).values,
+                              np.full(7, np.vdot(problem.w, problem.v)))
+
+    @pytest.mark.parametrize("entries,interval,message", [
+        ({(0, 1): [Term(0.1)]}, (0.0, 2.0), "entry (k, l) = (1, 2) is off the diagonal"),
+        ({(0, 0): [Term(1.0, -1)]}, (0.0, 2.0), "term 0 of entry (k, l) = (1, 1)"),
+        ({(1, 1): [Term(1.0, 1, "cos", 5.0)]}, (0.0, 2.0), "term 0 of entry (k, l) = (2, 2)"),
+        ({(1, 1): [Term(-0.3), Term(1.0, 0, "sin", 0.0)]}, (0.0, 2.0),
+         "term 1 of entry (k, l) = (2, 2)"),
+        ({(0, 0): [Term(1.0, 400)]}, (0.0, 2.0), "the closed form is not finite at tau[4] = 1.25"),
+        # a^401 itself overflows
+        ({(0, 0): [Term(1.0, 400)]}, (6.0, 7.0),
+         "the closed form is not finite at tau[0] = 6.125"),
+    ], ids=["off-diagonal", "negative-power", "cos-power-1", "sin-omega-0", "overflow",
+            "overflow-at-a"])
+    def test_refuses_other_content(self, entries, interval, message):
+        a, b = interval
+        p = dataclasses.replace(DIAG2, a=a, b=b, entries={**DIAG2.entries, **entries})
+        with pytest.raises(ValueError) as info:
+            analytic_reference(p, build_mesh(p.a, p.b, 8))
+        assert str(info.value).startswith("no analytic reference for problem 'diag2': ")
+        assert message in str(info.value)
 
 
 class TestRk45Reference:

@@ -29,8 +29,6 @@ from .problems import (
     Problem,
     Reference,
     Term,
-    analytic_const3,
-    analytic_diagonal,
     analytic_reference,
     builtin,
     builtin_ids,
@@ -46,17 +44,14 @@ from .resolvent import (
     solution_to_csv,
 )
 from .tensor_core import (
-    BlockStructure,
     HyperVec,
     OrientationError,
     ProfileTensor,
     ShapeError,
-    Tensor4,
     frobenius,
     lift,
     lift_dual,
     star_inner,
-    star_mul_tt,
     star_mul_tv,
     star_mul_vt,
 )

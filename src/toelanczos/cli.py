@@ -16,9 +16,10 @@ byte-identical files.  JSON outputs hold no NaN or Infinity: the report's
 ``breakdown_cond`` (beta's 1-norm condition number) is ``null`` when it is
 infinite, and the slope is ``null`` when fewer than two distinct M values
 have a positive ``err_sol``.  Exit codes: 0 success, 2 shape/config
-error (both or neither of ``--problem`` and ``--problem-file`` among them) or
-a failed RK45 reference integration, 3 lucky breakdown, 4 serious breakdown,
-5 singular resolvent, 6 I/O error, 7 guarded workload without --allow-large.
+error (both or neither of ``--problem`` and ``--problem-file`` among them), a
+refused closed form or a failed RK45 reference integration, 3 lucky
+breakdown, 4 serious breakdown, 5 singular resolvent, 6 I/O error, 7 guarded
+workload without --allow-large.
 
 Workloads with M^3 * N^2 * n above 1e10 require ``--allow-large``.  That
 count was the cost of the dense operator products; the profile-form
@@ -84,20 +85,23 @@ def _check_budget(m: int, n_outer: int, iters: int, allow_large: bool) -> None:
 def _sweep_reference(problem, args):
     """``mesh -> reference values`` (``None`` without a reference) for one command.
 
-    An RK45 reference is integrated once, on the first mesh that needs it,
-    and its dense output is sampled on every later one: the values are those
-    of a new integration per mesh, because the integration never sees the
-    mesh.  Nothing outlives the command.
+    An analytic reference is evaluated on every mesh of the command here, so
+    a refused closed form fails before any solve.  An RK45 reference is
+    integrated once, on the first mesh that needs it, and its dense output
+    is sampled on every later one: the values are those of a new integration
+    per mesh, because the integration never sees the mesh.  Nothing outlives
+    the command.
     """
-    kind = args.reference
+    if args.reference == "none":
+        return lambda mesh: None
+    if args.reference == "analytic":
+        exact = {m: prob.analytic_reference(problem, build_mesh(problem.a, problem.b, m)).values
+                 for m in args.M}
+        return lambda mesh: exact[mesh.m]
     first = None
 
     def values(mesh):
         nonlocal first
-        if kind == "none":
-            return None
-        if kind == "analytic":
-            return prob.analytic_reference(problem, mesh).values
         if first is None:
             first = prob.rk45_reference(problem, mesh, rtol=args.rtol, atol=args.atol)
             return first.values

@@ -8,10 +8,10 @@ spin-simulation Hamiltonians, keeps sampling exact, and makes zero entries
 structural.  :meth:`Problem.compile_matrix` is the one evaluator of the
 terms: the discretization samples it and the RK45 reference integrates it.
 
-References (the sampled true bilinear form ``w^H U(t) v``) come either from
-closed forms, which :func:`analytic_reference` reads from the problem's
-terms alone, or from an adaptive Dormand-Prince integration with dense
-output.
+References (the sampled true bilinear form ``w^H U(t) v``) come from an
+adaptive Dormand-Prince integration with dense output, or from the one
+closed form, which :func:`analytic_reference` reads from the terms alone
+when every ``A(t)`` shares one unitary eigenbasis.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "Reference",
     "builtin",
     "builtin_ids",
-    "analytic_const3",
-    "analytic_diagonal",
     "analytic_reference",
     "nmr_generate",
     "rk45_reference",
@@ -251,7 +249,7 @@ def nmr_generate(kind: int, seed: int = DEFAULT_NMR_SEED) -> Problem:
     The spinning rate ``nu`` is 1e4 Hz.  The probe vectors are the repeating
     (0, 1, 1) pattern for kinds 1-2 and all-ones for kind 3; the intervals
     are [0, 5e-5], [0, 5e-6], [0, 1e-3].  Identical seeds give bit-identical
-    problems.  The terms are the whole problem: :func:`analytic_diagonal`
+    problems.  The terms are the whole problem: :func:`analytic_reference`
     reads kind 1's closed form from them, as from the problem's file.
     """
     alpha, B, C = _nmr_coefficients(kind, seed)
@@ -303,82 +301,72 @@ def builtin(problem_id: str) -> Problem:
     return _BUILTIN_FACTORIES[problem_id]()
 
 
-def analytic_const3(mesh: Mesh) -> Reference:
-    """Closed-form (exp(A t))_{11} for the constant 3x3 problem.
-
-    The spectrum is {-2, sqrt(2), -sqrt(2)}, giving
-    ``-sinh(2t)/2 + cosh(2t)/2 + cosh(sqrt(2) t)/2``.
-    """
-    t = mesh.tau
-    vals = -0.5 * np.sinh(2 * t) + 0.5 * np.cosh(2 * t) + 0.5 * np.cosh(np.sqrt(2) * t)
-    return Reference(vals)
-
-
-def _integral(term: Term, a: float, tau: np.ndarray) -> np.ndarray | None:
-    """``int_a^tau term(t) dt`` in closed form, or ``None`` when it has none here."""
-    c, q, w = term.coeff, term.power + 1, term.omega
-    if term.trig == "none" and q >= 1:
-        return c * (tau**q - a**q) / q
-    if q != 1 or w == 0:
+def _factor_integral(power: int, trig: str, omega: float, a, tau: np.ndarray):
+    """``int_a^tau t**power trig(omega t) dt`` in closed form, or ``None`` when it has none here."""
+    q = power + 1
+    if trig == "none" and q >= 1:
+        return (tau**q - a**q) / q
+    if q != 1 or omega == 0:
         return None
-    if term.trig == "cos":
-        return c * (np.sin(w * tau) - np.sin(w * a)) / w
-    return c * (np.cos(w * a) - np.cos(w * tau)) / w
+    if trig == "cos":
+        return (np.sin(omega * tau) - np.sin(omega * a)) / omega
+    return (np.cos(omega * a) - np.cos(omega * tau)) / omega
 
 
-def analytic_diagonal(problem: Problem, mesh: Mesh) -> Reference:
-    """Exact ``w^H U(t) v`` for a diagonal ``A(t)``, read from its terms.
+def analytic_reference(problem: Problem, mesh: Mesh) -> Reference:
+    """Exact ``w^H U(t) v`` when every ``A(t)`` shares one unitary eigenbasis, read from the terms.
 
-    A diagonal ``A(t)`` commutes with itself, so ``U(t) = exp(int_a^t A)``:
-    level ``k`` evolves by ``exp(phase_k)``, its phase the sum of its terms'
-    integrals, and ``s = sum_k conj(w_k) exp(phase_k) v_k``.  A term
-    integrates in closed form when it is a polynomial ``c t^p`` with
-    ``p >= 0`` or a ``cos`` or ``sin`` of power 0 with ``omega != 0``.  An
-    off-diagonal term, any other term, or a closed form that is not finite
-    (an overflowing ``exp``) raises ``ValueError`` naming it.
+    The terms are grouped by time factor ``f_g(t) = t**power trig(omega t)``,
+    so ``A(t) = sum_g f_g(t) C_g``.  Two contents give every ``A(t)`` the same
+    unitary eigenbasis ``Q``: every ``C_g`` diagonal (``Q = I``), or one group
+    whose ``C`` is exactly Hermitian or exactly skew-Hermitian (``Q`` from
+    ``np.linalg.eigh``, of ``iC`` when ``C`` is skew).  Then ``A(t)`` commutes
+    with itself, ``U(t) = exp(int_a^t A)`` (the first Magnus term is exact),
+    and with ``C_g = Q diag(lambda_g) Q^H``, ``phase = sum_g lambda_g
+    int_a^tau f_g`` and ``s = sum_k (w^H Q)_k exp(phase_k) (Q^H v)_k``.  A
+    factor integrates in closed form when it is ``t^p`` with ``p >= 0`` or a
+    ``cos`` or ``sin`` of power 0 with ``omega != 0``.  A term with any other
+    factor, any other content (named by its first off-diagonal entry), or a
+    closed form that is not finite (an overflowing ``exp``) raises
+    ``ValueError``.  The ``id`` plays no part.
     """
     def refuse(why):
         return ValueError(f"no analytic reference for problem {problem.id!r}: {why}")
 
-    tau = mesh.tau
-    phase = np.zeros((problem.n, tau.size), dtype=complex)
+    n, tau = problem.n, mesh.tau
+    mats, integrals = {}, {}  # per time factor (power, trig, omega): C_g, int_a^tau f_g
     with np.errstate(over="ignore", invalid="ignore"):  # overflows are caught as non-finite
         for (k, l), terms in problem.entries.items():
-            if terms and k != l:
-                raise refuse(f"entry (k, l) = ({k + 1}, {l + 1}) is off the diagonal")
             for j, term in enumerate(terms):
-                # numpy's power overflows to inf where a Python float's raises
-                part = _integral(term, np.float64(problem.a), tau)
-                if part is None:
-                    raise refuse(f"term {j} of entry (k, l) = ({k + 1}, {k + 1}), {term}, "
-                                 "has no closed-form integral")
-                phase[k] += part
-        vals = (np.conj(problem.w)[:, None] * np.exp(phase) * problem.v[:, None]).sum(axis=0)
+                key = (term.power, term.trig, 0.0 if term.trig == "none" else term.omega)
+                if key not in mats:
+                    # numpy's power overflows to inf where a Python float's raises
+                    integrals[key] = _factor_integral(*key, np.float64(problem.a), tau)
+                    if integrals[key] is None:
+                        raise refuse(f"term {j} of entry (k, l) = ({k + 1}, {l + 1}), {term}, "
+                                     "has no closed-form integral")
+                    mats[key] = np.zeros((n, n), dtype=complex)
+                mats[key][k, l] += term.coeff
+        cs = np.array(list(mats.values()), dtype=complex).reshape(-1, n, n)
+        off = np.argwhere(cs.any(axis=0) & ~np.eye(n, dtype=bool))
+        # C is Hermitian or skew-Hermitian when z C is Hermitian for z = 1 or z = i
+        z = next((z for z in (1, 1j) if len(cs) == 1
+                  and np.array_equal(z * cs[0], (z * cs[0]).conj().T)), None)
+        if not off.size:
+            lam, wq, vq = cs.diagonal(axis1=1, axis2=2), np.conj(problem.w), problem.v
+        elif z is not None:
+            mu, q = np.linalg.eigh(z * cs[0])
+            lam, wq, vq = mu[None] / z, np.conj(problem.w) @ q, q.conj().T @ problem.v
+        else:
+            k, l = off[0]
+            raise refuse(f"entry (k, l) = ({k + 1}, {l + 1}) is off the diagonal, and A(t) is "
+                         "not one time factor times a Hermitian or skew-Hermitian matrix")
+        phase = lam.T @ np.array(list(integrals.values())).reshape(-1, tau.size)
+        vals = (wq[:, None] * np.exp(phase) * vq[:, None]).sum(axis=0)
     if not np.isfinite(vals).all():
         i = int(np.argmin(np.isfinite(vals)))
         raise refuse(f"the closed form is not finite at tau[{i}] = {float(tau[i])}")
     return Reference(vals)
-
-
-def _same_content(p: Problem, q: Problem) -> bool:
-    def terms(problem):
-        return {key: ts for key, ts in problem.entries.items() if ts}
-    return (p.n == q.n and (p.a, p.b) == (q.a, q.b) and terms(p) == terms(q)
-            and np.array_equal(p.v, q.v) and np.array_equal(p.w, q.w))
-
-
-def analytic_reference(problem: Problem, mesh: Mesh) -> Reference:
-    """The closed-form reference for a problem that admits one, read from its content.
-
-    A problem whose entries, interval and probe vectors equal the builtin
-    const3's gets :func:`analytic_const3`; any other gets
-    :func:`analytic_diagonal`, which integrates a diagonal ``A(t)`` exactly
-    (``A = 0`` and the generated nmr1 among them) and raises ``ValueError``
-    for every other content.  The ``id`` plays no part.
-    """
-    if _same_content(problem, _const3()):
-        return analytic_const3(mesh)
-    return analytic_diagonal(problem, mesh)
 
 
 def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,

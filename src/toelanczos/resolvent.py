@@ -99,15 +99,14 @@ def _resolvent_column(tri: TriTensor) -> np.ndarray:
     x = np.zeros((n, m), dtype=d.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # overflows are caught as non-finite
         inv = _inverses(d)
-        cond = (np.abs(balanced).sum(axis=1).max(axis=1)
-                * np.abs(_inverses(balanced)).sum(axis=1).max(axis=1))
+        cond = np.linalg.cond(balanced, 1)  # inf for a singular D_j
         x[:, 0] = inv[0, :, 0]  # row 0 has no history: D_0 x[:, 0] = e_1
         for j in range(1, m):
             rhs = [alphas[k][j, :j].dot(x[k, :j]) for k in range(n)]
             for k in range(1, n):
                 rhs[k] += betas[k - 1][j, :j].dot(x[k - 1, :j])
             x[:, j] = inv[j] @ rhs
-        usable = (cond <= _COND_LIMIT) & np.isfinite(x).all(axis=0)  # cond is NaN if singular
+        usable = (cond <= _COND_LIMIT) & np.isfinite(x).all(axis=0)
     if not usable.all():
         j = int(np.argmin(usable))
         raise ResolventSingularError(j + 1, float(cond[j]))

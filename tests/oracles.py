@@ -21,16 +21,15 @@ from toelanczos import (
     ProfileTensor,
     ShapeError,
     SolutionVec,
-    Tensor4,
     frobenius,
     lift,
     lift_dual,
     star_inner,
-    star_mul_tt,
     star_mul_tv,
 )
 from toelanczos.lanczos import _times_i_power
 from toelanczos.problems import _NMR_NU, _nmr_coefficients
+from toelanczos.tensor_core import Tensor4, star_mul_tt
 from toelanczos.tt import TTTensor, _rank_from_tail, parameter_count
 
 
@@ -452,3 +451,12 @@ def nmr1_closed_form(seed: int, mesh, v: np.ndarray, w: np.ndarray) -> np.ndarra
              + np.diag(b)[:, None] * np.sin(w2 * t) / w2
              + np.diag(c)[:, None] * np.sin(2 * w2 * t) / (2 * w2))
     return (np.conj(w)[:, None] * np.exp(-2j * np.pi * phase) * v[:, None]).sum(axis=0)
+
+
+def const3_closed_form(tau: np.ndarray) -> np.ndarray:
+    """``(exp(A t))_{11}`` of the builtin const3 at the points ``tau``, written by hand.
+
+    The spectrum of ``A`` is {-2, sqrt(2), -sqrt(2)}, giving
+    ``-sinh(2t)/2 + cosh(2t)/2 + cosh(sqrt(2) t)/2``.
+    """
+    return -0.5 * np.sinh(2 * tau) + 0.5 * np.cosh(2 * tau) + 0.5 * np.cosh(np.sqrt(2) * tau)

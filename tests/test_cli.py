@@ -52,6 +52,12 @@ def run_fresh(*argv, cwd, timeout=120):
                           text=True, timeout=timeout)
 
 
+# A(t) = cos(3t) (-2 pi i H / 10) on [0.5, 2], H complex Hermitian
+HERMITIAN3 = np.array([[1.0, 2 - 1j, 0.5j], [2 + 1j, -1.0, 1.0], [-0.5j, 1.0, 0.5]])
+SKEW3 = Problem("skew3", 3, 0.5, 2.0, {
+    (k, l): [Term(-2j * np.pi * HERMITIAN3[k, l] / 10, 0, "cos", 3.0)]
+    for k in range(3) for l in range(3) if HERMITIAN3[k, l]}, [1.0, 0.5, -1j], [1.0, 2.0, 0.5])
+
 # prints whether any scipy module is loaded
 SCIPY_LOADED = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
 
@@ -253,13 +259,17 @@ class TestRun:
         assert proc.stdout.split() == ["False", "False"]
 
     def test_runs_without_rk45_load_no_scipy(self, tmp_path):
+        # cos(3t) C with C skew-Hermitian: the closed form takes an eigenbasis
+        write_problem(tmp_path, SKEW3, "skew3")
         code = ("import sys; from toelanczos import cli; print(cli.main(['run', '--problem', "
                 "'const3', '--M', '40', '--n', '3', '--reference', 'analytic', '--output', 'r'])); "
+                "print(cli.main(['run', '--problem-file', 'skew3.json', '--M', '40', '--n', '3', "
+                "'--reference', 'analytic', '--output', 's'])); "
                 "print(cli.main(['ttranks', '--problem', 'nmr2', '--M', '120', '--output', 't'])); "
                 + SCIPY_LOADED)
         proc = run_fresh("-c", code, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(EXIT_OK), str(EXIT_OK), "False"]
+        assert proc.stdout.split() == [str(EXIT_OK), str(EXIT_OK), str(EXIT_OK), "False"]
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["run", "--problem", "timedep5", "--M", "12", "--n", "5",
@@ -383,18 +393,41 @@ class TestAnalyticReference:
         want = json.loads((tmp_path / "b_report.json").read_text())
         assert got["err_sol"] == want["err_sol"]
 
-    @pytest.mark.parametrize("source,changes", [
-        ("timedep5", {}),
-        ("const3", {"interval": [0.0, 2.0]}),
-        ("const3", {"w": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0},
-                          {"re": 0.0, "im": 0.0}]}),
-    ])
+    @pytest.mark.parametrize("source,changes", [("timedep5", {})])
     def test_other_content_under_const3_id_exits_2(self, tmp_path, capsys, source, changes):
         path = write_problem(tmp_path, builtin(source), "const3", **changes)
         code = self.run_file(path, tmp_path / "x")
         assert code == EXIT_SHAPE
         assert "no analytic reference" in capsys.readouterr().err
         assert [f.name for f in tmp_path.iterdir()] == ["const3.json"]
+
+    @pytest.mark.parametrize("changes", [
+        {"interval": [0.0, 2.0]},
+        {"w": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]},
+    ], ids=["interval", "w"])
+    def test_other_const3_content_gets_its_closed_form(self, tmp_path, changes):
+        # const3's A is one constant Hermitian matrix on any interval and for any probes
+        path = write_problem(tmp_path, builtin("const3"), "const3", **changes)
+        assert self.run_file(path, tmp_path / "x") == EXIT_OK
+        p = problems.problem_from_json(path.read_text())
+        mesh, _, sol = solve(p, 8, 3)
+        ref = problems.analytic_reference(p, mesh).values
+        ode = problems.rk45_reference(p, mesh, rtol=1e-12, atol=1e-14).values
+        assert np.max(np.abs(ref - ode)) <= 1e-10 * np.max(np.abs(ref))
+        report = strict_json(tmp_path / "x_report.json")
+        assert report["err_sol"] == diagnostics.err_solution(ref, sol.values)
+
+    def test_refused_closed_form_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve ran before the reference was refused")
+        monkeypatch.setattr(cli, "solve", refuse)
+        code = run_cli("run", "--problem", "nmr2", "--M", "200", "--n", "4",
+                       "--reference", "analytic", "--output", str(tmp_path / "x"))
+        assert code == EXIT_SHAPE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: no analytic reference for problem 'nmr2': ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_generated_nmr1(self, tmp_path):
         code = run_cli("run", "--problem", "nmr1", "--M", "20", "--n", "2", "--seed", "5",

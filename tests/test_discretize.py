@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from toelanczos import (
-    BlockStructure,
     Problem,
     Term,
     build_mesh,
@@ -13,6 +12,7 @@ from toelanczos import (
 )
 from toelanczos.cli import solve
 from toelanczos.discretize import DiscretizationError
+from toelanczos.tensor_core import BlockStructure
 
 from oracles import entry_per_term, theta_matrix, to_tensor4
 

@@ -22,7 +22,6 @@ from toelanczos import (
     lift_dual,
     split_unit_vectors,
     star_inner,
-    star_mul_tt,
     star_mul_tv,
     star_mul_vt,
     tensor_lanczos,
@@ -30,7 +29,7 @@ from toelanczos import (
 from toelanczos import cli, diagnostics, lanczos, resolvent
 from toelanczos.cli import solve
 from toelanczos.lanczos import TriTensor, _inverse_lower, _v_update, _w_update
-from toelanczos.tensor_core import coef_times_vec, vec_times_coef
+from toelanczos.tensor_core import coef_times_vec, star_mul_tt, vec_times_coef
 from oracles import (
     assemble_tridiag,
     complex_lanczos,

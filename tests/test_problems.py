@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from scipy.linalg import expm
 from toelanczos import (
     Problem,
     Term,
-    analytic_const3,
-    analytic_diagonal,
     analytic_reference,
     build_mesh,
     builtin,
@@ -24,7 +23,8 @@ from toelanczos import (
 )
 from toelanczos.problems import _NMR_NU, DEFAULT_NMR_SEED, StiffnessError
 
-from oracles import entry_per_term, matrix_per_term, nmr1_closed_form, reference_per_term
+from oracles import (const3_closed_form, entry_per_term, matrix_per_term, nmr1_closed_form,
+                     reference_per_term)
 
 CONST3 = np.array([[-1.0, 1, 1], [1, 0, 1], [1, 1, -1]])
 
@@ -76,20 +76,26 @@ class TestBuiltins:
 
 class TestAnalyticConst3:
     def test_value_at_zero_is_one(self):
-        f = lambda t: -0.5 * np.sinh(2 * t) + 0.5 * np.cosh(2 * t) + 0.5 * np.cosh(np.sqrt(2) * t)
-        assert f(0.0) == pytest.approx(1.0)
+        assert const3_closed_form(0.0) == pytest.approx(1.0)
 
     def test_value_at_one(self):
         mesh = build_mesh(0.0, 1.0, 4)
-        ref = analytic_const3(mesh)
+        ref = analytic_reference(builtin("const3"), mesh)
         assert ref.values[-1].real == pytest.approx(expm(CONST3)[0, 0], rel=1e-12)
 
     def test_matches_matrix_exponential(self):
         rng = np.random.default_rng(42)
         ts = rng.uniform(0, 1, size=20)
-        f = lambda t: -0.5 * np.sinh(2 * t) + 0.5 * np.cosh(2 * t) + 0.5 * np.cosh(np.sqrt(2) * t)
         for t in ts:
-            assert abs(f(t) - expm(CONST3 * t)[0, 0]) < 1e-12
+            assert abs(const3_closed_form(t) - expm(CONST3 * t)[0, 0]) < 1e-12
+
+    @pytest.mark.parametrize("m", [10, 40, 250, 1000])
+    def test_matches_the_hand_formula(self, m):
+        # read from the terms (a Hermitian C), against the spectrum worked out by hand
+        mesh = build_mesh(0.0, 1.0, m)
+        want = const3_closed_form(mesh.tau)
+        got = analytic_reference(builtin("const3"), mesh).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestNmrGenerators:
@@ -217,7 +223,7 @@ class TestAnalyticDiagonal:
     @pytest.mark.parametrize("m", [10, 40, 250])
     def test_matches_rk45(self, m):
         mesh = build_mesh(DIAG2.a, DIAG2.b, m)
-        ref = analytic_diagonal(DIAG2, mesh).values
+        ref = analytic_reference(DIAG2, mesh).values
         ode = rk45_reference(DIAG2, mesh, rtol=1e-12, atol=1e-14).values
         assert np.max(np.abs(ref - ode)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -251,6 +257,46 @@ class TestAnalyticDiagonal:
         assert message in str(info.value)
 
 
+HERMITIAN3 = np.array([[1.0, 2 - 1j, 0.5j], [2 + 1j, -1.0, 1.0], [-0.5j, 1.0, 0.5]])
+SYMMETRIC3 = np.array([[1.0, 0.5, -1.0], [0.5, 0.0, 2.0], [-1.0, 2.0, -0.5]])
+
+
+def one_factor(ident, mat, power=0, trig="none", omega=0.0):
+    """A problem on [0.5, 2] with ``A(t) = t**power trig(omega t) mat``."""
+    entries = {(k, l): [Term(mat[k, l], power, trig, omega)]
+               for k in range(len(mat)) for l in range(len(mat)) if mat[k, l]}
+    return Problem(ident, len(mat), 0.5, 2.0, entries, [1.0, 0.5, -1j][:len(mat)],
+                   [1.0, 2.0, 0.5][:len(mat)])
+
+
+class TestAnalyticSharedEigenbasis:
+    """One time factor times a Hermitian or skew-Hermitian matrix: ``A(t)`` commutes with itself."""
+
+    @pytest.mark.parametrize("m", [10, 250])
+    @pytest.mark.parametrize("problem", [
+        one_factor("skew3", -2j * np.pi * HERMITIAN3 / 10, 0, "cos", 3.0),
+        one_factor("sym3", SYMMETRIC3, 2),
+        one_factor("herm3", HERMITIAN3 / 5),
+    ], ids=["cos-skew", "t2-symmetric", "const-hermitian"])
+    def test_matches_rk45(self, problem, m):
+        mesh = build_mesh(problem.a, problem.b, m)
+        ref = analytic_reference(problem, mesh).values
+        ode = rk45_reference(problem, mesh, rtol=1e-12, atol=1e-14).values
+        assert np.max(np.abs(ref - ode)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("problem,message", [
+        # neither Hermitian nor skew-Hermitian: not diagonalizable at all
+        (one_factor("nonnormal", np.array([[0.0, 1.0], [0.0, 0.0]])), "'nonnormal': entry "
+         "(k, l) = (1, 2) is off the diagonal"),
+        # off the diagonal with three time factors (1, t and cos t)
+        (builtin("timedep5"), "'timedep5': entry (k, l) = (1, 3) is off the diagonal"),
+    ], ids=["non-normal", "timedep5"])
+    def test_refuses_other_content(self, problem, message):
+        want = re.escape(f"no analytic reference for problem {message}")
+        with pytest.raises(ValueError, match=want):
+            analytic_reference(problem, build_mesh(problem.a, problem.b, 8))
+
+
 class TestRk45Reference:
     def test_zero_problem_is_constant(self):
         p = builtin("zero1")
@@ -263,8 +309,8 @@ class TestRk45Reference:
         mesh = build_mesh(p.a, p.b, 25)
         rtol = 1e-8
         ref = rk45_reference(p, mesh, rtol=rtol, atol=1e-12)
-        exact = analytic_const3(mesh)
-        err = np.max(np.abs(ref.values - exact.values))
+        exact = const3_closed_form(mesh.tau)
+        err = np.max(np.abs(ref.values - exact))
         assert err < max(10 * rtol, 1e-9)
 
     def test_scalar_cosine_closed_form(self):

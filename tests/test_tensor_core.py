@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toelanczos import (
-    BlockStructure,
     HyperVec,
     OrientationError,
     ProfileTensor,
     ShapeError,
-    Tensor4,
     build_mesh,
     builtin,
     discretize_problem,
@@ -17,17 +15,19 @@ from toelanczos import (
     lift,
     lift_dual,
     star_inner,
-    star_mul_tt,
     star_mul_tv,
     star_mul_vt,
     tensor_lanczos,
 )
 from toelanczos.tensor_core import (
+    BlockStructure,
+    Tensor4,
     _from_mesh,
     _mesh,
     _prefix_sum,
     _strips,
     coef_times_vec,
+    star_mul_tt,
     vec_times_coef,
 )
 from oracles import (

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from toelanczos import (
     ProfileTensor,
-    Tensor4,
     build_mesh,
     builtin,
     discretize_problem,
     nmr_generate,
     tt_svd,
 )
+from toelanczos.tensor_core import Tensor4
 from toelanczos.tt import TTTensor, compression_factor, parameter_count, rank_report_row
 from oracles import (
     dense_rank_report_row,

@@ -23,7 +23,8 @@ float64.  The run keeps no basis: :func:`err_recurrences` and
 once from the coefficients with the iteration's own updates (so the
 recurrence rows keep its grouping, and match ``A*V_n - V_n*T_n - V~_n`` of
 materialized tensors to roundoff) and keeps only the bases and the rows'
-norms, and :func:`moment_matrices` lifts the run's probes.  For
+norms, and :func:`moment_matrices` reads the lifted probes as the vectors
+``w`` and ``e_1`` they lift.  For
 ``scale = i`` the ``i``-map multiplies each biorthogonality entry and each
 recurrence row by a unit factor and moment ``k`` by ``i^k`` (see
 :mod:`toelanczos.lanczos`), so the measures are those of the run on ``A``;
@@ -43,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lanczos import LanczosResult, _times_i_power
-from .tensor_core import frobenius, lift, lift_dual, star_inner, star_mul_tv
+from .lanczos import LanczosResult, TriTensor, _times_i_power
+from .tensor_core import frobenius, lift, star_inner, star_mul_tv
 # unused here: the benchmark's tracer wraps them by name
 from .tensor_core import star_mul_tt, star_mul_vt
 
@@ -138,39 +139,52 @@ def err_recurrences(result: LanczosResult) -> tuple[float, float]:
     return _relative_residual(walk.v_rows, "err_V"), _relative_residual(walk.w_rows, "err_W")
 
 
+def _tri_step(tri: TriTensor, x: np.ndarray) -> np.ndarray:
+    """``T_n * x`` for n stacked blocks: row k is ``(beta_k x_{k-1} + alpha_k x_k) + x_{k+1}``.
+
+    The terms are summed in the ascending order of the dense
+    block-tridiagonal product, so the result matches it bit for bit.
+    """
+    out = np.empty_like(x)
+    for k in range(tri.n):
+        row = tri.alphas[k] @ x[k]
+        if k > 0:
+            row = tri.betas[k - 1] @ x[k - 1] + row
+        out[k] = row + x[k + 1] if k + 1 < tri.n else row
+    return out
+
+
 def moment_matrices(result: LanczosResult,
                     k_max: int | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Both sides of the matching moments for k = 0 .. k_max (default 2n-1).
 
     Returns the lists ``W_1^D * A^{k*} * V_1`` (the lifts of the run's
-    probes ``run_start``, normalization included) and ``e_1^D * T_n^{k*} * e_1``
-    (first Euclidean lifts of length n), each an m x m matrix per k.  The
-    powers are never formed: each side keeps its Krylov vector and applies
-    one product per k, ``A * cur`` on the left and the three-term
-    :meth:`~toelanczos.lanczos.TriTensor.apply` on the right.  The right
-    side is slice 0 of ``T_n^{k*} * e_1``, since ``e_1^D`` selects it.
+    probes ``run_start = (v, w)``, normalization included) and
+    ``e_1^D * T_n^{k*} * e_1`` (first Euclidean lifts of length n), each an
+    m x m matrix per k.  The powers are never formed, and the lifts are read
+    as the vectors they are.  The left side applies ``A *`` once per k to
+    its Krylov vector ``cur`` and sums ``conj(w_i) cur[i]`` in ascending
+    ``i``: the nonzero terms of the lifted inner product, in its order.  The
+    right side is block 0 of ``T_n^{k*} * e_1``, whose n blocks start from
+    ``I`` in block 0 and take one :func:`_tri_step` per k.
 
     Both sides iterate on the run, ``A / scale`` and its coefficients, in
     its dtype; for ``scale = i`` moment k of each side is mapped back by the
     exact factor ``i^k``.
     """
     tri = result.run_tri
-    b = result.operator
-    n = tri.n
     if k_max is None:
-        k_max = 2 * n - 1
+        k_max = 2 * tri.n - 1
     v, w = result.run_start
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    w_lift, cur = lift_dual(w, tri.m), lift(v, tri.m)
-    cur_t = lift(e1, tri.m)
-    lhs = [star_inner(w_lift, cur)]
-    rhs = [cur_t.data[0].copy()]
-    for _ in range(k_max):
-        cur = star_mul_tv(b, cur)
-        cur_t = tri.apply(cur_t)
-        lhs.append(star_inner(w_lift, cur))
-        rhs.append(cur_t.data[0].copy())
+    w_conj, cur = np.conj(w), lift(v, tri.m)
+    blocks = np.zeros((tri.n, tri.m, tri.m), dtype=np.result_type(*tri.alphas, *tri.betas))
+    blocks[0] = np.eye(tri.m)
+    lhs, rhs = [], []
+    for k in range(k_max + 1):
+        if k > 0:
+            cur, blocks = star_mul_tv(result.operator, cur), _tri_step(tri, blocks)
+        lhs.append(sum(c * s for c, s in zip(w_conj, cur.data)))
+        rhs.append(blocks[0].copy())
     if result.scale != 1:
         lhs = [_times_i_power(x, k) for k, x in enumerate(lhs)]
         rhs = [_times_i_power(x, k) for k, x in enumerate(rhs)]

@@ -19,7 +19,7 @@ on the diagonal, ``I`` on the superdiagonal slice (k, k+1) and
 ``beta_{k+1}`` on the subdiagonal slice (k+1, k); that placement is the one
 for which the projection identity ``T_n = W_n * A * V_n`` holds, and the
 tests pin it numerically.  :class:`TriTensor` stores only the ``alpha`` and
-``beta`` matrices and applies ``T_n`` by its three-term recurrence.
+``beta`` matrices.
 
 The operator is the discretized
 :class:`~toelanczos.tensor_core.ProfileTensor`, whose slices are lower
@@ -70,7 +70,6 @@ import numpy as np
 from .tensor_core import (
     HyperVec,
     ProfileTensor,
-    ShapeError,
     coef_times_vec,
     frobenius,
     lift,
@@ -113,25 +112,6 @@ class TriTensor:
     def __post_init__(self):
         if len(self.betas) != len(self.alphas) - 1:
             raise ValueError("need n alphas and n-1 betas")
-
-    def apply(self, v: HyperVec) -> HyperVec:
-        """``T_n * V``: row k is ``beta_k x V_{k-1} + alpha_k x V_k + V_{k+1}``.
-
-        The terms are summed in that order, the ascending order of the dense
-        block-tridiagonal product, so the result matches it bit for bit.
-        """
-        if v.n != self.n or v.m != self.m:
-            raise ShapeError(f"cannot apply T_n (n={self.n}, m={self.m}) to {v.data.shape}")
-        x = v.data.astype(np.result_type(v.data, *self.alphas, *self.betas), copy=False)
-        out = np.empty_like(x)
-        for k in range(self.n):
-            row = self.alphas[k] @ x[k]
-            if k > 0:
-                row = self.betas[k - 1] @ x[k - 1] + row
-            if k + 1 < self.n:
-                row = row + x[k + 1]
-            out[k] = row
-        return HyperVec(out, v.orientation)
 
 
 @dataclass(frozen=True)

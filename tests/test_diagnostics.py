@@ -22,6 +22,7 @@ from toelanczos import (
     lift,
     lift_dual,
     star_inner,
+    star_mul_tv,
     tensor_lanczos,
 )
 from toelanczos.diagnostics import (
@@ -32,7 +33,7 @@ from toelanczos.diagnostics import (
     REPORT_CSV_COLUMNS,
 )
 from toelanczos.cli import solve
-from toelanczos.lanczos import TriTensor
+from toelanczos.lanczos import _times_i_power
 
 from oracles import (
     assemble_tridiag,
@@ -52,6 +53,8 @@ from oracles import (
 # nmr2 run in float64 on B = -iA, nmr3 in complex128
 BUILTIN_RUNS = [("const3", 10, 3), ("timedep5", 10, 5), ("zero1", 6, 1), ("nmr1", 8, 3),
                 ("nmr2", 8, 4), ("nmr3", 8, 4)]
+# every builtin with an iteration count it completes at for M = 40..250
+BENCH_RUNS = [("const3", 3), ("timedep5", 5), ("zero1", 1), ("nmr1", 4), ("nmr2", 4), ("nmr3", 4)]
 
 
 def rand3():
@@ -228,6 +231,19 @@ def assert_moments_match_powers(res, a4):
             assert np.linalg.norm(got - want) <= 1e-12 * scale
 
 
+def lifted_left_side(res, v, w, k):
+    """Moment k's left side from the lifts of the probes ``v, w`` and ``star_inner``.
+
+    It iterates on the run's operator ``A / scale`` and maps back by ``i^k``.
+    """
+    m = res.run_tri.m
+    cur = lift(v, m)
+    for _ in range(k):
+        cur = star_mul_tv(res.operator, cur)
+    out = star_inner(lift_dual(w, m), cur)
+    return out if res.scale == 1 else _times_i_power(out, k)
+
+
 class TestMomentMatrices:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(big_n=st.integers(1, 4), m=st.integers(2, 12), data=st.data(),
@@ -250,19 +266,14 @@ class TestMomentMatrices:
         assert_moments_match_powers(res, a4)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(1, 5), m=st.integers(1, 8), data=st.data(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_three_term_apply_equals_dense_tridiag(self, n, m, data, seed):
-        # the summation order of T_n * V keeps err_m as the dense product gave it
+    @given(m=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_right_side_equals_dense_tridiag_powers(self, m, data, seed):
+        # the summation order of T_n * x keeps err_m as the dense product gave it
         rng = np.random.default_rng(seed)
 
         def rand(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        tri = TriTensor(m, [rand(m, m) for _ in range(n)], [rand(m, m) for _ in range(n - 1)])
-        v = HyperVec(rand(n, m, m), "right")
-        assert np.array_equal(tri.apply(v).data, dense_mul_tv(assemble_tridiag(tri), v).data)
-        # and inside moment_matrices, on a drawn constant problem
         big_n = data.draw(st.integers(1, 4))
         mat = rand(big_n, big_n)
         entries = {(k, l): [Term(complex(mat[k, l]))]
@@ -277,6 +288,51 @@ class TestMomentMatrices:
         for got in rhs[1:]:
             cur = dense_mul_tv(t4, cur)
             assert np.array_equal(got, star_inner(lift_dual(e1, res.tri.m), cur))
+
+    @pytest.mark.parametrize("m", [40, 130])  # 130: star_inner runs two strips
+    @pytest.mark.parametrize("problem_id,n", BENCH_RUNS)
+    def test_left_side_is_the_lifted_inner_product(self, problem_id, n, m):
+        _, res = run(builtin(problem_id), m, n)
+        v, w = res.run_start
+        lhs, _ = moment_matrices(res)
+        for k, got in enumerate(lhs):
+            assert np.array_equal(got, lifted_left_side(res, v, w, k))
+
+    @pytest.mark.parametrize("problem_id,n", [("const3", 3), ("timedep5", 5), ("nmr3", 4)])
+    def test_left_side_with_complex_probes(self, problem_id, n):
+        # numpy's complex multiply and zgemm may round conj(w_i) * x apart:
+        # measured up to 4.6e-16 relative on these and nmr1-2 at M=40 and 130
+        rng = np.random.default_rng(0)
+        p = builtin(problem_id)
+        v, w = rng.standard_normal((2, p.n)) + 1j * rng.standard_normal((2, p.n))
+        _, res = run(dataclasses.replace(p, v=v, w=w), 40, n)
+        assert res.run_start[1].dtype == np.complex128
+        lhs, _ = moment_matrices(res)
+        for k, got in enumerate(lhs):
+            want = lifted_left_side(res, *res.run_start, k)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("problem_id,n", [("timedep5", 5), ("nmr2", 4), ("nmr3", 4)])
+    def test_left_side_against_the_complex_operator(self, problem_id, n):
+        # the lifted product on the discretized A, complex128, at two strips:
+        # the float64 runs of timedep5 and of nmr2's B = -iA read the same
+        # moments (measured: equal, and nmr2 within 1.9e-18 relative)
+        a4, res = run(builtin(problem_id), 130, n)
+        lhs, _ = moment_matrices(res)
+        cur, w1 = v_basis(res)[0], w_basis(res)[0]
+        for k, got in enumerate(lhs):
+            if k:
+                cur = star_mul_tv(a4, cur)
+            want = star_inner(w1, cur)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("problem_id,n", BENCH_RUNS)
+    def test_right_side_in_the_coefficients_dtype(self, problem_id, n):
+        _, res = run(builtin(problem_id), 40, n)
+        _, rhs = moment_matrices(res)
+        dtype = np.result_type(*res.tri.alphas, *res.tri.betas)
+        assert [x.dtype for x in rhs] == [dtype] * (2 * n)
+        assert np.array_equal(rhs[0], np.eye(res.tri.m))
 
     def test_err_moments_past_the_matched_range(self):
         p = builtin("const3")

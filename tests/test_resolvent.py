@@ -25,7 +25,7 @@ BUILTIN_N = {"const3": 3, "timedep5": 5, "zero1": 1, "nmr1": 4, "nmr2": 4, "nmr3
 
 
 class TestStarResolvent11:
-    """The first column ``R_11 e_1`` of the resolvent's (1, 1) block."""
+    """The first column ``R_11 e_1`` of the resolvent's (1, 1) block, row by row over the mesh."""
 
     def test_zero_alpha_gives_identity(self):
         m = 4
@@ -56,7 +56,7 @@ class TestStarResolvent11:
         want = r_series.data[0, 0][:, 0]
         assert np.linalg.norm(r_col - want) / np.linalg.norm(want) < 1e-11
 
-    def test_singularity_reports_depth(self):
+    def test_singular_row_reports_its_index(self):
         m = 3
         tri = TriTensor(m, [np.eye(m, dtype=complex)], [])  # D_j = 1 - 1 = 0 on every row
         with pytest.raises(ResolventSingularError, match="mesh row 1 has kappa_1 = inf") as err:
@@ -73,7 +73,7 @@ class TestStarResolvent11:
         # both D_j = [1]: the exact column (1, -1e200)
         pytest.param([np.array([[0.0, 0.0], [-1e200, 0.0]])], [], None, [1.0, -1e200],
                      id="condition-overflows"),
-        # the fraction overflowed forming (I - alpha_2)^{-1} beta_2 = 2e308; balanced,
+        # beta_2 = 1e308 I, which a continued fraction overflowed on; balanced,
         # D_1 = [[1, -1e154], [-1e154, 0.5]] is well conditioned, and the column
         # is the exact 1 / (1 - 2e308), a subnormal
         pytest.param([np.zeros((2, 2)), 0.5 * np.eye(2)], [1e308 * np.eye(2)], None,
@@ -99,7 +99,7 @@ class TestStarResolvent11:
 
     def test_condition_is_scale_invariant(self):
         # const3 with every coefficient times 1e10 is as well posed as const3
-        # (the column matches the fraction within 5.2e-15); the plain D_j has
+        # (the column matches the pivoted-LU oracle within 5.2e-15); the plain D_j has
         # kappa_1 3.1e25 there, the balanced one the same ~1 as unscaled
         for scale in (1.0, 1e10, 1e100):
             p = builtin("const3")

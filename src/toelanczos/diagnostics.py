@@ -23,8 +23,9 @@ float64.  The run keeps no basis: :func:`err_recurrences` and
 once from the coefficients with the iteration's own updates (so the
 recurrence rows keep its grouping, and match ``A*V_n - V_n*T_n - V~_n`` of
 materialized tensors to roundoff) and keeps only the bases and the rows'
-norms, and :func:`moment_matrices` reads the lifted probes as the vectors
-``w`` and ``e_1`` they lift.  For
+norms.  :func:`moment_matrices` reads the lifted probes as the vectors
+``w`` and ``e_1`` they lift, and keeps only the live blocks of
+``T_n^{k*} e_1``; :func:`err_biorth` frees each entry after its norm.  For
 ``scale = i`` the ``i``-map multiplies each biorthogonality entry and each
 recurrence row by a unit factor and moment ``k`` by ``i^k`` (see
 :mod:`toelanczos.lanczos`), so the measures are those of the run on ``A``;
@@ -103,13 +104,14 @@ def err_biorth(result: LanczosResult) -> float:
     ``W_n`` the dual basis as the rows of an n x N one, so entry (i, j) of
     ``W_n * V_n`` is ``W_i^D * V_j``: the n x n table of
     :func:`~toelanczos.tensor_core.star_inner` on the run's bases, with
-    ``I`` subtracted on the diagonal.  The bases are the result's ``walk``.
+    ``I`` subtracted on the diagonal, each freed after its norm.  The bases
+    are the result's ``walk``.
     """
     vb, wb = result.walk.v_basis, result.walk.w_basis
     eye = np.eye(vb[0].m)
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = [star_inner(w, v) - eye if i == j else star_inner(w, v)
-               for i, w in enumerate(wb) for j, v in enumerate(vb)]
+        dev = (star_inner(w, v) - eye if i == j else star_inner(w, v)
+               for i, w in enumerate(wb) for j, v in enumerate(vb))
         return _ratio(_stacked_norm(dev), max(_stacked_norm(vb), _stacked_norm(wb)), "err_o")
 
 
@@ -139,19 +141,16 @@ def err_recurrences(result: LanczosResult) -> tuple[float, float]:
     return _relative_residual(walk.v_rows, "err_V"), _relative_residual(walk.w_rows, "err_W")
 
 
-def _tri_step(tri: TriTensor, x: np.ndarray) -> np.ndarray:
-    """``T_n * x`` for n stacked blocks: row k is ``(beta_k x_{k-1} + alpha_k x_k) + x_{k+1}``.
+def _tri_row(tri: TriTensor, x: list[np.ndarray], i: int) -> np.ndarray:
+    """Row i of ``T_n * x`` on the live blocks ``x``: ``(beta_i x_{i-1} + alpha_i x_i) + x_{i+1}``.
 
-    The terms are summed in the ascending order of the dense
-    block-tridiagonal product, so the result matches it bit for bit.
+    A block past ``x``'s end is zero and its term is left out; the others are
+    summed in the ascending order of the dense block-tridiagonal product, so
+    the row matches it bit for bit, up to the sign of an exact zero.
     """
-    out = np.empty_like(x)
-    for k in range(tri.n):
-        row = tri.alphas[k] @ x[k]
-        if k > 0:
-            row = tri.betas[k - 1] @ x[k - 1] + row
-        out[k] = row + x[k + 1] if k + 1 < tri.n else row
-    return out
+    terms = [tri.betas[i - 1] @ x[i - 1]] if i else []
+    terms += [tri.alphas[i] @ x[i]] if i < len(x) else []
+    return sum(terms[1:] + x[i + 1:i + 2], terms[0])
 
 
 def moment_matrices(result: LanczosResult,
@@ -165,8 +164,9 @@ def moment_matrices(result: LanczosResult,
     as the vectors they are.  The left side applies ``A *`` once per k to
     its Krylov vector ``cur`` and sums ``conj(w_i) cur[i]`` in ascending
     ``i``: the nonzero terms of the lifted inner product, in its order.  The
-    right side is block 0 of ``T_n^{k*} * e_1``, whose n blocks start from
-    ``I`` in block 0 and take one :func:`_tri_step` per k.
+    right side is block 0 of ``T_n^{k*} * e_1``: from ``I``, step k forms
+    with :func:`_tri_row` only its blocks ``i < min(k + 1, n, k_max - k + 1)``,
+    as those past k are zero and those past ``k_max - k`` cannot reach block 0.
 
     Both sides iterate on the run, ``A / scale`` and its coefficients, in
     its dtype; for ``scale = i`` moment k of each side is mapped back by the
@@ -177,14 +177,14 @@ def moment_matrices(result: LanczosResult,
         k_max = 2 * tri.n - 1
     v, w = result.run_start
     w_conj, cur = np.conj(w), lift(v, tri.m)
-    blocks = np.zeros((tri.n, tri.m, tri.m), dtype=np.result_type(*tri.alphas, *tri.betas))
-    blocks[0] = np.eye(tri.m)
+    blocks = [np.eye(tri.m, dtype=np.result_type(*tri.alphas, *tri.betas))]
     lhs, rhs = [], []
     for k in range(k_max + 1):
         if k > 0:
-            cur, blocks = star_mul_tv(result.operator, cur), _tri_step(tri, blocks)
+            cur = star_mul_tv(result.operator, cur)
+            blocks = [_tri_row(tri, blocks, i) for i in range(min(k + 1, tri.n, k_max - k + 1))]
         lhs.append(sum(c * s for c, s in zip(w_conj, cur.data)))
-        rhs.append(blocks[0].copy())
+        rhs.append(blocks[0])
     if result.scale != 1:
         lhs = [_times_i_power(x, k) for k, x in enumerate(lhs)]
         rhs = [_times_i_power(x, k) for k, x in enumerate(rhs)]

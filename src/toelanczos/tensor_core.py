@@ -468,10 +468,8 @@ def lift(a: np.ndarray, m: int) -> HyperVec:
 
 def lift_dual(a: np.ndarray, m: int) -> HyperVec:
     """Dual Kronecker lift: slice ``i`` equals ``conj(a[i]) * I_m``."""
-    a = _float_or_complex(a).ravel()
-    if a.size < 1 or m < 1:
-        raise ShapeError("lift needs a nonempty vector and m >= 1")
-    return _from_mesh(np.eye(m)[:, None, :] * np.conj(a)[:, None], "dual")
+    # the slices are diagonal, so the mesh-major buffer is that of lift(conj(a), m)
+    return _from_mesh(lift(np.conj(a), m).mesh, "dual")
 
 
 def frobenius(x) -> float:

@@ -673,7 +673,7 @@ class TestSolve:
                        "--output", str(tmp_path / "b"))
         assert code == EXIT_SERIOUS
 
-    def test_completed_run_with_singular_level_raises(self, tmp_path, capsys):
+    def test_completed_run_with_singular_mesh_row_raises(self, tmp_path, capsys):
         path = tmp_path / "singular1.json"
         path.write_text(json.dumps(SINGULAR1))
         p = problems.problem_from_json(path.read_text())
@@ -696,7 +696,7 @@ class TestSolve:
         # kappa_1 = 1.3e19, but no mesh row's D_j is ill-conditioned
         ("nmr3", ["--M", "80", "--n", "12", "--eps-serious", "1e20"], None),
     ], ids=["pole-M4", "pole-M100", "nmr3-past-usable-n"])
-    def test_singular_level_promises_no_remedy(self, tmp_path, capsys, source, argv, row):
+    def test_singular_mesh_row_promises_no_remedy(self, tmp_path, capsys, source, argv, row):
         # a finer mesh does not help a pole at t = a, and the message does not suggest one
         path = tmp_path / "pole1.json"
         path.write_text(json.dumps(POLE1))

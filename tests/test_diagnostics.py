@@ -33,7 +33,7 @@ from toelanczos.diagnostics import (
     REPORT_CSV_COLUMNS,
 )
 from toelanczos.cli import solve
-from toelanczos.lanczos import _times_i_power
+from toelanczos.lanczos import TriTensor, _times_i_power
 
 from oracles import (
     assemble_tridiag,
@@ -244,6 +244,27 @@ def lifted_left_side(res, v, w, k):
     return out if res.scale == 1 else _times_i_power(out, k)
 
 
+def dense_right_side(res, k_max):
+    """Block 0 of ``T_n^k e_1`` for k = 0 .. k_max, mapped as the moments are.
+
+    Dense block-row products of :func:`assemble_tridiag`'s tensor in the
+    run's dtype, every block included, each row summed in ascending block order.
+    """
+    tri = res.run_tri
+    dtype = np.result_type(*tri.alphas, *tri.betas)
+    t = assemble_tridiag(tri).data
+    t = t if dtype.kind == "c" else t.real  # a real run's tensor has zero imaginary parts
+    x = np.zeros((tri.n, tri.m, tri.m), dtype)
+    x[0] = np.eye(tri.m)
+    out = []
+    for k in range(k_max + 1):
+        if k:
+            x = np.array([sum((t[i, j] @ x[j] for j in range(tri.n)), np.zeros_like(x[0]))
+                          for i in range(tri.n)])
+        out.append(x[0] if res.scale == 1 else _times_i_power(x[0], k))
+    return out
+
+
 class TestMomentMatrices:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(big_n=st.integers(1, 4), m=st.integers(2, 12), data=st.data(),
@@ -288,6 +309,39 @@ class TestMomentMatrices:
         for got in rhs[1:]:
             cur = dense_mul_tv(t4, cur)
             assert np.array_equal(got, star_inner(lift_dual(e1, res.tri.m), cur))
+
+    @pytest.mark.parametrize("past", [0, 2], ids=["matched", "past-matched"])
+    @pytest.mark.parametrize("m", [40, 130])
+    @pytest.mark.parametrize("problem_id,n", BENCH_RUNS)
+    def test_right_side_equals_dense_powers_on_builtins(self, problem_id, n, m, past):
+        # past the matched range, k_max - k + 1 bounds the rows before n does
+        _, res = run(builtin(problem_id), m, n)
+        k_max = 2 * n - 1 + past
+        _, rhs = moment_matrices(res, k_max)
+        want = dense_right_side(res, k_max)
+        assert len(rhs) == len(want) == k_max + 1
+        for got, x in zip(rhs, want):
+            assert got.dtype == x.dtype and np.array_equal(got, x)
+
+    @pytest.mark.parametrize("problem_id,m,n,products", [("nmr3", 80, 4, 28),
+                                                         ("timedep5", 25, 5, 45)])
+    def test_right_side_multiplies_live_blocks_only(self, problem_id, m, n, products):
+        # of the (2n - 1)^2 block products of the full recurrence, those on a
+        # block that is still zero or can no longer reach block 0 are skipped
+        calls = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                calls.append(1)
+                return np.asarray(self) @ other
+
+        _, res = run(builtin(problem_id), m, n)
+        tri = res.run_tri
+        counted = dataclasses.replace(res, run_tri=TriTensor(
+            tri.m, [c.view(Counted) for c in tri.alphas], [c.view(Counted) for c in tri.betas]))
+        _, got = moment_matrices(counted)
+        assert len(calls) == products
+        assert all(np.array_equal(x, y) for x, y in zip(got, moment_matrices(res)[1]))
 
     @pytest.mark.parametrize("m", [40, 130])  # 130: star_inner runs two strips
     @pytest.mark.parametrize("problem_id,n", BENCH_RUNS)

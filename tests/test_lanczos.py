@@ -598,6 +598,22 @@ class TestWorkspace:
         assert kept <= (2 * n + 0.5) * hypervector
         assert peak - kept <= 4.5 * hypervector
 
+    @pytest.mark.parametrize("problem_id,m,n", [("timedep5", 25, 5), ("timedep5", 100, 5),
+                                                ("nmr3", 80, 4), ("const3", 200, 3)])
+    def test_err_biorth_frees_each_entry(self, problem_id, m, n):
+        # above the walk's bases, err_biorth holds one W_i * V_j entry (and
+        # its deviation from I) at a time, not the n^2 of the whole table
+        res = solve(builtin(problem_id), m, n)[1]
+        hypervector = res.run_residual_v.data.nbytes
+        res.walk  # the bases are built before tracing starts
+        tracemalloc.start()
+        try:
+            diagnostics.err_biorth(res)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * hypervector
+
 
 class TestAssembleTridiag:
     def test_single_iteration(self):

@@ -110,18 +110,19 @@ def _sweep_reference(problem, args):
     return values
 
 
-def solve(problem, m, n, eps_lucky=DEFAULT_EPS_LUCKY, eps_serious=DEFAULT_EPS_SERIOUS):
+def solve(problem, m, n, **options):
     """``(mesh, result, solution)`` of one discretize -> Lanczos -> resolvent pass.
 
-    A breakdown prefix still defines a (shorter) resolvent: it is evaluated,
-    and when its column is unusable ``solution`` is the
-    :class:`ResolventSingularError` that says why (its mesh row and
-    ``kappa_1``).  On a completed run an unusable column raises it.  The result
-    holds no basis; the diagnostics rebuild the bases from it on first read.
+    ``options`` go to :func:`~toelanczos.lanczos.tensor_lanczos`: the
+    breakdown thresholds, and ``keep_walk`` for a result that the
+    diagnostics read.  A breakdown prefix still defines a (shorter)
+    resolvent: it is evaluated, and when its column is unusable ``solution``
+    is the :class:`ResolventSingularError` that says why (its mesh row and
+    ``kappa_1``).  On a completed run an unusable column raises it.
     """
     mesh = build_mesh(problem.a, problem.b, m)
     result = tensor_lanczos(discretize_problem(problem, mesh), problem.v, problem.w, n,
-                            eps_lucky=eps_lucky, eps_serious=eps_serious)
+                            **options)
     try:
         return mesh, result, approx_solution(result.tri, mesh, result.normalization)
     except ResolventSingularError as exc:
@@ -131,21 +132,23 @@ def solve(problem, m, n, eps_lucky=DEFAULT_EPS_LUCKY, eps_serious=DEFAULT_EPS_SE
 
 
 def _pipeline_once(problem, m, n, args, reference):
-    """One :func:`solve` pass plus its diagnostics.
+    """One :func:`solve` pass plus its diagnostics, on the walk the loop recorded.
 
     ``reference`` maps the mesh to the reference values, or to ``None``.  The
     report's ``resolvent_error`` says why a breakdown prefix has no solution.
     """
-    mesh, result, solution = solve(problem, m, n, args.eps_lucky, args.eps_serious)
+    mesh, result, solution = solve(problem, m, n, eps_lucky=args.eps_lucky,
+                                   eps_serious=args.eps_serious, keep_walk=True)
     error = None
     if isinstance(solution, ResolventSingularError):
         error, solution = str(solution), None
     status = result.status
     ref = None if solution is None else reference(mesh)
     report_err_sol = None if ref is None else diag.err_solution(ref, solution.values)
-    err_m = diag.err_moments(result)
     err_v, err_w = diag.err_recurrences(result)
     err_o = diag.err_biorth(result)
+    result.walk = None  # the moments read no basis: the 2n bases are freed before they run
+    err_m = diag.err_moments(result)
     report = diag.ErrorReport(err_o, err_v, err_w, err_m, report_err_sol,
                               meta={"problem": problem.id, "M": m, "n": n,
                                     "status": status.kind,

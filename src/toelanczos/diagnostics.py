@@ -18,13 +18,13 @@ formed.
 Every measure takes the :class:`~toelanczos.lanczos.LanczosResult` alone
 and reads the run as it was computed: its ``operator`` ``A / scale`` and
 its ``run_*`` fields, in the run's dtype, so a float64 run is measured in
-float64.  The run keeps no basis: :func:`err_recurrences` and
-:func:`err_biorth` read the result's ``walk``, which rebuilds the bases
-once from the coefficients with the iteration's own updates (so the
-recurrence rows keep its grouping, and match ``A*V_n - V_n*T_n - V~_n`` of
-materialized tensors to roundoff) and keeps only the bases and the rows'
-norms.  :func:`moment_matrices` reads the lifted probes as the vectors
-``w`` and ``e_1`` they lift, and keeps only the live blocks of
+float64.  :func:`err_recurrences` and :func:`err_biorth` read the
+result's ``walk``: the bases and the rows' norms, which the loop recorded
+as it ran (``tensor_lanczos(..., keep_walk=True)``), so the recurrence
+rows are its own arithmetic and match ``A*V_n - V_n*T_n - V~_n`` of
+materialized tensors to roundoff; a result without one raises
+``ValueError``.  :func:`moment_matrices` reads the lifted probes as the
+vectors ``w`` and ``e_1`` they lift, and keeps only the live blocks of
 ``T_n^{k*} e_1``; :func:`err_biorth` frees each entry after its norm.  For
 ``scale = i`` the ``i``-map multiplies each biorthogonality entry and each
 recurrence row by a unit factor and moment ``k`` by ``i^k`` (see
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lanczos import LanczosResult, TriTensor, _times_i_power
+from .lanczos import LanczosResult, LanczosWalk, TriTensor, _times_i_power
 from .tensor_core import frobenius, lift, star_inner, star_mul_tv
 # unused here: the benchmark's tracer wraps them by name
 from .tensor_core import star_mul_tt, star_mul_vt
@@ -97,6 +97,13 @@ def _ratio(num: float, den: float, name: str) -> float:
     return 0.0 if num == 0.0 else num / den
 
 
+def _walk(result: LanczosResult) -> LanczosWalk:
+    """The walk the run recorded; a run that kept none raises ``ValueError``."""
+    if result.walk is None:
+        raise ValueError("the run kept no bases: run tensor_lanczos with keep_walk=True")
+    return result.walk
+
+
 def err_biorth(result: LanczosResult) -> float:
     """Relative deviation of ``W_n * V_n`` from the ``*`` identity.
 
@@ -107,7 +114,8 @@ def err_biorth(result: LanczosResult) -> float:
     ``I`` subtracted on the diagonal, each freed after its norm.  The bases
     are the result's ``walk``.
     """
-    vb, wb = result.walk.v_basis, result.walk.w_basis
+    walk = _walk(result)
+    vb, wb = walk.v_basis, walk.w_basis
     eye = np.eye(vb[0].m)
     with np.errstate(over="ignore", invalid="ignore"):
         dev = (star_inner(w, v) - eye if i == j else star_inner(w, v)
@@ -130,14 +138,12 @@ def err_recurrences(result: LanczosResult) -> tuple[float, float]:
 
     From the row norms of the result's ``walk``: row k is the iteration's
     own update of ``A*V_k`` (``W_k*A``) less the next vector, or less the
-    stored residual on the last row.  Denominators follow the displayed
-    measures, ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and the W analogue.  The
-    next W vector is the update itself, so each W row but the last is zero
-    by definition; the last rows compare the walk with the stored
-    residuals, and since the walk repeats the run's arithmetic in its
-    dtype, ``err_W`` is exactly 0.
+    stored residual on the last row, which is that update.  Denominators
+    follow the displayed measures, ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and
+    the W analogue.  The next W vector is the update itself, so every W row
+    is zero by definition and ``err_W`` is exactly 0.
     """
-    walk = result.walk
+    walk = _walk(result)
     return _relative_residual(walk.v_rows, "err_V"), _relative_residual(walk.w_rows, "err_W")
 
 

@@ -70,6 +70,7 @@ import numpy as np
 from .tensor_core import (
     HyperVec,
     ProfileTensor,
+    ShapeError,
     coef_times_vec,
     frobenius,
     lift,
@@ -144,9 +145,14 @@ def _times_i_power(x: np.ndarray, p: int) -> np.ndarray:
 class LanczosWalk(NamedTuple):
     """The bases ``V_1..V_n``, ``W_1^D..W_n^D`` and the recurrence rows of a run.
 
-    Row k of ``v_rows`` is ``(|A*V_k|, |R_k|, |A*V_k - R_k|)``; ``w_rows``
-    likewise.  That is all :func:`~toelanczos.diagnostics.err_recurrences`
-    and :func:`~toelanczos.diagnostics.err_biorth` read.
+    :func:`tensor_lanczos` records it as it iterates, when asked to.  Row k
+    of ``v_rows`` is ``(|A*V_k|, |R_k|, |A*V_k - R_k|)``, where ``R_k`` is
+    the hatted vector less ``V_{k+1} x beta_{k+1}``; ``w_rows`` likewise,
+    with ``W_{k+1}`` for the second term.  ``W_{k+1}`` is ``W_hat``, and on
+    the last row the stored residual is the hatted pair itself, so those
+    rows' ``R_k`` is 0.  That is all
+    :func:`~toelanczos.diagnostics.err_recurrences` and
+    :func:`~toelanczos.diagnostics.err_biorth` read.
     """
 
     v_basis: list[HyperVec]
@@ -173,8 +179,9 @@ class LanczosResult:
     ``W_1^D`` (``v`` normalized, both in the run's dtype), and the
     residuals ``run_residual_v``, which is ``V_{n+1} x beta_{n+1}`` (the
     unnormalized V residual), and ``run_residual_w``, which is
-    ``W_{n+1}^D``: the hatted vectors of the last completed iteration.  The
-    run keeps no basis; ``walk`` rebuilds the bases from these fields.
+    ``W_{n+1}^D``: the hatted vectors of the last completed iteration.
+    ``walk`` holds the bases and recurrence rows that the loop recorded, or
+    ``None`` for a run that kept no basis.
 
     ``tri`` holds the coefficients of the run on ``A``: ``run_tri`` itself
     for ``scale = 1``, and for ``scale = i`` the module's ``i``-map applied
@@ -192,6 +199,7 @@ class LanczosResult:
     normalization: complex
     scale: complex
     operator: ProfileTensor
+    walk: LanczosWalk | None = None
 
     @cached_property
     def tri(self) -> TriTensor:
@@ -200,41 +208,6 @@ class LanczosResult:
             return run
         return TriTensor(run.m, [_times_i_power(a, 1) for a in run.alphas],
                          [_times_i_power(b, 2) for b in run.betas])
-
-    @cached_property
-    def walk(self) -> LanczosWalk:
-        """The bases and recurrence rows, from one walk over the run's coefficients.
-
-        Row k forms ``A*V_k``, ``W_k*A`` and the hatted pair with the loop's
-        own updates, ``V_{k+1} = V_hat x beta_{k+1}^{-1}`` with its inverse,
-        ``W_{k+1} = W_hat``, and ``R_k``: the hatted vector less the next one
-        (``V_{k+1} x beta_{k+1}``), or less the stored residual on the last
-        row, each formed in the hatted vector's buffer.  A kernel gives the
-        same bits into a fresh buffer as into the loop's workspace, so the
-        walk is the run bit for bit, and it keeps only the bases and rows.
-        """
-        b, tri = self.operator, self.run_tri
-        vb, wb = [lift(self.run_start[0], tri.m)], [lift_dual(self.run_start[1], tri.m)]
-        v_rows, w_rows = [], []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(tri.n):
-                av, wa = star_mul_tv(b, vb[k]), star_mul_vt(wb[k], b)
-                w_prev = () if k == 0 else (tri.betas[k - 1], wb[k - 1])
-                v_prev = () if k == 0 else (vb[k - 1],)
-                w_hat = HyperVec(_w_update(wa, tri.alphas[k], wb[k], *w_prev), "dual")
-                v_hat = HyperVec(_v_update(av, vb[k], tri.alphas[k], *v_prev), "right")
-                if k + 1 == tri.n:
-                    v_next = self.run_residual_v
-                    w_rows.append(_row_norms(wa, w_hat, self.run_residual_w))
-                else:
-                    vb.append(vec_times_coef(v_hat, _inverse_lower(tri.betas[k])[0]))
-                    wb.append(w_hat)
-                    v_next = vec_times_coef(vb[-1], tri.betas[k])
-                    wa_norm = frobenius(wa)  # W_{k+1} is W_hat: R_k is 0
-                    w_rows.append((wa_norm, 0.0, wa_norm))
-                v_rows.append(_row_norms(av, v_hat, v_next))
-                del av, wa, v_hat, w_hat, v_next  # freed before the next row's products
-        return LanczosWalk(vb, wb, v_rows, w_rows)
 
 
 def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
@@ -263,12 +236,10 @@ def _w_update(wa: HyperVec, alpha: np.ndarray, w_k: HyperVec,
     """``(W_k*A - alpha_k x W_k) - beta_k x W_{k-1}``; the last term is absent for k = 1.
 
     Returns the data of the dual hypervector, in the operands' mesh-major
-    layout.  The one place that writes this grouping: the iteration and
-    :attr:`LanczosResult.walk` both call it, which is what makes ``err_W``
-    exactly zero.  The differences are formed in the fresh buffer of
-    ``alpha_k x W_k``, so no operand is written to, or, given a workspace
-    buffer ``tmp`` for the coefficient products, in ``wa``'s own buffer,
-    with the same values.
+    layout.  The differences are formed in the fresh buffer of ``alpha_k x
+    W_k``, so no operand is written to, or, given a workspace buffer ``tmp``
+    for the coefficient products, in ``wa``'s own buffer, with the same
+    values.
     """
     prod = coef_times_vec(alpha, w_k, out=tmp).data
     out = prod if tmp is None else wa.data
@@ -338,7 +309,8 @@ def _scaled_operator(a: ProfileTensor, v: np.ndarray,
 
 def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                    eps_lucky: float = DEFAULT_EPS_LUCKY,
-                   eps_serious: float = DEFAULT_EPS_SERIOUS) -> LanczosResult:
+                   eps_serious: float = DEFAULT_EPS_SERIOUS,
+                   keep_walk: bool = False) -> LanczosResult:
     """Run n iterations of the tensor non-Hermitian Lanczos process.
 
     Parameters
@@ -353,12 +325,19 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     eps_lucky, eps_serious : float
         Breakdown thresholds, see :func:`classify_breakdown`; NaN, which
         would switch a check off, raises ``ValueError``.
+    keep_walk : bool
+        Record the bases and the recurrence rows as
+        :attr:`LanczosResult.walk`, for the diagnostics that read them.
 
     The loop rotates seven mesh-major buffers, so its memory does not grow
     with ``n``: ``V_{k-1}``, ``V_k``, ``W_{k-1}`` and ``W_k``; ``W_k*A`` and
     ``A*V_k``, which become the hatted pair in place; and one temporary
-    (module docstring of :mod:`~toelanczos.tensor_core`, "Workspace").  The
-    result keeps no basis; :attr:`LanczosResult.walk` rebuilds the bases.
+    (module docstring of :mod:`~toelanczos.tensor_core`, "Workspace").  A
+    run with ``keep_walk`` keeps its ``2n`` bases instead of recycling them,
+    and forms ``V_hat`` in a fresh buffer, so that ``A*V_k`` is left for
+    its row's ``|A*V_k - R_k|``; every kernel and update gives the same
+    bits into a fresh buffer as into the workspace, so both runs compute
+    the same coefficients.
 
     ``V_{k+1}`` is one matrix product of the stacked residual slices with
     the exact-zero inverse of the lower-triangular ``beta_{k+1}``; that needs
@@ -398,12 +377,20 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     w_basis = [lift_dual(w, m)]
     alphas: list[np.ndarray] = []
     betas: list[np.ndarray] = []
+    v_rows: list[tuple[float, float, float]] = []
+    w_rows: list[tuple[float, float, float]] = []
 
-    wa_buf, av_buf, tmp = (np.empty(v_basis[0].mesh.shape, b.data.dtype) for _ in range(3))
+    av_buf, tmp = (np.empty(v_basis[0].mesh.shape, b.data.dtype) for _ in range(2))
+    wa_buf = None  # W_k*A becomes W_{k+1}: a fresh buffer until a spent W's can take it
 
-    def finish(status, res_v, res_w):
+    def finish(status, res_v, res_w, av):
+        walk = None
+        if keep_walk:  # the stored residual is the hatted pair itself: R_k is 0
+            av_norm = frobenius(av)
+            v_rows.append((av_norm, 0.0, av_norm))
+            walk = LanczosWalk(v_basis, w_basis, v_rows, w_rows)
         return LanczosResult(TriTensor(m, alphas, betas), (v, w), res_v, res_w, status,
-                             normalization, scale, b)
+                             normalization, scale, b, walk)
 
     # an overflow shows in the next coefficient, which is checked before use
     with np.errstate(over="ignore", invalid="ignore"):
@@ -413,13 +400,17 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
             _require_finite(alpha, f"alpha_{k}", k)
             alphas.append(alpha)
             av = star_mul_tv(b, v_basis[-1], out=av_buf, scratch=tmp)
+            if keep_walk:  # W_{k+1} is W_hat, so R_k is 0
+                wa_norm = frobenius(wa)
+                w_rows.append((wa_norm, 0.0, wa_norm))
             w_prev = () if k == 1 else (betas[-1], w_basis[-2])
             v_prev = () if k == 1 else (v_basis[-2],)
             w_hat = HyperVec(_w_update(wa, alpha, w_basis[-1], *w_prev, tmp=tmp), "dual")
-            v_hat = HyperVec(_v_update(av, v_basis[-1], alpha, *v_prev, tmp=tmp), "right")
+            v_hat = HyperVec(_v_update(av, v_basis[-1], alpha, *v_prev,
+                                       tmp=None if keep_walk else tmp), "right")
 
             if k == n:
-                return finish(LanczosStatus("completed"), v_hat, w_hat)
+                return finish(LanczosStatus("completed"), v_hat, w_hat, av)
 
             beta_next = star_inner(w_hat, v_hat)
             _require_finite(beta_next, f"beta_{k + 1}", k)
@@ -428,16 +419,20 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                                            frobenius(w_basis[-1]), cond,
                                            eps_lucky, eps_serious)
             if breakdown is not None:
-                return finish(replace(breakdown, k=k), v_hat, w_hat)
+                return finish(replace(breakdown, k=k), v_hat, w_hat, av)
 
             betas.append(beta_next)
-            if k == 1:
-                v_out, wa_buf = np.empty_like(tmp), np.empty_like(tmp)
+            if keep_walk or k == 1:  # fresh buffers for V_{k+1} and the next W*A
+                v_out = wa_buf = None
             else:  # V_{k-1}'s buffer takes V_{k+1}, and W_{k-1}'s the next W*A
                 v_out, wa_buf = v_basis.pop(0).mesh, w_basis.pop(0).mesh
             v_basis.append(vec_times_coef(v_hat, inverse, out=v_out))
             del inverse  # held into the next iteration it adds to the peak; see the decisions ledger
             w_basis.append(w_hat)
+            if keep_walk:  # R_k = V_hat - V_{k+1} x beta_{k+1}, formed in V_hat's buffer
+                v_rows.append(_row_norms(av, v_hat, vec_times_coef(v_basis[-1], beta_next,
+                                                                  out=tmp)))
+                del v_hat  # spent: freed before the next one is formed
 
     raise AssertionError("unreachable")
 

@@ -83,7 +83,8 @@ def _inverses(d: np.ndarray) -> np.ndarray:
 def _resolvent_column(tri: TriTensor) -> np.ndarray:
     """``R_11 e_1`` by forward substitution over the mesh rows."""
     alphas, betas, n, m = tri.alphas, tri.betas, tri.n, tri.m
-    if any(np.triu(c, 1).any() for c in (*alphas, *betas)):
+    upper = np.tri(m, k=-1, dtype=bool).T  # the strict upper triangle, read in place
+    if any(c.any(where=upper) for c in (*alphas, *betas)):
         raise ValueError("the resolvent needs lower-triangular alpha and beta coefficients")
     if not all(np.isfinite(c).all() for c in betas):
         raise ValueError("the resolvent's beta coefficients must not contain infs or NaNs")

@@ -98,7 +98,7 @@ class TestCriterion03PropertySuite:
         p = tl.builtin("const3")
         worst = {"err_v": 0.0, "err_w": 0.0, "err_o": 0.0, "err_m": 0.0}
         for m in (10, 50, 100):
-            _, result, _ = solve(p, m, 3)
+            _, result, _ = solve(p, m, 3, keep_walk=True)
             ev, ew = tl.err_recurrences(result)
             eo = tl.err_biorth(result)
             em = tl.err_moments(result)
@@ -134,7 +134,7 @@ class TestCriterion04RandomProblems:
             p = tl.Problem(f"rand{runs}", n_dim, 0.0, 1.0, entries, v, w)
             mesh = tl.build_mesh(0.0, 1.0, m)
             a4 = tl.discretize_problem(p, mesh)
-            result = tl.tensor_lanczos(a4, v, w, n_dim)
+            result = tl.tensor_lanczos(a4, v, w, n_dim, keep_walk=True)
             if not result.status.completed:
                 continue
             ev, ew = tl.err_recurrences(result)

@@ -243,8 +243,9 @@ class TestRun:
 
     @pytest.mark.parametrize("scale", [1e60, 1e100])
     def test_overflowing_diagnostics_fail_with_one_error_line(self, tmp_path, scale):
-        # the run completes with finite coefficients, but the moments, powers
-        # of the operator, overflow: the measure is named, with no warning
+        # the run completes with finite coefficients, but the norms of the
+        # operator's powers overflow: the first measure to read one is named,
+        # with no warning
         proc = self.run_scaled_const3(tmp_path, scale)
         assert proc.returncode == EXIT_SHAPE
         lines = proc.stderr.splitlines()

@@ -23,6 +23,7 @@ from toelanczos import (
     lift_dual,
     star_inner,
     star_mul_tv,
+    star_mul_vt,
     tensor_lanczos,
 )
 from toelanczos.diagnostics import (
@@ -33,7 +34,7 @@ from toelanczos.diagnostics import (
     REPORT_CSV_COLUMNS,
 )
 from toelanczos.cli import solve
-from toelanczos.lanczos import TriTensor, _times_i_power
+from toelanczos.lanczos import TriTensor, _row_norms, _times_i_power
 
 from oracles import (
     assemble_tridiag,
@@ -68,7 +69,7 @@ def rand3():
 def run(problem, m, n):
     mesh = build_mesh(problem.a, problem.b, m)
     a4 = discretize_problem(problem, mesh)
-    return a4, tensor_lanczos(a4, problem.v, problem.w, n)
+    return a4, tensor_lanczos(a4, problem.v, problem.w, n, keep_walk=True)
 
 
 def flattened_recurrences(res, a4):
@@ -159,7 +160,7 @@ class TestMeasuresOnRuns:
         # V_{k+1} is formed with the explicit inverse of beta_{k+1}, which is
         # not backward stable the way substitution is; the largest err_V here
         # is 3.0e-13 (timedep5, M=250)
-        _, res, _ = solve(builtin(problem_id), m, n)
+        _, res, _ = solve(builtin(problem_id), m, n, keep_walk=True)
         assert res.status.completed
         assert err_recurrences(res)[0] <= 1e-11
 
@@ -191,16 +192,23 @@ class TestMeasuresOnRuns:
         r for r in BUILTIN_RUNS if r[0] != "zero1"])
     def test_recurrences_far_above_roundoff(self, problem_id, m, n):
         # perturbed residuals lift both measures far above roundoff, so a
-        # relative comparison sees every row's share of each norm
+        # relative comparison sees every row's share of each norm; the last
+        # rows are recorded against them, each from its hatted vector: the
+        # residual the run stored
         a4, res = run(rand3() if problem_id == "rand3" else builtin(problem_id), m, n)
+        walk, op = res.walk, res.operator
         rng = np.random.default_rng(17)
-        perturbed = {}
-        for side, basis in (("v", res.walk.v_basis), ("w", res.walk.w_basis)):
+        perturbed, rows = {}, {}
+        for side, basis, rows_, product in (
+                ("v", walk.v_basis, walk.v_rows, star_mul_tv(op, walk.v_basis[-1])),
+                ("w", walk.w_basis, walk.w_rows, star_mul_vt(walk.w_basis[-1], op))):
             old = getattr(res, f"run_residual_{side}")
             noise = rng.standard_normal(old.data.shape)
             noise *= 1e-3 * frobenius(basis[-1]) / np.linalg.norm(noise)
-            perturbed[f"run_residual_{side}"] = HyperVec(old.data + noise, old.orientation)
-        res = dataclasses.replace(res, **perturbed)
+            new = perturbed[f"run_residual_{side}"] = HyperVec(old.data + noise, old.orientation)
+            hat = HyperVec(old.data.copy(), old.orientation)
+            rows[f"{side}_rows"] = rows_[:-1] + [_row_norms(product, hat, new)]
+        res = dataclasses.replace(res, walk=walk._replace(**rows), **perturbed)
         ev, ew = err_recurrences(res)
         ev_flat, ew_flat = flattened_recurrences(res, a4)
         assert min(ev, ew) > 1e-6

@@ -120,6 +120,21 @@ class TestStarResolvent11:
         with pytest.raises(ValueError, match="lower-triangular"):
             _resolvent_column(tri)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 3), (1, 3), (0, 3)])
+    def test_rejects_any_entry_above_the_diagonal(self, entry, dtype):
+        # the check reads the strict upper triangle in place: each of its
+        # entries counts, in each coefficient, and nothing on or below the diagonal
+        m, rng = 4, np.random.default_rng(3)
+        alphas = [0.1 * np.tril(rng.standard_normal((m, m))).astype(dtype) for _ in range(2)]
+        betas = [np.tril(rng.standard_normal((m, m))).astype(dtype)]
+        assert np.isfinite(_resolvent_column(TriTensor(m, alphas, betas))).all()
+        for coeffs in (alphas[0], alphas[1], betas[0]):
+            coeffs[entry] = 1e-300
+            with pytest.raises(ValueError, match="lower-triangular"):
+                _resolvent_column(TriTensor(m, alphas, betas))
+            coeffs[entry] = 0
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(1, 8), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_matches_pivoted_lu_fraction(self, m, n, seed):

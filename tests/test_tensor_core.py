@@ -455,7 +455,8 @@ class TestMeshMajorLayout:
         p = builtin(problem_id)
         # at M=100 BLAS rounds a float64 slice product differently when the
         # dual operand is C-ordered, so layout independence is not automatic
-        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 100)), p.v, p.w, 3)
+        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 100)), p.v, p.w, 3,
+                             keep_walk=True)
         assert res.status.completed and res.operator.data.dtype == dtype
         return res
 

@@ -178,23 +178,30 @@ def moment_matrices(result: LanczosResult,
     its dtype; for ``scale = i`` moment k of each side is mapped back by the
     exact factor ``i^k``.
     """
+    lhs, rhs = [], []
+    for left, right in _moment_pairs(result, k_max):
+        lhs.append(left)
+        rhs.append(right)
+    return lhs, rhs
+
+
+def _moment_pairs(result: LanczosResult, k_max: int | None):
+    """Yield the pairs of :func:`moment_matrices` one k at a time, keeping none once yielded."""
     tri = result.run_tri
     if k_max is None:
         k_max = 2 * tri.n - 1
     v, w = result.run_start
     w_conj, cur = np.conj(w), lift(v, tri.m)
     blocks = [np.eye(tri.m, dtype=np.result_type(*tri.alphas, *tri.betas))]
-    lhs, rhs = [], []
     for k in range(k_max + 1):
         if k > 0:
             cur = star_mul_tv(result.operator, cur)
             blocks = [_tri_row(tri, blocks, i) for i in range(min(k + 1, tri.n, k_max - k + 1))]
-        lhs.append(sum(c * s for c, s in zip(w_conj, cur.data)))
-        rhs.append(blocks[0])
-    if result.scale != 1:
-        lhs = [_times_i_power(x, k) for k, x in enumerate(lhs)]
-        rhs = [_times_i_power(x, k) for k, x in enumerate(rhs)]
-    return lhs, rhs
+        pair = (sum(c * s for c, s in zip(w_conj, cur.data)), blocks[0])
+        if result.scale != 1:
+            pair = tuple(_times_i_power(x, k) for x in pair)
+        yield pair
+        del pair  # the caller's reference is the last
 
 
 def err_moments(result: LanczosResult, k_max: int | None = None) -> np.ndarray:
@@ -202,12 +209,14 @@ def err_moments(result: LanczosResult, k_max: int | None = None) -> np.ndarray:
 
     ``err_M(k) = |L_k - R_k| / max(|L_k|, |R_k|)`` for the moment pair of
     :func:`moment_matrices`, whose starting hypervectors are the run's own.
+    The pairs are formed one at a time, and each is freed after its norms.
     """
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (lhs, rhs) in enumerate(zip(*moment_matrices(result, k_max))):
+        for k, (lhs, rhs) in enumerate(_moment_pairs(result, k_max)):
             den = max(frobenius(lhs), frobenius(rhs))
             out.append(_ratio(frobenius(lhs - rhs), den, f"err_M(k={k})"))
+            del lhs, rhs
     return np.array(out)
 
 

@@ -29,8 +29,9 @@ exactly zero strict upper triangle.  Each iteration inverts ``beta_{k+1}``
 once, index-reversed to upper triangular so that the LU factorization never
 pivots, takes the breakdown test's ``kappa_1`` from the inverse and applies
 it to the stacked basis slices in one matrix product, on numpy's LAPACK,
-the library under every product: scipy's wheel bundles a second OpenBLAS
-whose thread pool, alternating with numpy's, contends for the same cores.
+the library under every product.  The package imports no scipy, whose wheel
+bundles a second OpenBLAS with a thread pool that, alternating with
+numpy's, contends for the same cores.
 
 Arithmetic: the recurrence runs in float64 when the data allow it and in
 complex128 otherwise, decided from the profiles and probes alone.  With real

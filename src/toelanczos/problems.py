@@ -9,9 +9,10 @@ structural.  :meth:`Problem.compile_matrix` is the one evaluator of the
 terms: the discretization samples it and the RK45 reference integrates it.
 
 References (the sampled true bilinear form ``w^H U(t) v``) come from an
-adaptive Dormand-Prince integration with dense output, or from the one
-closed form, which :func:`analytic_reference` reads from the terms alone
-when every ``A(t)`` shares one unitary eigenbasis.
+adaptive Dormand-Prince integration with dense output, a numpy
+transcription of scipy's RK45 in the private ``_rk45`` module, or from the
+one closed form, which :func:`analytic_reference` reads from the terms
+alone when every ``A(t)`` shares one unitary eigenbasis.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -373,6 +375,13 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
                    atol: float = 1e-12) -> Reference:
     """Adaptive Dormand-Prince reference: solve ``u' = A(t) u``, ``u(a) = v``.
 
+    The integrator is the private ``_rk45`` module, a numpy transcription
+    of scipy's RK45 with its dense output, equal to ``solve_ivp(method=
+    "RK45", dense_output=True)`` bit for bit (the tests pin it against
+    scipy), so the package needs no scipy.  The first call imports it, so
+    ``import toelanczos`` does not compile it.  An ``rtol`` below
+    ``100 eps`` is raised to it, with a ``UserWarning``, as scipy does.
+
     ``A(t)`` is compiled once per call (:meth:`Problem.compile_matrix`), so
     a right-hand-side evaluation costs a few array operations rather than a
     Python loop over the terms; the values equal those of the per-term sum.
@@ -381,19 +390,27 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
     ``resample`` evaluates it on any other mesh of the interval.
 
     An integration that needs more than :data:`RK45_MAX_CALLS` evaluations
-    of ``A(t) u``, as a stiff problem does, raises :class:`StiffnessError`.
-    So does the first evaluation of ``A(t) u`` that holds an infinity or a
-    NaN (a pole of a term, or an overflow), naming its ``t``; the
-    integration runs under one ``np.errstate``, so it prints no warning.
-
-    ``scipy.integrate`` is imported on the first call, not with the
-    package, so runs without an RK45 reference never load it.
+    of ``A(t) u``, as a stiff problem does, or whose step falls below ten
+    float spacings of ``t``, raises :class:`StiffnessError`.  So does the
+    first evaluation of ``A(t) u`` that holds an infinity or a NaN (a pole
+    of a term, or an overflow), naming its ``t``; the integration runs under
+    one ``np.errstate``, so it prints no warning.  The problem's interval
+    must have ``a < b`` and its ``v`` must be finite.
     """
-    from scipy.integrate import solve_ivp
+    from . import _rk45
 
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise ValueError(f"rtol and atol must be finite and positive, got {rtol}, {atol}")
+    if rtol < _rk45.MIN_RTOL:
+        warnings.warn(f"rtol = {rtol} is below 100 eps; integrating with rtol = "
+                      f"{_rk45.MIN_RTOL}", stacklevel=2)
+        rtol = _rk45.MIN_RTOL
+    a, b = float(problem.a), float(problem.b)
+    if not b > a:
+        raise ValueError(f"degenerate interval [{a}, {b}]")
     y0 = problem.v.astype(complex)
+    if not np.isfinite(y0).all():
+        raise ValueError(f"v of problem {problem.id!r} is not finite")
     a_of_t = problem.compile_matrix()
     calls = itertools.count(1)
 
@@ -409,16 +426,14 @@ def rk45_reference(problem: Problem, mesh: Mesh, rtol: float = 1e-10,
         return du
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (problem.a, problem.b), y0,
-                        method="RK45", rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        t_fail = sol.t[-1] if sol.t.size else problem.a
-        raise StiffnessError(
-            f"integrator failed for {problem.id!r} near t = {t_fail}: {sol.message}")
+        ts, steps = _rk45.integrate(rhs, a, b, y0, rtol, atol)
+    if ts[-1] < b:
+        raise StiffnessError(f"integrator failed for {problem.id!r} near t = {ts[-1]}: "
+                             "Required step size is less than spacing between numbers.")
+    dense = _rk45.dense_output(ts, steps)
 
     def sample(at: Mesh) -> np.ndarray:
-        u = sol.sol(at.tau)  # (n, M)
-        return np.conj(problem.w) @ u
+        return np.conj(problem.w) @ dense(at.tau)  # u is (n, M)
 
     return Reference(sample(mesh), sample)
 

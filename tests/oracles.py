@@ -428,12 +428,22 @@ def matrix_per_term(problem, t: float) -> np.ndarray:
     return out
 
 
+def scipy_rk45(problem, rtol: float = 1e-10, atol: float = 1e-12, a_of_t=None):
+    """scipy's ``solve_ivp(method="RK45", dense_output=True)`` of ``u' = A(t) u``, ``u(a) = v``.
+
+    ``A(t)`` is ``a_of_t``, by default :func:`matrix_per_term`.  The
+    package's RK45 reference transcribes this integrator, so its values
+    must equal ``w^H`` times the returned ``.sol`` bit for bit.
+    """
+    a_of_t = a_of_t or (lambda t: matrix_per_term(problem, t))
+    return solve_ivp(lambda t, y: a_of_t(t) @ y, (problem.a, problem.b),
+                     problem.v.astype(complex), method="RK45", rtol=rtol, atol=atol,
+                     dense_output=True)
+
+
 def reference_per_term(problem, mesh, rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
-    """``w^H u(tau_i)`` from the same Dormand-Prince call, driven by :func:`matrix_per_term`."""
-    sol = solve_ivp(lambda t, y: matrix_per_term(problem, t) @ y,
-                    (problem.a, problem.b), problem.v.astype(complex),
-                    method="RK45", rtol=rtol, atol=atol, dense_output=True)
-    return np.conj(problem.w) @ sol.sol(mesh.tau)
+    """``w^H u(tau_i)`` from scipy's Dormand-Prince, driven by :func:`matrix_per_term`."""
+    return np.conj(problem.w) @ scipy_rk45(problem, rtol, atol).sol(mesh.tau)
 
 
 def nmr1_closed_form(seed: int, mesh, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from toelanczos import (
     Problem,
@@ -22,7 +21,7 @@ from toelanczos import (
     problem_to_json,
     tensor_lanczos,
 )
-from toelanczos import cli, diagnostics, problems, tensor_core
+from toelanczos import _rk45, cli, diagnostics, problems, tensor_core
 from toelanczos.cli import (
     EXIT_GUARD,
     EXIT_LUCKY,
@@ -253,24 +252,34 @@ class TestRun:
         assert [f.name for f in tmp_path.iterdir()] == ["big.json"]
 
     def test_import_leaves_integrator_unloaded(self, tmp_path):
-        # only an RK45 reference loads scipy.integrate, and nothing else loads scipy
-        proc = run_fresh("-c", "import sys, toelanczos; print('scipy.integrate' in sys.modules); "
+        # only an RK45 reference imports the package's integrator, and nothing loads scipy
+        proc = run_fresh("-c", "import sys, toelanczos; print('toelanczos._rk45' in sys.modules); "
                          + SCIPY_LOADED, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
 
     def test_runs_without_rk45_load_no_scipy(self, tmp_path):
-        # cos(3t) C with C skew-Hermitian: the closed form takes an eigenbasis
+        # cos(3t) C with C skew-Hermitian: the closed form takes an eigenbasis;
+        # the RK45 runs, a single pass and a sweep, load no scipy either
         write_problem(tmp_path, SKEW3, "skew3")
-        code = ("import sys; from toelanczos import cli; print(cli.main(['run', '--problem', "
-                "'const3', '--M', '40', '--n', '3', '--reference', 'analytic', '--output', 'r'])); "
-                "print(cli.main(['run', '--problem-file', 'skew3.json', '--M', '40', '--n', '3', "
-                "'--reference', 'analytic', '--output', 's'])); "
-                "print(cli.main(['ttranks', '--problem', 'nmr2', '--M', '120', '--output', 't'])); "
-                + SCIPY_LOADED)
+        runs = [
+            ["run", "--problem", "const3", "--M", "40", "--n", "3", "--reference", "analytic",
+             "--output", "r"],
+            ["run", "--problem-file", "skew3.json", "--M", "40", "--n", "3",
+             "--reference", "analytic", "--output", "s"],
+            ["ttranks", "--problem", "nmr2", "--M", "120", "--output", "t"],
+            ["run", "--problem", "nmr3", "--M", "40", "--n", "4", "--reference", "rk45",
+             "--output", "u"],
+            ["convergence", "--problem", "timedep5", "--M", "10,20", "--n", "5",
+             "--reference", "rk45", "--output", "v"],
+        ]
+        code = ("import contextlib, io, sys; from toelanczos import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+                "print(*codes); " + SCIPY_LOADED)
         proc = run_fresh("-c", code, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(EXIT_OK), str(EXIT_OK), str(EXIT_OK), "False"]
+        assert proc.stdout.split() == [str(EXIT_OK)] * len(runs) + ["False"]
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["run", "--problem", "timedep5", "--M", "12", "--n", "5",
@@ -551,12 +560,12 @@ class TestConvergence:
 
     def test_rk45_reference_integrated_once(self, tmp_path, monkeypatch):
         calls = []
-        solve_ivp = scipy.integrate.solve_ivp
+        integrate = _rk45.integrate
 
-        def counting_solve_ivp(*args, **kwargs):
+        def counting_integrate(*args, **kwargs):
             calls.append(1)
-            return solve_ivp(*args, **kwargs)
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(_rk45, "integrate", counting_integrate)
         argv = ["convergence", "--problem", "timedep5", "--M", "10,20,30", "--n", "5",
                 "--reference", "rk45"]
         assert run_cli(*argv, "--output", str(tmp_path / "once")) == EXIT_OK

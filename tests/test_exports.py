@@ -71,3 +71,32 @@ def test_undefined_global_is_flagged(tmp_path):
     path.write_text("import os\n\n\nclass C:\n    def f(self):\n"
                     "        return os.sep, len(C.__name__), ShapeError\n")
     assert undefined_globals(path) == ["m.py: f reads undefined ShapeError"]
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """``"<file>:<line> imports <module>"`` for each import of scipy or a scipy submodule."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} imports {m}" for m in modules
+                  if m.split(".")[0] == "scipy"]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_package_imports_no_scipy(path):
+    # numpy is the one runtime dependency; scipy is the tests' oracle only
+    assert scipy_imports(path) == []
+
+
+def test_scipy_import_is_flagged(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np, scipy.linalg\n\n\ndef f():\n"
+                    "    from scipy.integrate import solve_ivp\n    from .scipy import x\n")
+    assert scipy_imports(path) == ["m.py:1 imports scipy.linalg",
+                                   "m.py:5 imports scipy.integrate"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from toelanczos import (
+    Mesh,
     Problem,
     Term,
     analytic_reference,
@@ -21,10 +22,11 @@ from toelanczos import (
     problem_to_json,
     rk45_reference,
 )
+from toelanczos import problems
 from toelanczos.problems import _NMR_NU, DEFAULT_NMR_SEED, StiffnessError
 
 from oracles import (const3_closed_form, entry_per_term, matrix_per_term, nmr1_closed_form,
-                     reference_per_term)
+                     reference_per_term, scipy_rk45)
 
 CONST3 = np.array([[-1.0, 1, 1], [1, 0, 1], [1, 1, -1]])
 
@@ -420,6 +422,115 @@ class TestCompiledMatrix:
         a_of_t = p.compile_matrix()
         p.entries[(1, 1)] = [Term(5.0)]
         assert a_of_t(0.5)[1, 1] == 0 and p.compile_matrix()(0.5)[1, 1] == 5.0
+
+
+def scipy_values(p, mesh, sol) -> bytes:
+    """``w^H u(tau)`` of scipy's dense solution ``sol``, as bytes."""
+    return (np.conj(p.w) @ sol.sol(mesh.tau)).tobytes()
+
+
+def assert_equals_scipy(p, ms, rtol, atol):
+    """Each mesh's reference, and the first's resample on it, equal scipy's RK45 bit for bit.
+
+    scipy integrates the package's own ``A(t)``, so only the integrators differ.
+    """
+    sol = scipy_rk45(p, rtol, atol, a_of_t=p.compile_matrix())
+    assert sol.success, sol.message
+    meshes = [build_mesh(p.a, p.b, m) for m in ms]
+    first = rk45_reference(p, meshes[0], rtol=rtol, atol=atol)
+    for mesh in meshes:
+        want = scipy_values(p, mesh, sol)
+        assert rk45_reference(p, mesh, rtol=rtol, atol=atol).values.tobytes() == want
+        assert first.resample(mesh).tobytes() == want
+
+
+BUILTIN_SEEDS = [(pid, None) for pid in ("const3", "timedep5", "zero1")] + [
+    (f"nmr{kind}", seed) for kind in (1, 2, 3) for seed in (None, 3, 41)]
+
+
+class TestDormandPrince:
+    """The numpy RK45 is scipy's ``solve_ivp(method="RK45")``, bit for bit."""
+
+    @pytest.mark.parametrize("tols", [(1e-10, 1e-12), (1e-12, 1e-14), (1e-6, 1e-8)],
+                             ids=["default", "tight", "loose"])
+    @pytest.mark.parametrize("problem_id,seed", BUILTIN_SEEDS,
+                             ids=[f"{pid}-{seed or 'default'}" for pid, seed in BUILTIN_SEEDS])
+    def test_builtins_equal_scipy(self, problem_id, seed, tols):
+        p = builtin(problem_id) if seed is None else nmr_generate(int(problem_id[3]), seed)
+        assert_equals_scipy(p, (7, 20, 80, 250, 1000), *tols)
+
+    @pytest.mark.parametrize("problem_id", ["timedep5", "nmr3"])
+    def test_clipped_rtol_equals_scipy(self, problem_id):
+        # an rtol below 100 eps is raised to 100 eps, with a warning, as scipy does
+        p = builtin(problem_id)
+        mesh = build_mesh(p.a, p.b, 40)
+        with pytest.warns(UserWarning, match="rtol"):
+            sol = scipy_rk45(p, 1e-16, 1e-14, a_of_t=p.compile_matrix())
+        with pytest.warns(UserWarning, match="rtol = 1e-16 is below 100 eps"):
+            ref = rk45_reference(p, mesh, rtol=1e-16, atol=1e-14)
+        assert ref.values.tobytes() == scipy_values(p, mesh, sol)
+        floor = rk45_reference(p, mesh, rtol=100 * np.finfo(float).eps, atol=1e-14)
+        assert floor.values.tobytes() == ref.values.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(p=random_problems(), probes=st.lists(
+        st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+        min_size=8, max_size=8), ms=st.tuples(st.integers(2, 60), st.integers(2, 60)),
+        tols=st.sampled_from([(1e-10, 1e-12), (1e-6, 1e-8), (1e-3, 1e-6)]))
+    def test_random_problems_equal_scipy(self, p, probes, ms, tols):
+        p.v, p.w = np.array(probes[:p.n]), np.array(probes[4:4 + p.n])
+        assert_equals_scipy(p, ms, *tols)
+
+    def test_rate_zero_at_the_start(self):
+        # A(a) v = 0 but A'(a) v != 0: the initial step's second estimate alone sets it
+        p = Problem("ramp", 2, 0.0, 1.0, {(0, 1): [Term(1.0, 1)], (1, 0): [Term(-1.0, 1)]},
+                    np.ones(2), np.ones(2))
+        assert_equals_scipy(p, (7, 40), 1e-10, 1e-12)
+
+    def test_points_on_step_ends(self):
+        # a point on a step's end takes that step, not the next; the points come unsorted
+        p = builtin("timedep5")
+        sol = scipy_rk45(p, a_of_t=p.compile_matrix())
+        ends = Mesh(p.a, p.b, sol.t.size, 0.0, sol.t[::-1])
+        ref = rk45_reference(p, build_mesh(p.a, p.b, 4))
+        assert ref.resample(ends).tobytes() == scipy_values(p, ends, sol)
+
+    @pytest.mark.parametrize("rate", [-1e20, 3e13, 3e13j])
+    def test_step_underflow(self, rate):
+        # each rate needs steps below ten float spacings of t = 1
+        p = Problem("fast", 1, 1.0, 2.0, {(0, 0): [Term(rate)]}, np.ones(1), np.ones(1))
+        sol = scipy_rk45(p, a_of_t=p.compile_matrix())
+        assert not sol.success
+        want = f"integrator failed for 'fast' near t = {sol.t[-1]}: {sol.message}"
+        with pytest.raises(StiffnessError, match=f"^{re.escape(want)}$"):
+            rk45_reference(p, build_mesh(p.a, p.b, 4))
+
+    def test_call_cap(self, monkeypatch):
+        # the cap counts every evaluation of A(t) u, scipy's nfev included
+        p = builtin("timedep5")
+        mesh = build_mesh(p.a, p.b, 20)
+        nfev = scipy_rk45(p, a_of_t=p.compile_matrix()).nfev
+        monkeypatch.setattr(problems, "RK45_MAX_CALLS", nfev)
+        rk45_reference(p, mesh)
+        monkeypatch.setattr(problems, "RK45_MAX_CALLS", nfev - 1)
+        with pytest.raises(StiffnessError, match=f"more than {nfev - 1} evaluations of A"):
+            rk45_reference(p, mesh)
+
+    def test_non_finite_rate(self):
+        # t**-1 has a pole at the interval's start
+        p = Problem("pole", 2, 0.0, 1.0, {(0, 1): [Term(1.0, -1)], (1, 0): [Term(2.0)]},
+                    np.ones(2), np.ones(2))
+        with pytest.raises(StiffnessError,
+                           match=r"^integrator failed for 'pole' at t = 0\.0: A\(t\) u is not finite$"):
+            rk45_reference(p, build_mesh(p.a, p.b, 4))
+
+    def test_rejects_a_reversed_interval_and_a_non_finite_start(self):
+        p = builtin("const3")
+        mesh = build_mesh(p.a, p.b, 4)
+        with pytest.raises(ValueError, match=r"degenerate interval \[1\.0, 0\.0\]"):
+            rk45_reference(dataclasses.replace(p, a=1.0, b=0.0), mesh)
+        with pytest.raises(ValueError, match="v of problem 'const3' is not finite"):
+            rk45_reference(dataclasses.replace(p, v=np.array([1.0, np.nan, 0.0])), mesh)
 
 
 class TestProblemJson:

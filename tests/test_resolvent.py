@@ -86,7 +86,7 @@ class TestStarResolvent11:
         pytest.param([np.zeros((2, 2)), np.zeros((2, 2))], [(1 - 2.0**-52) * np.eye(2)],
                      1, 2.0**54, id="near-singular"),
     ])
-    def test_unusable_level_logs_inf_at_its_depth(self, alphas, betas, row, value):
+    def test_solves_or_names_the_unusable_mesh_row(self, alphas, betas, row, value):
         tri = TriTensor(2, alphas, betas)
         if row is None:
             assert _resolvent_column(tri) == pytest.approx(value, rel=1e-12, abs=0)
@@ -168,7 +168,7 @@ class TestStarResolvent11:
 
     @pytest.mark.parametrize("problem_id,dtype", [("const3", np.float64), ("timedep5", np.float64),
                                                   ("nmr2", np.complex128)])
-    def test_levels_in_the_coefficients_dtype(self, problem_id, dtype):
+    def test_column_in_the_coefficients_dtype(self, problem_id, dtype):
         # a real Lanczos run gives a real column; the i-mapped nmr2
         # coefficients stay complex
         p = builtin(problem_id)

@@ -5,7 +5,8 @@ Five diagnostics quantify a run:
 * ``err_o``   : biorthogonality, ``|W_n * V_n - I_*| / max(|V_n|, |W_n|)``
 * ``err_V``   : V-side three-term recurrence residual (relative)
 * ``err_W``   : W-side analogue; exactly zero, because with ``gamma = I``
-  the W update is definitional: ``W_{k+1}`` is the hatted ``W_hat``
+  the W update is definitional: ``W_{k+1}`` is the hatted ``W_hat``, so
+  it is reported as 0 and never computed
 * ``err_M(k)``: matching-moment mismatch for k = 0 .. 2n-1
 * ``err_sol`` : relative Euclidean error against a reference solution
 
@@ -19,17 +20,18 @@ Every measure takes the :class:`~toelanczos.lanczos.LanczosResult` alone
 and reads the run as it was computed: its ``operator`` ``A / scale`` and
 its ``run_*`` fields, in the run's dtype, so a float64 run is measured in
 float64.  :func:`err_recurrences` and :func:`err_biorth` read the
-result's ``walk``: the bases and the rows' norms, which the loop recorded
-as it ran (``tensor_lanczos(..., keep_walk=True)``), so the recurrence
-rows are its own arithmetic and match ``A*V_n - V_n*T_n - V~_n`` of
-materialized tensors to roundoff; a result without one raises
-``ValueError``.  :func:`moment_matrices` reads the lifted probes as the
+result's ``walk``: the bases and the V rows' norms, which the loop
+recorded as it ran (``tensor_lanczos(..., keep_walk=True)``), so the
+recurrence rows are its own arithmetic and match ``A*V_n - V_n*T_n - V~_n``
+of materialized tensors to roundoff; a result without one raises
+``ValueError``.  :func:`err_moments` reads the lifted probes as the
 vectors ``w`` and ``e_1`` they lift, and keeps only the live blocks of
 ``T_n^{k*} e_1``; :func:`err_biorth` frees each entry after its norm.  For
-``scale = i`` the ``i``-map multiplies each biorthogonality entry and each
-recurrence row by a unit factor and moment ``k`` by ``i^k`` (see
-:mod:`toelanczos.lanczos`), so the measures are those of the run on ``A``;
-:func:`moment_matrices` applies the ``i^k`` to return the moments of ``A``.
+``scale = i`` the ``i``-map of :mod:`toelanczos.lanczos` multiplies each
+biorthogonality entry, each recurrence row and both sides of moment ``k``
+by a unit factor (``i^k`` for the moment), which leaves every norm and
+ratio as it is, so the measures of the run are those of the run on ``A``
+and no diagnostic applies the map.
 
 A run can complete with finite coefficients and still overflow in its
 diagnostics: moment ``k`` raises the operator to the ``k``-th power.  The
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lanczos import LanczosResult, LanczosWalk, TriTensor, _times_i_power
+from .lanczos import LanczosResult, LanczosWalk, TriTensor
 from .tensor_core import frobenius, lift, star_inner, star_mul_tv
 # unused here: the benchmark's tracer wraps them by name
 from .tensor_core import star_mul_tt, star_mul_vt
@@ -55,7 +57,6 @@ __all__ = [
     "err_biorth",
     "err_recurrences",
     "err_moments",
-    "moment_matrices",
     "err_solution",
     "convergence_slope",
     "report_to_json",
@@ -136,15 +137,15 @@ def _relative_residual(rows, name: str) -> float:
 def err_recurrences(result: LanczosResult) -> tuple[float, float]:
     """Relative residuals of the compact three-term recurrences (err_V, err_W).
 
-    From the row norms of the result's ``walk``: row k is the iteration's
-    own update of ``A*V_k`` (``W_k*A``) less the next vector, or less the
-    stored residual on the last row, which is that update.  Denominators
-    follow the displayed measures, ``max(|A*V_n|, |V_n*T_n + V~_n|)`` and
-    the W analogue.  The next W vector is the update itself, so every W row
-    is zero by definition and ``err_W`` is exactly 0.
+    ``err_V`` from the row norms of the result's ``walk``: row k is the
+    iteration's own update of ``A*V_k`` less the next vector, or less the
+    stored residual on the last row, which is that update.  The denominator
+    follows the displayed measure, ``max(|A*V_n|, |V_n*T_n + V~_n|)``.
+    ``W_{k+1}`` is the update of ``W_k*A`` itself, and on the last row so is
+    the stored residual, so every W row is zero by construction and
+    ``err_W`` is exactly 0.
     """
-    walk = _walk(result)
-    return _relative_residual(walk.v_rows, "err_V"), _relative_residual(walk.w_rows, "err_W")
+    return _relative_residual(_walk(result).v_rows, "err_V"), 0.0
 
 
 def _tri_row(tri: TriTensor, x: list[np.ndarray], i: int) -> np.ndarray:
@@ -159,34 +160,23 @@ def _tri_row(tri: TriTensor, x: list[np.ndarray], i: int) -> np.ndarray:
     return sum(terms[1:] + x[i + 1:i + 2], terms[0])
 
 
-def moment_matrices(result: LanczosResult,
-                    k_max: int | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Both sides of the matching moments for k = 0 .. k_max (default 2n-1).
+def _moment_pairs(result: LanczosResult, k_max: int | None = None):
+    """Yield both sides of the matching moments for k = 0 .. k_max (default 2n-1).
 
-    Returns the lists ``W_1^D * A^{k*} * V_1`` (the lifts of the run's
-    probes ``run_start = (v, w)``, normalization included) and
+    Pair k is ``W_1^D * B^{k*} * V_1`` (the lifts of the run's probes
+    ``run_start = (v, w)``, normalization included) and
     ``e_1^D * T_n^{k*} * e_1`` (first Euclidean lifts of length n), each an
-    m x m matrix per k.  The powers are never formed, and the lifts are read
-    as the vectors they are.  The left side applies ``A *`` once per k to
-    its Krylov vector ``cur`` and sums ``conj(w_i) cur[i]`` in ascending
-    ``i``: the nonzero terms of the lifted inner product, in its order.  The
-    right side is block 0 of ``T_n^{k*} * e_1``: from ``I``, step k forms
-    with :func:`_tri_row` only its blocks ``i < min(k + 1, n, k_max - k + 1)``,
-    as those past k are zero and those past ``k_max - k`` cannot reach block 0.
-
-    Both sides iterate on the run, ``A / scale`` and its coefficients, in
-    its dtype; for ``scale = i`` moment k of each side is mapped back by the
-    exact factor ``i^k``.
+    m x m matrix, for the run's operator ``B = A / scale`` and its
+    coefficients ``run_tri``, in the run's dtype.  The powers are never
+    formed, and the lifts are read as the vectors they are.  The left side
+    applies ``B *`` once per k to its Krylov vector ``cur`` and sums
+    ``conj(w_i) cur[i]`` in ascending ``i``: the nonzero terms of the lifted
+    inner product, in its order.  The right side is block 0 of
+    ``T_n^{k*} * e_1``: from ``I``, step k forms with :func:`_tri_row` only
+    its blocks ``i < min(k + 1, n, k_max - k + 1)``, as those past k are zero
+    and those past ``k_max - k`` cannot reach block 0.  Once yielded, a pair
+    is held only by the caller and by the blocks its next step reads.
     """
-    lhs, rhs = [], []
-    for left, right in _moment_pairs(result, k_max):
-        lhs.append(left)
-        rhs.append(right)
-    return lhs, rhs
-
-
-def _moment_pairs(result: LanczosResult, k_max: int | None):
-    """Yield the pairs of :func:`moment_matrices` one k at a time, keeping none once yielded."""
     tri = result.run_tri
     if k_max is None:
         k_max = 2 * tri.n - 1
@@ -197,19 +187,16 @@ def _moment_pairs(result: LanczosResult, k_max: int | None):
         if k > 0:
             cur = star_mul_tv(result.operator, cur)
             blocks = [_tri_row(tri, blocks, i) for i in range(min(k + 1, tri.n, k_max - k + 1))]
-        pair = (sum(c * s for c, s in zip(w_conj, cur.data)), blocks[0])
-        if result.scale != 1:
-            pair = tuple(_times_i_power(x, k) for x in pair)
-        yield pair
-        del pair  # the caller's reference is the last
+        yield sum(c * s for c, s in zip(w_conj, cur.data)), blocks[0]
 
 
 def err_moments(result: LanczosResult, k_max: int | None = None) -> np.ndarray:
     """Matching-moment mismatch ``err_M(k)`` for k = 0 .. k_max.
 
-    ``err_M(k) = |L_k - R_k| / max(|L_k|, |R_k|)`` for the moment pair of
-    :func:`moment_matrices`, whose starting hypervectors are the run's own.
-    The pairs are formed one at a time, and each is freed after its norms.
+    ``err_M(k) = |L_k - R_k| / max(|L_k|, |R_k|)`` for the run's moment
+    pair ``(L_k, R_k)``: on ``A / scale``, whose pairs are those of ``A``
+    times the unit factor ``scale^-k``.  The pairs are formed one at a time,
+    and each is freed after its norms.
     """
     out = []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -144,14 +144,14 @@ def _times_i_power(x: np.ndarray, p: int) -> np.ndarray:
 
 
 class LanczosWalk(NamedTuple):
-    """The bases ``V_1..V_n``, ``W_1^D..W_n^D`` and the recurrence rows of a run.
+    """The bases ``V_1..V_n``, ``W_1^D..W_n^D`` and the V recurrence rows of a run.
 
     :func:`tensor_lanczos` records it as it iterates, when asked to.  Row k
     of ``v_rows`` is ``(|A*V_k|, |R_k|, |A*V_k - R_k|)``, where ``R_k`` is
-    the hatted vector less ``V_{k+1} x beta_{k+1}``; ``w_rows`` likewise,
-    with ``W_{k+1}`` for the second term.  ``W_{k+1}`` is ``W_hat``, and on
-    the last row the stored residual is the hatted pair itself, so those
-    rows' ``R_k`` is 0.  That is all
+    ``V_hat`` less ``V_{k+1} x beta_{k+1}``; on the last row the stored
+    residual is ``V_hat`` itself, so that row's ``R_k`` is 0.  The W rows
+    are not recorded: ``W_{k+1}`` is ``W_hat``, so each is 0 by
+    construction.  That is all
     :func:`~toelanczos.diagnostics.err_recurrences` and
     :func:`~toelanczos.diagnostics.err_biorth` read.
     """
@@ -159,7 +159,6 @@ class LanczosWalk(NamedTuple):
     v_basis: list[HyperVec]
     w_basis: list[HyperVec]
     v_rows: list[tuple[float, float, float]]
-    w_rows: list[tuple[float, float, float]]
 
 
 def _row_norms(product: HyperVec, hat: HyperVec, nxt: HyperVec) -> tuple[float, float, float]:
@@ -181,7 +180,7 @@ class LanczosResult:
     residuals ``run_residual_v``, which is ``V_{n+1} x beta_{n+1}`` (the
     unnormalized V residual), and ``run_residual_w``, which is
     ``W_{n+1}^D``: the hatted vectors of the last completed iteration.
-    ``walk`` holds the bases and recurrence rows that the loop recorded, or
+    ``walk`` holds the bases and V recurrence rows that the loop recorded, or
     ``None`` for a run that kept no basis.
 
     ``tri`` holds the coefficients of the run on ``A``: ``run_tri`` itself
@@ -233,18 +232,15 @@ def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
 
 def _w_update(wa: HyperVec, alpha: np.ndarray, w_k: HyperVec,
               beta_k: np.ndarray | None = None, w_prev: HyperVec | None = None, *,
-              tmp: np.ndarray | None = None) -> np.ndarray:
+              tmp: np.ndarray) -> np.ndarray:
     """``(W_k*A - alpha_k x W_k) - beta_k x W_{k-1}``; the last term is absent for k = 1.
 
     Returns the data of the dual hypervector, in the operands' mesh-major
-    layout.  The differences are formed in the fresh buffer of ``alpha_k x
-    W_k``, so no operand is written to, or, given a workspace buffer ``tmp``
-    for the coefficient products, in ``wa``'s own buffer, with the same
-    values.
+    layout, formed in ``wa``'s own buffer: ``W_k*A`` is spent once
+    ``alpha_k`` is read, and becomes ``W_{k+1}``.  The workspace buffer
+    ``tmp`` takes the coefficient products.
     """
-    prod = coef_times_vec(alpha, w_k, out=tmp).data
-    out = prod if tmp is None else wa.data
-    np.subtract(wa.data, prod, out=out)
+    out = np.subtract(wa.data, coef_times_vec(alpha, w_k, out=tmp).data, out=wa.data)
     if beta_k is not None:
         np.subtract(out, coef_times_vec(beta_k, w_prev, out=tmp).data, out=out)
     return out
@@ -255,8 +251,9 @@ def _v_update(av: HyperVec, v_k: HyperVec, alpha: np.ndarray,
     """``(A*V_k - V_k x alpha_k) - V_{k-1}``; the last term is absent for k = 1.
 
     Returns the data of the right hypervector, in the operands' mesh-major
-    layout, formed as :func:`_w_update` forms its own: in the fresh buffer
-    of ``V_k x alpha_k``, or, given ``tmp`` for that product, in ``av``'s.
+    layout.  The differences are formed in the fresh buffer of ``V_k x
+    alpha_k``, so no operand is written to, or, given a workspace buffer
+    ``tmp`` for that product, in ``av``'s own buffer, with the same values.
     """
     prod = vec_times_coef(v_k, alpha, out=tmp).data
     out = prod if tmp is None else av.data
@@ -327,7 +324,7 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
         Breakdown thresholds, see :func:`classify_breakdown`; NaN, which
         would switch a check off, raises ``ValueError``.
     keep_walk : bool
-        Record the bases and the recurrence rows as
+        Record the bases and the V recurrence rows as
         :attr:`LanczosResult.walk`, for the diagnostics that read them.
 
     The loop rotates seven mesh-major buffers, so its memory does not grow
@@ -379,17 +376,16 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     alphas: list[np.ndarray] = []
     betas: list[np.ndarray] = []
     v_rows: list[tuple[float, float, float]] = []
-    w_rows: list[tuple[float, float, float]] = []
 
     av_buf, tmp = (np.empty(v_basis[0].mesh.shape, b.data.dtype) for _ in range(2))
     wa_buf = None  # W_k*A becomes W_{k+1}: a fresh buffer until a spent W's can take it
 
     def finish(status, res_v, res_w, av):
         walk = None
-        if keep_walk:  # the stored residual is the hatted pair itself: R_k is 0
+        if keep_walk:  # the stored residual is V_hat itself: R_k is 0
             av_norm = frobenius(av)
             v_rows.append((av_norm, 0.0, av_norm))
-            walk = LanczosWalk(v_basis, w_basis, v_rows, w_rows)
+            walk = LanczosWalk(v_basis, w_basis, v_rows)
         return LanczosResult(TriTensor(m, alphas, betas), (v, w), res_v, res_w, status,
                              normalization, scale, b, walk)
 
@@ -401,9 +397,6 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
             _require_finite(alpha, f"alpha_{k}", k)
             alphas.append(alpha)
             av = star_mul_tv(b, v_basis[-1], out=av_buf, scratch=tmp)
-            if keep_walk:  # W_{k+1} is W_hat, so R_k is 0
-                wa_norm = frobenius(wa)
-                w_rows.append((wa_norm, 0.0, wa_norm))
             w_prev = () if k == 1 else (betas[-1], w_basis[-2])
             v_prev = () if k == 1 else (v_basis[-2],)
             w_hat = HyperVec(_w_update(wa, alpha, w_basis[-1], *w_prev, tmp=tmp), "dual")

@@ -100,3 +100,33 @@ def test_scipy_import_is_flagged(tmp_path):
                     "    from scipy.integrate import solve_ivp\n    from .scipy import x\n")
     assert scipy_imports(path) == ["m.py:1 imports scipy.linalg",
                                    "m.py:5 imports scipy.integrate"]
+
+
+# A private name is one module's own decision; another module that imports
+# it knows that decision a second time.  Each exception names its reason.
+PRIVATE_IMPORTS_ALLOWED = {
+    "tt.py imports tensor_core._require_profile":
+        "the TT decomposition applies the kernels' operator-type rule",
+}
+
+
+def private_imports(path: Path) -> list[str]:
+    """``"<file> imports <module>.<name>"`` for each ``from .<module> import _<name>``."""
+    return [f"{path.name} imports {node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_name_crosses_modules(path):
+    found = [x for x in private_imports(path) if x not in PRIVATE_IMPORTS_ALLOWED]
+    assert found == []
+
+
+def test_private_import_is_flagged(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from . import _rk45\nfrom .lanczos import TriTensor, _times_i_power\n\n\n"
+                    "def f():\n    from .tensor_core import _mesh\n    from numpy import _core\n")
+    assert private_imports(path) == ["m.py imports lanczos._times_i_power",
+                                     "m.py imports tensor_core._mesh"]

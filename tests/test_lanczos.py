@@ -29,7 +29,7 @@ from toelanczos import (
 from toelanczos import cli, diagnostics, lanczos, resolvent
 from toelanczos.cli import solve
 from toelanczos.lanczos import TriTensor, _inverse_lower, _v_update, _w_update
-from toelanczos.tensor_core import ShapeError, coef_times_vec, star_mul_tt, vec_times_coef
+from toelanczos.tensor_core import ShapeError, star_mul_tt, vec_times_coef
 from oracles import (
     assemble_tridiag,
     complex_lanczos,
@@ -490,41 +490,58 @@ class TestBreakdownRuns:
 
 
 class TestUpdates:
-    """The residual updates are formed in a product's buffer, never in an operand.
+    """Where the residual updates are formed, and what they form.
 
-    Given a workspace buffer ``tmp``, they are formed in ``A*V_k``'s or
-    ``W_k*A``'s own buffer instead.
+    ``_v_update`` forms its residual in the fresh buffer of ``V_k x
+    alpha_k``, never in an operand, or, given a workspace buffer ``tmp``, in
+    ``A*V_k``'s own.  ``_w_update`` always forms its residual in ``W_k*A``'s
+    buffer, with ``tmp`` for the coefficient products.
     """
 
-    @pytest.mark.parametrize("problem_id", ["nmr2", "nmr3"])
-    def test_operands_unchanged(self, problem_id):
+    @staticmethod
+    def second_step(problem_id):
         # M=130: the coefficient products run over two strips
         p = builtin(problem_id)
         res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 130)), p.v, p.w, 2,
                              keep_walk=True)
-        vb, wb, tri = res.walk.v_basis, res.walk.w_basis, res.run_tri
-        alpha, beta = tri.alphas[1], tri.betas[0]
-        av, wa = star_mul_tv(res.operator, vb[1]), star_mul_vt(wb[1], res.operator)
-        operands = [av.data, wa.data, *(hv.data for hv in vb + wb), alpha, beta]
+        tri = res.run_tri
+        return res, res.walk.v_basis, res.walk.w_basis, tri.alphas[1], tri.betas[0]
+
+    @pytest.mark.parametrize("problem_id", ["nmr2", "nmr3"])
+    def test_operands_unchanged(self, problem_id):
+        res, vb, _, alpha, _ = self.second_step(problem_id)
+        av = star_mul_tv(res.operator, vb[1])
+        operands = [av.data, *(hv.data for hv in vb), alpha]
         before = [x.copy() for x in operands]
-        got = [_v_update(av, vb[1], alpha), _v_update(av, vb[1], alpha, vb[0]),
-               _w_update(wa, alpha, wb[1]), _w_update(wa, alpha, wb[1], beta, wb[0])]
+        got = [_v_update(av, vb[1], alpha), _v_update(av, vb[1], alpha, vb[0])]
         for x, y in zip(operands, before):
             assert np.array_equal(x, y)
         # the grouping (x - y) - z, bit for bit
         v_first = av.data - vec_times_coef(vb[1], alpha).data
-        w_first = wa.data - coef_times_vec(alpha, wb[1]).data
-        want = [v_first, v_first - vb[0].data,
-                w_first, w_first - coef_times_vec(beta, wb[0]).data]
+        want = [v_first, v_first - vb[0].data]
         for g, x in zip(got, want):
             assert np.array_equal(g, x)
 
         # with a workspace buffer the same bits are formed in the kernel output's buffer
         tmp = np.empty(av.mesh.shape, av.data.dtype)
-        in_place = [_v_update(av, vb[1], alpha, vb[0], tmp=tmp),
-                    _w_update(wa, alpha, wb[1], beta, wb[0], tmp=tmp)]
-        for g, x, prod in zip(in_place, want[1::2], (av, wa)):
-            assert np.shares_memory(g, prod.data) and np.array_equal(g, x)
+        in_place = _v_update(av, vb[1], alpha, vb[0], tmp=tmp)
+        assert np.shares_memory(in_place, av.data) and np.array_equal(in_place, want[1])
+
+    @pytest.mark.parametrize("problem_id", ["nmr2", "nmr3"])
+    def test_w_update_writes_only_its_product(self, problem_id):
+        res, _, wb, alpha, beta = self.second_step(problem_id)
+        wa = star_mul_vt(wb[1], res.operator)
+        # (W_k*A - alpha_k W_k) - beta_k W_{k-1}, slice by slice; the strips
+        # sum in another order (measured: equal on nmr2, 1.8e-17 relative on nmr3)
+        want = (wa.data - alpha @ wb[1].data) - beta @ wb[0].data
+        operands = [*(hv.data for hv in wb), alpha, beta]
+        before = [x.copy() for x in operands]
+        tmp = np.empty(wa.mesh.shape, wa.data.dtype)
+        got = _w_update(wa, alpha, wb[1], beta, wb[0], tmp=tmp)
+        for x, y in zip(operands, before):
+            assert np.array_equal(x, y)
+        assert np.shares_memory(got, wa.data) and got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestWorkspace:
@@ -546,12 +563,12 @@ class TestWorkspace:
         assert all(np.array_equal(x, y) for x, y in
                    zip(self.run_values(res), self.run_values(plain), strict=True))
         walk = res.walk
-        assert (len(walk.v_basis) == len(walk.w_basis) == len(walk.v_rows) == len(walk.w_rows)
-                == res.run_tri.n)
+        assert len(walk.v_basis) == len(walk.w_basis) == len(walk.v_rows) == res.run_tri.n
         dtype = res.operator.data.dtype
         assert all(hv.data.dtype == dtype for hv in walk.v_basis + walk.w_basis)
-        # the stored residual is the last row's hatted pair, and W_{k+1} is W_hat
-        assert all(row[1] == 0.0 and row[0] == row[2] for row in [walk.v_rows[-1], *walk.w_rows])
+        # the stored residual is the last row's V_hat, and W_{k+1} is W_hat
+        row = walk.v_rows[-1]
+        assert row[1] == 0.0 and row[0] == row[2]
         assert diagnostics.err_recurrences(res)[1] == 0.0
         return res
 

@@ -24,7 +24,7 @@ from oracles import (assemble_tridiag, dense_resolvent_column, lu_resolvent_11,
 BUILTIN_N = {"const3": 3, "timedep5": 5, "zero1": 1, "nmr1": 4, "nmr2": 4, "nmr3": 4}
 
 
-class TestStarResolvent11:
+class TestResolventColumn:
     """The first column ``R_11 e_1`` of the resolvent's (1, 1) block, row by row over the mesh."""
 
     def test_zero_alpha_gives_identity(self):

@@ -75,10 +75,12 @@ def _load_problem(args) -> prob.Problem:
 
 
 def _check_budget(m: int, n_outer: int, iters: int, allow_large: bool) -> None:
-    work = float(m) ** 3 * n_outer**2 * iters
+    # exact in integers and printed through Decimal: no M or n overflows a float here
+    work = m**3 * n_outer**2 * iters
     if work > WORK_BUDGET and not allow_large:
+        from decimal import Decimal  # imported on this path only: a run never loads it
         raise GuardError(
-            f"workload M^3*N^2*n = {work:.2e} exceeds the budget {WORK_BUDGET:.0e}; "
+            f"workload M^3*N^2*n = {Decimal(work):.2e} exceeds the budget {WORK_BUDGET:.0e}; "
             "pass --allow-large to run it anyway")
 
 
@@ -224,7 +226,7 @@ def cmd_ttranks(args) -> int:
         mesh = build_mesh(problem.a, problem.b, m)
         a4 = discretize_problem(problem, mesh)
         for tol in args.tol_tt:
-            rows.append(rank_report_row(tt_svd(a4, tol), a4, m))
+            rows.append(rank_report_row(tt_svd(a4, tol), a4))
     with open(args.output + "_ttranks.csv", "w") as fh:
         fh.write("\n".join(rows) + "\n")
     return EXIT_OK

@@ -63,8 +63,9 @@ def build_mesh(a: float, b: float, m: int) -> Mesh:
         raise ValueError(f"degenerate interval [{a}, {b}]")
     if m < 2:
         raise ValueError(f"mesh needs at least 2 points, got {m}")
+    index = np.arange(1, m + 1)  # refuses an m too large for an array, before h overflows
     h = (b - a) / m
-    tau = a + h * np.arange(1, m + 1)
+    tau = a + h * index
     return Mesh(a=float(a), b=float(b), m=int(m), h=float(h), tau=tau)
 
 

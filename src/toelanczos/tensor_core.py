@@ -12,11 +12,11 @@ and a diagonal scaling, ``O(n1 n2 m^2)`` in place of the ``O(n1 n2 m^3)``
 slice products: mesh row ``j`` of ``A * V`` is the ``n1 x n2`` matrix of
 profile values at ``j`` applied to row ``j`` of the running sum of ``V``,
 and all ``m`` rows go through one batched product.  They accept no other
-operator type.  :class:`Tensor4`, which stores every entry, and its
-product :func:`star_mul_tt` are called by no command: the benchmark's
-tracer wraps ``diagnostics.star_mul_tt`` by name, and the tests build their
-dense operators in their own oracles.  :func:`star_mul_tt` raises
-``TypeError`` on a :class:`ProfileTensor`.
+operator type.  The dense ``*`` product :func:`star_mul_tt` takes plain
+``(n1, n2, m, m)`` arrays, which store every entry, and raises
+``TypeError`` on anything else; no command calls it, the benchmark's tracer
+wraps ``diagnostics.star_mul_tt`` by name, and the tests build their dense
+operators in their own oracles.
 
 :class:`ProfileTensor` and :class:`HyperVec` keep the dtype of their data:
 complex data stays complex128, and anything else becomes float64 without a
@@ -85,7 +85,6 @@ import numpy as np
 
 __all__ = [
     "BlockStructure",
-    "Tensor4",
     "ProfileTensor",
     "HyperVec",
     "ShapeError",
@@ -121,41 +120,6 @@ class BlockStructure(IntEnum):
 
     LOWER_TRIANGULAR = 1
     ZERO = 2
-
-
-@dataclass
-class Tensor4:
-    """4-mode complex tensor in ``C^{n1 x n2 x m x m}``.
-
-    Parameters
-    ----------
-    data : ndarray
-        Complex entries indexed ``(i1, i2, j1, j2)``.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.ndim != 4 or self.data.shape[2] != self.data.shape[3]:
-            raise ShapeError(f"expected (n1, n2, m, m) data, got {self.data.shape}")
-
-    @property
-    def block_structure(self) -> None:
-        """Always ``None`` (every slice counts as live); kept for the tracer."""
-        return None
-
-    @property
-    def n1(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n2(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[2]
 
 
 @dataclass
@@ -252,23 +216,26 @@ def _require_profile(a) -> None:
         raise TypeError(f"expected a ProfileTensor operator, got {type(a).__name__}")
 
 
-def star_mul_tt(a: Tensor4, b: Tensor4) -> Tensor4:
-    """Tensor-tensor ``*`` product: blockwise matrix-matrix multiplication.
+def star_mul_tt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor-tensor ``*`` product of dense ``(n1, n2, m, m)`` arrays: blockwise matmul.
 
     ``out[i1, i2] = sum_k a[i1, k] @ b[k, i2]`` with k ascending, every
-    slice pair multiplied.
+    slice pair multiplied, in ``np.result_type(a, b)``: real operands give a
+    real product.  An operand that is not an ndarray (a :class:`ProfileTensor`
+    or :class:`HyperVec` included) raises ``TypeError``.
     """
     for t in (a, b):
-        if not isinstance(t, Tensor4):
-            raise TypeError(f"expected a dense Tensor4, got {type(t).__name__}")
-    if a.n2 != b.n1 or a.m != b.m:
-        raise ShapeError(f"cannot *-multiply {a.data.shape} with {b.data.shape}")
-    out = np.zeros((a.n1, b.n2, a.m, a.m), dtype=complex)
-    for i1 in range(a.n1):
-        for i2 in range(b.n2):
-            for k in range(a.n2):
-                out[i1, i2] += a.data[i1, k] @ b.data[k, i2]
-    return Tensor4(out)
+        if not isinstance(t, np.ndarray):
+            raise TypeError(f"expected a dense (n1, n2, m, m) array, got {type(t).__name__}")
+    if not (a.ndim == b.ndim == 4 and a.shape[1] == b.shape[0]
+            and a.shape[2] == a.shape[3] and a.shape[2:] == b.shape[2:]):
+        raise ShapeError(f"cannot *-multiply {a.shape} with {b.shape}")
+    out = np.zeros((a.shape[0], b.shape[1], *a.shape[2:]), np.result_type(a, b))
+    for i1 in range(a.shape[0]):
+        for i2 in range(b.shape[1]):
+            for k in range(a.shape[1]):
+                out[i1, i2] += a[i1, k] @ b[k, i2]
+    return out
 
 
 # axis orders between the (n, m, m) view and the (m, n, m) mesh-major buffer
@@ -473,14 +440,14 @@ def lift_dual(a: np.ndarray, m: int) -> HyperVec:
 
 
 def frobenius(x) -> float:
-    """Frobenius norm: sqrt of the summed squared moduli of all entries.
+    """Frobenius norm of an array or a :class:`HyperVec`: sqrt of the summed squared moduli.
 
     Note the square root: this is the standard norm, whereas some displayed
     formulas in the source material omit the root.  Every relative error in
     :mod:`toelanczos.diagnostics` is a ratio of these, so the convention only
     rescales absolute thresholds.
     """
-    if isinstance(x, (Tensor4, HyperVec)):
+    if isinstance(x, HyperVec):
         x = x.data
     # order "K" reads the entries in memory order: no copy of a transposed basis
     return float(np.linalg.norm(np.asarray(x).ravel(order="K")))

@@ -130,9 +130,9 @@ def compression_factor(t: TTTensor, a: ProfileTensor) -> float:
 RANK_CSV_COLUMNS = ["M", "tol", "nnz", "r0", "r1", "r2", "r3", "r4", "params", "cf"]
 
 
-def rank_report_row(t: TTTensor, a: ProfileTensor, mesh_size: int) -> str:
-    """One row of the frozen rank-table CSV schema (see RANK_CSV_COLUMNS)."""
+def rank_report_row(t: TTTensor, a: ProfileTensor) -> str:
+    """One row of the frozen rank-table CSV schema (see RANK_CSV_COLUMNS); ``M`` is ``a.m``."""
     cf = compression_factor(t, a)
-    fields = [str(mesh_size), repr(t.tol_used), str(_nonzero_count(a)),
+    fields = [str(a.m), repr(t.tol_used), str(_nonzero_count(a)),
               *[str(r) for r in t.ranks], str(parameter_count(t)), repr(cf)]
     return ",".join(fields)

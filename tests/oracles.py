@@ -1,11 +1,11 @@
 """Slow reference implementations the tests compare the package against.
 
 Everything here is dense: the operator with every slice materialized
-(:func:`to_tensor4`), the ``*`` products as block-matrix algebra on
-:class:`~toelanczos.tensor_core.Tensor4`, the unfolding tensor-train sweep
-and its dense nonzero count, the materialized tridiagonal
-coefficient tensor and basis tensors, and series evaluations of the
-resolvent.  The bases and residuals of the run on ``A`` are mapped here
+(:func:`to_tensor4`), the ``*`` products as block-matrix algebra on plain
+``(n1, n2, m, m)`` arrays, each in its operands' dtype, the unfolding
+tensor-train sweep and its dense nonzero count, the materialized
+tridiagonal coefficient tensor and basis tensors, and series evaluations
+of the resolvent.  The bases and residuals of the run on ``A`` are mapped here
 from the run the package keeps (``v_basis``, ``w_basis``, ``residual_v``,
 ``residual_w``).  The package itself runs on the profile-form operator and the
 compact :class:`~toelanczos.lanczos.TriTensor`.
@@ -29,109 +29,113 @@ from toelanczos import (
 )
 from toelanczos.lanczos import _times_i_power
 from toelanczos.problems import _NMR_NU, _nmr_coefficients
-from toelanczos.tensor_core import Tensor4, star_mul_tt
+from toelanczos.tensor_core import star_mul_tt
 from toelanczos.tt import TTTensor, _rank_from_tail, parameter_count
 
 
 # ------------------------------------------------------------ dense algebra
 
-def to_tensor4(a: ProfileTensor) -> Tensor4:
-    """The dense tensor with the slices ``diag(a.data[i1, i2]) @ tril(1)``."""
-    mask = np.tril(np.ones((a.m, a.m)))
-    return Tensor4(a.data[..., :, None] * mask)
+def to_tensor4(a: ProfileTensor) -> np.ndarray:
+    """The dense ``(n1, n2, m, m)`` array of the slices ``diag(a.data[i1, i2]) @ tril(1)``."""
+    return a.data[..., :, None] * np.tril(np.ones((a.m, a.m)))
 
 
 def require_dense(*tensors) -> None:
-    """Raise ``TypeError`` unless every argument is a dense :class:`Tensor4`."""
+    """Raise ``TypeError`` unless every argument is a dense ``(n1, n2, m, m)`` array."""
     for t in tensors:
-        if not isinstance(t, Tensor4):
-            raise TypeError(f"expected a dense Tensor4, got {type(t).__name__}; "
+        if not isinstance(t, np.ndarray):
+            raise TypeError(f"expected a dense (n1, n2, m, m) array, got {type(t).__name__}; "
                             "convert a ProfileTensor with to_tensor4()")
+        if t.ndim != 4 or t.shape[2] != t.shape[3]:
+            raise ShapeError(f"expected (n1, n2, m, m) data, got {t.shape}")
 
 
-def to_block_matrix(a: Tensor4) -> np.ndarray:
+def to_block_matrix(a: np.ndarray) -> np.ndarray:
     """Flatten to the ``(n1*m) x (n2*m)`` block matrix with block (i1, i2) = a[i1, i2].
 
     ``*`` products commute with this map (they become ordinary matrix
     products), which is the oracle identity the tests lean on.
     """
     require_dense(a)
-    return a.data.transpose(0, 2, 1, 3).reshape(a.n1 * a.m, a.n2 * a.m)
+    n1, n2, m, _ = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(n1 * m, n2 * m)
 
 
-def from_block_matrix(mat: np.ndarray, n1: int, n2: int, m: int) -> Tensor4:
+def from_block_matrix(mat: np.ndarray, n1: int, n2: int, m: int) -> np.ndarray:
     """Exact inverse of :func:`to_block_matrix`."""
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(mat)
     if mat.shape != (n1 * m, n2 * m):
         raise ShapeError(f"block matrix {mat.shape} does not match ({n1}x{m}, {n2}x{m})")
-    return Tensor4(mat.reshape(n1, m, n2, m).transpose(0, 2, 1, 3).copy())
+    return mat.reshape(n1, m, n2, m).transpose(0, 2, 1, 3).copy()
 
 
-def star_identity(n: int, m: int) -> Tensor4:
-    """Identity for the ``*`` products: ``I_m`` on the outer diagonal, zero off it."""
-    data = np.zeros((n, n, m, m), dtype=complex)
+def star_identity(n: int, m: int) -> np.ndarray:
+    """Identity for the ``*`` products, in float64: ``I_m`` on the outer diagonal, zero off it."""
+    data = np.zeros((n, n, m, m))
     for i in range(n):
         data[i, i] = np.eye(m)
-    return Tensor4(data)
+    return data
 
 
-def star_pow(a: Tensor4, k: int) -> Tensor4:
+def star_pow(a: np.ndarray, k: int) -> np.ndarray:
     """k-fold ``*`` power of a square-outer tensor (k = 0 gives the ``*`` identity)."""
-    if a.n1 != a.n2:
+    require_dense(a)
+    if a.shape[0] != a.shape[1]:
         raise ShapeError("*-power needs square outer modes")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = star_identity(a.n1, a.m)
+    out = star_identity(a.shape[0], a.shape[2])
     for _ in range(k):
         out = star_mul_tt(out, a)
     return out
 
 
-def dense_mul_tv(a: Tensor4, v: HyperVec) -> HyperVec:
+def dense_mul_tv(a: np.ndarray, v: HyperVec) -> HyperVec:
     """``(A * V)[i1] = sum_k a[i1, k] @ v[k]``, k ascending, one slice product each."""
     require_dense(a)
     if v.orientation != "right":
         raise OrientationError("tensor-hypervector product needs a right-oriented operand")
-    if a.n2 != v.n or a.m != v.m:
-        raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
-    out = np.zeros((a.n1, a.m, a.m), dtype=complex)
-    for i1 in range(a.n1):
-        for k in range(a.n2):
-            out[i1] += a.data[i1, k] @ v.data[k]
+    n1, n2, m, _ = a.shape
+    if n2 != v.n or m != v.m:
+        raise ShapeError(f"cannot *-multiply {a.shape} with {v.data.shape}")
+    out = np.zeros((n1, m, m), np.result_type(a, v.data))
+    for i1 in range(n1):
+        for k in range(n2):
+            out[i1] += a[i1, k] @ v.data[k]
     return HyperVec(out, "right")
 
 
-def dense_mul_vt(w: HyperVec, a: Tensor4) -> HyperVec:
+def dense_mul_vt(w: HyperVec, a: np.ndarray) -> HyperVec:
     """``(W^D * A)[i2] = sum_k w[k] @ a[k, i2]``, k ascending, one slice product each."""
     require_dense(a)
     if w.orientation != "dual":
         raise OrientationError("hypervector-tensor product needs a dual-oriented operand")
-    if w.n != a.n1 or w.m != a.m:
-        raise ShapeError(f"cannot *-multiply {w.data.shape} with {a.data.shape}")
-    out = np.zeros((a.n2, a.m, a.m), dtype=complex)
-    for i2 in range(a.n2):
-        for k in range(a.n1):
-            out[i2] += w.data[k] @ a.data[k, i2]
+    n1, n2, m, _ = a.shape
+    if w.n != n1 or w.m != m:
+        raise ShapeError(f"cannot *-multiply {w.data.shape} with {a.shape}")
+    out = np.zeros((n2, m, m), np.result_type(a, w.data))
+    for i2 in range(n2):
+        for k in range(n1):
+            out[i2] += w.data[k] @ a[k, i2]
     return HyperVec(out, "dual")
 
 
-def scale_t(a: Tensor4, mat: np.ndarray, side: str) -> Tensor4:
+def scale_t(a: np.ndarray, mat: np.ndarray, side: str) -> np.ndarray:
     """Multiply every slice of ``a`` by the m x m matrix ``mat`` on one side."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (a.m, a.m):
-        raise ShapeError(f"matrix {mat.shape} does not match inner size {a.m}")
+    require_dense(a)
+    mat = np.asarray(mat)
+    if mat.shape != a.shape[2:]:
+        raise ShapeError(f"matrix {mat.shape} does not match inner size {a.shape[2]}")
     if side == "left":
-        out = np.matmul(mat, a.data)
-    elif side == "right":
-        out = np.matmul(a.data, mat)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return Tensor4(out)
+        return np.matmul(mat, a)
+    if side == "right":
+        return np.matmul(a, mat)
+    raise ValueError("side must be 'left' or 'right'")
 
 
 def scale_v(v: HyperVec, mat: np.ndarray, side: str) -> HyperVec:
     """Multiply every slice of ``v`` by the m x m matrix ``mat`` on one side."""
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(mat)
     if mat.shape != (v.m, v.m):
         raise ShapeError(f"matrix {mat.shape} does not match inner size {v.m}")
     if side == "left":
@@ -162,20 +166,21 @@ def times_inverse_right(slices: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------- materialized Lanczos data
 
-def assemble_tridiag(tri) -> Tensor4:
+def assemble_tridiag(tri) -> np.ndarray:
     """Materialize the block-tridiagonal tensor ``T_n`` of the coefficients.
 
     Slice (k, k) holds alpha_{k+1} (0-based k), slice (k, k+1) the identity
-    and slice (k+1, k) beta_{k+2}; every other slice is zero.
+    and slice (k+1, k) beta_{k+2}; every other slice is zero.  The array
+    has the coefficients' common dtype.
     """
     n, m = tri.n, tri.m
-    data = np.zeros((n, n, m, m), dtype=complex)
+    data = np.zeros((n, n, m, m), np.result_type(*tri.alphas, *tri.betas))
     for k in range(n):
         data[k, k] = tri.alphas[k]
         if k + 1 < n:
             data[k, k + 1] = np.eye(m)
             data[k + 1, k] = tri.betas[k]
-    return Tensor4(data)
+    return data
 
 
 def _mapped(result, hv: HyperVec, p: int) -> HyperVec:
@@ -205,51 +210,50 @@ def residual_w(result) -> HyperVec:
     return _mapped(result, result.run_residual_w, result.run_tri.n)
 
 
-def v_basis_tensor(result) -> Tensor4:
+def v_basis_tensor(result) -> np.ndarray:
     """Stack the right basis into the N x n tensor with slice (:, k) = V_{k+1}."""
-    return Tensor4(np.stack([hv.data for hv in v_basis(result)], axis=1))
+    return np.stack([hv.data for hv in v_basis(result)], axis=1)
 
 
-def w_basis_tensor(result) -> Tensor4:
+def w_basis_tensor(result) -> np.ndarray:
     """Stack the dual basis into the n x N tensor with slice (k, :) = W_{k+1}^D."""
-    return Tensor4(np.stack([hv.data for hv in w_basis(result)], axis=0))
+    return np.stack([hv.data for hv in w_basis(result)], axis=0)
 
 
-def residual_v_tensor(result) -> Tensor4:
+def residual_v_tensor(result) -> np.ndarray:
     """N x n tensor whose last column is the V-side residual, zero elsewhere."""
     res, n = residual_v(result), result.run_tri.n
-    data = np.zeros((res.n, n, result.tri.m, result.tri.m), dtype=complex)
+    data = np.zeros((res.n, n, result.tri.m, result.tri.m), res.data.dtype)
     data[:, n - 1] = res.data
-    return Tensor4(data)
+    return data
 
 
-def residual_w_tensor(result) -> Tensor4:
+def residual_w_tensor(result) -> np.ndarray:
     """n x N tensor whose last row is the W-side residual, zero elsewhere."""
     res, n = residual_w(result), result.run_tri.n
-    data = np.zeros((n, res.n, result.tri.m, result.tri.m), dtype=complex)
+    data = np.zeros((n, res.n, result.tri.m, result.tri.m), res.data.dtype)
     data[n - 1, :] = res.data
-    return Tensor4(data)
+    return data
 
 
-def complex_lanczos(a: Tensor4, v, w, n: int) -> dict:
-    """The Lanczos recurrences in complex128 on the dense operator.
+def dense_lanczos(a: np.ndarray, v, w, n: int) -> dict:
+    """The Lanczos recurrences on the dense operator, in the operands' dtype.
 
     The reference for the package's dtype dispatch: every product is the
-    dense slice loop on complex data, and ``beta^{-1}`` is a general
-    inverse.  Runs n iterations without breakdown checks and returns
-    ``alphas``, ``betas``, ``v_basis``, ``w_basis`` (lists of arrays) and
-    the residuals ``residual_v``, ``residual_w``.
+    dense slice loop, and ``beta^{-1}`` is a general inverse.  Runs n
+    iterations without breakdown checks and returns ``alphas``, ``betas``,
+    ``v_basis``, ``w_basis`` (lists of arrays) and the residuals
+    ``residual_v``, ``residual_w``.
     """
-    v = np.asarray(v, dtype=complex).ravel()
-    w = np.asarray(w, dtype=complex).ravel()
+    v, w = np.ravel(v), np.ravel(w)
     v = v / np.vdot(w, v)
-    eye = np.eye(a.m, dtype=complex)
+    eye = np.eye(a.shape[2], dtype=np.result_type(a, v, w))
     vs = [v[:, None, None] * eye]
     ws = [np.conj(w)[:, None, None] * eye]
     alphas, betas = [], []
     for k in range(n):
         wa = dense_mul_vt(HyperVec(ws[-1], "dual"), a).data
-        alpha = sum(wa[i] @ vs[-1][i] for i in range(a.n1))
+        alpha = sum(wa[i] @ vs[-1][i] for i in range(a.shape[0]))
         alphas.append(alpha)
         av = dense_mul_tv(a, HyperVec(vs[-1], "right")).data
         w_hat = wa - np.matmul(alpha, ws[-1])
@@ -260,7 +264,7 @@ def complex_lanczos(a: Tensor4, v, w, n: int) -> dict:
         if k == n - 1:
             return {"alphas": alphas, "betas": betas, "v_basis": vs, "w_basis": ws,
                     "residual_v": v_hat, "residual_w": w_hat}
-        beta = sum(w_hat[i] @ v_hat[i] for i in range(a.n1))
+        beta = sum(w_hat[i] @ v_hat[i] for i in range(a.shape[0]))
         betas.append(beta)
         vs.append(np.matmul(v_hat, np.linalg.inv(beta)))
         ws.append(w_hat)
@@ -299,21 +303,22 @@ def dense_resolvent_column(tri) -> np.ndarray:
     return np.linalg.solve(np.eye(size) - to_block_matrix(assemble_tridiag(tri)), rhs)[:tri.m]
 
 
-def neumann_resolvent(t: Tensor4, max_terms: int | None = None,
-                      rel_tol: float = 1e-16) -> Tensor4:
+def neumann_resolvent(t: np.ndarray, max_terms: int | None = None,
+                      rel_tol: float = 1e-16) -> np.ndarray:
     """Truncated series evaluation ``I_* + sum_k T^{k*}`` of the resolvent.
 
     Powers are accumulated until ``max_terms`` (default n*m) or until a
     term's norm falls below ``rel_tol`` times the running sum's norm.
     """
-    if t.n1 != t.n2:
+    n1, n2, m, _ = t.shape
+    if n1 != n2:
         raise ValueError("resolvent needs square outer modes")
     if max_terms is None:
-        max_terms = t.n1 * t.m
-    acc = star_identity(t.n1, t.m)
+        max_terms = n1 * m
+    acc = star_identity(n1, m)
     power = t
     for _ in range(max_terms):
-        acc = Tensor4(acc.data + power.data)
+        acc = acc + power
         if frobenius(power) < rel_tol * frobenius(acc):
             break
         power = star_mul_tt(power, t)
@@ -351,7 +356,7 @@ def solution_via_series(a, v: np.ndarray, w: np.ndarray, mesh,
 
 # ------------------------------------------------------------ tensor trains
 
-def dense_tt_svd(a: Tensor4, tol: float) -> TTTensor:
+def dense_tt_svd(a: np.ndarray, tol: float) -> TTTensor:
     """The TT-SVD sweep on the unfoldings of a dense 4-mode tensor.
 
     Each unfolding goes through a thin SVD, truncated at
@@ -361,11 +366,11 @@ def dense_tt_svd(a: Tensor4, tol: float) -> TTTensor:
     require_dense(a)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    modes = a.data.shape
-    delta = tol * np.linalg.norm(a.data.ravel()) / np.sqrt(3.0)
+    modes = a.shape
+    delta = tol * np.linalg.norm(a.ravel()) / np.sqrt(3.0)
     delta_sq = delta * delta
     cores, ranks = [], [1]
-    current = a.data.reshape(modes[0], -1)
+    current = a.reshape(modes[0], -1)
     for k in range(3):
         u, s, vh = np.linalg.svd(current, full_matrices=False)
         r = _rank_from_tail(s**2, delta_sq)
@@ -379,22 +384,22 @@ def dense_tt_svd(a: Tensor4, tol: float) -> TTTensor:
     return TTTensor(cores, tuple(ranks), tuple(modes), float(tol))
 
 
-def dense_rank_report_row(t: TTTensor, a: Tensor4, mesh_size: int) -> str:
+def dense_rank_report_row(t: TTTensor, a: np.ndarray) -> str:
     """The rank-table CSV row with ``nnz`` counted on the dense tensor."""
     require_dense(a)
-    nnz = int(np.count_nonzero(a.data))
+    nnz = int(np.count_nonzero(a))
     if nnz == 0:
         raise ValueError("source tensor has no nonzeros")
     params = parameter_count(t)
-    return ",".join([str(mesh_size), repr(t.tol_used), str(nnz),
+    return ",".join([str(a.shape[2]), repr(t.tol_used), str(nnz),
                      *[str(r) for r in t.ranks], str(params), repr(params / nnz)])
 
 
-def tt_reconstruct(t: TTTensor) -> Tensor4:
-    """Contract the core chain back into a dense 4-mode tensor."""
+def tt_reconstruct(t: TTTensor) -> np.ndarray:
+    """Contract the core chain back into a dense 4-mode array, in the cores' dtype."""
     g1, g2, g3, g4 = t.cores
     data = np.einsum("aib,bjc,ckd,dle->ijkl", g1, g2, g3, g4, optimize=True)
-    return Tensor4(np.ascontiguousarray(data))
+    return np.ascontiguousarray(data)
 
 
 # ------------------------------------------------------------------ A(t)

@@ -16,7 +16,7 @@ import pytest
 
 import toelanczos as tl
 from toelanczos.cli import EXIT_GUARD, EXIT_OK, EXIT_SERIOUS, main as cli_main, solve
-from toelanczos.tensor_core import Tensor4, frobenius, star_mul_tt
+from toelanczos.tensor_core import frobenius, star_mul_tt
 from oracles import (
     dense_mul_tv,
     solution_via_series,
@@ -155,8 +155,8 @@ class TestCriterion05AlgebraChecks:
         worst = 0.0
 
         def rand_t4(n1, n2, m):
-            return Tensor4(rng.standard_normal((n1, n2, m, m))
-                           + 1j * rng.standard_normal((n1, n2, m, m)))
+            return (rng.standard_normal((n1, n2, m, m))
+                    + 1j * rng.standard_normal((n1, n2, m, m)))
 
         def rand_profile(n1, n2, m):
             return tl.ProfileTensor(rng.standard_normal((n1, n2, m))
@@ -186,14 +186,14 @@ class TestCriterion05AlgebraChecks:
         for _ in range(40):
             n1, n2, n3, m = (int(rng.integers(1, 5)) for _ in range(4))
             c, a, b = rand_t4(n3, n1, m), rand_t4(n1, n2, m), rand_t4(n2, n3, m)
-            worst = max(worst, rel(star_mul_tt(star_mul_tt(c, a), b).data,
-                                   star_mul_tt(c, star_mul_tt(a, b)).data))
+            worst = max(worst, rel(star_mul_tt(star_mul_tt(c, a), b),
+                                   star_mul_tt(c, star_mul_tt(a, b))))
             checks += 1
         for _ in range(40):
             n, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
             a, b, c = (rand_t4(n, n, m) for _ in range(3))
-            worst = max(worst, rel(star_mul_tt(a, Tensor4(b.data + c.data)).data,
-                                   star_mul_tt(a, b).data + star_mul_tt(a, c).data))
+            worst = max(worst, rel(star_mul_tt(a, b + c),
+                                   star_mul_tt(a, b) + star_mul_tt(a, c)))
             checks += 1
         for _ in range(40):
             n1, n2, n3, m = (int(rng.integers(1, 5)) for _ in range(4))
@@ -261,8 +261,7 @@ class TestCriterion08TensorTrain:
         a4 = to_tensor4(op)
         t = tl.tt_svd(op, 1e-10)
         rec = tt_reconstruct(t)
-        rec_err = float(np.linalg.norm((a4.data - rec.data).ravel())
-                        / np.linalg.norm(a4.data.ravel()))
+        rec_err = float(np.linalg.norm((a4 - rec).ravel()) / np.linalg.norm(a4.ravel()))
         ok &= t.ranks[1] == 16 and t.ranks[2] <= 3 and rec_err <= 1e-10
         details.append(f"exp-1 ranks {t.ranks} (r2 bound 3), recon {rec_err:.1e}")
         # published compression-factor arithmetic from its own columns
@@ -279,8 +278,8 @@ class TestCriterion08TensorTrain:
             a = to_tensor4(op)
             for tol in (1e-5, 1e-10):
                 tt = tl.tt_svd(op, tol)
-                re = float(np.linalg.norm((a.data - tt_reconstruct(tt).data).ravel())
-                           / np.linalg.norm(a.data.ravel()))
+                re = float(np.linalg.norm((a - tt_reconstruct(tt)).ravel())
+                           / np.linalg.norm(a.ravel()))
                 ok &= re <= tol
                 szs = tt.mode_sizes
                 for k in range(1, 4):

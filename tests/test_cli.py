@@ -21,9 +21,10 @@ from toelanczos import (
     problem_to_json,
     tensor_lanczos,
 )
-from toelanczos import _rk45, cli, diagnostics, problems, tensor_core
+from toelanczos import _rk45, cli, diagnostics, problems
 from toelanczos.cli import (
     EXIT_GUARD,
+    EXIT_IO,
     EXIT_LUCKY,
     EXIT_OK,
     EXIT_RESOLVENT,
@@ -293,9 +294,8 @@ class TestRun:
         # the diagnostics read the run's own bases and the TT sweep reads the
         # profiles: no dense tensor is formed
         def refuse(*args, **kwargs):
-            raise AssertionError("a dense Tensor4 product was formed")
+            raise AssertionError("a dense * product was formed")
         monkeypatch.setattr(diagnostics, "star_mul_tt", refuse)
-        monkeypatch.setattr(tensor_core.Tensor4, "__post_init__", refuse)
         code = run_cli(*argv, "--output", str(tmp_path / "d"))
         assert code == EXIT_OK
 
@@ -482,7 +482,51 @@ class TestAnalyticReference:
         assert [f.name for f in tmp_path.iterdir()] == ["diag2.json"]
 
 
+# the integer values span the float range: 10**110 cubed and 10**400 overflow it
+HUGE_111, HUGE_401 = "1" + "0" * 110, "1" + "0" * 400
+NUMERIC_VALUES = {"zero": "0", "negative": "-3", "111digits": HUGE_111, "401digits": HUGE_401,
+                  "nan": "nan", "inf": "inf", "underflow": "1e-400"}
+SOLVE_FLAGS = ["--M", "--n", "--seed", "--rtol", "--atol", "--eps-lucky", "--eps-serious"]
+NUMERIC_FLAGS = [(command, flag) for command, flags in (("run", SOLVE_FLAGS),
+                                                        ("convergence", SOLVE_FLAGS),
+                                                        ("ttranks", ["--M", "--seed", "--tol-tt"]))
+                 for flag in flags]
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_SHAPE, EXIT_LUCKY, EXIT_SERIOUS, EXIT_RESOLVENT, EXIT_IO,
+                    EXIT_GUARD}
+
+
 class TestOptions:
+    @pytest.mark.parametrize("value", NUMERIC_VALUES.values(), ids=NUMERIC_VALUES.keys())
+    @pytest.mark.parametrize("command,flag", NUMERIC_FLAGS,
+                             ids=[f"{c}{f}" for c, f in NUMERIC_FLAGS])
+    def test_no_numeric_value_gives_a_traceback(self, tmp_path, capsys, command, flag, value):
+        # every value is refused before a solve or runs nmr2 at M=10 within a second
+        options = {"--M": "10"} if command == "ttranks" else {"--M": "10", "--n": "3"}
+        options[flag] = value
+        argv = [command, "--problem", "nmr2", *(x for item in options.items() for x in item),
+                "--output", str(tmp_path / "x")]
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:  # argparse refuses the value
+            code = exc.code
+        assert code in DOCUMENTED_EXITS
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,want", [
+        (["run", "--problem", "const3", "--M", HUGE_111, "--n", "3"], EXIT_GUARD),
+        (["run", "--problem", "const3", "--M", "10", "--n", HUGE_401], EXIT_GUARD),
+        (["convergence", "--problem", "const3", "--M", "10,1" + "0" * 103, "--n", "3"],
+         EXIT_GUARD),
+        (["ttranks", "--problem", "const3", "--M", HUGE_111, "--allow-large"], EXIT_SHAPE),
+    ], ids=["run-M", "run-n", "convergence-M", "ttranks-allow-large"])
+    def test_budget_takes_any_integer(self, tmp_path, capsys, argv, want):
+        # the work count is an exact integer: no M or n overflows the guard
+        assert run_cli(*argv, "--output", str(tmp_path / "x")) == want
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert ("--allow-large" in err[0]) == (want == EXIT_GUARD)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["convergence", "ttranks"])
     def test_format_only_on_run(self, tmp_path, capsys, command):
         argv = [command, "--problem", "const3", "--M", "10,20", "--format", "json",

@@ -66,15 +66,15 @@ class TestDiscretizeProblem:
         a4 = to_tensor4(discretize_problem(p, mesh))
         theta = theta_matrix(mesh)
         # A[0, 1] = +1 and A[0, 0] = -1 in the constant matrix
-        assert np.array_equal(a4.data[0, 1], theta.astype(complex))
-        assert np.array_equal(a4.data[0, 0], -theta.astype(complex))
+        assert np.array_equal(a4[0, 1], theta.astype(complex))
+        assert np.array_equal(a4[0, 0], -theta.astype(complex))
 
     def test_zero_entry_flagged_from_samples(self):
         p = builtin("const3")
         mesh = build_mesh(0.0, 1.0, 5)
         op = discretize_problem(p, mesh)
         assert op.block_structure[1, 1] == BlockStructure.ZERO
-        assert np.all(to_tensor4(op).data[1, 1] == 0)
+        assert np.all(to_tensor4(op)[1, 1] == 0)
         assert op.block_structure[0, 1] == BlockStructure.LOWER_TRIANGULAR
 
     def test_linear_entry_hand_values(self):
@@ -88,14 +88,14 @@ class TestDiscretizeProblem:
             [2 / 9, 2 / 9, 0],
             [1 / 3, 1 / 3, 1 / 3],
         ])
-        assert np.allclose(a4.data[0, 0], expected, rtol=1e-14)
+        assert np.allclose(a4[0, 0], expected, rtol=1e-14)
 
     def test_rows_constant_below_diagonal_bit_exact(self):
         p = builtin("timedep5")
         mesh = build_mesh(p.a, p.b, 8)
         a4 = to_tensor4(discretize_problem(p, mesh))
         for k, l in p.entries:
-            block = a4.data[k, l]
+            block = a4[k, l]
             for i in range(8):
                 assert np.all(block[i, : i + 1] == block[i, 0])
 
@@ -112,8 +112,8 @@ class TestDiscretizeProblem:
             if terms:
                 want[k, l] = (entry_per_term(p, k, l, mesh.tau) * mesh.h)[:, None] * mask
         got = to_tensor4(op)
-        assert np.array_equal(got.data, want)
-        assert got.data.tobytes() == want.tobytes()
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         live = np.array([[bool(p.entries.get((k, l))) for l in range(p.n)] for k in range(p.n)])
         assert np.array_equal(op.block_structure == BlockStructure.ZERO, ~live)
 

@@ -21,7 +21,6 @@ from toelanczos import (
 )
 from toelanczos.tensor_core import (
     BlockStructure,
-    Tensor4,
     _from_mesh,
     _mesh,
     _prefix_sum,
@@ -44,7 +43,7 @@ from oracles import (
 
 
 def rand_t4(rng, n1, n2, m):
-    return Tensor4(rng.standard_normal((n1, n2, m, m)) + 1j * rng.standard_normal((n1, n2, m, m)))
+    return rng.standard_normal((n1, n2, m, m)) + 1j * rng.standard_normal((n1, n2, m, m))
 
 
 def rand_hv(rng, n, m, orientation="right"):
@@ -70,13 +69,13 @@ class TestStarMulTT:
         rng = np.random.default_rng(0)
         a = rand_t4(rng, 2, 3, 4)
         out = star_mul_tt(a, star_identity(3, 4))
-        assert np.allclose(out.data, a.data, rtol=0, atol=0)
+        assert np.allclose(out, a, rtol=0, atol=0)
 
     def test_degenerate_modes_reduce_to_scalars(self):
-        a = Tensor4(np.array(2.0 + 1j).reshape(1, 1, 1, 1))
-        b = Tensor4(np.array(3.0 - 1j).reshape(1, 1, 1, 1))
+        a = np.array(2.0 + 1j).reshape(1, 1, 1, 1)
+        b = np.array(3.0 - 1j).reshape(1, 1, 1, 1)
         out = star_mul_tt(a, b)
-        assert out.data[0, 0, 0, 0] == (2 + 1j) * (3 - 1j)
+        assert out[0, 0, 0, 0] == (2 + 1j) * (3 - 1j)
 
     def test_matches_block_matrix_oracle(self):
         rng = np.random.default_rng(1)
@@ -91,12 +90,33 @@ class TestStarMulTT:
         with pytest.raises(ShapeError):
             star_mul_tt(rand_t4(rng, 2, 3, 4), rand_t4(rng, 2, 3, 4))
 
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4, 4), (3, 2, 5, 5)),  # inner sizes differ
+        ((2, 3, 4, 5), (3, 2, 4, 5)),  # slices not square
+        ((2, 3, 4), (3, 2, 4)),  # profiles, not slices
+        ((2, 3, 4, 4), (3, 2, 4, 4, 1)),  # one operand of five modes
+    ], ids=["inner", "nonsquare", "three_modes", "five_modes"])
+    def test_nonconforming_shapes_raise(self, shapes):
+        with pytest.raises(ShapeError, match="cannot \\*-multiply"):
+            star_mul_tt(*(np.zeros(shape) for shape in shapes))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+    def test_product_keeps_the_operands_dtype(self, dtype):
+        # a real run's dense oracle stays real: no operand is cast to complex
+        rng = np.random.default_rng(37)
+        a, b = rand_t4(rng, 2, 3, 4), rand_t4(rng, 3, 2, 4)
+        if dtype == np.float64:
+            a, b = a.real.copy(), b.real.copy()
+        out = star_mul_tt(a, b)
+        assert type(out) is np.ndarray and out.dtype == dtype
+        assert rel_err(to_block_matrix(out), to_block_matrix(a) @ to_block_matrix(b)) < 1e-13
+
     def test_triangularity_closure_bit_exact(self):
         rng = np.random.default_rng(3)
         m = 5
         tri = np.tril(rng.standard_normal((2, 2, m, m)))
-        out = star_mul_tt(Tensor4(tri), Tensor4(tri.copy()))
-        upper = np.triu(out.data, k=1)
+        out = star_mul_tt(tri, tri.copy())
+        upper = np.triu(out, k=1)
         assert np.all(upper == 0.0)
 
     def test_zero_slices_match_block_oracle(self):
@@ -105,10 +125,10 @@ class TestStarMulTT:
         data[0, 1] = 0.0
         data[2, :] = 0.0
         b = rand_t4(rng, 3, 2, 4)
-        out = star_mul_tt(Tensor4(data), b)
-        oracle = to_block_matrix(Tensor4(data)) @ to_block_matrix(b)
+        out = star_mul_tt(data, b)
+        oracle = to_block_matrix(data) @ to_block_matrix(b)
         assert rel_err(to_block_matrix(out), oracle) < 1e-15
-        assert np.all(out.data[2] == 0)
+        assert np.all(out[2] == 0)
 
 
 class TestHyperVecProducts:
@@ -124,7 +144,7 @@ class TestHyperVecProducts:
         e1 = np.zeros(3)
         e1[0] = 1.0
         out = star_mul_tv(a, lift(e1, 4))
-        assert np.allclose(out.data, to_tensor4(a).data[:, 0], atol=1e-15)
+        assert np.allclose(out.data, to_tensor4(a)[:, 0], atol=1e-15)
 
     def test_selector_row(self):
         rng = np.random.default_rng(7)
@@ -132,7 +152,7 @@ class TestHyperVecProducts:
         e1 = np.zeros(3)
         e1[0] = 1.0
         out = star_mul_vt(lift_dual(e1, 4), a)
-        assert np.allclose(out.data, to_tensor4(a).data[0, :], atol=1e-15)
+        assert np.allclose(out.data, to_tensor4(a)[0, :], atol=1e-15)
 
     def test_tv_block_oracle(self):
         rng = np.random.default_rng(8)
@@ -228,12 +248,11 @@ class TestProfileTensor:
         rng = np.random.default_rng(4)
         a = rand_profile(rng, 2, 5, np.array([[False, True], [False, False]]))
         dense = to_tensor4(a)
-        assert dense.data.shape == (2, 2, 5, 5)
+        assert dense.shape == (2, 2, 5, 5) and dense.dtype == a.data.dtype
         assert np.array_equal(a.block_structure, [[BlockStructure.LOWER_TRIANGULAR, BlockStructure.ZERO],
                                                   [BlockStructure.LOWER_TRIANGULAR] * 2])
-        assert dense.block_structure is None
-        assert np.array_equal(dense.data[1, 0], np.diag(a.data[1, 0]) @ np.tril(np.ones((5, 5))))
-        assert np.all(dense.data[0, 1] == 0)
+        assert np.array_equal(dense[1, 0], np.diag(a.data[1, 0]) @ np.tril(np.ones((5, 5))))
+        assert np.all(dense[0, 1] == 0)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
@@ -252,11 +271,12 @@ class TestProfileTensor:
     @pytest.mark.parametrize("call", [
         lambda a, tmp: star_mul_tt(a, a),
         lambda a, tmp: star_mul_tt(to_tensor4(a), a),
+        lambda a, tmp: star_mul_tt(to_tensor4(a), lift(np.ones(3), 5)),
         lambda a, tmp: to_block_matrix(a),
-    ], ids=["mul_tt", "mul_tt_mixed", "to_block_matrix"])
+    ], ids=["mul_tt", "mul_tt_mixed", "mul_tt_hypervector", "to_block_matrix"])
     def test_dense_only_operations_reject_profiles(self, call, tmp_path):
         a = rand_profile(np.random.default_rng(6), 3, 5, np.eye(3, dtype=bool))
-        with pytest.raises(TypeError, match="expected a dense Tensor4"):
+        with pytest.raises(TypeError, match=r"expected a dense \(n1, n2, m, m\) array"):
             call(a, tmp_path)
 
 
@@ -264,23 +284,23 @@ class TestScaling:
     def test_identity_scale(self):
         rng = np.random.default_rng(13)
         a = rand_t4(rng, 2, 2, 3)
-        assert np.allclose(scale_t(a, np.eye(3), "left").data, a.data, atol=0)
+        assert np.allclose(scale_t(a, np.eye(3), "left"), a, atol=0)
         v = rand_hv(rng, 2, 3)
         assert np.allclose(scale_v(v, np.eye(3), "right").data, v.data, atol=0)
 
     def test_zero_scale(self):
         rng = np.random.default_rng(14)
         a = rand_t4(rng, 2, 2, 3)
-        assert np.all(scale_t(a, np.zeros((3, 3)), "right").data == 0)
+        assert np.all(scale_t(a, np.zeros((3, 3)), "right") == 0)
 
     def test_sides_differ(self):
         rng = np.random.default_rng(15)
         a = rand_t4(rng, 1, 1, 3)
         m = rng.standard_normal((3, 3))
-        left = scale_t(a, m, "left").data[0, 0]
-        right = scale_t(a, m, "right").data[0, 0]
-        assert np.allclose(left, m @ a.data[0, 0])
-        assert np.allclose(right, a.data[0, 0] @ m)
+        left = scale_t(a, m, "left")[0, 0]
+        right = scale_t(a, m, "right")[0, 0]
+        assert np.allclose(left, m @ a[0, 0])
+        assert np.allclose(right, a[0, 0] @ m)
         assert not np.allclose(left, right)
 
     def test_lift_then_scale_is_per_slice(self):
@@ -321,9 +341,9 @@ class TestLift:
 class TestIdentityAndPowers:
     def test_identity_products(self):
         i4 = star_identity(3, 2)
-        assert np.array_equal(star_mul_tt(i4, i4).data, i4.data)
+        assert np.array_equal(star_mul_tt(i4, i4), i4)
         for k in range(4):
-            assert np.array_equal(star_pow(i4, k).data, i4.data)
+            assert np.array_equal(star_pow(i4, k), i4)
 
     def test_identity_flattens_to_identity(self):
         assert np.array_equal(to_block_matrix(star_identity(3, 4)), np.eye(12))
@@ -331,8 +351,8 @@ class TestIdentityAndPowers:
     def test_pow_basics(self):
         rng = np.random.default_rng(18)
         a = rand_t4(rng, 2, 2, 3)
-        assert np.array_equal(star_pow(a, 0).data, star_identity(2, 3).data)
-        assert np.allclose(star_pow(a, 1).data, a.data, atol=0)
+        assert np.array_equal(star_pow(a, 0), star_identity(2, 3))
+        assert np.allclose(star_pow(a, 1), a, atol=0)
 
     def test_pow_matches_flattened_cube(self):
         rng = np.random.default_rng(19)
@@ -348,7 +368,7 @@ class TestIdentityAndPowers:
 
 class TestFrobenius:
     def test_zero(self):
-        assert frobenius(Tensor4(np.zeros((2, 2, 3, 3)))) == 0.0
+        assert frobenius(np.zeros((2, 2, 3, 3))) == 0.0
 
     def test_identity(self):
         assert frobenius(star_identity(4, 9)) == pytest.approx(6.0)
@@ -356,7 +376,7 @@ class TestFrobenius:
     def test_matches_flat_vector_norm(self):
         rng = np.random.default_rng(21)
         a = rand_t4(rng, 2, 3, 4)
-        assert frobenius(a) == pytest.approx(np.linalg.norm(a.data.ravel()))
+        assert frobenius(a) == pytest.approx(np.linalg.norm(a.ravel()))
 
 
 class TestBlockMatrixRoundTrip:
@@ -364,7 +384,7 @@ class TestBlockMatrixRoundTrip:
         rng = np.random.default_rng(22)
         a = rand_t4(rng, 3, 2, 4)
         back = from_block_matrix(to_block_matrix(a), 3, 2, 4)
-        assert np.array_equal(back.data, a.data)
+        assert np.array_equal(back, a)
 
 
 class TestAlgebraicProperties:
@@ -401,16 +421,16 @@ class TestAlgebraicProperties:
             b = rand_t4(rng, n2, n3, m)
             left = star_mul_tt(star_mul_tt(c, a), b)
             right = star_mul_tt(c, star_mul_tt(a, b))
-            assert rel_err(left.data, right.data) < 1e-12
+            assert rel_err(left, right) < 1e-12
 
     def test_distributivity(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
             n, m = rng.integers(1, 5), rng.integers(1, 7)
             a, b, c = (rand_t4(rng, n, n, m) for _ in range(3))
-            left = star_mul_tt(a, Tensor4(b.data + c.data))
-            right = star_mul_tt(a, b).data + star_mul_tt(a, c).data
-            assert rel_err(left.data, right) < 1e-13
+            left = star_mul_tt(a, b + c)
+            right = star_mul_tt(a, b) + star_mul_tt(a, c)
+            assert rel_err(left, right) < 1e-13
 
     def test_block_homomorphism(self):
         rng = np.random.default_rng(34)

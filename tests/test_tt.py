@@ -13,7 +13,6 @@ from toelanczos import (
     nmr_generate,
     tt_svd,
 )
-from toelanczos.tensor_core import Tensor4
 from toelanczos.tt import TTTensor, compression_factor, parameter_count, rank_report_row
 from oracles import (
     dense_rank_report_row,
@@ -40,7 +39,7 @@ def single_modulation_nmr1(nu):
 
 def rel_recon_err(a, t):
     rec = tt_reconstruct(t)
-    return np.linalg.norm((a.data - rec.data).ravel()) / np.linalg.norm(a.data.ravel())
+    return np.linalg.norm((a - rec).ravel()) / np.linalg.norm(a.ravel())
 
 
 def rank_bounds_ok(t):
@@ -63,7 +62,7 @@ class TestTTSvd:
     def test_rank_one_tensor(self):
         rng = np.random.default_rng(0)
         vecs = [rng.standard_normal(s) for s in (3, 4, 5, 5)]
-        a = Tensor4(np.einsum("i,j,k,l->ijkl", *vecs) + 0j)
+        a = np.einsum("i,j,k,l->ijkl", *vecs)
         t = dense_tt_svd(a, 1e-10)
         assert t.ranks == (1, 1, 1, 1, 1)
         assert rel_recon_err(a, t) < 1e-13
@@ -76,7 +75,7 @@ class TestTTSvd:
 
     def test_random_dense_meets_tolerance(self):
         rng = np.random.default_rng(1)
-        a = Tensor4(rng.standard_normal((3, 3, 6, 6)) + 1j * rng.standard_normal((3, 3, 6, 6)))
+        a = rng.standard_normal((3, 3, 6, 6)) + 1j * rng.standard_normal((3, 3, 6, 6))
         for tol in (0.3, 1e-5, 1e-10):
             t = dense_tt_svd(a, tol)
             assert rel_recon_err(a, t) <= tol
@@ -100,7 +99,7 @@ class TestTTSvd:
         rng = np.random.default_rng(3)
         u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         vh, _ = np.linalg.qr(rng.standard_normal((75, 4)))
-        a = Tensor4((u * [1.0, 0.5, 0.1, 1e-7] @ vh.T).reshape(4, 3, 5, 5) + 0j)
+        a = (u * [1.0, 0.5, 0.1, 1e-7] @ vh.T).reshape(4, 3, 5, 5)
         t = dense_tt_svd(a, 1e-10)
         assert t.ranks[1] == 4
         assert rel_recon_err(a, t) <= 1e-10
@@ -118,10 +117,10 @@ class TestTTSvd:
     @pytest.mark.parametrize("call", [
         lambda op, dense: tt_svd(dense, 1e-8),
         lambda op, dense: compression_factor(tt_svd(op, 1e-8), dense),
-        lambda op, dense: rank_report_row(tt_svd(op, 1e-8), dense, op.m),
+        lambda op, dense: rank_report_row(tt_svd(op, 1e-8), dense),
     ], ids=["tt_svd", "compression_factor", "rank_report_row"])
     def test_rejects_dense_operator(self, call):
-        # a Tensor4's data would broadcast into a wrong nonzero count
+        # a dense array's entries would broadcast into a wrong nonzero count
         op = ProfileTensor(np.random.default_rng(6).standard_normal((3, 3, 5)))
         with pytest.raises(TypeError, match="ProfileTensor"):
             call(op, to_tensor4(op))
@@ -166,12 +165,12 @@ class TestProfileSweep:
         t, t_dense = tt_svd(op, tol), dense_tt_svd(dense, tol)
         assert t.ranks == t_dense.ranks
         if problem_id == "zero1":
-            for row in (lambda: rank_report_row(t, op, m),
-                        lambda: dense_rank_report_row(t_dense, dense, m)):
+            for row in (lambda: rank_report_row(t, op),
+                        lambda: dense_rank_report_row(t_dense, dense)):
                 with pytest.raises(ValueError, match="no nonzeros"):
                     row()
         else:
-            assert rank_report_row(t, op, m) == dense_rank_report_row(t_dense, dense, m)
+            assert rank_report_row(t, op) == dense_rank_report_row(t_dense, dense)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(n1=st.integers(1, 4), n2=st.integers(1, 4), m=st.integers(1, 10),
@@ -192,14 +191,14 @@ class TestProfileSweep:
         dense = to_tensor4(op)
         t = tt_svd(op, tol)
         assert rank_bounds_ok(t)
-        nnz = np.count_nonzero(dense.data)
+        nnz = np.count_nonzero(dense)
         if nnz == 0:
             assert t.ranks == (1, 1, 1, 1, 1)
             with pytest.raises(ValueError, match="no nonzeros"):
-                rank_report_row(t, op, m)
+                rank_report_row(t, op)
             return
         assert rel_recon_err(dense, t) <= tol
-        assert rank_report_row(t, op, m).split(",")[2] == str(nnz)
+        assert rank_report_row(t, op).split(",")[2] == str(nnz)
 
 
 class TestCompressionFactor:
@@ -229,7 +228,7 @@ class TestCompressionFactor:
     def test_nnz_counts_exact_nonzeros(self):
         op = operator("nmr1", 20)
         t = tt_svd(op, 1e-8)
-        nnz = np.count_nonzero(to_tensor4(op).data)
+        nnz = np.count_nonzero(to_tensor4(op))
         assert nnz == 16 * (20 * 21) // 2
         assert compression_factor(t, op) == pytest.approx(parameter_count(t) / nnz)
 
@@ -238,7 +237,7 @@ class TestCompressionFactor:
         vecs = [rng.uniform(1, 2, size=s) for s in (2, 2, 3)]
         op = ProfileTensor(np.einsum("i,j,k->ijk", *vecs))
         t = tt_svd(op, 1e-10)
-        row = rank_report_row(t, op, 3)
+        row = rank_report_row(t, op)
         fields = row.split(",")
         assert fields[0] == "3"
         assert fields[2] == str(2 * 2 * 6)
@@ -252,4 +251,4 @@ class TestCompressionFactor:
             t = tt_svd(op, 1e-8)
             assert t.ranks == (1, 1, 1, 1, 1)
             with pytest.raises(ValueError, match="no nonzeros"):
-                rank_report_row(t, op, 3)
+                rank_report_row(t, op)

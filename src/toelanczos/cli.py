@@ -17,9 +17,9 @@ byte-identical files.  JSON outputs hold no NaN or Infinity: the report's
 infinite, and the slope is ``null`` when fewer than two distinct M values
 have a positive ``err_sol``.  Exit codes: 0 success, 2 shape/config
 error (both or neither of ``--problem`` and ``--problem-file`` among them), a
-refused closed form or a failed RK45 reference integration, 3 lucky
-breakdown, 4 serious breakdown, 5 singular resolvent, 6 I/O error, 7 guarded
-workload without --allow-large.
+refused closed form, a failed RK45 reference integration or an ``--M`` too
+large to allocate, 3 lucky breakdown, 4 serious breakdown, 5 singular
+resolvent, 6 I/O error, 7 guarded workload without --allow-large.
 
 Workloads with M^3 * N^2 * n above 1e10 require ``--allow-large``.  That
 count was the cost of the dense operator products; the profile-form
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ShapeError, ValueError, prob.StiffnessError) as exc:
+    except (ShapeError, ValueError, MemoryError, prob.StiffnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
     except ResolventSingularError as exc:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .discretize import Mesh
 from .lanczos import TriTensor
+from .tensor_core import ShapeError
 
 __all__ = [
     "SolutionVec",
@@ -115,7 +116,13 @@ def _resolvent_column(tri: TriTensor) -> np.ndarray:
 
 
 def approx_solution(tri: TriTensor, mesh: Mesh, normalization: complex = 1.0) -> SolutionVec:
-    """Assemble ``s_n`` from the resolvent's first column on the given mesh."""
+    """Assemble ``s_n`` from the resolvent's first column on the given mesh.
+
+    The coefficients must be ``mesh.m x mesh.m``; any other size raises
+    ``ShapeError``, naming both.
+    """
+    if tri.m != mesh.m:
+        raise ShapeError(f"coefficients of size {tri.m} do not fit a mesh of {mesh.m} points")
     return SolutionVec(mesh, normalization * np.cumsum(_resolvent_column(tri)), tri.n)
 
 

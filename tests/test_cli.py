@@ -484,6 +484,7 @@ class TestAnalyticReference:
 
 # the integer values span the float range: 10**110 cubed and 10**400 overflow it
 HUGE_111, HUGE_401 = "1" + "0" * 110, "1" + "0" * 400
+BEYOND_MEMORY = "1" + "0" * 17
 NUMERIC_VALUES = {"zero": "0", "negative": "-3", "111digits": HUGE_111, "401digits": HUGE_401,
                   "nan": "nan", "inf": "inf", "underflow": "1e-400"}
 SOLVE_FLAGS = ["--M", "--n", "--seed", "--rtol", "--atol", "--eps-lucky", "--eps-serious"]
@@ -518,7 +519,12 @@ class TestOptions:
         (["convergence", "--problem", "const3", "--M", "10,1" + "0" * 103, "--n", "3"],
          EXIT_GUARD),
         (["ttranks", "--problem", "const3", "--M", HUGE_111, "--allow-large"], EXIT_SHAPE),
-    ], ids=["run-M", "run-n", "convergence-M", "ttranks-allow-large"])
+        # beyond the address space, so numpy refuses the mesh before touching memory
+        (["ttranks", "--problem", "const3", "--M", BEYOND_MEMORY, "--allow-large"], EXIT_SHAPE),
+        (["run", "--problem", "const3", "--M", BEYOND_MEMORY, "--n", "1", "--allow-large"],
+         EXIT_SHAPE),
+    ], ids=["run-M", "run-n", "convergence-M", "ttranks-allow-large", "ttranks-beyond-memory",
+            "run-beyond-memory"])
     def test_budget_takes_any_integer(self, tmp_path, capsys, argv, want):
         # the work count is an exact integer: no M or n overflows the guard
         assert run_cli(*argv, "--output", str(tmp_path / "x")) == want

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from toelanczos import (
     ResolventSingularError,
+    ShapeError,
     approx_solution,
     build_mesh,
     builtin,
@@ -14,7 +15,7 @@ from toelanczos import (
     solution_to_csv,
     tensor_lanczos,
 )
-from toelanczos import lanczos, resolvent
+from toelanczos import lanczos
 from toelanczos.cli import solve
 from toelanczos.lanczos import TriTensor
 from toelanczos.resolvent import _resolvent_column
@@ -204,13 +205,17 @@ class TestResolventColumn:
         for name in ("inv", "solve"):
             monkeypatch.setattr(np.linalg, name, refusing(getattr(np.linalg, name)))
         monkeypatch.setattr(lanczos, "_inverse_lower", refusing(lanczos._inverse_lower))
-        monkeypatch.setattr(resolvent, "_inverse_lower", refusing(lanczos._inverse_lower),
-                            raising=False)
         got = approx_solution(res.tri, mesh, res.normalization)
         assert np.array_equal(got.values, want.values)
 
 
 class TestApproxSolution:
+    def test_refuses_a_mesh_of_another_size(self):
+        # a zip over the mesh would write as many rows as the shorter side
+        tri = TriTensor(3, [0.1 * np.tril(np.ones((3, 3)))], [])
+        with pytest.raises(ShapeError, match=r"size 3 .* mesh of 5 points"):
+            approx_solution(tri, build_mesh(0, 1, 5))
+
     def test_zero_problem_gives_ones(self):
         p = builtin("zero1")
         _, _, sol = solve(p, 7, 1)

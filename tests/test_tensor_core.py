@@ -244,6 +244,71 @@ class TestProfileTensor:
             assert np.all(np.triu(out, k=1) == 0)
             assert np.array_equal(out, product().data)
 
+    # the *-algebra identities the Lanczos loop and the diagnostics rely on, on
+    # the lower-triangular operands the package builds, in both run dtypes
+    LOWER = dict(n=st.integers(1, 4), m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+                 dtype=st.sampled_from([np.float64, np.complex128]))
+
+    @staticmethod
+    def assert_lower(x, dtype):
+        """``x`` is in ``dtype`` with an exactly zero strict upper triangle in every slice."""
+        x = x.data if isinstance(x, HyperVec) else x
+        assert x.dtype == dtype and not np.triu(x, 1).any()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**LOWER)
+    def test_coefficient_products_compose(self, n, m, seed, dtype):
+        rng = np.random.default_rng(seed)
+        v, w = rand_lower(rng, n, m, dtype), rand_lower(rng, n, m, dtype, "dual")
+        c1, c2 = (rand_lower(rng, 1, m, dtype).data[0] for _ in range(2))
+        for (got, want), x in (((vec_times_coef(vec_times_coef(v, c1), c2),
+                                 vec_times_coef(v, c1 @ c2)), v),
+                               ((coef_times_vec(c1, coef_times_vec(c2, w)),
+                                 coef_times_vec(c1 @ c2, w)), w)):
+            self.assert_lower(got, dtype)
+            self.assert_lower(want, dtype)
+            scale = frobenius(x) * frobenius(c1) * frobenius(c2)
+            assert np.linalg.norm(got.data - want.data) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**LOWER)
+    def test_inner_takes_the_coefficients_out(self, n, m, seed, dtype):
+        rng = np.random.default_rng(seed)
+        v, w = rand_lower(rng, n, m, dtype), rand_lower(rng, n, m, dtype, "dual")
+        c = rand_lower(rng, 1, m, dtype).data[0]
+        inner, cw, vc = star_inner(w, v), coef_times_vec(c, w), vec_times_coef(v, c)
+        scale = frobenius(c) * frobenius(w) * frobenius(v)
+        for got, want in ((star_inner(cw, v), c @ inner), (star_inner(w, vc), inner @ c)):
+            for product in (got, inner, cw, vc):
+                self.assert_lower(product, dtype)
+            assert np.linalg.norm(got - want) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n2=st.integers(1, 4), **LOWER)
+    def test_operator_moves_across_the_inner_product(self, n, n2, m, seed, dtype):
+        rng = np.random.default_rng(seed)
+        a = rand_profile(rng, n, m, n2=n2)
+        if dtype == np.float64:
+            a = ProfileTensor(a.data.real)
+        w, v = rand_lower(rng, n, m, dtype, "dual"), rand_lower(rng, n2, m, dtype)
+        wa, av = star_mul_vt(w, a), star_mul_tv(a, v)
+        left, right = star_inner(wa, v), star_inner(w, av)
+        for product in (wa, av, left, right):
+            self.assert_lower(product, dtype)
+        scale = frobenius(wa) * frobenius(v) + frobenius(w) * frobenius(av)
+        assert np.linalg.norm(left - right) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**LOWER)
+    def test_lifts_contract_to_the_vector_inner_product(self, n, m, seed, dtype):
+        rng = np.random.default_rng(seed)
+        w, v = rng.standard_normal((2, n)) + (1j * rng.standard_normal((2, n))
+                                              if dtype == np.complex128 else 0)
+        got = star_inner(lift_dual(w, m), lift(v, m))
+        self.assert_lower(got, dtype)
+        want = np.vdot(w, v) * np.eye(m)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.sqrt(m) * frobenius(w) * frobenius(v)
+
     def test_to_tensor4_slices_and_flags(self):
         rng = np.random.default_rng(4)
         a = rand_profile(rng, 2, 5, np.array([[False, True], [False, False]]))

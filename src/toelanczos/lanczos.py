@@ -79,6 +79,7 @@ from .tensor_core import (
     star_inner,
     star_mul_tv,
     star_mul_vt,
+    strip_scratch,
     vec_times_coef,
 )
 
@@ -161,11 +162,11 @@ class LanczosWalk(NamedTuple):
     v_rows: list[tuple[float, float, float]]
 
 
-def _row_norms(product: HyperVec, hat: HyperVec, nxt: HyperVec) -> tuple[float, float, float]:
-    """``(|P|, |R|, |P - R|)`` of the row ``R = hat - nxt``, formed in ``hat``'s buffer."""
-    residual = np.subtract(hat.data, nxt.data, out=hat.data)
+def _row_norms(product: HyperVec, residual: HyperVec) -> tuple[float, float, float]:
+    """``(|P|, |R|, |P - R|)`` of a row, with ``P - R`` formed in ``R``'s buffer."""
     r = frobenius(residual)
-    return frobenius(product), r, frobenius(np.subtract(product.data, residual, out=residual))
+    return frobenius(product), r, frobenius(np.subtract(product.data, residual.data,
+                                                        out=residual.data))
 
 
 @dataclass
@@ -232,32 +233,36 @@ def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
 
 def _w_update(wa: HyperVec, alpha: np.ndarray, w_k: HyperVec,
               beta_k: np.ndarray | None = None, w_prev: HyperVec | None = None, *,
-              tmp: np.ndarray) -> np.ndarray:
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """``(W_k*A - alpha_k x W_k) - beta_k x W_{k-1}``; the last term is absent for k = 1.
 
     Returns the data of the dual hypervector, in the operands' mesh-major
     layout, formed in ``wa``'s own buffer: ``W_k*A`` is spent once
-    ``alpha_k`` is read, and becomes ``W_{k+1}``.  The workspace buffer
-    ``tmp`` takes the coefficient products.
+    ``alpha_k`` is read, and becomes ``W_{k+1}``.  Each coefficient product
+    is subtracted strip by strip through the strip ``scratch``.
     """
-    out = np.subtract(wa.data, coef_times_vec(alpha, w_k, out=tmp).data, out=wa.data)
+    coef_times_vec(alpha, w_k, subtract_from=wa.mesh, scratch=scratch)
     if beta_k is not None:
-        np.subtract(out, coef_times_vec(beta_k, w_prev, out=tmp).data, out=out)
-    return out
+        coef_times_vec(beta_k, w_prev, subtract_from=wa.mesh, scratch=scratch)
+    return wa.data
 
 
 def _v_update(av: HyperVec, v_k: HyperVec, alpha: np.ndarray,
-              v_prev: HyperVec | None = None, *, tmp: np.ndarray | None = None) -> np.ndarray:
+              v_prev: HyperVec | None = None, *,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """``(A*V_k - V_k x alpha_k) - V_{k-1}``; the last term is absent for k = 1.
 
     Returns the data of the right hypervector, in the operands' mesh-major
     layout.  The differences are formed in the fresh buffer of ``V_k x
-    alpha_k``, so no operand is written to, or, given a workspace buffer
-    ``tmp`` for that product, in ``av``'s own buffer, with the same values.
+    alpha_k``, so no operand is written to, or, given the strip ``scratch``,
+    in ``av``'s own buffer, from which ``V_k x alpha_k`` is subtracted strip
+    by strip, with the same values.
     """
-    prod = vec_times_coef(v_k, alpha, out=tmp).data
-    out = prod if tmp is None else av.data
-    np.subtract(av.data, prod, out=out)
+    if scratch is None:
+        out = vec_times_coef(v_k, alpha).data
+        np.subtract(av.data, out, out=out)
+    else:
+        out = vec_times_coef(v_k, alpha, subtract_from=av.mesh, scratch=scratch).data
     if v_prev is not None:
         np.subtract(out, v_prev.data, out=out)
     return out
@@ -327,15 +332,19 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
         Record the bases and the V recurrence rows as
         :attr:`LanczosResult.walk`, for the diagnostics that read them.
 
-    The loop rotates seven mesh-major buffers, so its memory does not grow
-    with ``n``: ``V_{k-1}``, ``V_k``, ``W_{k-1}`` and ``W_k``; ``W_k*A`` and
-    ``A*V_k``, which become the hatted pair in place; and one temporary
-    (module docstring of :mod:`~toelanczos.tensor_core`, "Workspace").  A
+    The loop rotates five mesh-major buffers and one mesh strip of scratch,
+    so its memory does not grow with ``n`` (module docstring of
+    :mod:`~toelanczos.tensor_core`, "Workspace").  At iteration ``k`` it
+    holds ``V_{k-1}``, ``V_k``, ``W_{k-1}`` and ``W_k``, and forms
+    ``W_k*A`` in the spent ``V_hat_k``'s buffer, where the W update turns
+    it into ``W_{k+1}``; ``W_{k-1}`` is then spent, and ``A*V_k``, which
+    reads only ``V_k``, is formed in its buffer and becomes ``V_hat`` in
+    place; ``V_{k-1}`` is then spent, and its buffer takes ``V_{k+1}``.  A
     run with ``keep_walk`` keeps its ``2n`` bases instead of recycling them,
-    and forms ``V_hat`` in a fresh buffer, so that ``A*V_k`` is left for
-    its row's ``|A*V_k - R_k|``; every kernel and update gives the same
-    bits into a fresh buffer as into the workspace, so both runs compute
-    the same coefficients.
+    forms each ``A*V_k`` in one buffer of its own and ``V_hat`` in a fresh
+    one, so that ``A*V_k`` is left for its row's ``|A*V_k - R_k|``; every
+    kernel and update gives the same bits into a fresh buffer as into the
+    workspace, so both runs compute the same coefficients.
 
     ``V_{k+1}`` is one matrix product of the stacked residual slices with
     the exact-zero inverse of the lower-triangular ``beta_{k+1}``; that needs
@@ -377,8 +386,11 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     betas: list[np.ndarray] = []
     v_rows: list[tuple[float, float, float]] = []
 
-    av_buf, tmp = (np.empty(v_basis[0].mesh.shape, b.data.dtype) for _ in range(2))
-    wa_buf = None  # W_k*A becomes W_{k+1}: a fresh buffer until a spent W's can take it
+    scratch = strip_scratch(a.n1, m, b.data.dtype)
+    # W_k*A becomes W_{k+1}: a fresh buffer until a spent V_hat's can take it
+    wa_buf = None
+    # A*V_k: a fresh buffer until a spent W's can take it, one of its own when recording
+    av_buf = np.empty(v_basis[0].mesh.shape, b.data.dtype) if keep_walk else None
 
     def finish(status, res_v, res_w, av):
         walk = None
@@ -396,12 +408,15 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
             alpha = star_inner(wa, v_basis[-1])
             _require_finite(alpha, f"alpha_{k}", k)
             alphas.append(alpha)
-            av = star_mul_tv(b, v_basis[-1], out=av_buf, scratch=tmp)
             w_prev = () if k == 1 else (betas[-1], w_basis[-2])
+            w_hat = HyperVec(_w_update(wa, alpha, w_basis[-1], *w_prev, scratch=scratch),
+                             "dual")
+            if not (keep_walk or k == 1):  # W_{k-1} is spent: its buffer takes A*V_k
+                av_buf = w_basis.pop(0).mesh
+            av = star_mul_tv(b, v_basis[-1], out=av_buf, scratch=scratch)
             v_prev = () if k == 1 else (v_basis[-2],)
-            w_hat = HyperVec(_w_update(wa, alpha, w_basis[-1], *w_prev, tmp=tmp), "dual")
             v_hat = HyperVec(_v_update(av, v_basis[-1], alpha, *v_prev,
-                                       tmp=None if keep_walk else tmp), "right")
+                                       scratch=None if keep_walk else scratch), "right")
 
             if k == n:
                 return finish(LanczosStatus("completed"), v_hat, w_hat, av)
@@ -416,17 +431,17 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
                 return finish(replace(breakdown, k=k), v_hat, w_hat, av)
 
             betas.append(beta_next)
-            if keep_walk or k == 1:  # fresh buffers for V_{k+1} and the next W*A
-                v_out = wa_buf = None
-            else:  # V_{k-1}'s buffer takes V_{k+1}, and W_{k-1}'s the next W*A
-                v_out, wa_buf = v_basis.pop(0).mesh, w_basis.pop(0).mesh
+            # V_{k-1} is spent: its buffer takes V_{k+1}
+            v_out = None if keep_walk or k == 1 else v_basis.pop(0).mesh
             v_basis.append(vec_times_coef(v_hat, inverse, out=v_out))
             del inverse  # held into the next iteration it adds to the peak; see the decisions ledger
             w_basis.append(w_hat)
             if keep_walk:  # R_k = V_hat - V_{k+1} x beta_{k+1}, formed in V_hat's buffer
-                v_rows.append(_row_norms(av, v_hat, vec_times_coef(v_basis[-1], beta_next,
-                                                                  out=tmp)))
+                v_rows.append(_row_norms(av, vec_times_coef(
+                    v_basis[-1], beta_next, subtract_from=v_hat.mesh, scratch=scratch)))
                 del v_hat  # spent: freed before the next one is formed
+            else:  # V_hat is spent: its buffer takes the next W*A
+                wa_buf = v_hat.mesh
 
     raise AssertionError("unreachable")
 

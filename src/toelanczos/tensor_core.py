@@ -32,28 +32,35 @@ onto that buffer, so indexing ``data[k]`` is unchanged.  A hypervector held
 in another layout (a C-ordered ``(n, m, m)`` array, say) is read through a
 mesh-major copy, with bit-identical results.  In this layout:
 
-* :func:`star_mul_tv` and :func:`star_mul_vt` are one batched ``np.matmul``
+* :func:`star_mul_tv` and :func:`star_mul_vt` are a batched ``np.matmul``
   over the mesh index, on matrices with a unit stride, plus a prefix sum
   over the contiguous ``(n, m)`` planes; the prefix sum adds plane ``j`` to
   its neighbour in ``np.cumsum``'s order, so it equals ``np.cumsum`` bit
-  for bit without its strided pass;
+  for bit without its strided pass.  :func:`star_mul_tv` runs both one mesh
+  strip (below) at a time, through a scratch of one strip;
 * the coefficient products :func:`vec_times_coef` (``V x c``) and
   :func:`coef_times_vec` (``c x W^D``) are one GEMM of the stacked
-  ``(n m, m)`` rows per mesh strip (below);
+  ``(n m, m)`` rows per mesh strip (below), written into the output or, in
+  the subtracting form, formed in the strip scratch and subtracted from it;
 * :func:`star_inner` accumulates the slice products ``w[k] @ v[k]`` one by
   one in ascending ``k``, on strided views; exact cancellations in that sum
   (a singular ``beta``) would not survive a reordered single GEMM.
 
 No other module transposes or reshapes hypervector data.
 
-Workspace: :func:`star_mul_tv`, :func:`star_mul_vt`, :func:`vec_times_coef`
-and :func:`coef_times_vec` take a keyword-only ``out=`` buffer, and
-:func:`star_mul_tv` also a ``scratch=`` buffer for its prefix sum.  Each is
-a C-ordered mesh-major ``(m, n, m)`` array of the product's dtype that
-shares no memory with an operand (:attr:`HyperVec.mesh` of a hypervector
-the package built is one); ``out`` is overwritten entirely, and the result
-is the hypervector stored in it.  A kernel does the same products in the
-same order into a given buffer as into a fresh one, so the results are
+Workspace: :func:`star_mul_tv`, :func:`star_mul_vt` and the product form of
+:func:`vec_times_coef` take a keyword-only ``out=`` buffer, a C-ordered
+mesh-major ``(m, n, m)`` array of the product's dtype that shares no memory
+with an operand (:attr:`HyperVec.mesh` of a hypervector the package built is
+one); ``out`` is overwritten entirely, and the result is the hypervector
+stored in it.  The subtracting forms of the coefficient products,
+``X - V x c`` and ``X - c x W^D``, take such a buffer holding ``X`` as
+``subtract_from=`` and leave the difference in it.  :func:`star_mul_tv` and
+the subtracting forms also take a ``scratch=`` of one mesh strip (below), a
+C-ordered ``(rows, n, m)`` array of the largest strip's ``rows`` that
+:func:`strip_scratch` allocates, apart from the operands and the output; a
+kernel given none allocates its own.  A kernel does the same products in the
+same order into given buffers as into fresh ones, so the results are
 bit-identical; the Lanczos loop runs on a fixed set of such buffers.
 
 Triangular contract: :func:`star_inner`, :func:`vec_times_coef` and
@@ -66,7 +73,8 @@ mesh index into ``max(1, m // 64)`` balanced strips of rows and skip the
 blocks the contract makes exactly zero; the skipped terms are exact zeros
 trailing or leading each entry's sum, so every entry adds the same nonzero
 terms in the same order.  Below ``m = 128`` there is one strip, the whole
-product.  The zero blocks of the results are written as exact zeros.
+product.  A product writes its zero blocks as exact zeros; a subtracting
+form leaves them as they are, since ``x - (+0) = x``.
 
 Every product runs on operands of fixed shape and layout, in a fixed order;
 this fixes the floating-point result, so repeated runs are bit-identical.
@@ -95,6 +103,7 @@ __all__ = [
     "star_inner",
     "vec_times_coef",
     "coef_times_vec",
+    "strip_scratch",
     "lift",
     "lift_dual",
     "frobenius",
@@ -295,6 +304,21 @@ def _strips(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(bounds, bounds[1:]))
 
 
+def _scratch(buf: np.ndarray | None, n: int, m: int, dtype, *operands: np.ndarray) -> np.ndarray:
+    """``buf``, checked to be a strip scratch apart from ``operands``, or a fresh one."""
+    return _buffer(buf, (max(e - s for s, e in _strips(m)), n, m), dtype, *operands)
+
+
+def strip_scratch(n: int, m: int, dtype) -> np.ndarray:
+    """A fresh scratch for the kernels on ``(n, m, m)`` hypervectors: one mesh strip, ``(rows, n, m)``.
+
+    ``rows`` is the largest strip's, so below ``m = 128`` the scratch is a
+    whole mesh-major hypervector, and at ``m = 250`` a third of one (module
+    docstring, "Workspace").
+    """
+    return _scratch(None, n, m, dtype)
+
+
 def star_mul_tv(a: ProfileTensor, v: HyperVec, *, out: np.ndarray | None = None,
                 scratch: np.ndarray | None = None) -> HyperVec:
     """Tensor-hypervector product ``(A * V)[i1] = sum_k a[i1, k] @ v[k]``.
@@ -303,10 +327,14 @@ def star_mul_tv(a: ProfileTensor, v: HyperVec, *, out: np.ndarray | None = None,
     running sum of ``v[k]``, so mesh row ``j`` of the result is
     ``data[:, :, j] @ cumsum(v)[:, j]``: a prefix sum over the mesh-major
     planes of ``V`` and one batched product over the rows, written straight
-    into the mesh-major output.  The prefix sum runs on a mesh-major copy of
-    ``V``, made in ``scratch``; ``out`` takes the result (module docstring,
-    "Workspace").  Any operator other than a :class:`ProfileTensor` raises
-    ``TypeError``.
+    into the mesh-major output.  Both run one mesh strip at a time in
+    ``scratch``: the strip's planes of ``V`` are copied there, its first
+    plane adds the previous strip's last running sum, which the copy has not
+    yet overwritten, and the strip's prefix sum feeds its rows of ``out``.
+    Every plane adds the same planes in the same order as one prefix sum of
+    the whole copy, and below ``m = 128`` the one strip is that copy (module
+    docstring, "Workspace").  Any operator other than a :class:`ProfileTensor`
+    raises ``TypeError``.
     """
     _require_profile(a)
     if v.orientation != "right":
@@ -314,10 +342,18 @@ def star_mul_tv(a: ProfileTensor, v: HyperVec, *, out: np.ndarray | None = None,
     if a.n2 != v.n or a.m != v.m:
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
     dtype = np.result_type(a.data, v.data)
-    csum = _buffer(scratch, v.mesh.shape, dtype, v.data)
-    np.copyto(csum, v.mesh)
-    out = _buffer(out, (v.m, a.n1, v.m), dtype, v.data, csum)
-    return _from_mesh(np.matmul(_mesh_profiles(a, dtype), _prefix_sum(csum), out=out), "right")
+    out = _buffer(out, (v.m, a.n1, v.m), dtype, v.data)
+    scratch = _scratch(scratch, v.n, v.m, dtype, v.data, out)
+    profiles, vm, last = _mesh_profiles(a, dtype), v.mesh, None
+    for s, e in _strips(v.m):
+        csum = scratch[:e - s]
+        np.copyto(csum[0], vm[s])
+        if last is not None:
+            np.add(csum[0], last, csum[0])
+        np.copyto(csum[1:], vm[s + 1:e])
+        np.matmul(profiles[s:e], _prefix_sum(csum), out=out[s:e])
+        last = csum[-1]
+    return _from_mesh(out, "right")
 
 
 def star_mul_vt(w: HyperVec, a: ProfileTensor, *, out: np.ndarray | None = None) -> HyperVec:
@@ -370,7 +406,34 @@ def star_inner(w: HyperVec, v: HyperVec) -> np.ndarray:
     return out
 
 
-def vec_times_coef(v: HyperVec, c: np.ndarray, *, out: np.ndarray | None = None) -> HyperVec:
+def _strip_gemms(rows: np.ndarray, c: np.ndarray, dst: np.ndarray,
+                 scratch: np.ndarray | None, *, left: bool) -> None:
+    """One GEMM per mesh strip of the stacked ``(n m, m)`` rows and ``c``, on its nonzero block.
+
+    The rows of mesh rows ``[s, e)`` multiply ``c[:e, :e]`` on their first
+    ``e`` columns, or with ``left`` ``c[s:, s:]`` on their columns from
+    ``s`` on; the rest of the strip's rows is an exact zero.  Without a
+    scratch the GEMM writes into ``dst``'s block and the rest of the rows
+    is set to zeros; with one it is formed in the scratch and subtracted
+    from the block, and the rest is left as it is, since ``x - (+0) = x``.
+    """
+    m = c.shape[0]
+    n = rows.shape[0] // m
+    for s, e in _strips(m):
+        r = slice(s * n, e * n)
+        k, zero = (slice(s, m), slice(0, s)) if left else (slice(0, e), slice(e, m))
+        block = dst[r, k]
+        if scratch is None:
+            np.matmul(rows[r, k], c[k, k], out=block)
+            dst[r, zero] = 0
+        else:
+            prod = scratch.reshape(-1, m)[:block.shape[0], :block.shape[1]]
+            np.subtract(block, np.matmul(rows[r, k], c[k, k], out=prod), out=block)
+
+
+def vec_times_coef(v: HyperVec, c: np.ndarray, *, out: np.ndarray | None = None,
+                   subtract_from: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> HyperVec:
     """``V x c``: every slice of the right hypervector ``v`` times the m x m matrix ``c``.
 
     Requires lower-triangular slices and a lower-triangular ``c`` (module
@@ -378,35 +441,39 @@ def vec_times_coef(v: HyperVec, c: np.ndarray, *, out: np.ndarray | None = None)
     ``(n m, m)`` mesh-major rows of mesh rows ``[s, e)`` are zero past
     column ``e``, so each strip is one GEMM with ``c[:e, :e]`` written into
     the output's rows, whose columns from ``e`` on are set to exact zeros.
-    The output is ``out`` if given (module docstring, "Workspace").
+    The output is ``out`` if given.  Given ``subtract_from``, the buffer of
+    a right hypervector ``X``, the result is instead ``X - V x c``, formed
+    in that buffer: each strip's GEMM goes to ``scratch`` and is subtracted
+    from the strip's nonzero block (module docstring, "Workspace").
     """
     if v.orientation != "right":
         raise OrientationError("V x c needs a right-oriented hypervector")
+    if out is not None and subtract_from is not None:
+        raise TypeError("give out or subtract_from, not both")
     c = np.asarray(c)
     if c.shape != (v.m, v.m):
         raise ShapeError(f"cannot multiply {v.data.shape} by a {c.shape} coefficient")
     dtype = np.result_type(v.data, c)
     vm, c = _mesh(v, dtype), c.astype(dtype, copy=False)
-    n, m = v.n, v.m
-    buf = _buffer(out, vm.shape, dtype, v.data)
-    rows, out_rows = vm.reshape(-1, m), buf.reshape(-1, m)
-    for s, e in _strips(m):
-        np.matmul(rows[s * n:e * n, :e], c[:e, :e], out=out_rows[s * n:e * n, :e])
-        if e < m:
-            out_rows[s * n:e * n, e:] = 0
+    buf = _buffer(out if subtract_from is None else subtract_from, vm.shape, dtype, v.data)
+    scratch = None if subtract_from is None else _scratch(scratch, v.n, v.m, dtype, v.data, buf)
+    _strip_gemms(vm.reshape(-1, v.m), c, buf.reshape(-1, v.m), scratch, left=False)
     return _from_mesh(buf, "right")
 
 
-def coef_times_vec(c: np.ndarray, w: HyperVec, *, out: np.ndarray | None = None) -> HyperVec:
-    """``c x W^D``: the m x m matrix ``c`` times every slice of the dual hypervector ``w``.
+def coef_times_vec(c: np.ndarray, w: HyperVec, *, subtract_from: np.ndarray,
+                   scratch: np.ndarray | None = None) -> HyperVec:
+    """``X - c x W^D``: less ``c`` times every slice of the dual ``w``, formed in ``X``'s buffer.
 
-    Requires lower-triangular slices and a lower-triangular ``c`` (module
-    docstring); entries above their diagonals may go unread.  Row
-    ``(j, k)`` of the stacked ``(n m, m)`` mesh-major rows is column ``j``
-    of ``w[k]``, zero before entry ``j``; so the rows of mesh rows
-    ``[s, e)`` are one GEMM with ``c.T[s:, s:]`` written into the output's
-    rows, whose first ``s`` columns are set to exact zeros.  The output is
-    ``out`` if given (module docstring, "Workspace").
+    ``subtract_from`` is the mesh-major buffer of the dual hypervector
+    ``X``; the W recurrence subtracts each of its coefficient products, so
+    there is no product form.  Requires lower-triangular slices and a
+    lower-triangular ``c`` (module docstring); entries above their diagonals
+    may go unread.  Row ``(j, k)`` of the stacked ``(n m, m)`` mesh-major
+    rows is column ``j`` of ``w[k]``, zero before entry ``j``; so the rows
+    of mesh rows ``[s, e)`` are one GEMM with ``c.T[s:, s:]``, formed in
+    ``scratch`` and subtracted from their columns from ``s`` on (module
+    docstring, "Workspace").
     """
     if w.orientation != "dual":
         raise OrientationError("c x W needs a dual-oriented hypervector")
@@ -415,13 +482,9 @@ def coef_times_vec(c: np.ndarray, w: HyperVec, *, out: np.ndarray | None = None)
         raise ShapeError(f"cannot multiply a {c.shape} coefficient by {w.data.shape}")
     dtype = np.result_type(w.data, c)
     wm, c = _mesh(w, dtype), c.astype(dtype, copy=False)
-    n, m = w.n, w.m
-    buf = _buffer(out, wm.shape, dtype, w.data)
-    rows, out_rows = wm.reshape(-1, m), buf.reshape(-1, m)
-    for s, e in _strips(m):
-        np.matmul(rows[s * n:e * n, s:], c.T[s:, s:], out=out_rows[s * n:e * n, s:])
-        if s:
-            out_rows[s * n:e * n, :s] = 0
+    buf = _buffer(subtract_from, wm.shape, dtype, w.data)
+    _strip_gemms(wm.reshape(-1, w.m), c.T, buf.reshape(-1, w.m),
+                 _scratch(scratch, w.n, w.m, dtype, w.data, buf), left=True)
     return _from_mesh(buf, "dual")
 
 

@@ -185,9 +185,8 @@ class TestMeasuresOnRuns:
         noise = rng.standard_normal(old.data.shape)
         noise *= 1e-3 * frobenius(walk.v_basis[-1]) / np.linalg.norm(noise)
         new = HyperVec(old.data + noise, old.orientation)
-        hat = HyperVec(old.data.copy(), old.orientation)
         product = star_mul_tv(res.operator, walk.v_basis[-1])
-        rows = walk.v_rows[:-1] + [_row_norms(product, hat, new)]
+        rows = walk.v_rows[:-1] + [_row_norms(product, HyperVec(old.data - new.data, "right"))]
         res = dataclasses.replace(res, walk=walk._replace(v_rows=rows), run_residual_v=new)
         ev, _ = err_recurrences(res)
         ev_flat, _ = flattened_recurrences(res, a4)

@@ -23,10 +23,12 @@ from toelanczos.tensor_core import (
     BlockStructure,
     _from_mesh,
     _mesh,
+    _mesh_profiles,
     _prefix_sum,
     _strips,
     coef_times_vec,
     star_mul_tt,
+    strip_scratch,
     vec_times_coef,
 )
 from oracles import (
@@ -62,6 +64,14 @@ def rand_profile(rng, n1, m, empty=None, n2=None):
 
 def rel_err(x, y):
     return np.linalg.norm((x - y).ravel()) / max(np.linalg.norm(y.ravel()), 1e-300)
+
+
+def coef_product(c, w):
+    """``c x W^D`` through the subtracting kernel: ``-(0 - c x W^D)``, exact up to signed zeros."""
+    zero = np.zeros((w.m, w.n, w.m), np.result_type(c, w.data))
+    got = coef_times_vec(c, w, subtract_from=zero)
+    np.negative(got.data, out=got.data)
+    return got
 
 
 class TestStarMulTT:
@@ -263,8 +273,8 @@ class TestProfileTensor:
         c1, c2 = (rand_lower(rng, 1, m, dtype).data[0] for _ in range(2))
         for (got, want), x in (((vec_times_coef(vec_times_coef(v, c1), c2),
                                  vec_times_coef(v, c1 @ c2)), v),
-                               ((coef_times_vec(c1, coef_times_vec(c2, w)),
-                                 coef_times_vec(c1 @ c2, w)), w)):
+                               ((coef_product(c1, coef_product(c2, w)),
+                                 coef_product(c1 @ c2, w)), w)):
             self.assert_lower(got, dtype)
             self.assert_lower(want, dtype)
             scale = frobenius(x) * frobenius(c1) * frobenius(c2)
@@ -276,7 +286,7 @@ class TestProfileTensor:
         rng = np.random.default_rng(seed)
         v, w = rand_lower(rng, n, m, dtype), rand_lower(rng, n, m, dtype, "dual")
         c = rand_lower(rng, 1, m, dtype).data[0]
-        inner, cw, vc = star_inner(w, v), coef_times_vec(c, w), vec_times_coef(v, c)
+        inner, cw, vc = star_inner(w, v), coef_product(c, w), vec_times_coef(v, c)
         scale = frobenius(c) * frobenius(w) * frobenius(v)
         for got, want in ((star_inner(cw, v), c @ inner), (star_inner(w, vc), inner @ c)):
             for product in (got, inner, cw, vc):
@@ -557,7 +567,7 @@ class TestMeshMajorLayout:
         for got, want in [(star_mul_tv(a, v), star_mul_tv(a, c_ordered(v))),
                           (star_mul_vt(w, a), star_mul_vt(c_ordered(w), a)),
                           (vec_times_coef(v, c), vec_times_coef(c_ordered(v), c)),
-                          (coef_times_vec(c, w), coef_times_vec(c, c_ordered(w)))]:
+                          (coef_product(c, w), coef_product(c, c_ordered(w)))]:
             assert is_mesh_major(got) and is_mesh_major(want)
             assert np.array_equal(got.data, want.data)
         inner = star_inner(w, v)
@@ -585,11 +595,11 @@ class TestMeshMajorLayout:
         v, w = rand_hv(rng, 3, 4), rand_hv(rng, 3, 4, "dual")
         c = rng.standard_normal((4, 4))
         assert rel_err(vec_times_coef(v, c).data, v.data @ c) < 1e-14
-        assert rel_err(coef_times_vec(c, w).data, c @ w.data) < 1e-14
+        assert rel_err(coef_product(c, w).data, c @ w.data) < 1e-14
         with pytest.raises(OrientationError):
             vec_times_coef(w, c)
         with pytest.raises(OrientationError):
-            coef_times_vec(c, v)
+            coef_times_vec(c, v, subtract_from=np.zeros((4, 3, 4), complex))
         with pytest.raises(ShapeError):
             vec_times_coef(v, np.eye(3))
 
@@ -627,7 +637,7 @@ class TestTriangularStrips:
         c = rand_lower(rng, 1, m, dtype).data[0]
         upper = np.triu_indices(m, 1)
         for got, want in [(vec_times_coef(v, c).data, v.data @ c),
-                          (coef_times_vec(c, w).data, c @ w.data),
+                          (coef_product(c, w).data, c @ w.data),
                           (star_inner(w, v), sum(w.data[k] @ v.data[k] for k in range(3)))]:
             assert got.dtype == dtype
             assert rel_err(got, want) < 1e-13
@@ -650,17 +660,25 @@ class TestWorkspaceBuffers:
         w = self.mesh_major(rand_lower(rng, 3, m, dtype, "dual"))
         c = rand_lower(rng, 1, m, dtype).data[0]
 
-        def garbage():
+        def garbage(shape=(m, 3, m)):
             # NaNs left anywhere in the result would fail array_equal
-            return np.full((m, 3, m), np.nan, dtype)
+            return np.full(shape, np.nan, dtype)
 
-        calls = [(star_mul_tv, (a, v), {"scratch": garbage()}), (star_mul_vt, (w, a), {}),
-                 (vec_times_coef, (v, c), {}), (coef_times_vec, (c, w), {})]
-        for kernel, args, scratch in calls:
+        scratch = strip_scratch(3, m, dtype).shape
+        calls = [(star_mul_tv, (a, v), {"scratch": garbage(scratch)}), (star_mul_vt, (w, a), {}),
+                 (vec_times_coef, (v, c), {})]
+        for kernel, args, scratch_kw in calls:
             out = garbage()
-            got = kernel(*args, out=out, **scratch)
+            got = kernel(*args, out=out, **scratch_kw)
             assert is_mesh_major(got) and np.shares_memory(got.data, out)
             assert np.array_equal(got.data, kernel(*args).data)
+        # the subtracting forms: a given strip scratch gives the bits of their own
+        x = rng.standard_normal((m, 3, m)).astype(dtype)
+        for kernel, args in [(vec_times_coef, (v, c)), (coef_times_vec, (c, w))]:
+            given, own = x.copy(), x.copy()
+            got = kernel(*args, subtract_from=given, scratch=garbage(scratch))
+            assert is_mesh_major(got) and np.shares_memory(got.data, given)
+            assert np.array_equal(got.data, kernel(*args, subtract_from=own).data)
 
     def test_unusable_buffers_raise(self):
         rng = np.random.default_rng(1)
@@ -675,3 +693,91 @@ class TestWorkspaceBuffers:
         scratch = np.empty((5, 2, 5), complex)
         with pytest.raises(ValueError, match="share memory"):
             star_mul_tv(a, v, out=scratch, scratch=scratch)
+        # a wrong strip scratch: the wrong dtype, a whole hypervector where the
+        # largest strip has 65 rows, or the buffer it is subtracted from
+        with pytest.raises(ShapeError, match="buffer"):
+            star_mul_tv(a, v, scratch=np.empty((5, 2, 5)))
+        v130 = self.mesh_major(rand_lower(rng, 2, 130, np.complex128))
+        whole = np.empty((130, 2, 130), complex)
+        with pytest.raises(ShapeError, match="buffer"):
+            star_mul_tv(rand_profile(rng, 2, 130), v130, scratch=whole)
+        with pytest.raises(ShapeError, match="buffer"):
+            vec_times_coef(v130, np.eye(130), subtract_from=np.zeros_like(whole), scratch=whole)
+        w = self.mesh_major(rand_lower(rng, 2, 5, np.complex128, "dual"))
+        x = np.zeros((5, 2, 5), complex)
+        with pytest.raises(ValueError, match="share memory"):
+            coef_times_vec(np.eye(5), w, subtract_from=x, scratch=x)
+        with pytest.raises(ValueError, match="share memory"):
+            coef_times_vec(np.eye(5), w, subtract_from=w.mesh)
+
+
+def todays_strip_product(rows, c, left=False):
+    """The coefficient product as one GEMM per strip into a fresh buffer, zeros elsewhere.
+
+    ``rows`` are stacked ``(n m, m)`` mesh-major rows; ``c`` is the right
+    factor, ``c.T`` of the coefficient for ``c x W^D`` (``left``).
+    """
+    m = c.shape[0]
+    n = rows.shape[0] // m
+    out = np.zeros_like(rows)
+    for s, e in _strips(m):
+        k = slice(s, m) if left else slice(0, e)
+        np.matmul(rows[s * n:e * n, k], c[k, k], out=out[s * n:e * n, k])
+    return out
+
+
+class TestStripKernels:
+    """The strip kernels give today's bits: one strip of scratch changes no value.
+
+    At m = 80, 130 and 250 they run over one, two and three strips.
+    """
+
+    DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                                     ids=["float64", "complex128"])
+    MESHES = pytest.mark.parametrize("m", [80, 130, 250])
+
+    @staticmethod
+    def operands(m, dtype):
+        rng = np.random.default_rng(m)
+        v = TestWorkspaceBuffers.mesh_major(rand_lower(rng, 3, m, dtype))
+        w = TestWorkspaceBuffers.mesh_major(rand_lower(rng, 3, m, dtype, "dual"))
+        c = rand_lower(rng, 1, m, dtype).data[0]
+        x = np.ascontiguousarray(np.tril(rng.standard_normal((3, m, m))).astype(dtype)
+                                 .transpose(1, 0, 2))
+        return rng, v, w, c, x
+
+    @DTYPES
+    @MESHES
+    def test_mul_tv_is_one_prefix_sum_and_one_matmul(self, m, dtype):
+        rng, v, _, _, _ = self.operands(m, dtype)
+        a = ProfileTensor(rng.standard_normal((4, 3, m)) * (1j if dtype == np.complex128 else 1))
+        csum = np.array(v.mesh, order="C")
+        want = np.matmul(_mesh_profiles(a, dtype), _prefix_sum(csum))
+        scratch = np.full(strip_scratch(3, m, dtype).shape, np.nan, dtype)
+        for got in (star_mul_tv(a, v), star_mul_tv(a, v, scratch=scratch)):
+            assert got.mesh.tobytes() == want.tobytes()
+
+    @DTYPES
+    @MESHES
+    def test_subtracting_forms_are_product_then_subtract(self, m, dtype):
+        _, v, w, c, x = self.operands(m, dtype)
+        cases = [(lambda into: vec_times_coef(v, c, subtract_from=into),
+                  todays_strip_product(v.mesh.reshape(-1, m), c)),
+                 (lambda into: coef_times_vec(c, w, subtract_from=into),
+                  todays_strip_product(w.mesh.reshape(-1, m), c.T, left=True))]
+        for kernel, product in cases:
+            want = np.subtract(x, product.reshape(x.shape))
+            assert kernel(x.copy()).mesh.tobytes() == want.tobytes()
+        product = vec_times_coef(v, c).mesh
+        assert product.tobytes() == cases[0][1].reshape(product.shape).tobytes()
+
+    @DTYPES
+    @MESHES
+    def test_subtracting_forms_match_the_dense_oracle(self, m, dtype):
+        _, v, w, c, x = self.operands(m, dtype)
+        xr, xd = _from_mesh(x, "right"), _from_mesh(x, "dual")
+        for got, want in [
+                (vec_times_coef(v, c, subtract_from=x.copy()), xr.data - scale_v(v, c, "right").data),
+                (coef_times_vec(c, w, subtract_from=x.copy()), xd.data - scale_v(w, c, "left").data)]:
+            assert got.data.dtype == dtype
+            assert rel_err(got.data, want) < 1e-13

@@ -231,43 +231,6 @@ def classify_breakdown(v_hat: HyperVec, w_hat: HyperVec, v_prev_norm: float,
     return None
 
 
-def _w_update(wa: HyperVec, alpha: np.ndarray, w_k: HyperVec,
-              beta_k: np.ndarray | None = None, w_prev: HyperVec | None = None, *,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """``(W_k*A - alpha_k x W_k) - beta_k x W_{k-1}``; the last term is absent for k = 1.
-
-    Returns the data of the dual hypervector, in the operands' mesh-major
-    layout, formed in ``wa``'s own buffer: ``W_k*A`` is spent once
-    ``alpha_k`` is read, and becomes ``W_{k+1}``.  Each coefficient product
-    is subtracted strip by strip through the strip ``scratch``.
-    """
-    coef_times_vec(alpha, w_k, subtract_from=wa.mesh, scratch=scratch)
-    if beta_k is not None:
-        coef_times_vec(beta_k, w_prev, subtract_from=wa.mesh, scratch=scratch)
-    return wa.data
-
-
-def _v_update(av: HyperVec, v_k: HyperVec, alpha: np.ndarray,
-              v_prev: HyperVec | None = None, *,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """``(A*V_k - V_k x alpha_k) - V_{k-1}``; the last term is absent for k = 1.
-
-    Returns the data of the right hypervector, in the operands' mesh-major
-    layout.  The differences are formed in the fresh buffer of ``V_k x
-    alpha_k``, so no operand is written to, or, given the strip ``scratch``,
-    in ``av``'s own buffer, from which ``V_k x alpha_k`` is subtracted strip
-    by strip, with the same values.
-    """
-    if scratch is None:
-        out = vec_times_coef(v_k, alpha).data
-        np.subtract(av.data, out, out=out)
-    else:
-        out = vec_times_coef(v_k, alpha, subtract_from=av.mesh, scratch=scratch).data
-    if v_prev is not None:
-        np.subtract(out, v_prev.data, out=out)
-    return out
-
-
 def _require_finite(coefficient: np.ndarray, name: str, k: int) -> None:
     """Stop the iteration at a NaN or infinite coefficient, naming it and ``k``."""
     if not np.isfinite(coefficient).all():
@@ -337,14 +300,16 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     :mod:`~toelanczos.tensor_core`, "Workspace").  At iteration ``k`` it
     holds ``V_{k-1}``, ``V_k``, ``W_{k-1}`` and ``W_k``, and forms
     ``W_k*A`` in the spent ``V_hat_k``'s buffer, where the W update turns
-    it into ``W_{k+1}``; ``W_{k-1}`` is then spent, and ``A*V_k``, which
-    reads only ``V_k``, is formed in its buffer and becomes ``V_hat`` in
-    place; ``V_{k-1}`` is then spent, and its buffer takes ``V_{k+1}``.  A
-    run with ``keep_walk`` keeps its ``2n`` bases instead of recycling them,
-    forms each ``A*V_k`` in one buffer of its own and ``V_hat`` in a fresh
-    one, so that ``A*V_k`` is left for its row's ``|A*V_k - R_k|``; every
-    kernel and update gives the same bits into a fresh buffer as into the
-    workspace, so both runs compute the same coefficients.
+    it into ``W_hat``, that is ``W_{k+1}``; ``W_{k-1}`` is then spent, and
+    ``A*V_k``, which reads only ``V_k``, is formed in its buffer and becomes
+    ``V_hat`` in place; ``V_{k-1}`` is then spent, and its buffer takes
+    ``V_{k+1}``.  A run with ``keep_walk`` keeps its ``2n`` bases instead of
+    recycling them and forms each ``A*V_k`` in one buffer of its own, which
+    its row's ``|A*V_k - R_k|`` reads; so it forms ``V_hat`` as ``A*V_k -
+    V_k x alpha_k`` in the fresh buffer of ``V_k x alpha_k``, and that
+    buffer, once spent, takes ``W_{k+1}*A`` as in a plain run.  A
+    difference has the same bits in either buffer, so both runs compute the
+    same coefficients.
 
     ``V_{k+1}`` is one matrix product of the stacked residual slices with
     the exact-zero inverse of the lower-triangular ``beta_{k+1}``; that needs
@@ -404,19 +369,26 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     # an overflow shows in the next coefficient, which is checked before use
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n + 1):
-            wa = star_mul_vt(w_basis[-1], b, out=wa_buf)
-            alpha = star_inner(wa, v_basis[-1])
+            v_k, w_k = v_basis[-1], w_basis[-1]
+            w_hat = star_mul_vt(w_k, b, out=wa_buf)
+            alpha = star_inner(w_hat, v_k)
             _require_finite(alpha, f"alpha_{k}", k)
             alphas.append(alpha)
-            w_prev = () if k == 1 else (betas[-1], w_basis[-2])
-            w_hat = HyperVec(_w_update(wa, alpha, w_basis[-1], *w_prev, scratch=scratch),
-                             "dual")
-            if not (keep_walk or k == 1):  # W_{k-1} is spent: its buffer takes A*V_k
-                av_buf = w_basis.pop(0).mesh
-            av = star_mul_tv(b, v_basis[-1], out=av_buf, scratch=scratch)
-            v_prev = () if k == 1 else (v_basis[-2],)
-            v_hat = HyperVec(_v_update(av, v_basis[-1], alpha, *v_prev,
-                                       scratch=None if keep_walk else scratch), "right")
+            # W_hat = (W_k*A - alpha_k x W_k) - beta_k x W_{k-1}, in W_k*A's buffer
+            coef_times_vec(alpha, w_k, subtract_from=w_hat.mesh, scratch=scratch)
+            if k > 1:
+                coef_times_vec(betas[-1], w_basis[-2], subtract_from=w_hat.mesh, scratch=scratch)
+                if not keep_walk:  # W_{k-1} is spent: its buffer takes A*V_k
+                    av_buf = w_basis.pop(0).mesh
+            av = star_mul_tv(b, v_k, out=av_buf, scratch=scratch)
+            # V_hat = (A*V_k - V_k x alpha_k) - V_{k-1}, in A*V_k's buffer
+            if keep_walk:  # its row reads A*V_k: V_hat takes the product's fresh buffer
+                v_hat = vec_times_coef(v_k, alpha)
+                np.subtract(av.mesh, v_hat.mesh, out=v_hat.mesh)
+            else:
+                v_hat = vec_times_coef(v_k, alpha, subtract_from=av.mesh, scratch=scratch)
+            if k > 1:
+                np.subtract(v_hat.mesh, v_basis[-2].mesh, out=v_hat.mesh)
 
             if k == n:
                 return finish(LanczosStatus("completed"), v_hat, w_hat, av)
@@ -424,8 +396,7 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
             beta_next = star_inner(w_hat, v_hat)
             _require_finite(beta_next, f"beta_{k + 1}", k)
             inverse, cond = _inverse_lower(beta_next)
-            breakdown = classify_breakdown(v_hat, w_hat, frobenius(v_basis[-1]),
-                                           frobenius(w_basis[-1]), cond,
+            breakdown = classify_breakdown(v_hat, w_hat, frobenius(v_k), frobenius(w_k), cond,
                                            eps_lucky, eps_serious)
             if breakdown is not None:
                 return finish(replace(breakdown, k=k), v_hat, w_hat, av)
@@ -439,9 +410,7 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
             if keep_walk:  # R_k = V_hat - V_{k+1} x beta_{k+1}, formed in V_hat's buffer
                 v_rows.append(_row_norms(av, vec_times_coef(
                     v_basis[-1], beta_next, subtract_from=v_hat.mesh, scratch=scratch)))
-                del v_hat  # spent: freed before the next one is formed
-            else:  # V_hat is spent: its buffer takes the next W*A
-                wa_buf = v_hat.mesh
+            wa_buf = v_hat.mesh  # V_hat is spent: its buffer takes W_{k+1}*A
 
     raise AssertionError("unreachable")
 

@@ -254,6 +254,8 @@ def dense_right_side(res, k_max):
 
 
 class TestMomentMatrices:
+    """The moment pairs that ``diagnostics._moment_pairs`` forms and ``err_moments`` compares."""
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(big_n=st.integers(1, 4), m=st.integers(2, 12), data=st.data(),
            seed=st.integers(0, 2**32 - 1))

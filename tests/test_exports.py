@@ -1,11 +1,13 @@
 """The export lists: every name in a module's ``__all__`` exists, and the
 package namespace imports only exported names, so a deleted name left in
-either list fails here rather than at a user's import."""
+either list fails here rather than at a user's import.  Likewise every test
+class, and test, that the documents cite exists."""
 
 import ast
 import builtins
 import importlib
 import pkgutil
+import re
 import symtable
 from pathlib import Path
 
@@ -130,3 +132,40 @@ def test_private_import_is_flagged(tmp_path):
                     "def f():\n    from .tensor_core import _mesh\n    from numpy import _core\n")
     assert private_imports(path) == ["m.py imports lanczos._times_i_power",
                                      "m.py imports tensor_core._mesh"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = [ROOT / name for name in ("DECISIONS.md", "ROADMAP.md", "README.md")]
+TEST_FILES = sorted(path for folder in ("tests", "perfbench")
+                    for path in (ROOT / folder).glob("*.py"))
+CITATION = re.compile(r"\b(Test[A-Z]\w*)(?:::(test_\w+))?")
+
+
+def defined_tests(paths: list[Path]) -> dict[str, set[str]]:
+    """Each ``Test*`` class defined in ``paths``, with the functions its body defines."""
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+                found.setdefault(node.name, set()).update(
+                    f.name for f in node.body if isinstance(f, ast.FunctionDef))
+    return found
+
+
+def stale_citations(text: str, defined: dict[str, set[str]]) -> list[str]:
+    """Each ``TestX`` or ``TestX::test_y`` cited in ``text`` that ``defined`` lacks."""
+    return sorted({m.group(0) for m in CITATION.finditer(text)
+                   if m.group(1) not in defined
+                   or (m.group(2) and m.group(2) not in defined[m.group(1)])})
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=[p.name for p in DOCS])
+def test_docs_cite_only_defined_tests(doc):
+    assert stale_citations(doc.read_text(), defined_tests(TEST_FILES)) == []
+
+
+def test_stale_citation_is_flagged():
+    text = ("`TestKept`, `TestKept::test_kept[a]` and `tests/t.py::TestKept::test_gone`; "
+            "`TestGone`, `TestGone::test_kept`; Testing and test_gone are no citations")
+    assert stale_citations(text, {"TestKept": {"test_kept"}}) == [
+        "TestGone", "TestGone::test_kept", "TestKept::test_gone"]

@@ -28,8 +28,8 @@ from toelanczos import (
 )
 from toelanczos import cli, diagnostics, lanczos, resolvent
 from toelanczos.cli import solve
-from toelanczos.lanczos import TriTensor, _inverse_lower, _v_update, _w_update
-from toelanczos.tensor_core import ShapeError, star_mul_tt, strip_scratch, vec_times_coef
+from toelanczos.lanczos import TriTensor, _inverse_lower
+from toelanczos.tensor_core import ShapeError, coef_times_vec, star_mul_tt, vec_times_coef
 from oracles import (
     assemble_tridiag,
     dense_lanczos,
@@ -262,22 +262,23 @@ class TestTriangularSolves:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_operand_raises(self, monkeypatch, operand, bad):
         # "u": the inverted matrix itself, which the helper reports as
-        # unusable; "b": the residual that the loop's GEMM multiplies, which
-        # reaches the loop's guard through beta = W^D * V_hat
+        # unusable; "b": the residual that the loop's GEMM multiplies, here
+        # poisoned through A*V_1, which reaches the loop's guard through
+        # beta = W^D * V_hat
         if operand == "u":
             l = np.tril(np.ones((3, 3)))
             l[2, 0] = bad
             x, cond = _inverse_lower(l)
             assert x is None and cond == np.inf
             return
-        v_update = lanczos._v_update
+        mul_tv = lanczos.star_mul_tv
 
         def poisoned(*args, **kwargs):
-            out = v_update(*args, **kwargs)
-            out[0, 2, 0] = bad
+            out = mul_tv(*args, **kwargs)
+            out.data[0, 2, 0] = bad
             return out
 
-        monkeypatch.setattr(lanczos, "_v_update", poisoned)
+        monkeypatch.setattr(lanczos, "star_mul_tv", poisoned)
         monkeypatch.setattr(lanczos, "classify_breakdown", lambda *args: None)
         p = builtin("timedep5")
         a4 = discretize_problem(p, build_mesh(p.a, p.b, 8))
@@ -490,68 +491,84 @@ class TestBreakdownRuns:
 
 
 class TestUpdates:
-    """Where the residual updates are formed, and what they form.
+    """What the loop's residual updates form, and in which buffers.
 
-    ``_v_update`` forms its residual in the fresh buffer of ``V_k x
-    alpha_k``, never in an operand, or, given the strip ``scratch``, in
-    ``A*V_k``'s own.  ``_w_update`` always forms its residual in ``W_k*A``'s
-    buffer, subtracting the coefficient products through the scratch.
+    ``W_hat`` is formed in ``W_k*A``'s buffer, from which the coefficient
+    products are subtracted strip by strip.  ``V_hat`` is formed in
+    ``A*V_k``'s buffer in a plain run, and in the fresh buffer of ``V_k x
+    alpha_k`` in a recording run, whose row reads ``A*V_k``.  No basis is
+    written once formed.  Checked on two steps at M=130, where the
+    coefficient products run over two strips.
     """
 
     @staticmethod
-    def second_step(problem_id):
-        # M=130: the coefficient products run over two strips
+    def two_steps(problem_id, keep_walk):
+        """The 2-step run, and the last ``A*V_k`` and ``W_k*A`` that its products returned."""
+        products = {"star_mul_tv": [], "star_mul_vt": []}
         p = builtin(problem_id)
-        res = tensor_lanczos(discretize_problem(p, build_mesh(p.a, p.b, 130)), p.v, p.w, 2,
-                             keep_walk=True)
-        tri = res.run_tri
-        return res, res.walk.v_basis, res.walk.w_basis, tri.alphas[1], tri.betas[0]
+        a4 = discretize_problem(p, build_mesh(p.a, p.b, 130))
+        with pytest.MonkeyPatch.context() as mp:
+            for name, kept in products.items():
+                def recorded(*args, _kernel=getattr(lanczos, name), _kept=kept, **kwargs):
+                    _kept.append(_kernel(*args, **kwargs))
+                    return _kept[-1]
+                mp.setattr(lanczos, name, recorded)
+            res = tensor_lanczos(a4, p.v, p.w, 2, keep_walk=keep_walk)
+        assert res.status.completed
+        return res, products["star_mul_tv"][-1], products["star_mul_vt"][-1]
 
     @pytest.mark.parametrize("problem_id", ["nmr2", "nmr3"])
     def test_operands_unchanged(self, problem_id):
-        res, vb, _, alpha, _ = self.second_step(problem_id)
-        av = star_mul_tv(res.operator, vb[1])
-        operands = [av.data, *(hv.data for hv in vb), alpha]
-        before = [x.copy() for x in operands]
-        got = [_v_update(av, vb[1], alpha), _v_update(av, vb[1], alpha, vb[0])]
-        for x, y in zip(operands, before):
-            assert np.array_equal(x, y)
-        # the grouping (x - y) - z, bit for bit
-        v_first = av.data - vec_times_coef(vb[1], alpha).data
-        want = [v_first, v_first - vb[0].data]
-        for g, x in zip(got, want):
-            assert np.array_equal(g, x)
-
-        # with the strip scratch the same bits are formed in the kernel output's buffer
-        scratch = strip_scratch(av.n, av.m, av.data.dtype)
-        in_place = _v_update(av, vb[1], alpha, vb[0], scratch=scratch)
-        for x, y in zip(operands[1:], before[1:]):
-            assert np.array_equal(x, y)
-        assert np.shares_memory(in_place, av.data) and np.array_equal(in_place, want[1])
+        res, av, _ = self.two_steps(problem_id, True)
+        op, (v1, v2), (w1, w2) = res.operator, res.walk.v_basis, res.walk.w_basis
+        (a1, a2), (beta,) = res.run_tri.alphas, res.run_tri.betas
+        # each basis and coefficient as its kernels formed it, bit for bit:
+        # nothing wrote to it later
+        v, w = res.run_start
+        inverse, _ = _inverse_lower(beta)
+        v_hat1 = HyperVec(star_mul_tv(op, v1).data - vec_times_coef(v1, a1).data)
+        w_hat1 = coef_times_vec(a1, w1, subtract_from=star_mul_vt(w1, op).mesh)
+        for got, want in ((v1.data, lift(v, 130).data), (w1.data, lift_dual(w, 130).data),
+                          (v2.data, vec_times_coef(v_hat1, inverse).data), (w2.data, w_hat1.data),
+                          (a1, star_inner(star_mul_vt(w1, op), v1)), (beta, star_inner(w2, v_hat1)),
+                          (a2, star_inner(star_mul_vt(w2, op), v2))):
+            assert np.array_equal(got, want)
+        # the grouping (A*V_2 - V_2 x alpha_2) - V_1, bit for bit, in A*V_2's
+        # buffer in a plain run and apart from it in a recording one
+        want = (star_mul_tv(op, v2).data - vec_times_coef(v2, a2).data) - v1.data
+        plain, plain_av, _ = self.two_steps(problem_id, False)
+        assert np.array_equal(res.run_residual_v.data, want)
+        assert np.array_equal(plain.run_residual_v.data, want)
+        assert np.shares_memory(plain.run_residual_v.data, plain_av.data)
+        assert not np.may_share_memory(res.run_residual_v.data, av.data)
 
     @pytest.mark.parametrize("problem_id", ["nmr2", "nmr3"])
     def test_w_update_writes_only_its_product(self, problem_id):
-        res, _, wb, alpha, beta = self.second_step(problem_id)
-        wa = star_mul_vt(wb[1], res.operator)
-        # (W_k*A - alpha_k W_k) - beta_k W_{k-1}, slice by slice; the strips
-        # sum in another order (measured: equal on nmr2, 1.8e-17 relative on nmr3)
-        want = (wa.data - alpha @ wb[1].data) - beta @ wb[0].data
-        operands = [*(hv.data for hv in wb), alpha, beta]
-        before = [x.copy() for x in operands]
-        scratch = strip_scratch(wa.n, wa.m, wa.data.dtype)
-        got = _w_update(wa, alpha, wb[1], beta, wb[0], scratch=scratch)
-        for x, y in zip(operands, before):
-            assert np.array_equal(x, y)
-        assert np.shares_memory(got, wa.data) and got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        runs = [self.two_steps(problem_id, keep) for keep in (True, False)]
+        res = runs[0][0]
+        op, (w1, w2) = res.operator, res.walk.w_basis
+        alpha, beta = res.run_tri.alphas[1], res.run_tri.betas[0]
+        wa = star_mul_vt(w2, op)
+        # (W_2*A - alpha_2 W_2) - beta_2 W_1, slice by slice; the strips sum
+        # in another order (measured: equal on nmr2, 1.8e-17 relative on nmr3)
+        want = (wa.data - alpha @ w2.data) - beta @ w1.data
+        exact = coef_times_vec(beta, w1, subtract_from=coef_times_vec(
+            alpha, w2, subtract_from=wa.mesh).mesh)
+        for run, _, w2a in runs:
+            got = run.run_residual_w.data
+            assert np.shares_memory(got, w2a.data) and got.shape == want.shape
+            assert np.array_equal(got, exact.data)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestWorkspace:
     """The loop rotates a fixed set of buffers, or keeps its bases when it records the walk.
 
-    A recording run forms ``V_hat`` and its bases in fresh buffers; every
-    kernel and update gives the same bits there as in the workspace, so it
-    is the run that keeps none, bit for bit.
+    A recording run forms each basis in a fresh buffer and keeps ``A*V_k``
+    for its row, so it forms ``V_hat`` in the fresh buffer of ``V_k x
+    alpha_k`` rather than in ``A*V_k``'s; every kernel and difference gives
+    the same bits in either buffer, so it is the run that keeps none, bit
+    for bit.
     """
 
     @staticmethod
@@ -645,9 +662,11 @@ class TestWorkspace:
                                                 ("timedep5", 100, 5), ("nmr2", 120, 4)])
     def test_recording_keeps_its_bases_and_frees_each_row(self, problem_id, m, n):
         # a recording run keeps the 2n bases more than a plain one; its peak
-        # above what it keeps is A*V_k's buffer and the temporary, 2.0
-        # hypervectors, and 3.0 if a spent V_hat outlives the next one's
-        # product; the walk rebuilt after the loop held 4.0 above its bases
+        # above what it keeps is A*V_k's buffer and the strip scratch, a whole
+        # hypervector below M=128: 2.0 hypervectors.  The spent V_hat's buffer
+        # takes W_{k+1}*A; a fresh one there, with the spent V_hat alive until
+        # the next is formed, reads 3.0, and the walk rebuilt after the loop
+        # held 4.0 above its bases
         p = builtin(problem_id)
         a4 = discretize_problem(p, build_mesh(p.a, p.b, m))
         traced = []

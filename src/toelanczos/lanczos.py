@@ -79,7 +79,6 @@ from .tensor_core import (
     star_inner,
     star_mul_tv,
     star_mul_vt,
-    strip_scratch,
     vec_times_coef,
 )
 
@@ -295,21 +294,21 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
         Record the bases and the V recurrence rows as
         :attr:`LanczosResult.walk`, for the diagnostics that read them.
 
-    The loop rotates five mesh-major buffers and one mesh strip of scratch,
-    so its memory does not grow with ``n`` (module docstring of
-    :mod:`~toelanczos.tensor_core`, "Workspace").  At iteration ``k`` it
-    holds ``V_{k-1}``, ``V_k``, ``W_{k-1}`` and ``W_k``, and forms
-    ``W_k*A`` in the spent ``V_hat_k``'s buffer, where the W update turns
-    it into ``W_hat``, that is ``W_{k+1}``; ``W_{k-1}`` is then spent, and
-    ``A*V_k``, which reads only ``V_k``, is formed in its buffer and becomes
-    ``V_hat`` in place; ``V_{k-1}`` is then spent, and its buffer takes
-    ``V_{k+1}``.  A run with ``keep_walk`` keeps its ``2n`` bases instead of
-    recycling them and forms each ``A*V_k`` in one buffer of its own, which
-    its row's ``|A*V_k - R_k|`` reads; so it forms ``V_hat`` as ``A*V_k -
-    V_k x alpha_k`` in the fresh buffer of ``V_k x alpha_k``, and that
-    buffer, once spent, takes ``W_{k+1}*A`` as in a plain run.  A
-    difference has the same bits in either buffer, so both runs compute the
-    same coefficients.
+    The loop rotates five mesh-major buffers, so its memory does not grow
+    with ``n``; the kernels allocate and free their own strip temporaries
+    (module docstring of :mod:`~toelanczos.tensor_core`, "Workspace").  At
+    iteration ``k`` it holds ``V_{k-1}``, ``V_k``, ``W_{k-1}`` and ``W_k``,
+    and forms ``W_k*A`` in the spent ``V_hat_k``'s buffer, where the W
+    update turns it into ``W_hat``, that is ``W_{k+1}``; ``W_{k-1}`` is
+    then spent, and ``A*V_k``, which reads only ``V_k``, is formed in its
+    buffer and becomes ``V_hat`` in place; ``V_{k-1}`` is then spent, and
+    its buffer takes ``V_{k+1}``.  A run with ``keep_walk`` keeps its ``2n``
+    bases instead of recycling them and forms each ``A*V_k`` in one buffer
+    of its own, which its row's ``|A*V_k - R_k|`` reads; so it forms
+    ``V_hat`` as ``A*V_k - V_k x alpha_k`` in the fresh buffer of ``V_k x
+    alpha_k``, and that buffer, once spent, takes ``W_{k+1}*A`` as in a
+    plain run.  A difference has the same bits in either buffer, so both
+    runs compute the same coefficients.
 
     ``V_{k+1}`` is one matrix product of the stacked residual slices with
     the exact-zero inverse of the lower-triangular ``beta_{k+1}``; that needs
@@ -351,7 +350,6 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
     betas: list[np.ndarray] = []
     v_rows: list[tuple[float, float, float]] = []
 
-    scratch = strip_scratch(a.n1, m, b.data.dtype)
     # W_k*A becomes W_{k+1}: a fresh buffer until a spent V_hat's can take it
     wa_buf = None
     # A*V_k: a fresh buffer until a spent W's can take it, one of its own when recording
@@ -375,18 +373,18 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
             _require_finite(alpha, f"alpha_{k}", k)
             alphas.append(alpha)
             # W_hat = (W_k*A - alpha_k x W_k) - beta_k x W_{k-1}, in W_k*A's buffer
-            coef_times_vec(alpha, w_k, subtract_from=w_hat.mesh, scratch=scratch)
+            coef_times_vec(alpha, w_k, subtract_from=w_hat.mesh)
             if k > 1:
-                coef_times_vec(betas[-1], w_basis[-2], subtract_from=w_hat.mesh, scratch=scratch)
+                coef_times_vec(betas[-1], w_basis[-2], subtract_from=w_hat.mesh)
                 if not keep_walk:  # W_{k-1} is spent: its buffer takes A*V_k
                     av_buf = w_basis.pop(0).mesh
-            av = star_mul_tv(b, v_k, out=av_buf, scratch=scratch)
+            av = star_mul_tv(b, v_k, out=av_buf)
             # V_hat = (A*V_k - V_k x alpha_k) - V_{k-1}, in A*V_k's buffer
             if keep_walk:  # its row reads A*V_k: V_hat takes the product's fresh buffer
                 v_hat = vec_times_coef(v_k, alpha)
                 np.subtract(av.mesh, v_hat.mesh, out=v_hat.mesh)
             else:
-                v_hat = vec_times_coef(v_k, alpha, subtract_from=av.mesh, scratch=scratch)
+                v_hat = vec_times_coef(v_k, alpha, subtract_from=av.mesh)
             if k > 1:
                 np.subtract(v_hat.mesh, v_basis[-2].mesh, out=v_hat.mesh)
 
@@ -409,7 +407,7 @@ def tensor_lanczos(a: ProfileTensor, v: np.ndarray, w: np.ndarray, n: int,
             w_basis.append(w_hat)
             if keep_walk:  # R_k = V_hat - V_{k+1} x beta_{k+1}, formed in V_hat's buffer
                 v_rows.append(_row_norms(av, vec_times_coef(
-                    v_basis[-1], beta_next, subtract_from=v_hat.mesh, scratch=scratch)))
+                    v_basis[-1], beta_next, subtract_from=v_hat.mesh)))
             wa_buf = v_hat.mesh  # V_hat is spent: its buffer takes W_{k+1}*A
 
     raise AssertionError("unreachable")

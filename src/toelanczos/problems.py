@@ -474,22 +474,25 @@ def _typed(value, where: str, kind: str):
     """``value`` checked to be of JSON ``kind``, else ``ValueError`` naming ``where``.
 
     An integer accepts an integral float such as ``2.0``; a boolean is never
-    a number, and a number must be finite: ``json`` reads the ``NaN`` and
-    ``Infinity`` literals, and an integer literal can exceed the float range.
+    a number.  A number must be finite and an integer within the float
+    range: ``json`` reads the ``NaN`` and ``Infinity`` literals, and an
+    integer literal can exceed the float range, where no ``t**power`` can be
+    evaluated.
     """
     if kind == "integer" and isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
         raise ValueError(f"problem file: {where} must be a JSON {kind}, got {value!r:.60}")
-    if kind != "number":
+    if kind not in ("number", "integer"):
         return value
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ValueError(f"problem file: {where} must be a finite number, got {value!r:.60}")
-    return number
+        what = "a finite number" if kind == "number" else "an integer within the float range"
+        raise ValueError(f"problem file: {where} must be {what}, got {value!r:.60}")
+    return number if kind == "number" else value
 
 
 def _field(doc, key: str, kind: str, parent: str = "", default=None):

@@ -37,11 +37,13 @@ mesh-major copy, with bit-identical results.  In this layout:
   over the contiguous ``(n, m)`` planes; the prefix sum adds plane ``j`` to
   its neighbour in ``np.cumsum``'s order, so it equals ``np.cumsum`` bit
   for bit without its strided pass.  :func:`star_mul_tv` runs both one mesh
-  strip (below) at a time, through a scratch of one strip;
+  strip (below) at a time, through a buffer of one strip that each call
+  allocates;
 * the coefficient products :func:`vec_times_coef` (``V x c``) and
   :func:`coef_times_vec` (``c x W^D``) are one GEMM of the stacked
   ``(n m, m)`` rows per mesh strip (below), written into the output or, in
-  the subtracting form, formed in the strip scratch and subtracted from it;
+  the subtracting form, formed in a temporary of the strip's block and
+  subtracted from the output;
 * :func:`star_inner` accumulates the slice products ``w[k] @ v[k]`` one by
   one in ascending ``k``, on strided views; exact cancellations in that sum
   (a singular ``beta``) would not survive a reordered single GEMM.
@@ -55,13 +57,12 @@ with an operand (:attr:`HyperVec.mesh` of a hypervector the package built is
 one); ``out`` is overwritten entirely, and the result is the hypervector
 stored in it.  The subtracting forms of the coefficient products,
 ``X - V x c`` and ``X - c x W^D``, take such a buffer holding ``X`` as
-``subtract_from=`` and leave the difference in it.  :func:`star_mul_tv` and
-the subtracting forms also take a ``scratch=`` of one mesh strip (below), a
-C-ordered ``(rows, n, m)`` array of the largest strip's ``rows`` that
-:func:`strip_scratch` allocates, apart from the operands and the output; a
-kernel given none allocates its own.  A kernel does the same products in the
-same order into given buffers as into fresh ones, so the results are
-bit-identical; the Lanczos loop runs on a fixed set of such buffers.
+``subtract_from=`` and leave the difference in it.  The temporaries of one
+mesh strip (below) that :func:`star_mul_tv` and the subtracting forms need
+are their own, allocated per call and freed on return.  A kernel does the
+same products in the same order into given buffers as into fresh ones, so
+the results are bit-identical; the Lanczos loop runs on a fixed set of such
+buffers.
 
 Triangular contract: :func:`star_inner`, :func:`vec_times_coef` and
 :func:`coef_times_vec` require hypervectors whose slices are lower
@@ -103,7 +104,6 @@ __all__ = [
     "star_inner",
     "vec_times_coef",
     "coef_times_vec",
-    "strip_scratch",
     "lift",
     "lift_dual",
     "frobenius",
@@ -304,37 +304,22 @@ def _strips(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(bounds, bounds[1:]))
 
 
-def _scratch(buf: np.ndarray | None, n: int, m: int, dtype, *operands: np.ndarray) -> np.ndarray:
-    """``buf``, checked to be a strip scratch apart from ``operands``, or a fresh one."""
-    return _buffer(buf, (max(e - s for s, e in _strips(m)), n, m), dtype, *operands)
-
-
-def strip_scratch(n: int, m: int, dtype) -> np.ndarray:
-    """A fresh scratch for the kernels on ``(n, m, m)`` hypervectors: one mesh strip, ``(rows, n, m)``.
-
-    ``rows`` is the largest strip's, so below ``m = 128`` the scratch is a
-    whole mesh-major hypervector, and at ``m = 250`` a third of one (module
-    docstring, "Workspace").
-    """
-    return _scratch(None, n, m, dtype)
-
-
-def star_mul_tv(a: ProfileTensor, v: HyperVec, *, out: np.ndarray | None = None,
-                scratch: np.ndarray | None = None) -> HyperVec:
+def star_mul_tv(a: ProfileTensor, v: HyperVec, *, out: np.ndarray | None = None) -> HyperVec:
     """Tensor-hypervector product ``(A * V)[i1] = sum_k a[i1, k] @ v[k]``.
 
     ``a[i1, k] @ v[k]`` is ``data[i1, k]`` scaling the rows of the row-wise
     running sum of ``v[k]``, so mesh row ``j`` of the result is
     ``data[:, :, j] @ cumsum(v)[:, j]``: a prefix sum over the mesh-major
     planes of ``V`` and one batched product over the rows, written straight
-    into the mesh-major output.  Both run one mesh strip at a time in
-    ``scratch``: the strip's planes of ``V`` are copied there, its first
-    plane adds the previous strip's last running sum, which the copy has not
-    yet overwritten, and the strip's prefix sum feeds its rows of ``out``.
-    Every plane adds the same planes in the same order as one prefix sum of
-    the whole copy, and below ``m = 128`` the one strip is that copy (module
-    docstring, "Workspace").  Any operator other than a :class:`ProfileTensor`
-    raises ``TypeError``.
+    into the mesh-major output (``out`` if given, module docstring,
+    "Workspace").  Both run one mesh strip at a time in a buffer of the
+    largest strip's rows, allocated per call: the strip's planes of ``V``
+    are copied there, its first plane adds the previous strip's last running
+    sum, which the copy has not yet overwritten, and the strip's prefix sum
+    feeds its rows of the output.  Every plane adds the same planes in the
+    same order as one prefix sum of the whole copy, and below ``m = 128``
+    the one strip is that copy.  Any operator other than a
+    :class:`ProfileTensor` raises ``TypeError``.
     """
     _require_profile(a)
     if v.orientation != "right":
@@ -343,10 +328,11 @@ def star_mul_tv(a: ProfileTensor, v: HyperVec, *, out: np.ndarray | None = None,
         raise ShapeError(f"cannot *-multiply {a.data.shape} with {v.data.shape}")
     dtype = np.result_type(a.data, v.data)
     out = _buffer(out, (v.m, a.n1, v.m), dtype, v.data)
-    scratch = _scratch(scratch, v.n, v.m, dtype, v.data, out)
+    strips = _strips(v.m)
+    strip = np.empty((max(e - s for s, e in strips), v.n, v.m), dtype)
     profiles, vm, last = _mesh_profiles(a, dtype), v.mesh, None
-    for s, e in _strips(v.m):
-        csum = scratch[:e - s]
+    for s, e in strips:
+        csum = strip[:e - s]
         np.copyto(csum[0], vm[s])
         if last is not None:
             np.add(csum[0], last, csum[0])
@@ -406,15 +392,15 @@ def star_inner(w: HyperVec, v: HyperVec) -> np.ndarray:
     return out
 
 
-def _strip_gemms(rows: np.ndarray, c: np.ndarray, dst: np.ndarray,
-                 scratch: np.ndarray | None, *, left: bool) -> None:
+def _strip_gemms(rows: np.ndarray, c: np.ndarray, dst: np.ndarray, *,
+                 subtract: bool, left: bool) -> None:
     """One GEMM per mesh strip of the stacked ``(n m, m)`` rows and ``c``, on its nonzero block.
 
     The rows of mesh rows ``[s, e)`` multiply ``c[:e, :e]`` on their first
     ``e`` columns, or with ``left`` ``c[s:, s:]`` on their columns from
-    ``s`` on; the rest of the strip's rows is an exact zero.  Without a
-    scratch the GEMM writes into ``dst``'s block and the rest of the rows
-    is set to zeros; with one it is formed in the scratch and subtracted
+    ``s`` on; the rest of the strip's rows is an exact zero.  The GEMM
+    writes into ``dst``'s block and the rest of the rows is set to zeros;
+    with ``subtract`` it goes to a strip-sized temporary that is subtracted
     from the block, and the rest is left as it is, since ``x - (+0) = x``.
     """
     m = c.shape[0]
@@ -423,17 +409,15 @@ def _strip_gemms(rows: np.ndarray, c: np.ndarray, dst: np.ndarray,
         r = slice(s * n, e * n)
         k, zero = (slice(s, m), slice(0, s)) if left else (slice(0, e), slice(e, m))
         block = dst[r, k]
-        if scratch is None:
+        if subtract:
+            np.subtract(block, rows[r, k] @ c[k, k], out=block)
+        else:
             np.matmul(rows[r, k], c[k, k], out=block)
             dst[r, zero] = 0
-        else:
-            prod = scratch.reshape(-1, m)[:block.shape[0], :block.shape[1]]
-            np.subtract(block, np.matmul(rows[r, k], c[k, k], out=prod), out=block)
 
 
 def vec_times_coef(v: HyperVec, c: np.ndarray, *, out: np.ndarray | None = None,
-                   subtract_from: np.ndarray | None = None,
-                   scratch: np.ndarray | None = None) -> HyperVec:
+                   subtract_from: np.ndarray | None = None) -> HyperVec:
     """``V x c``: every slice of the right hypervector ``v`` times the m x m matrix ``c``.
 
     Requires lower-triangular slices and a lower-triangular ``c`` (module
@@ -443,8 +427,8 @@ def vec_times_coef(v: HyperVec, c: np.ndarray, *, out: np.ndarray | None = None,
     the output's rows, whose columns from ``e`` on are set to exact zeros.
     The output is ``out`` if given.  Given ``subtract_from``, the buffer of
     a right hypervector ``X``, the result is instead ``X - V x c``, formed
-    in that buffer: each strip's GEMM goes to ``scratch`` and is subtracted
-    from the strip's nonzero block (module docstring, "Workspace").
+    in that buffer: each strip's GEMM goes to a temporary of the strip's
+    block and is subtracted from it (module docstring, "Workspace").
     """
     if v.orientation != "right":
         raise OrientationError("V x c needs a right-oriented hypervector")
@@ -456,13 +440,12 @@ def vec_times_coef(v: HyperVec, c: np.ndarray, *, out: np.ndarray | None = None,
     dtype = np.result_type(v.data, c)
     vm, c = _mesh(v, dtype), c.astype(dtype, copy=False)
     buf = _buffer(out if subtract_from is None else subtract_from, vm.shape, dtype, v.data)
-    scratch = None if subtract_from is None else _scratch(scratch, v.n, v.m, dtype, v.data, buf)
-    _strip_gemms(vm.reshape(-1, v.m), c, buf.reshape(-1, v.m), scratch, left=False)
+    _strip_gemms(vm.reshape(-1, v.m), c, buf.reshape(-1, v.m),
+                 subtract=subtract_from is not None, left=False)
     return _from_mesh(buf, "right")
 
 
-def coef_times_vec(c: np.ndarray, w: HyperVec, *, subtract_from: np.ndarray,
-                   scratch: np.ndarray | None = None) -> HyperVec:
+def coef_times_vec(c: np.ndarray, w: HyperVec, *, subtract_from: np.ndarray) -> HyperVec:
     """``X - c x W^D``: less ``c`` times every slice of the dual ``w``, formed in ``X``'s buffer.
 
     ``subtract_from`` is the mesh-major buffer of the dual hypervector
@@ -471,9 +454,9 @@ def coef_times_vec(c: np.ndarray, w: HyperVec, *, subtract_from: np.ndarray,
     lower-triangular ``c`` (module docstring); entries above their diagonals
     may go unread.  Row ``(j, k)`` of the stacked ``(n m, m)`` mesh-major
     rows is column ``j`` of ``w[k]``, zero before entry ``j``; so the rows
-    of mesh rows ``[s, e)`` are one GEMM with ``c.T[s:, s:]``, formed in
-    ``scratch`` and subtracted from their columns from ``s`` on (module
-    docstring, "Workspace").
+    of mesh rows ``[s, e)`` are one GEMM with ``c.T[s:, s:]``, formed in a
+    temporary of the strip's block and subtracted from their columns from
+    ``s`` on (module docstring, "Workspace").
     """
     if w.orientation != "dual":
         raise OrientationError("c x W needs a dual-oriented hypervector")
@@ -483,8 +466,7 @@ def coef_times_vec(c: np.ndarray, w: HyperVec, *, subtract_from: np.ndarray,
     dtype = np.result_type(w.data, c)
     wm, c = _mesh(w, dtype), c.astype(dtype, copy=False)
     buf = _buffer(subtract_from, wm.shape, dtype, w.data)
-    _strip_gemms(wm.reshape(-1, w.m), c.T, buf.reshape(-1, w.m),
-                 _scratch(scratch, w.n, w.m, dtype, w.data, buf), left=True)
+    _strip_gemms(wm.reshape(-1, w.m), c.T, buf.reshape(-1, w.m), subtract=True, left=True)
     return _from_mesh(buf, "dual")
 
 

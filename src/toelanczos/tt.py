@@ -83,14 +83,21 @@ def tt_svd(a: ProfileTensor, tol: float) -> TTTensor:
     ``tol`` is the relative Frobenius reconstruction tolerance (finite and
     > 0); the per-sweep truncation threshold is ``tol * |A|_F / sqrt(3)``.
     The cores are those of the sweep on the dense operator, up to the
-    signs and rotations an SVD leaves free.
+    signs and rotations an SVD leaves free.  The sweep runs on the profiles
+    divided by a power of two near their largest entry, and the last core is
+    multiplied by it: that is exact (bar entries pushed below the normal
+    range, far under any truncation), leaves every truncation as it is,
+    and keeps the squared singular values of large finite profiles in range.
     """
     _require_profile(a)
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     n1, n2, m = a.data.shape
+    # the largest real or imaginary part: a modulus could overflow
+    top = max(np.abs(a.data.real).max(initial=0.0), np.abs(a.data.imag).max(initial=0.0))
+    scale = np.ldexp(1.0, np.frexp(top)[1] - 1)  # top / scale is in [1, 2)
     row_norms = np.sqrt(np.arange(1, m + 1))  # |row j of tril(1)|
-    y = a.data * row_norms
+    y = a.data / scale * row_norms
     delta = tol * np.linalg.norm(y.ravel()) / np.sqrt(3.0)
     delta_sq = delta * delta
 
@@ -104,7 +111,7 @@ def tt_svd(a: ProfileTensor, tol: float) -> TTTensor:
     u3, rest = _truncated_svd(sqrt_w[:, None] * np.tril(np.ones((m, m))), delta_sq)
     r3 = u3.shape[1]
     cores = [u1.reshape(1, n1, r1), u2.reshape(r1, n2, r2),
-             q3[:, :, None] * u3, rest.reshape(r3, m, 1)]
+             q3[:, :, None] * u3, scale * rest.reshape(r3, m, 1)]
     return TTTensor(cores, (1, r1, r2, r3, 1), (n1, n2, m, m), float(tol))
 
 

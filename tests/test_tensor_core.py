@@ -28,7 +28,6 @@ from toelanczos.tensor_core import (
     _strips,
     coef_times_vec,
     star_mul_tt,
-    strip_scratch,
     vec_times_coef,
 )
 from oracles import (
@@ -660,25 +659,19 @@ class TestWorkspaceBuffers:
         w = self.mesh_major(rand_lower(rng, 3, m, dtype, "dual"))
         c = rand_lower(rng, 1, m, dtype).data[0]
 
-        def garbage(shape=(m, 3, m)):
+        for kernel, args in [(star_mul_tv, (a, v)), (star_mul_vt, (w, a)),
+                             (vec_times_coef, (v, c))]:
             # NaNs left anywhere in the result would fail array_equal
-            return np.full(shape, np.nan, dtype)
-
-        scratch = strip_scratch(3, m, dtype).shape
-        calls = [(star_mul_tv, (a, v), {"scratch": garbage(scratch)}), (star_mul_vt, (w, a), {}),
-                 (vec_times_coef, (v, c), {})]
-        for kernel, args, scratch_kw in calls:
-            out = garbage()
-            got = kernel(*args, out=out, **scratch_kw)
+            out = np.full((m, 3, m), np.nan, dtype)
+            got = kernel(*args, out=out)
             assert is_mesh_major(got) and np.shares_memory(got.data, out)
             assert np.array_equal(got.data, kernel(*args).data)
-        # the subtracting forms: a given strip scratch gives the bits of their own
+        # the subtracting forms leave the difference in the buffer they are given
         x = rng.standard_normal((m, 3, m)).astype(dtype)
         for kernel, args in [(vec_times_coef, (v, c)), (coef_times_vec, (c, w))]:
-            given, own = x.copy(), x.copy()
-            got = kernel(*args, subtract_from=given, scratch=garbage(scratch))
+            given = x.copy()
+            got = kernel(*args, subtract_from=given)
             assert is_mesh_major(got) and np.shares_memory(got.data, given)
-            assert np.array_equal(got.data, kernel(*args, subtract_from=own).data)
 
     def test_unusable_buffers_raise(self):
         rng = np.random.default_rng(1)
@@ -690,23 +683,7 @@ class TestWorkspaceBuffers:
             vec_times_coef(v, np.eye(5), out=np.empty((5, 2, 5), complex).transpose(2, 1, 0))
         with pytest.raises(ValueError, match="share memory"):
             vec_times_coef(v, np.eye(5), out=v.mesh)
-        scratch = np.empty((5, 2, 5), complex)
-        with pytest.raises(ValueError, match="share memory"):
-            star_mul_tv(a, v, out=scratch, scratch=scratch)
-        # a wrong strip scratch: the wrong dtype, a whole hypervector where the
-        # largest strip has 65 rows, or the buffer it is subtracted from
-        with pytest.raises(ShapeError, match="buffer"):
-            star_mul_tv(a, v, scratch=np.empty((5, 2, 5)))
-        v130 = self.mesh_major(rand_lower(rng, 2, 130, np.complex128))
-        whole = np.empty((130, 2, 130), complex)
-        with pytest.raises(ShapeError, match="buffer"):
-            star_mul_tv(rand_profile(rng, 2, 130), v130, scratch=whole)
-        with pytest.raises(ShapeError, match="buffer"):
-            vec_times_coef(v130, np.eye(130), subtract_from=np.zeros_like(whole), scratch=whole)
         w = self.mesh_major(rand_lower(rng, 2, 5, np.complex128, "dual"))
-        x = np.zeros((5, 2, 5), complex)
-        with pytest.raises(ValueError, match="share memory"):
-            coef_times_vec(np.eye(5), w, subtract_from=x, scratch=x)
         with pytest.raises(ValueError, match="share memory"):
             coef_times_vec(np.eye(5), w, subtract_from=w.mesh)
 
@@ -727,7 +704,7 @@ def todays_strip_product(rows, c, left=False):
 
 
 class TestStripKernels:
-    """The strip kernels give today's bits: one strip of scratch changes no value.
+    """The strip kernels give today's bits: their per-call strip temporaries change no value.
 
     At m = 80, 130 and 250 they run over one, two and three strips.
     """
@@ -753,9 +730,7 @@ class TestStripKernels:
         a = ProfileTensor(rng.standard_normal((4, 3, m)) * (1j if dtype == np.complex128 else 1))
         csum = np.array(v.mesh, order="C")
         want = np.matmul(_mesh_profiles(a, dtype), _prefix_sum(csum))
-        scratch = np.full(strip_scratch(3, m, dtype).shape, np.nan, dtype)
-        for got in (star_mul_tv(a, v), star_mul_tv(a, v, scratch=scratch)):
-            assert got.mesh.tobytes() == want.tobytes()
+        assert star_mul_tv(a, v).mesh.tobytes() == want.tobytes()
 
     @DTYPES
     @MESHES

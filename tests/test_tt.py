@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,21 @@ class TestTTSvd:
         loose = tt_svd(op, 1e-5)
         tight = tt_svd(op, 1e-10)
         assert all(rt >= rl for rt, rl in zip(tight.ranks, loose.ranks))
+
+    @pytest.mark.parametrize("problem_id", ["const3", "timedep5", "nmr2", "nmr3"])
+    def test_large_profiles_give_the_same_ranks(self, problem_id):
+        # 2**600 squares past the float range; the sweep divides it out exactly,
+        # so the first three cores are the same bits and the last one is scaled
+        op = operator(problem_id, 40)
+        big = ProfileTensor(op.data * 2.0**600)
+        for tol in (1e-5, 1e-10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                t, t_big = tt_svd(op, tol), tt_svd(big, tol)
+            assert t_big.ranks == t.ranks
+            assert rank_report_row(t_big, big) == rank_report_row(t, op)
+            assert all(np.array_equal(x, y) for x, y in zip(t_big.cores[:3], t.cores[:3]))
+            assert np.array_equal(t_big.cores[3], t.cores[3] * 2.0**600)
 
     def test_experiment1_structure(self):
         # diagonal tensor with three trig terms per level: r1 = 16, r2 <= 3
